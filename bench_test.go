@@ -1,7 +1,9 @@
 package incompletedb
 
 // Benchmark harness: one benchmark (family) per reproduced table/figure of
-// the paper, as indexed in DESIGN.md, plus ablations on the substrate.
+// the paper, plus ablations on the substrate. Section tags such as E-T1
+// and E-F1 are the experiment IDs `incdb experiments` reports (see the
+// README's command-line section).
 //
 //	go test -bench=. -benchmem
 //
@@ -11,6 +13,7 @@ package incompletedb
 // drops out.
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -313,6 +316,10 @@ func BenchmarkValFactorized(b *testing.B) {
 
 // --- E-C5.3: Karp–Luby FPRAS -------------------------------------------------
 
+// The estimator benchmarks prepare a session per iteration, so ns/op
+// covers Prepare plus one estimate — the same work as the one-shot
+// estimator calls their earlier baselines timed.
+
 func BenchmarkKarpLuby(b *testing.B) {
 	d := 10
 	dom := make([]string, d)
@@ -325,12 +332,18 @@ func BenchmarkKarpLuby(b *testing.B) {
 		db.MustAddFact("F", core.Null(core.NullID(10+i)))
 	}
 	q := cq.MustParseBCQ("R(x, x)")
+	ctx := context.Background()
+	s := NewSolver()
 	for _, eps := range []float64{0.2, 0.1, 0.05} {
 		b.Run(fmt.Sprintf("eps=%v", eps), func(b *testing.B) {
 			r := rand.New(rand.NewSource(1))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := EstimateValuations(db, q, eps, 0.05, r); err != nil {
+				pdb, err := s.Prepare(db)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := pdb.Estimate(ctx, q, eps, 0.05, r); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -341,10 +354,16 @@ func BenchmarkKarpLuby(b *testing.B) {
 func BenchmarkMonteCarlo(b *testing.B) {
 	db := uniformScalingDB(4)
 	q := cq.MustParseBCQ("R(x) ∧ S(x)")
+	ctx := context.Background()
+	s := NewSolver()
 	r := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := MonteCarloValuations(db, q, 1000, r); err != nil {
+		pdb, err := s.Prepare(db)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := pdb.MonteCarlo(ctx, q, 1000, r); err != nil {
 			b.Fatal(err)
 		}
 	}

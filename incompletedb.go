@@ -45,8 +45,8 @@
 //	// paper; res.Method and res.Plan explain how it was computed.
 //
 // See solver.go for the session API (Prepare once, query many times,
-// stream completions) and deprecated.go for the original free functions,
-// which remain as thin shims.
+// stream completions); the README maps the removed free functions of
+// earlier versions onto it.
 //
 // All counts are exact big integers; the library is pure Go standard
 // library.

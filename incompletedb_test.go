@@ -1,6 +1,7 @@
 package incompletedb
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"strings"
@@ -18,30 +19,40 @@ func figure1DB() *Database {
 	return db
 }
 
+// prepare opens a counting session over db on a fresh solver.
+func prepare(t *testing.T, db *Database) *PreparedDB {
+	t.Helper()
+	pdb, err := NewSolver().Prepare(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pdb
+}
+
 func TestFacadeQuickstart(t *testing.T) {
-	db := figure1DB()
+	ctx := context.Background()
+	pdb := prepare(t, figure1DB())
 	q := MustParseQuery("S(x, x)")
 
-	total, err := TotalValuations(db)
-	if err != nil || total.Cmp(big.NewInt(6)) != 0 {
-		t.Fatalf("total %v, err %v", total, err)
+	if total := pdb.TotalValuations(); total.Cmp(big.NewInt(6)) != 0 {
+		t.Fatalf("total %v", total)
 	}
-	val, method, err := CountValuations(db, q, nil)
+	val, err := pdb.Count(ctx, q, Valuations)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if val.Cmp(big.NewInt(4)) != 0 {
-		t.Fatalf("#Val = %v (method %s)", val, method)
+	if val.Count.Cmp(big.NewInt(4)) != 0 {
+		t.Fatalf("#Val = %v (method %s)", val.Count, val.Method)
 	}
-	comp, _, err := CountCompletions(db, q, nil)
+	comp, err := pdb.Count(ctx, q, Completions)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if comp.Cmp(big.NewInt(3)) != 0 {
-		t.Fatalf("#Comp = %v", comp)
+	if comp.Count.Cmp(big.NewInt(3)) != 0 {
+		t.Fatalf("#Comp = %v", comp.Count)
 	}
-	all, err := CountAllCompletions(db, nil)
-	if err != nil || all.Cmp(big.NewInt(5)) != 0 {
+	all, err := pdb.AllCompletions(ctx)
+	if err != nil || all.Count.Cmp(big.NewInt(5)) != 0 {
 		t.Fatalf("all completions %v, err %v", all, err)
 	}
 }
@@ -65,31 +76,32 @@ func TestFacadeClassify(t *testing.T) {
 }
 
 func TestFacadeEstimators(t *testing.T) {
-	db := figure1DB()
+	ctx := context.Background()
+	pdb := prepare(t, figure1DB())
 	q := MustParseQuery("S(x, x)")
 	r := rand.New(rand.NewSource(1))
-	est, err := EstimateValuations(db, q, 0.05, 0.05, r)
+	est, err := pdb.Estimate(ctx, q, 0.05, 0.05, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff := new(big.Int).Sub(est, big.NewInt(4))
+	diff := new(big.Int).Sub(est.Estimate, big.NewInt(4))
 	if diff.CmpAbs(big.NewInt(1)) > 0 {
-		t.Fatalf("Karp–Luby estimate %v far from 4", est)
+		t.Fatalf("Karp–Luby estimate %v far from 4", est.Estimate)
 	}
-	mc, err := MonteCarloValuations(db, q, 5000, r)
+	mc, err := pdb.MonteCarlo(ctx, q, 5000, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff = new(big.Int).Sub(mc, big.NewInt(4))
+	diff = new(big.Int).Sub(mc.Estimate, big.NewInt(4))
 	if diff.CmpAbs(big.NewInt(1)) > 0 {
-		t.Fatalf("Monte Carlo estimate %v far from 4", mc)
+		t.Fatalf("Monte Carlo estimate %v far from 4", mc.Estimate)
 	}
-	lb, err := CompletionsLowerBound(db, q, 200, r)
+	lb, err := pdb.CompletionsLowerBound(ctx, q, 200, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lb.Cmp(big.NewInt(3)) > 0 {
-		t.Fatalf("lower bound %v exceeds the exact count 3", lb)
+	if lb.Bound.Cmp(big.NewInt(3)) > 0 {
+		t.Fatalf("lower bound %v exceeds the exact count 3", lb.Bound)
 	}
 }
 
@@ -104,49 +116,52 @@ func TestFacadeParseDatabase(t *testing.T) {
 }
 
 func TestFacadeCertaintySemantics(t *testing.T) {
-	db := figure1DB()
+	ctx := context.Background()
+	pdb := prepare(t, figure1DB())
 	q := MustParseQuery("S(x, y)")
-	cert, err := IsCertain(db, q, nil)
-	if err != nil || !cert {
+	cert, err := pdb.Certain(ctx, q)
+	if err != nil || !*cert.Holds {
 		t.Fatalf("S(x,y) should be certain: %v %v", cert, err)
 	}
 	qxx := MustParseQuery("S(x, x)")
-	cert, err = IsCertain(db, qxx, nil)
-	if err != nil || cert {
+	cert, err = pdb.Certain(ctx, qxx)
+	if err != nil || *cert.Holds {
 		t.Fatalf("S(x,x) should not be certain: %v %v", cert, err)
 	}
-	poss, err := IsPossible(db, qxx, nil)
-	if err != nil || !poss {
+	poss, err := pdb.Possible(ctx, qxx)
+	if err != nil || !*poss.Holds {
 		t.Fatalf("S(x,x) should be possible: %v %v", poss, err)
 	}
 	// Over the Figure 1 table, µ_k(S(x,x)) = 0: the domain {1..k} is
 	// disjoint from the constants a, b, so no diagonal fact can arise.
-	mu, err := Mu(db, qxx, 3, nil)
+	mu, err := pdb.Mu(ctx, qxx, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mu.Sign() != 0 {
-		t.Fatalf("µ_3 over the Figure 1 table = %v, want 0", mu)
+	if mu.Ratio.Sign() != 0 {
+		t.Fatalf("µ_3 over the Figure 1 table = %v, want 0", mu.Ratio)
 	}
-	// Over the all-null table {S(⊥1,⊥2)}, µ_k(S(x,x)) = 1/k.
+	// Over the all-null table {S(⊥1,⊥2)}, whose nulls carry no domains,
+	// µ_k(S(x,x)) = 1/k.
 	free := NewDatabase()
 	free.MustAddFact("S", Null(1), Null(2))
-	mu, err = Mu(free, qxx, 3, nil)
+	mu, err = NewSolver().Mu(ctx, free, qxx, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mu.Cmp(big.NewRat(1, 3)) != 0 {
-		t.Fatalf("µ_3 = %v, want 1/3", mu)
+	if mu.Ratio.Cmp(big.NewRat(1, 3)) != 0 {
+		t.Fatalf("µ_3 = %v, want 1/3", mu.Ratio)
 	}
 }
 
 // TestFacadeExplain: the root EXPLAIN API — a plan compiles without
-// executing, ExecutePlan reproduces the dispatcher's count, and the
-// rendered text is deterministic.
+// executing, the count executes that same plan, and the rendered text is
+// deterministic.
 func TestFacadeExplain(t *testing.T) {
-	db := figure1DB()
+	ctx := context.Background()
+	pdb := prepare(t, figure1DB())
 	q := MustParseQuery("S(x, x)")
-	p, err := Explain(db, q, Valuations, nil)
+	p, err := pdb.Explain(q, Valuations)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,28 +174,27 @@ func TestFacadeExplain(t *testing.T) {
 	if p.Render() != p.JSON().Text {
 		t.Error("JSON text differs from Render")
 	}
-	n, err := ExecutePlan(db, p, nil)
+	res, err := pdb.Count(ctx, q, Valuations)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, method, err := CountValuations(db, q, nil)
-	if err != nil {
-		t.Fatal(err)
+	if res.Count.Cmp(big.NewInt(4)) != 0 {
+		t.Fatalf("count %v, want 4", res.Count)
 	}
-	if n.Cmp(direct) != 0 {
-		t.Fatalf("ExecutePlan %v, CountValuations %v", n, direct)
-	}
-	if string(method) != p.Method() {
-		t.Errorf("method mismatch: %q vs %q", method, p.Method())
+	if string(res.Method) != p.Method() || res.Plan.Render() != p.Render() {
+		t.Errorf("count ran another plan: method %q vs %q\n%s", res.Method, p.Method(), res.Plan.Render())
 	}
 	// Completions plan, too.
-	pc, err := Explain(db, q, Completions, nil)
+	pc, err := pdb.Explain(q, Completions)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nc, err := ExecutePlan(db, pc, nil)
-	if err != nil || nc.Cmp(big.NewInt(3)) != 0 {
-		t.Fatalf("comp plan executed to %v, err %v", nc, err)
+	nc, err := pdb.Count(ctx, q, Completions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nc.Count.Cmp(big.NewInt(3)) != 0 || string(nc.Method) != pc.Method() {
+		t.Fatalf("comp count %v by %q, plan method %q", nc.Count, nc.Method, pc.Method())
 	}
 }
 
@@ -191,8 +205,8 @@ func TestFacadeInequalityQuery(t *testing.T) {
 	if _, ok := q.(*BCQNeq); !ok {
 		t.Fatalf("expected BCQNeq, got %T", q)
 	}
-	n, _, err := CountValuations(db, q, nil)
-	if err != nil || n.Cmp(big.NewInt(2)) != 0 {
-		t.Fatalf("count %v, err %v", n, err)
+	res, err := prepare(t, db).Count(context.Background(), q, Valuations)
+	if err != nil || res.Count.Cmp(big.NewInt(2)) != 0 {
+		t.Fatalf("count %v, err %v", res, err)
 	}
 }

@@ -261,10 +261,10 @@ func sweepValuationsOnEngine(eng *sweep.Engine, opts *Options) (*big.Int, error)
 		return sweepValuationsCheckpointed(eng, opts, ck)
 	}
 	shards := shardCount(eng.Size(), opts)
-	counts := newTallies(shards, kernelFor(eng))
+	counts := make([]shardTally, shards)
 	err := sweepSharded(eng, opts.context(), shards, opts.progress(), opts.phases(), func(shard int, cur *sweep.Cursor) bool {
 		if cur.Matches() {
-			counts[shard].inc()
+			counts[shard].n++
 		}
 		return true
 	})
@@ -289,12 +289,12 @@ func sweepValuationsCheckpointed(eng *sweep.Engine, opts *Options, ck *Checkpoin
 	pos := make([]big.Int, len(st.starts))
 	err := sweepShardedFrom(eng, opts.context(), st.bounds, st.starts, opts.progress(), opts.phases(), func(shard int, cur *sweep.Cursor) bool {
 		if cur.Matches() {
-			counts[shard].inc()
+			counts[shard].n++
 		}
 		visited[shard]++
 		if sincePub[shard]++; sincePub[shard] >= ck.stride {
 			sincePub[shard] = 0
-			ck.publish(shard, shardPos(&pos[shard], st.starts[shard], visited[shard]), &counts[shard], nil)
+			ck.publish(shard, shardPos(&pos[shard], st.starts[shard], visited[shard]), &counts[shard].n, nil)
 		}
 		return true
 	})
@@ -302,7 +302,7 @@ func sweepValuationsCheckpointed(eng *sweep.Engine, opts *Options, ck *Checkpoin
 	// stopped): on success this records completion, on cancellation the
 	// freshest resumable position.
 	for i := range visited {
-		ck.publish(i, shardPos(&pos[i], st.starts[i], visited[i]), &counts[i], nil)
+		ck.publish(i, shardPos(&pos[i], st.starts[i], visited[i]), &counts[i].n, nil)
 	}
 	if err != nil {
 		return nil, err

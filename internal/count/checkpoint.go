@@ -3,6 +3,7 @@ package count
 import (
 	"encoding/json"
 	"math/big"
+	"strconv"
 	"sync"
 
 	"github.com/incompletedb/incompletedb/internal/sweep"
@@ -51,9 +52,8 @@ type ShardCheckpoint struct {
 
 	// Count is the shard's satisfying-valuation tally over [Lo, Next)
 	// (valuation sweeps only; completion sweeps keep their tally in the
-	// entries below). Like the positions it is a decimal string, so a
-	// tally survives JSON at any accumulator width — including one that
-	// escaped the fixed-width kernels mid-sweep.
+	// entries below). Like the positions it is a decimal string. It never
+	// exceeds Next − Lo; a checkpoint whose tally does is invalid.
 	Count Tally `json:"count,omitempty"`
 
 	// Entries is the shard's completion-dedup state: every distinct
@@ -63,8 +63,8 @@ type ShardCheckpoint struct {
 
 // Tally is a shard tally in serializable form: a decimal string, with ""
 // meaning zero (so fresh shards keep omitting the field). Checkpoints
-// written before the fixed-width kernels stored a JSON number; both
-// encodings decode.
+// written by older builds stored a bare JSON number; both encodings
+// decode.
 type Tally string
 
 // UnmarshalJSON accepts both the string form and the legacy bare number.
@@ -81,22 +81,23 @@ func (t *Tally) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// bigInt parses the tally; false means a malformed value (the restore
-// path then discards the checkpoint).
-func (t Tally) bigInt() (*big.Int, bool) {
+// value parses the tally; false means a malformed value or one beyond a
+// machine word, which no shard can have counted (parseShard then rejects
+// the shard).
+func (t Tally) value() (uint64, bool) {
 	if t == "" {
-		return new(big.Int), true
+		return 0, true
 	}
-	return new(big.Int).SetString(string(t), 10)
+	n, err := strconv.ParseUint(string(t), 10, 64)
+	return n, err == nil
 }
 
-// tallyOf serializes an accumulator, keeping zero as the empty tally.
-func tallyOf(a *accum) Tally {
-	s := a.String()
-	if s == "0" {
+// tallyOf serializes a shard tally, keeping zero as the empty tally.
+func tallyOf(n uint64) Tally {
+	if n == 0 {
 		return ""
 	}
-	return Tally(s)
+	return Tally(strconv.FormatUint(n, 10))
 }
 
 // CompletionRecord is one distinct completion in serializable form: its
@@ -185,10 +186,8 @@ func (c *Checkpointer) acquire() bool {
 type resumeState struct {
 	bounds []*big.Int
 	starts []*big.Int
-	// counts is the per-shard accumulator state, on the kernel the
-	// engine's space size selects; a restored tally keeps the exact value
-	// it was published with, across any promotion boundary.
-	counts []accum
+	// counts is the per-shard tally over [bounds[i], starts[i]).
+	counts []shardTally
 	// entries is the restored completion-dedup state per shard (nil
 	// outside completion sweeps or on a fresh start).
 	entries [][]*compEntry
@@ -207,7 +206,7 @@ func (c *Checkpointer) begin(eng *sweep.Engine, opts *Options, completions bool)
 		st = &resumeState{
 			bounds: bounds,
 			starts: bounds[:shards],
-			counts: newTallies(shards, kernelFor(eng)),
+			counts: make([]shardTally, shards),
 		}
 		if completions {
 			st.entries = make([][]*compEntry, shards)
@@ -222,7 +221,7 @@ func (c *Checkpointer) begin(eng *sweep.Engine, opts *Options, completions bool)
 			Hi:   st.bounds[i+1].String(),
 		}
 		if !completions {
-			sc.Count = tallyOf(&st.counts[i])
+			sc.Count = tallyOf(st.counts[i].n)
 		}
 		for _, e := range st.entriesAt(i) {
 			sc.Entries = append(sc.Entries, recordOf(e))
@@ -253,33 +252,24 @@ func (c *Checkpointer) restore(eng *sweep.Engine, completions bool) *resumeState
 	if r.Space != size.String() {
 		return nil
 	}
-	kernel := kernelFor(eng)
 	st := &resumeState{
 		bounds: make([]*big.Int, 0, len(r.Shards)+1),
-		counts: make([]accum, len(r.Shards)),
+		counts: make([]shardTally, len(r.Shards)),
 	}
 	if completions {
 		st.entries = make([][]*compEntry, len(r.Shards))
 	}
 	prev := big.NewInt(0)
 	st.bounds = append(st.bounds, prev)
-	for i, s := range r.Shards {
-		lo, ok1 := new(big.Int).SetString(s.Lo, 10)
-		next, ok2 := new(big.Int).SetString(s.Next, 10)
-		hi, ok3 := new(big.Int).SetString(s.Hi, 10)
-		if !ok1 || !ok2 || !ok3 || lo.Cmp(prev) != 0 || next.Cmp(lo) < 0 || hi.Cmp(next) < 0 {
-			return nil
-		}
-		tally, ok := s.Count.bigInt()
-		if !ok || tally.Sign() < 0 {
+	for i := range r.Shards {
+		s := &r.Shards[i]
+		lo, next, hi, tally, err := parseShard(s, size)
+		if err != nil || lo.Cmp(prev) != 0 {
 			return nil
 		}
 		st.bounds = append(st.bounds, hi)
 		st.starts = append(st.starts, next)
-		st.counts[i].set(tally)
-		if kernel == sweep.KernelBigInt && !st.counts[i].promoted() {
-			st.counts[i].promote()
-		}
+		st.counts[i].n = tally
 		if completions {
 			entries, err := rehydrateEntries(eng, s.Entries)
 			if err != nil {
@@ -299,12 +289,12 @@ func (c *Checkpointer) restore(eng *sweep.Engine, completions bool) *resumeState
 // first unvisited index, count the satisfying tally over [Lo, next)
 // (nil on completion sweeps, whose tally lives in the entries), and
 // fresh the completion entries first seen since the previous publish.
-func (c *Checkpointer) publish(shard int, next *big.Int, count *accum, fresh []CompletionRecord) {
+func (c *Checkpointer) publish(shard int, next *big.Int, count *uint64, fresh []CompletionRecord) {
 	c.mu.Lock()
 	s := &c.state.Shards[shard]
 	s.Next = next.String()
 	if count != nil {
-		s.Count = tallyOf(count)
+		s.Count = tallyOf(*count)
 	}
 	s.Entries = append(s.Entries, fresh...)
 	c.publishes++

@@ -171,8 +171,9 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 
 // TestCheckpointInvalidResumeDiscarded: resume states that do not match
 // the engine — wrong space size, non-contiguous shards, corrupted
-// canonical encodings — are discarded and the sweep restarts from
-// scratch, still producing the right answer.
+// canonical encodings, a tally above the valuations its shard visited —
+// are discarded and the sweep restarts from scratch, still producing the
+// right answer.
 func TestCheckpointInvalidResumeDiscarded(t *testing.T) {
 	db := core.NewUniformDatabase([]string{"a", "b", "c"})
 	for i := 1; i <= 6; i++ { // 3^6 = 729 valuations
@@ -190,6 +191,9 @@ func TestCheckpointInvalidResumeDiscarded(t *testing.T) {
 		{Space: "729", Shards: []ShardCheckpoint{{Lo: "0", Next: "not-a-number", Hi: "729"}}},
 		{Space: "729", Completions: true, Shards: []ShardCheckpoint{{Lo: "0", Next: "1", Hi: "729",
 			Entries: []CompletionRecord{{Canonical: []uint32{9999}}}}}},
+		// Tallies above Next − Lo: one past the bound, and one no word holds.
+		{Space: "729", Shards: []ShardCheckpoint{{Lo: "0", Next: "100", Hi: "729", Count: "101"}}},
+		{Space: "729", Shards: []ShardCheckpoint{{Lo: "0", Next: "2", Hi: "729", Count: Tally(two128)}}},
 	}
 	for i, cp := range bad {
 		ck := NewCheckpointer(killStride, cp)

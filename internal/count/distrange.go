@@ -53,19 +53,31 @@ func NewSweepCheckpoint(size *big.Int, shards int, completions bool) *SweepCheck
 	return cp
 }
 
-// parseShardRange validates one shard's positions against a space of the
-// given size: all three must parse, with 0 ≤ Lo ≤ Next ≤ Hi ≤ size.
-func parseShardRange(s *ShardCheckpoint, size *big.Int) (lo, next, hi *big.Int, err error) {
+// parseShard validates one shard against a space of the given size: its
+// positions must parse with 0 ≤ Lo ≤ Next ≤ Hi ≤ size, and its tally must
+// parse with 0 ≤ tally ≤ Next − Lo, since a shard cannot have counted
+// more satisfying valuations than it visited. The bound is what makes a
+// tally from a foreign checkpoint fit the uint64 shard counters (see
+// accum.go). Every consumer of checkpoint state — the local restore,
+// ValidateShardProgress, SweepShardRange and MergeCheckpoint — runs it.
+func parseShard(s *ShardCheckpoint, size *big.Int) (lo, next, hi *big.Int, tally uint64, err error) {
 	lo, ok1 := new(big.Int).SetString(s.Lo, 10)
 	next, ok2 := new(big.Int).SetString(s.Next, 10)
 	hi, ok3 := new(big.Int).SetString(s.Hi, 10)
 	if !ok1 || !ok2 || !ok3 {
-		return nil, nil, nil, fmt.Errorf("%w: malformed position", ErrShardCheckpoint)
+		return nil, nil, nil, 0, fmt.Errorf("%w: malformed position", ErrShardCheckpoint)
 	}
 	if lo.Sign() < 0 || next.Cmp(lo) < 0 || hi.Cmp(next) < 0 || hi.Cmp(size) > 0 {
-		return nil, nil, nil, fmt.Errorf("%w: positions out of order or outside [0, %s]", ErrShardCheckpoint, size)
+		return nil, nil, nil, 0, fmt.Errorf("%w: positions out of order or outside [0, %s]", ErrShardCheckpoint, size)
 	}
-	return lo, next, hi, nil
+	tally, ok := s.Count.value()
+	if !ok {
+		return nil, nil, nil, 0, fmt.Errorf("%w: malformed tally %q", ErrShardCheckpoint, s.Count)
+	}
+	if visited := new(big.Int).Sub(next, lo); visited.IsUint64() && tally > visited.Uint64() {
+		return nil, nil, nil, 0, fmt.Errorf("%w: tally %d exceeds the %s valuations visited", ErrShardCheckpoint, tally, visited)
+	}
+	return lo, next, hi, tally, nil
 }
 
 // rehydrateEntries decodes completion records against eng's interned
@@ -91,16 +103,14 @@ func rehydrateEntries(eng *sweep.Engine, recs []CompletionRecord) ([]*compEntry,
 
 // ValidateShardProgress structurally checks a progress payload against the
 // engine: positions parse and are ordered within the space, the tally
-// parses, and (on completion sweeps) every record decodes. It is what the
-// coordinator runs on worker-supplied partials before accepting them, so a
-// version-skewed or corrupt payload is rejected up front instead of
-// failing the final merge.
+// parses and does not exceed the valuations visited, and (on completion
+// sweeps) every record decodes. It is what the coordinator runs on
+// worker-supplied partials before accepting them, so a version-skewed or
+// corrupt payload is rejected up front instead of failing the final
+// merge.
 func ValidateShardProgress(eng *sweep.Engine, s *ShardCheckpoint) error {
-	if _, _, _, err := parseShardRange(s, eng.Size()); err != nil {
+	if _, _, _, _, err := parseShard(s, eng.Size()); err != nil {
 		return err
-	}
-	if tally, ok := s.Count.bigInt(); !ok || tally.Sign() < 0 {
-		return fmt.Errorf("%w: malformed tally %q", ErrShardCheckpoint, s.Count)
 	}
 	_, err := rehydrateEntries(eng, s.Entries)
 	return err
@@ -117,19 +127,22 @@ func ValidateShardProgress(eng *sweep.Engine, s *ShardCheckpoint) error {
 // Next == Hi, the cumulative tally, and the still-unpublished completion
 // records; the caller hands it to the coordinator as the range's final
 // partial. Context cancellation returns ctx.Err() after a best-effort
-// final publish.
+// final publish. A range wider than an int64 is refused with
+// ErrShardCheckpoint: no guarded sweep is that large, and the bound keeps
+// the range's tally within one word.
 func SweepShardRange(ctx context.Context, eng *sweep.Engine, shard ShardCheckpoint, stride int64, publish func(ShardCheckpoint) error) (ShardCheckpoint, error) {
-	size := eng.Size()
-	_, next, hi, err := parseShardRange(&shard, size)
+	lo, next, hi, tally, err := parseShard(&shard, eng.Size())
 	if err != nil {
 		return shard, err
+	}
+	if !new(big.Int).Sub(hi, lo).IsInt64() {
+		return shard, fmt.Errorf("%w: range [%s, %s) is wider than an int64", ErrShardCheckpoint, lo, hi)
 	}
 	if stride <= 0 {
 		stride = DefaultCheckpointStride
 	}
 	completions := eng.Mode() == sweep.ModeCompletions
 
-	counts := newTallies(1, kernelFor(eng))
 	var cs *completionShard
 	if completions {
 		entries, err := rehydrateEntries(eng, shard.Entries)
@@ -138,15 +151,6 @@ func SweepShardRange(ctx context.Context, eng *sweep.Engine, shard ShardCheckpoi
 		}
 		cs = newCompletionShard(false)
 		cs.restore(entries)
-	} else {
-		tally, ok := shard.Count.bigInt()
-		if !ok || tally.Sign() < 0 {
-			return shard, fmt.Errorf("%w: malformed tally %q", ErrShardCheckpoint, shard.Count)
-		}
-		counts[0].set(tally)
-		if kernelFor(eng) == sweep.KernelBigInt && !counts[0].promoted() {
-			counts[0].promote()
-		}
 	}
 
 	state := ShardCheckpoint{Lo: shard.Lo, Next: shard.Next, Hi: shard.Hi, Count: shard.Count}
@@ -159,26 +163,29 @@ func SweepShardRange(ctx context.Context, eng *sweep.Engine, shard ShardCheckpoi
 		sincePub int64
 		pubErr   error
 	)
+	// fill puts into state the cumulative tally, or the completion records
+	// first seen since the previous publish.
+	fill := func() {
+		if completions {
+			state.Count, state.Entries = "", cs.drainPending()
+		} else {
+			state.Count, state.Entries = tallyOf(tally), nil
+		}
+	}
 	flush := func() error {
 		if publish == nil {
 			return nil
 		}
 		pos := new(big.Int).Add(next, big.NewInt(visited))
 		state.Next = pos.String()
-		if completions {
-			state.Count = ""
-			state.Entries = cs.drainPending()
-		} else {
-			state.Count = tallyOf(&counts[0])
-			state.Entries = nil
-		}
+		fill()
 		return publish(state)
 	}
 	err = sweepShard(eng, ctx, next, hi, 0, nil, func(_ int, cur *sweep.Cursor) bool {
 		if completions {
 			cs.visit(cur)
 		} else if cur.Matches() {
-			counts[0].inc()
+			tally++
 		}
 		visited++
 		if sincePub++; sincePub >= stride {
@@ -200,13 +207,7 @@ func SweepShardRange(ctx context.Context, eng *sweep.Engine, shard ShardCheckpoi
 		return state, cerr
 	}
 	state.Next = shard.Hi
-	if completions {
-		state.Count = ""
-		state.Entries = cs.drainPending()
-	} else {
-		state.Count = tallyOf(&counts[0])
-		state.Entries = nil
-	}
+	fill()
 	return state, nil
 }
 
@@ -241,7 +242,7 @@ func MergeCheckpoint(eng *sweep.Engine, cp *SweepCheckpoint) (*big.Int, error) {
 	prev := big.NewInt(0)
 	for i := range cp.Shards {
 		s := &cp.Shards[i]
-		lo, next, hi, err := parseShardRange(s, size)
+		lo, next, hi, tally, err := parseShard(s, size)
 		if err != nil {
 			return nil, err
 		}
@@ -262,22 +263,19 @@ func MergeCheckpoint(eng *sweep.Engine, cp *SweepCheckpoint) (*big.Int, error) {
 			}
 			continue
 		}
-		tally, ok := s.Count.bigInt()
-		if !ok || tally.Sign() < 0 {
-			return nil, fmt.Errorf("%w: malformed tally %q", ErrShardCheckpoint, s.Count)
-		}
-		total.Add(total, tally)
+		total.Add(total, new(big.Int).SetUint64(tally))
 	}
 	if prev.Cmp(size) != 0 {
 		return nil, fmt.Errorf("%w: shards cover [0, %s), want [0, %s)", ErrShardCheckpoint, prev, size)
 	}
 	if completions {
+		sat := int64(0)
 		for _, e := range merged.order {
 			if e.sat {
-				total.Add(total, accumOne)
+				sat++
 			}
 		}
-		return total, nil
+		return big.NewInt(sat), nil
 	}
 	return total.Mul(total, eng.Multiplier()), nil
 }

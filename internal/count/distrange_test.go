@@ -269,6 +269,8 @@ func TestDistRangeRejectsMalformed(t *testing.T) {
 		{"past space", eng, ShardCheckpoint{Lo: "0", Next: "0", Hi: "99"}},
 		{"garbled tally", eng, ShardCheckpoint{Lo: "0", Next: "1", Hi: "4", Count: "xyz"}},
 		{"negative tally", eng, ShardCheckpoint{Lo: "0", Next: "1", Hi: "4", Count: "-3"}},
+		{"tally above visited", eng, ShardCheckpoint{Lo: "0", Next: "1", Hi: "4", Count: "2"}},
+		{"tally beyond a word", eng, ShardCheckpoint{Lo: "0", Next: "2", Hi: "4", Count: Tally(two128)}},
 		{"corrupt canonical", ceng, ShardCheckpoint{Lo: "0", Next: "1", Hi: "4",
 			Entries: []CompletionRecord{{Canonical: []uint32{9999}}}}},
 	}
@@ -301,6 +303,7 @@ func TestMergeCheckpointRejects(t *testing.T) {
 		{Space: "16", Shards: []ShardCheckpoint{{Lo: "0", Next: "8", Hi: "8", Count: "1"}}},       // gap at tail
 		{Space: "16", Shards: []ShardCheckpoint{{Lo: "4", Next: "16", Hi: "16", Count: "1"}}},     // gap at head
 		{Space: "16", Shards: []ShardCheckpoint{{Lo: "0", Next: "16", Hi: "16", Count: "bogus"}}}, // tally
+		{Space: "16", Shards: []ShardCheckpoint{{Lo: "0", Next: "16", Hi: "16", Count: "17"}}},    // tally > visited
 		{Space: "16", Shards: []ShardCheckpoint{{Lo: "0", Next: "16", Hi: "16"}, {Lo: "4", Next: "16", Hi: "16"}}},
 	}
 	for i, cp := range bad {

@@ -2,6 +2,7 @@ package count
 
 import (
 	"context"
+	"fmt"
 	"math/big"
 	"runtime/pprof"
 	"slices"
@@ -198,11 +199,16 @@ func (t *progressTracker) finishAll(ctx context.Context) {
 // visit goes to the dedup phase on completion sweeps (where the visit is
 // the dedup probe — the rare first-sight query evaluation inside it is
 // timed separately by the completion shard) and to the match phase
-// otherwise.
+// otherwise. An interval wider than an int64 is an error: the brute-force
+// guard and SweepShardRange's width check keep every real one narrower,
+// which is what lets a shard tally fit one uint64.
 func sweepShard(eng *sweep.Engine, ctx context.Context, lo, hi *big.Int, shard int, phases *PhaseTimes, visit func(int, *sweep.Cursor) bool) error {
 	n := new(big.Int).Sub(hi, lo)
 	if n.Sign() == 0 {
 		return nil
+	}
+	if !n.IsInt64() {
+		return fmt.Errorf("count: shard interval [%v, %v) is wider than an int64", lo, hi)
 	}
 	cur := eng.NewCursor()
 	if err := cur.Seek(lo); err != nil {
@@ -211,60 +217,40 @@ func sweepShard(eng *sweep.Engine, ctx context.Context, lo, hi *big.Int, shard i
 	dedupVisits := eng.Mode() == sweep.ModeCompletions
 	sinceSample := 0
 	sinceCheck := 0
-	if n.IsInt64() {
-		for remaining := n.Int64(); ; {
-			if sinceCheck++; sinceCheck >= cancelCheckInterval {
-				sinceCheck = 0
-				if ctx.Err() != nil {
-					return nil
-				}
-			}
-			if phases != nil {
-				if sinceSample++; sinceSample >= phaseSampleStride {
-					sinceSample = 0
-					t0 := time.Now()
-					ok := visit(shard, cur)
-					d := time.Since(t0)
-					if dedupVisits {
-						phases.addDedup(d, phaseSampleStride)
-					} else {
-						phases.addMatch(d, phaseSampleStride)
-					}
-					if !ok {
-						return nil
-					}
-					if remaining--; remaining == 0 {
-						return nil
-					}
-					t0 = time.Now()
-					cur.Step()
-					phases.addStep(time.Since(t0), phaseSampleStride)
-					continue
-				}
-			}
-			if !visit(shard, cur) {
-				return nil
-			}
-			if remaining--; remaining == 0 {
-				return nil
-			}
-			cur.Step()
-		}
-	}
-	// Astronomically large shards cannot terminate in practice, but stay
-	// correct: count down with a big counter.
-	one := big.NewInt(1)
-	for remaining := n; ; {
+	for remaining := n.Int64(); ; {
 		if sinceCheck++; sinceCheck >= cancelCheckInterval {
 			sinceCheck = 0
 			if ctx.Err() != nil {
 				return nil
 			}
 		}
+		if phases != nil {
+			if sinceSample++; sinceSample >= phaseSampleStride {
+				sinceSample = 0
+				t0 := time.Now()
+				ok := visit(shard, cur)
+				d := time.Since(t0)
+				if dedupVisits {
+					phases.addDedup(d, phaseSampleStride)
+				} else {
+					phases.addMatch(d, phaseSampleStride)
+				}
+				if !ok {
+					return nil
+				}
+				if remaining--; remaining == 0 {
+					return nil
+				}
+				t0 = time.Now()
+				cur.Step()
+				phases.addStep(time.Since(t0), phaseSampleStride)
+				continue
+			}
+		}
 		if !visit(shard, cur) {
 			return nil
 		}
-		if remaining.Sub(remaining, one); remaining.Sign() == 0 {
+		if remaining--; remaining == 0 {
 			return nil
 		}
 		cur.Step()

@@ -166,6 +166,36 @@ func TestClusterLegacyTallyAccepted(t *testing.T) {
 	}
 }
 
+// TestClusterTallyAboveVisitedRejected: a partial cannot have counted
+// more satisfying valuations than its watermark covers, so a tally above
+// Next − Lo — including one no machine word holds — is a structured
+// bad_checkpoint, while a tally at the bound is accepted.
+func TestClusterTallyAboveVisitedRejected(t *testing.T) {
+	database, query := testDB("codd")
+	cl := startCluster(t, testConfig())
+	if _, err := cl.coord.StartJob(JobSpec{Database: database, Query: query, Kind: "val"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	wid, lease := registerAndLease(t, cl)
+	next := new(big.Int).Add(mustInt(t, lease.Range.Lo), big.NewInt(2)).String() // a 2-valuation prefix
+	progress := func(tally count.Tally) (int, ErrorBody) {
+		req := ProgressRequest{WorkerID: wid, LeaseID: lease.ID, Range: lease.Range}
+		req.Range.Next = next
+		req.Range.Count = tally
+		status, eb, _ := postJSON(t, cl.srv.URL, "/cluster/progress", req)
+		return status, eb
+	}
+	two128 := new(big.Int).Lsh(big.NewInt(1), 128).String()
+	for _, tally := range []count.Tally{"3", count.Tally(two128)} {
+		if status, eb := progress(tally); status != 400 || eb.Code != CodeBadCheckpoint {
+			t.Errorf("tally %s over 2 visited: got %d %+v, want 400 %s", tally, status, eb, CodeBadCheckpoint)
+		}
+	}
+	if status, eb := progress("2"); status != 200 {
+		t.Fatalf("tally at the bound refused: %d %+v", status, eb)
+	}
+}
+
 // TestClusterUnknownFieldsTolerated: payloads from a newer (but
 // protocol-compatible) build carrying extra fields are not refused.
 func TestClusterUnknownFieldsTolerated(t *testing.T) {

@@ -417,9 +417,9 @@ func (c *Coordinator) issueLocked(now time.Time, w *workerState, j *distJob, s *
 // Progress accepts one partial (or, with Done, a range's final state).
 // The payload is validated against the job's engine before anything is
 // recorded: positions must stay within the range and move forward, the
-// tally must parse, and completion records must decode — so a
-// version-skewed worker yields a structured bad_checkpoint error, never
-// a corrupt merge.
+// tally must parse and not exceed the valuations visited, and completion
+// records must decode — so a version-skewed or corrupt worker yields a
+// structured bad_checkpoint error, never a corrupt merge.
 func (c *Coordinator) Progress(req ProgressRequest) (ProgressResponse, *apiError) {
 	now := c.cfg.now()
 	c.mu.Lock()

@@ -1,8 +1,8 @@
 // Package experiments implements the reproduction harness: one experiment
-// per table, figure, worked example and constructive result of the paper
-// (see DESIGN.md for the experiment index). Each experiment reports the
-// paper's claim next to the measured outcome so EXPERIMENTS.md can be
-// regenerated mechanically via `incdb experiments`.
+// per table, figure, worked example and constructive result of the paper,
+// in the index order of RunAll. Each experiment reports the paper's claim
+// next to the measured outcome; `incdb experiments` prints the reports
+// (see the README's command-line section).
 package experiments
 
 import (

@@ -165,11 +165,6 @@ type Cost struct {
 	// plan was built under: executing this node will fail unless the
 	// guard is raised.
 	ExceedsGuard bool
-	// Kernel is the accumulator kernel a sweep of this node runs its
-	// shard tallies on ("uint64", "uint128" or "bigint"): the narrowest
-	// width the valuation-space size proves sufficient. Empty for
-	// non-sweep nodes.
-	Kernel string
 	// Note is a human-readable summary of the cost shape.
 	Note string
 }
@@ -560,16 +555,15 @@ func (b *builder) finishSweep(n *Node, q cq.Query) {
 	n.Cost.TotalSpace = eng.TotalSize()
 	n.Cost.PrunedNulls = eng.Pruned()
 	n.Cost.ExceedsGuard = eng.Size().Cmp(b.opts.maxValuations()) > 0
-	n.Cost.Kernel = string(eng.Kernel())
 	// Record how the sweep will actually run on the accepted decision:
-	// the accumulator kernel the space size selects and whether atom
-	// matching compiled to the word-parallel bitset plan.
+	// whether atom matching compiled to the word-parallel bitset plan, and
+	// in which atom order.
 	if last := len(n.Decisions) - 1; last >= 0 && n.Decisions[last].Accepted && n.Decisions[last].Op == OpSweep {
 		membership := "scalar"
 		if eng.Bitset() {
 			membership = "bitset"
 		}
-		n.Decisions[last].Reason += fmt.Sprintf(" [%s kernel, %s membership, %s atom order]", eng.Kernel(), membership, eng.AtomOrder())
+		n.Decisions[last].Reason += fmt.Sprintf(" [%s membership, %s atom order]", membership, eng.AtomOrder())
 	}
 	switch {
 	case n.Cost.PrunedNulls > 0:

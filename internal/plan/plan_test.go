@@ -2,6 +2,7 @@ package plan_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -349,27 +350,24 @@ func TestPlanJSONRoundTrips(t *testing.T) {
 	}
 }
 
-// TestSweepKernelRecorded: a sweep node's cost carries the accumulator
-// kernel its space size selects, the accepted sweep decision is annotated
-// with the kernel and the membership evaluator, and both survive into the
-// wire form.
-func TestSweepKernelRecorded(t *testing.T) {
+// TestSweepDecisionAnnotated: the accepted sweep decision is annotated
+// with the membership evaluator and the atom order the engine compiled,
+// and the annotation survives into the wire form.
+func TestSweepDecisionAnnotated(t *testing.T) {
 	p, err := plan.BruteOnly(figure1DB(t), cq.MustParseBCQ("S(x, x)"), classify.Valuations, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Root.Cost.Kernel != "uint64" {
-		t.Fatalf("sweep cost kernel %q, want uint64", p.Root.Cost.Kernel)
-	}
 	last := p.Root.Decisions[len(p.Root.Decisions)-1]
-	if !last.Accepted || !strings.Contains(last.Reason, "uint64 kernel") {
-		t.Fatalf("accepted sweep decision not annotated with the kernel: %q", last.Reason)
+	want := fmt.Sprintf("[bitset membership, %s atom order]", p.Root.Engine.AtomOrder())
+	if !last.Accepted || !strings.HasSuffix(last.Reason, want) {
+		t.Fatalf("accepted sweep decision %q, want the annotation %q", last.Reason, want)
 	}
 	blob, err := json.Marshal(p.JSON())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(blob), `"kernel":"uint64"`) {
-		t.Fatalf("plan wire form misses the kernel: %s", blob)
+	if !strings.Contains(string(blob), want) {
+		t.Fatalf("plan wire form misses the annotation: %s", blob)
 	}
 }

@@ -97,7 +97,6 @@ type CostJSON struct {
 	TotalSpace   string `json:"total_space,omitempty"`
 	PrunedNulls  int    `json:"pruned_nulls,omitempty"`
 	ExceedsGuard bool   `json:"exceeds_guard,omitempty"`
-	Kernel       string `json:"kernel,omitempty"`
 	Note         string `json:"note,omitempty"`
 }
 
@@ -141,7 +140,6 @@ func (n *Node) JSON() *NodeJSON {
 		cj := &CostJSON{
 			PrunedNulls:  c.PrunedNulls,
 			ExceedsGuard: c.ExceedsGuard,
-			Kernel:       c.Kernel,
 			Note:         c.Note,
 		}
 		if c.Space != nil {

@@ -96,9 +96,10 @@ type Response struct {
 	// "complement(exact/theorem-3.9)".
 	Method string `json:"method,omitempty"`
 
-	// Kernel is the accumulator kernel the count's sweeps ran their shard
-	// tallies on ("uint64", "uint128" or "bigint"); empty when the plan
-	// swept nothing. Count responses only.
+	// Kernel is "uint64", the width of every sweep's shard tallies, when
+	// the count's plan swept, and empty otherwise (solver.Stats.Kernel).
+	// It stays on the wire for the clients and the benchmark harness that
+	// read it. Count responses only.
 	Kernel string `json:"kernel,omitempty"`
 
 	// Plan is the compiled query plan behind the result: the operator

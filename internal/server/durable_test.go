@@ -177,8 +177,12 @@ func TestJobResumeAfterCrash(t *testing.T) {
 		t.Fatalf("store after crash: %+v, want one running record", recs)
 	}
 
-	store.frozen.Store(false)
-	srvB := New(cfg)
+	// The dead server's job goroutine may still be unwinding (Close
+	// cancels without waiting), so its handle stays frozen: the restarted
+	// server opens the "disk" directly, as a new process would.
+	cfgB := cfg
+	cfgB.JobStore = store.inner
+	srvB := New(cfgB)
 	defer srvB.Close()
 	resumed, err := srvB.RecoverJobs()
 	if err != nil {

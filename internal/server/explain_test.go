@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/incompletedb/incompletedb/internal/classify"
 	"github.com/incompletedb/incompletedb/internal/core"
@@ -160,11 +161,7 @@ func TestCountResponsesCarryPlans(t *testing.T) {
 	}, &job); status != http.StatusAccepted {
 		t.Fatalf("job create failed: %+v", job)
 	}
-	deadline := 100
-	for job.Status == JobRunning && deadline > 0 {
-		deadline--
-		doJSON(t, http.MethodGet, base+"/v1/jobs/"+job.ID, nil, &job)
-	}
+	job = pollJobDone(t, base, job.ID, 30*time.Second)
 	if job.Status != JobDone || job.Result == nil {
 		t.Fatalf("job did not finish: %+v", job)
 	}

@@ -46,7 +46,7 @@ func (s *Server) StartJob(req Request) (*Job, error) {
 	// A non-forced job whose result is already cached finishes instantly;
 	// ForceBrute jobs always sweep — they exist to (re)do the work.
 	if !req.ForceBrute {
-		if res, ok := pdb.Cached(q, fpKind); ok {
+		if res, ok := peekCached(req, pdb, q, fpKind); ok {
 			blob, err := json.Marshal(s.resultResponse(OpCount, q, kind, res))
 			if err != nil {
 				return nil, err

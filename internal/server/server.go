@@ -620,14 +620,8 @@ func (s *Server) execCached(req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The engine escape hatches bypass the warm-cache peek: a hatched
-	// request must compute on the engine shape it asked for, not be
-	// answered by a default-knob cached result. (The solver's own cache
-	// layer refuses them too — see Solver.cacheable.)
-	if !req.DisableBitsets && !req.SyntacticOrder {
-		if res, ok := pdb.Cached(q, fpKind); ok {
-			return s.resultResponse(req.Op, q, kind, res), nil
-		}
+	if res, ok := peekCached(req, pdb, q, fpKind); ok {
+		return s.resultResponse(req.Op, q, kind, res), nil
 	}
 	opts := s.requestOptions(req, nil)
 	var res *solver.Result
@@ -645,6 +639,19 @@ func (s *Server) execCached(req Request) (*Response, error) {
 		return nil, err
 	}
 	return s.resultResponse(req.Op, q, kind, res), nil
+}
+
+// peekCached returns the warm cache entry that may answer req. The
+// engine escape hatches (disable_bitsets, syntactic_order) never read
+// one: a hatched request must compute on the engine shape it asked for,
+// not be answered by a default-knob cached result. (The solver's own
+// cache layer refuses them too — see Solver.cacheable.) Both the
+// synchronous path and StartJob peek through here.
+func peekCached(req Request, pdb *solver.PreparedDB, q cq.Query, fpKind fingerprint.Kind) (*solver.Result, bool) {
+	if req.DisableBitsets || req.SyntacticOrder {
+		return nil, false
+	}
+	return pdb.Cached(q, fpKind)
 }
 
 // countingKind maps the wire kind to the classifier's.

@@ -520,12 +520,11 @@ func ExampleServer_Execute() {
 	// Output: #Val = 5
 }
 
-// TestCountResponseKernel: the count wire form reports the accumulator
-// kernel of the plan's sweeps; jobs inherit it through their embedded
-// Response.
+// TestCountResponseKernel: the count wire form reports "uint64", the
+// shard tally width, when the plan sweeps; jobs inherit it through their
+// embedded Response.
 func TestCountResponseKernel(t *testing.T) {
 	_, base := startServer(t, Config{Workers: 2, MaxValuations: 1 << 20})
-	// jobTestDB spaces are tiny here, so the sweep provably runs uint64.
 	req := Request{Op: OpCount, Database: jobTestDB(6), Query: "R(x, x)", Kind: KindVal, MaxCylinders: -1}
 	var resp Response
 	if code := doJSON(t, http.MethodPost, base+"/v1/count", req, &resp); code != http.StatusOK {
@@ -536,7 +535,7 @@ func TestCountResponseKernel(t *testing.T) {
 	}
 }
 
-// TestEscapeHatchRequestsBypassCache: a count request carrying
+// TestEscapeHatchRequestsBypassCache: a count request or job carrying
 // disable_bitsets or syntactic_order must compute on the engine shape it
 // asked for — not be answered by a default-knob warm-cache entry — and
 // must not plant a cache entry of its own, while leaving the default
@@ -576,8 +575,21 @@ func TestEscapeHatchRequestsBypassCache(t *testing.T) {
 			t.Fatalf("hatched request %d count %s, default engine gave %s", i, got.Count, first.Count)
 		}
 	}
-	if after := srv.Stats().Computations; after != before+2 {
-		t.Errorf("computations went %d → %d, want two fresh hatched computations", before, after)
+	// The job endpoint peeks the same warm cache; a hatched job must run.
+	var created Job
+	if code := doJSON(t, http.MethodPost, base+"/v1/jobs", hatched, &created); code != http.StatusAccepted {
+		t.Fatalf("hatched job create returned HTTP %d", code)
+	}
+	job := pollJobDone(t, base, created.ID, 30*time.Second)
+	if job.Status != JobDone || job.Result == nil {
+		t.Fatalf("hatched job ended %q (result %+v, error %q)", job.Status, job.Result, job.Error)
+	}
+	if job.Result.Cached || job.Result.Count != first.Count {
+		t.Fatalf("hatched job: cached=%v count=%s, want a fresh computation of %s",
+			job.Result.Cached, job.Result.Count, first.Count)
+	}
+	if after := srv.Stats().Computations; after != before+3 {
+		t.Errorf("computations went %d → %d, want three fresh hatched computations", before, after)
 	}
 	if final := post(plain); !final.Cached {
 		t.Errorf("default entry evicted by hatched requests: %+v", final)

@@ -10,14 +10,14 @@ import (
 	"github.com/incompletedb/incompletedb/internal/cq"
 )
 
-// TestStatsKernelReported: a count whose plan sweeps reports the
-// accumulator kernel the sweep ran on; a closed-form route (no sweep
-// node) leaves the field empty.
+// TestStatsKernelReported: a count whose plan sweeps reports "uint64",
+// the width of every shard tally; a closed-form route (no sweep node)
+// leaves the field empty.
 func TestStatsKernelReported(t *testing.T) {
 	ctx := context.Background()
 
 	// R(x, x) over a self-joining null table is #P-hard: the plan must
-	// brute-force sweep, and every test-sized space selects uint64.
+	// brute-force sweep.
 	hard := core.NewUniformDatabase([]string{"a", "b"})
 	hard.MustAddFact("R", core.Null(1), core.Null(2))
 	hard.MustAddFact("R", core.Null(2), core.Null(3))

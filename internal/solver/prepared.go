@@ -203,14 +203,14 @@ func (p *PreparedDB) Count(ctx context.Context, q cq.Query, kind classify.Counti
 }
 
 // CountWith is Count with per-call runtime options (the escape hatch the
-// deprecated free functions and the job runner use): zero fields of opts
+// service's request overrides and job runner use): zero fields of opts
 // inherit the solver's configuration. Calls that override the
 // planning-relevant knobs (MaxValuations, MaxCylinders) bypass the result
 // cache entirely — neither read (a tightened guard is honored rather
 // than answered from an earlier, looser computation) nor written (a
 // loosened guard's success must not make later default-knob calls stop
-// failing their guard) — so the free-function semantics are preserved
-// call for call.
+// failing their guard) — so every call sees exactly the guard it asked
+// for.
 func (p *PreparedDB) CountWith(ctx context.Context, q cq.Query, kind classify.CountingKind, opts *count.Options) (*Result, error) {
 	start := time.Now()
 	p.rlock()
@@ -272,7 +272,7 @@ func (p *PreparedDB) executeCount(pl *plan.Plan, eff *count.Options, fp string, 
 			FactorsReused:   reused,
 			Epoch:           p.appliedVersion,
 			Workers:         effectiveWorkers(eff.Workers),
-			Kernel:          string(kernel),
+			Kernel:          kernel,
 			Wall:            time.Since(start),
 			PhaseStep:       ph.Step(),
 			PhaseMatch:      ph.Match(),

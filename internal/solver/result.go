@@ -8,7 +8,6 @@ import (
 	"github.com/incompletedb/incompletedb/internal/approx"
 	"github.com/incompletedb/incompletedb/internal/count"
 	"github.com/incompletedb/incompletedb/internal/plan"
-	"github.com/incompletedb/incompletedb/internal/sweep"
 )
 
 // Result is the outcome of one counting (or decision) call on a prepared
@@ -84,12 +83,11 @@ type Stats struct {
 	// sweeps with.
 	Workers int
 
-	// Kernel is the accumulator kernel the call's sweeps ran their shard
-	// tallies on: "uint64" or "uint128" when the enumerated space proves
-	// the count fits a fixed width, "bigint" otherwise. When a plan has
-	// several sweep nodes it reports the widest kernel among them. Empty
-	// when the plan has no sweep node, and — like the other sweep stats —
-	// describing the first computation's route on cache hits.
+	// Kernel is "uint64", the width of every sweep's shard tallies, when
+	// the plan has a sweep node, and empty otherwise. Since the guard
+	// proves one width sufficient it carries no information beyond "the
+	// plan swept"; it remains because the count wire form and the
+	// benchmark harness (bench/exec.go) read it.
 	Kernel string
 
 	// Wall is the wall-clock time of this call (near zero for cache hits).
@@ -142,8 +140,9 @@ func (r *Result) stripped() *Result {
 
 // statsFromPlan derives the sweep-side execution stats from the plan's
 // node payloads: the compiled engines of internal/sweep carry the
-// enumerated-space geometry the execution actually swept.
-func statsFromPlan(p *plan.Plan) (swept *big.Int, pruned int, multiplier *big.Int, kernel sweep.Kernel) {
+// enumerated-space geometry the execution actually swept. kernel is the
+// Stats.Kernel of the plan.
+func statsFromPlan(p *plan.Plan) (swept *big.Int, pruned int, multiplier *big.Int, kernel string) {
 	var walk func(n *plan.Node)
 	walk = func(n *plan.Node) {
 		if n == nil {
@@ -161,7 +160,7 @@ func statsFromPlan(p *plan.Plan) (swept *big.Int, pruned int, multiplier *big.In
 				}
 				multiplier.Mul(multiplier, n.Engine.Multiplier())
 			}
-			kernel = kernel.Wider(n.Engine.Kernel())
+			kernel = "uint64"
 		}
 		for _, c := range n.Children {
 			walk(c)

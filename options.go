@@ -27,10 +27,10 @@ func WithMaxCylinders(n int) Option { return solver.WithMaxCylinders(n) }
 // result cache; negative disables caching, 0 means the package default.
 func WithCacheSize(n int) Option { return solver.WithCacheSize(n) }
 
-// CountOptions configures a single counting call when using the
-// deprecated free functions or the *With methods of PreparedDB: the
-// brute-force guard (MaxValuations), the cylinder inclusion–exclusion cap
-// (MaxCylinders), the worker-pool width (Workers; 0 means one worker per
-// CPU), an optional cancellation Context, and an optional Progress hook.
+// CountOptions configures a single counting call through the *With
+// methods of PreparedDB (and Solver.Mu): the brute-force guard
+// (MaxValuations), the cylinder inclusion–exclusion cap (MaxCylinders),
+// the worker-pool width (Workers; 0 means one worker per CPU), an
+// optional cancellation Context, and an optional Progress hook.
 // Zero fields inherit the solver's configuration.
 type CountOptions = count.Options

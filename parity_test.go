@@ -1,11 +1,10 @@
 package incompletedb
 
-// Shim-parity property tests: every deprecated free function must be
-// bit-identical to its Solver-session equivalent — and both must match
-// the pre-session internal dispatcher (internal/count), which this
-// refactor left untouched — across database shapes (naïve, Codd,
-// uniform), query fragments (BCQ, UCQ, negation, inequality) and worker
-// counts (serial, parallel).
+// Session-parity property tests: every Solver-session call must be
+// bit-identical to the internal dispatcher (internal/count) and the raw
+// estimators (internal/approx) it wraps, across database shapes (naïve,
+// Codd, uniform), query fragments (BCQ, UCQ, negation, inequality) and
+// worker counts (serial, parallel).
 
 import (
 	"context"
@@ -55,7 +54,7 @@ var parityQueries = map[string]string{
 	"inequality": "S(x, y) ∧ x ≠ y",
 }
 
-func TestShimParityCounts(t *testing.T) {
+func TestSessionParityCounts(t *testing.T) {
 	ctx := context.Background()
 	for dbName, db := range parityDBs() {
 		for qName, qs := range parityQueries {
@@ -64,74 +63,66 @@ func TestShimParityCounts(t *testing.T) {
 				opts := &CountOptions{Workers: workers}
 				name := dbName + "/" + qName + "/w" + string(rune('0'+workers))
 
-				// #Val: internal dispatcher = deprecated shim = session.
+				// #Val: internal dispatcher = session.
 				refN, refM, refErr := count.CountValuations(db, q, opts)
-				shimN, shimM, shimErr := CountValuations(db, q, opts)
 				pdb, err := NewSolver(WithWorkers(workers)).Prepare(db)
 				if err != nil {
 					t.Fatalf("%s: Prepare: %v", name, err)
 				}
 				res, sesErr := pdb.Count(ctx, q, Valuations)
-				if (refErr != nil) != (shimErr != nil) || (refErr != nil) != (sesErr != nil) {
-					t.Fatalf("%s #Val errors diverge: ref=%v shim=%v session=%v", name, refErr, shimErr, sesErr)
+				if (refErr != nil) != (sesErr != nil) {
+					t.Fatalf("%s #Val errors diverge: ref=%v session=%v", name, refErr, sesErr)
 				}
 				if refErr == nil {
-					if refN.Cmp(shimN) != 0 || refN.Cmp(res.Count) != 0 {
-						t.Errorf("%s #Val: ref %v, shim %v, session %v", name, refN, shimN, res.Count)
+					if refN.Cmp(res.Count) != 0 {
+						t.Errorf("%s #Val: ref %v, session %v", name, refN, res.Count)
 					}
-					if refM != shimM || refM != res.Method {
-						t.Errorf("%s #Val methods: ref %q, shim %q, session %q", name, refM, shimM, res.Method)
+					if refM != res.Method {
+						t.Errorf("%s #Val methods: ref %q, session %q", name, refM, res.Method)
 					}
 				}
 
 				// #Comp likewise.
 				refN, refM, refErr = count.CountCompletions(db, q, opts)
-				shimN, shimM, shimErr = CountCompletions(db, q, opts)
 				resC, sesErr := pdb.Count(ctx, q, Completions)
-				if (refErr != nil) != (shimErr != nil) || (refErr != nil) != (sesErr != nil) {
-					t.Fatalf("%s #Comp errors diverge: ref=%v shim=%v session=%v", name, refErr, shimErr, sesErr)
+				if (refErr != nil) != (sesErr != nil) {
+					t.Fatalf("%s #Comp errors diverge: ref=%v session=%v", name, refErr, sesErr)
 				}
 				if refErr == nil {
-					if refN.Cmp(shimN) != 0 || refN.Cmp(resC.Count) != 0 {
-						t.Errorf("%s #Comp: ref %v, shim %v, session %v", name, refN, shimN, resC.Count)
+					if refN.Cmp(resC.Count) != 0 {
+						t.Errorf("%s #Comp: ref %v, session %v", name, refN, resC.Count)
 					}
-					if refM != shimM || refM != resC.Method {
-						t.Errorf("%s #Comp methods: ref %q, shim %q, session %q", name, refM, shimM, resC.Method)
+					if refM != resC.Method {
+						t.Errorf("%s #Comp methods: ref %q, session %q", name, refM, resC.Method)
 					}
 				}
 
 				// Certainty and possibility.
 				refB, refErr := count.IsCertain(db, q, opts)
-				shimB, shimErr := IsCertain(db, q, opts)
 				resB, sesErr := pdb.Certain(ctx, q)
-				if refErr != nil || shimErr != nil || sesErr != nil {
-					t.Fatalf("%s certain errors: %v %v %v", name, refErr, shimErr, sesErr)
+				if refErr != nil || sesErr != nil {
+					t.Fatalf("%s certain errors: %v %v", name, refErr, sesErr)
 				}
-				if refB != shimB || refB != *resB.Holds {
-					t.Errorf("%s certain: ref %v, shim %v, session %v", name, refB, shimB, *resB.Holds)
+				if refB != *resB.Holds {
+					t.Errorf("%s certain: ref %v, session %v", name, refB, *resB.Holds)
 				}
 				refB, refErr = count.IsPossible(db, q, opts)
-				shimB, shimErr = IsPossible(db, q, opts)
 				resB, sesErr = pdb.Possible(ctx, q)
-				if refErr != nil || shimErr != nil || sesErr != nil {
-					t.Fatalf("%s possible errors: %v %v %v", name, refErr, shimErr, sesErr)
+				if refErr != nil || sesErr != nil {
+					t.Fatalf("%s possible errors: %v %v", name, refErr, sesErr)
 				}
-				if refB != shimB || refB != *resB.Holds {
-					t.Errorf("%s possible: ref %v, shim %v, session %v", name, refB, shimB, *resB.Holds)
+				if refB != *resB.Holds {
+					t.Errorf("%s possible: ref %v, session %v", name, refB, *resB.Holds)
 				}
 			}
 		}
 	}
 }
 
-func TestShimParityAllCompletionsAndMu(t *testing.T) {
+func TestSessionParityAllCompletionsAndMu(t *testing.T) {
 	ctx := context.Background()
 	for dbName, db := range parityDBs() {
 		ref, err := count.BruteForceAllCompletions(db, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", dbName, err)
-		}
-		shim, err := CountAllCompletions(db, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", dbName, err)
 		}
@@ -143,8 +134,8 @@ func TestShimParityAllCompletionsAndMu(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", dbName, err)
 		}
-		if ref.Cmp(shim) != 0 || ref.Cmp(res.Count) != 0 {
-			t.Errorf("%s all-completions: ref %v, shim %v, session %v", dbName, ref, shim, res.Count)
+		if ref.Cmp(res.Count) != 0 {
+			t.Errorf("%s all-completions: ref %v, session %v", dbName, ref, res.Count)
 		}
 		if res.Method == "" {
 			t.Errorf("%s all-completions carries no method", dbName)
@@ -156,16 +147,12 @@ func TestShimParityAllCompletionsAndMu(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s µ_%d: %v", dbName, k, err)
 			}
-			shimMu, err := Mu(db, q, k, nil)
-			if err != nil {
-				t.Fatalf("%s µ_%d: %v", dbName, k, err)
-			}
 			sesMu, err := pdb.Mu(ctx, q, k)
 			if err != nil {
 				t.Fatalf("%s µ_%d: %v", dbName, k, err)
 			}
-			if refMu.Cmp(shimMu) != 0 || refMu.Cmp(sesMu.Ratio) != 0 {
-				t.Errorf("%s µ_%d: ref %v, shim %v, session %v", dbName, k, refMu, shimMu, sesMu.Ratio)
+			if refMu.Cmp(sesMu.Ratio) != 0 {
+				t.Errorf("%s µ_%d: ref %v, session %v", dbName, k, refMu, sesMu.Ratio)
 			}
 			if sesMu.Count == nil || sesMu.Count.Method == "" {
 				t.Errorf("%s µ_%d result lacks its counting Result", dbName, k)
@@ -174,10 +161,10 @@ func TestShimParityAllCompletionsAndMu(t *testing.T) {
 	}
 }
 
-// TestShimParityEstimators: same seed ⇒ identical draws ⇒ identical
-// estimates, between the raw approx implementations, the deprecated
-// shims and the session methods.
-func TestShimParityEstimators(t *testing.T) {
+// TestSessionParityEstimators: same seed ⇒ identical draws ⇒ identical
+// estimates, between the raw approx implementations and the session
+// methods.
+func TestSessionParityEstimators(t *testing.T) {
 	ctx := context.Background()
 	db := parityDBs()["uniform"]
 	q := MustParseQuery("S(x, x) | T(x, y)")
@@ -190,16 +177,12 @@ func TestShimParityEstimators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shim, err := EstimateValuations(db, q, 0.2, 0.2, rand.New(rand.NewSource(11)))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ses, err := pdb.Estimate(ctx, q, 0.2, 0.2, rand.New(rand.NewSource(11)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Estimate.Cmp(shim) != 0 || ref.Estimate.Cmp(ses.Estimate) != 0 {
-		t.Errorf("Karp–Luby: ref %v, shim %v, session %v", ref.Estimate, shim, ses.Estimate)
+	if ref.Estimate.Cmp(ses.Estimate) != 0 {
+		t.Errorf("Karp–Luby: ref %v, session %v", ref.Estimate, ses.Estimate)
 	}
 	if ses.Samples != ref.Samples || ses.Cylinders != ref.Cylinders || ses.TotalWeight.Cmp(ref.TotalWeight) != 0 {
 		t.Errorf("Karp–Luby diagnostics diverge: ref %+v, session %+v", ref, ses)
@@ -209,16 +192,12 @@ func TestShimParityEstimators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shimMC, err := MonteCarloValuations(db, q, 500, rand.New(rand.NewSource(12)))
-	if err != nil {
-		t.Fatal(err)
-	}
 	sesMC, err := pdb.MonteCarlo(ctx, q, 500, rand.New(rand.NewSource(12)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if refMC.Estimate.Cmp(shimMC) != 0 || refMC.Estimate.Cmp(sesMC.Estimate) != 0 {
-		t.Errorf("Monte Carlo: ref %v, shim %v, session %v", refMC.Estimate, shimMC, sesMC.Estimate)
+	if refMC.Estimate.Cmp(sesMC.Estimate) != 0 {
+		t.Errorf("Monte Carlo: ref %v, session %v", refMC.Estimate, sesMC.Estimate)
 	}
 	if sesMC.Satisfied != refMC.Satisfied || sesMC.Fraction != refMC.Fraction {
 		t.Errorf("Monte Carlo tallies diverge: ref %+v, session %+v", refMC, sesMC)
@@ -228,41 +207,42 @@ func TestShimParityEstimators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shimLB, err := CompletionsLowerBound(db, q, 300, rand.New(rand.NewSource(13)))
-	if err != nil {
-		t.Fatal(err)
-	}
 	sesLB, err := pdb.CompletionsLowerBound(ctx, q, 300, rand.New(rand.NewSource(13)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if refLB.Cmp(shimLB) != 0 || refLB.Cmp(sesLB.Bound) != 0 {
-		t.Errorf("lower bound: ref %v, shim %v, session %v", refLB, shimLB, sesLB.Bound)
+	if refLB.Cmp(sesLB.Bound) != 0 {
+		t.Errorf("lower bound: ref %v, session %v", refLB, sesLB.Bound)
 	}
 	if sesLB.Distinct == 0 || sesLB.Samples != 300 {
 		t.Errorf("lower-bound tallies missing: %+v", sesLB)
 	}
 }
 
-// TestDefaultSolverCacheIsSafeAcrossDatabases: the deprecated shims all
-// share one default solver; interleaving different databases and queries
-// through them must never cross-contaminate counts.
-func TestDefaultSolverCacheIsSafeAcrossDatabases(t *testing.T) {
+// TestSharedSolverCacheIsSafeAcrossDatabases: sessions over different
+// databases share one solver's result cache; interleaving databases and
+// queries through it must never cross-contaminate counts.
+func TestSharedSolverCacheIsSafeAcrossDatabases(t *testing.T) {
+	ctx := context.Background()
+	s := NewSolver()
 	dbs := parityDBs()
 	want := make(map[string]*big.Int)
 	for round := 0; round < 3; round++ {
 		for dbName, db := range dbs {
+			pdb, err := s.Prepare(db)
+			if err != nil {
+				t.Fatalf("%s: Prepare: %v", dbName, err)
+			}
 			for qName, qs := range parityQueries {
-				q := MustParseQuery(qs)
-				n, _, err := CountValuations(db, q, nil)
+				res, err := pdb.Count(ctx, MustParseQuery(qs), Valuations)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", dbName, qName, err)
 				}
 				key := dbName + "/" + qName
 				if round == 0 {
-					want[key] = n
-				} else if n.Cmp(want[key]) != 0 {
-					t.Errorf("%s drifted across shim calls: %v then %v", key, want[key], n)
+					want[key] = res.Count
+				} else if res.Count.Cmp(want[key]) != 0 {
+					t.Errorf("%s drifted across shared-solver calls: %v then %v", key, want[key], res.Count)
 				}
 			}
 		}

@@ -16,8 +16,8 @@ package incompletedb
 // each plan embeds its compiled sweep engine — and route every count
 // through the solver's result cache, so answering many queries (or the
 // same query over isomorphic databases) against one prepared database is
-// dramatically cheaper than repeated free-function calls. See the
-// Deprecated free functions in deprecated.go for the migration table.
+// dramatically cheaper than preparing each call afresh. The README's
+// migration table maps the removed free functions onto sessions.
 
 import (
 	"github.com/incompletedb/incompletedb/internal/solver"

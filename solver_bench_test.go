@@ -40,7 +40,8 @@ var sessionBenchQueries = []string{
 
 // BenchmarkManyQueriesFreeFunctions answers the query mix through the
 // per-call dispatcher — plan construction and engine compilation redone
-// every call, exactly what each deprecated free function used to cost.
+// every call, exactly what each of the removed free functions used to
+// cost.
 func BenchmarkManyQueriesFreeFunctions(b *testing.B) {
 	db := compilationHeavyDB()
 	qs := make([]Query, len(sessionBenchQueries))
