@@ -104,11 +104,9 @@ commands:
   classify -q QUERY              classify an sjfBCQ under all eight variants (Table 1)
   table1                         print the dichotomy table of the paper
   count -db FILE -q QUERY        count valuations/completions (-kind val|comp|all-comp,
-                                 -workers N, -timeout D; -no-bitsets and -syntactic-order
-                                 pin the scalar kernel / the query's own atom order)
+                                 -workers N, -timeout D)
   explain -db FILE -q QUERY      compile and render the query plan without executing it
-                                 (-kind val|comp, -max N, -max-cylinders N, -timeout D,
-                                 -no-bitsets, -syntactic-order)
+                                 (-kind val|comp, -max N, -max-cylinders N, -timeout D)
   estimate -db FILE -q QUERY     Karp–Luby FPRAS for #Val (-eps, -delta, -seed, -timeout D)
   serve                          HTTP/JSON counting service (-addr, -cache, -max, -workers,
                                  -jobs, -db FILE preloads the live mutable session;
@@ -219,8 +217,6 @@ func cmdCount(ctx context.Context, args []string) error {
 	workers := fs.Int("workers", 0, "parallel workers for brute-force sweeps (0 = one per CPU, 1 = serial)")
 	timeout := fs.Duration("timeout", 0, "abort counting after this long, e.g. 30s (0 = no timeout)")
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON (count, method, duration)")
-	noBitsets := fs.Bool("no-bitsets", false, "pin the scalar membership path (disable the bitset kernel)")
-	synOrder := fs.Bool("syntactic-order", false, "pin the query's own atom order (disable cost-driven reordering)")
 	fs.Parse(args)
 	if *dbPath == "" || (*qstr == "" && *kind != "all-comp") {
 		return fmt.Errorf("count: -db and -q are required")
@@ -235,8 +231,7 @@ func cmdCount(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		req := server.Request{Op: server.OpCount, Database: string(raw), Query: *qstr, Kind: *kind,
-			DisableBitsets: *noBitsets, SyntacticOrder: *synOrder}
+		req := server.Request{Op: server.OpCount, Database: string(raw), Query: *qstr, Kind: *kind}
 		if *kind == "all-comp" {
 			// #Comp(TRUE) counts all completions.
 			req.Query, req.Kind = "TRUE", server.KindComp
@@ -253,17 +248,13 @@ func cmdCount(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	var copts *incdb.CountOptions
-	if *noBitsets || *synOrder {
-		copts = &incdb.CountOptions{DisableBitsets: *noBitsets, SyntacticOrder: *synOrder}
-	}
 	switch *kind {
 	case "val":
 		q, err := incdb.ParseQuery(*qstr)
 		if err != nil {
 			return err
 		}
-		res, err := pdb.CountWith(ctx, q, incdb.Valuations, copts)
+		res, err := pdb.Count(ctx, q, incdb.Valuations)
 		if err != nil {
 			return err
 		}
@@ -273,13 +264,13 @@ func cmdCount(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		res, err := pdb.CountWith(ctx, q, incdb.Completions, copts)
+		res, err := pdb.Count(ctx, q, incdb.Completions)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("#Comp(%v) = %v   [%s]\n", q, res.Count, res.Method)
 	case "all-comp":
-		res, err := pdb.AllCompletionsWith(ctx, copts)
+		res, err := pdb.AllCompletions(ctx)
 		if err != nil {
 			return err
 		}
@@ -303,8 +294,6 @@ func cmdExplain(ctx context.Context, args []string) error {
 	maxCyl := fs.Int("max-cylinders", 0, "cylinder inclusion–exclusion cap (0 = default 18, negative disables)")
 	timeout := fs.Duration("timeout", 0, "abandon the command after this long, e.g. 30s (0 = no timeout)")
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON (the serve API's explain response)")
-	noBitsets := fs.Bool("no-bitsets", false, "plan with the scalar membership path (disable the bitset kernel)")
-	synOrder := fs.Bool("syntactic-order", false, "plan with the query's own atom order (disable cost-driven reordering)")
 	fs.Parse(args)
 	if *dbPath == "" || *qstr == "" {
 		return fmt.Errorf("explain: -db and -q are required")
@@ -319,8 +308,7 @@ func cmdExplain(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		req := server.Request{Op: server.OpExplain, Database: string(raw), Query: *qstr, Kind: *kind, MaxValuations: *maxVals, MaxCylinders: *maxCyl,
-			DisableBitsets: *noBitsets, SyntacticOrder: *synOrder}
+		req := server.Request{Op: server.OpExplain, Database: string(raw), Query: *qstr, Kind: *kind, MaxValuations: *maxVals, MaxCylinders: *maxCyl}
 		// The embedded server's caps mirror the flags, so the request is
 		// never clamped below what text mode plans with.
 		return execJSON(ctx, server.Config{MaxValuations: *maxVals, MaxCylinders: *maxCyl}, req)
@@ -350,13 +338,9 @@ func cmdExplain(ctx context.Context, args []string) error {
 		p   *incdb.Plan
 		err error
 	}
-	var eopts *incdb.CountOptions
-	if *noBitsets || *synOrder {
-		eopts = &incdb.CountOptions{DisableBitsets: *noBitsets, SyntacticOrder: *synOrder}
-	}
 	ch := make(chan planned, 1)
 	go func() {
-		p, err := pdb.ExplainWith(q, ckind, eopts)
+		p, err := pdb.Explain(q, ckind)
 		ch <- planned{p, err}
 	}()
 	select {

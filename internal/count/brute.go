@@ -85,14 +85,14 @@ type Options struct {
 	Checkpoint *Checkpointer
 
 	// DisableBitsets pins the scalar membership path of the sweep engine:
-	// no bitset-compiled matching plan is built. An escape hatch for
-	// debugging and for A/B-ing the kernels; counts are identical either
-	// way.
+	// no bitset-compiled matching plan is built. SyntacticOrder pins the
+	// query's own (syntactic) atom order instead of the engine's
+	// cost-driven most-bound-first reordering. Counts are identical
+	// either way. These escape hatches are library-only: the lockstep
+	// tests and the benchmark's reference sweeps set them, and a session
+	// call that sets one caches its results and plans under keys of its
+	// own (see internal/solver).
 	DisableBitsets bool
-
-	// SyntacticOrder pins the query's own (syntactic) atom order instead
-	// of the engine's cost-driven most-bound-first reordering. An escape
-	// hatch; counts are identical either way.
 	SyntacticOrder bool
 
 	// Phases, when non-nil, receives sampled per-phase wall-time
@@ -127,17 +127,15 @@ type FactorMemo interface {
 	StoreFactor(q cq.Query, kind classify.CountingKind, count *big.Int)
 }
 
-// planOptions projects the counting options onto the planner's.
-func (o *Options) planOptions() *plan.Options {
-	if o == nil {
-		return nil
+// PlanOptions projects counting options onto the planner's, normalized:
+// the one place a call's guard, cylinder cap and engine variant become
+// the plan.Options its plans are built under.
+func PlanOptions(o *Options) plan.Options {
+	po := plan.Options{Compile: o.compileOptions()}
+	if o != nil {
+		po.MaxValuations, po.MaxCylinders = o.MaxValuations, o.MaxCylinders
 	}
-	return &plan.Options{
-		MaxValuations:  o.MaxValuations,
-		MaxCylinders:   o.MaxCylinders,
-		DisableBitsets: o.DisableBitsets,
-		SyntacticOrder: o.SyntacticOrder,
-	}
+	return po.Normalized()
 }
 
 // compileOptions projects the counting options onto the sweep compiler's.

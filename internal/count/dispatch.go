@@ -29,7 +29,8 @@ const (
 // every algorithm tried before it with the precondition that failed, the
 // Table 1 classification where it applies, and the estimated cost.
 func Explain(db *core.Database, q cq.Query, kind classify.CountingKind, opts *Options) (*plan.Plan, error) {
-	return plan.Build(db, q, kind, opts.planOptions())
+	po := PlanOptions(opts)
+	return plan.Build(db, q, kind, &po)
 }
 
 // CountValuations computes #Val(q)(db) by compiling a plan and executing

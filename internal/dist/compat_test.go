@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/big"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/incompletedb/incompletedb/internal/count"
+	"github.com/incompletedb/incompletedb/internal/sweep"
 )
 
 // Wire-compat tests of the coordinator endpoints: every refusal —
@@ -204,6 +206,46 @@ func TestClusterUnknownFieldsTolerated(t *testing.T) {
 	status, eb, _ := postRaw(t, cl.srv.URL, "/cluster/register", body)
 	if status != 200 {
 		t.Fatalf("unknown field refused: %d %+v", status, eb)
+	}
+}
+
+// TestLegacyLeaseHatchFieldsIgnored: a lease from an older coordinator
+// may still carry the retired engine escape hatches. The worker decodes
+// it and sweeps the range to exactly the partial of the same lease
+// without them — the engine variant never changes a tally or a
+// completion encoding.
+func TestLegacyLeaseHatchFieldsIgnored(t *testing.T) {
+	database, query := testDB("naive")
+	cl := startCluster(t, testConfig())
+	if _, err := cl.coord.StartJob(JobSpec{Database: database, Query: query, Kind: "comp"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	_, lease := registerAndLease(t, cl)
+	plain := mustMarshal(t, LeaseResponse{Lease: lease})
+	legacy := bytes.Replace(plain, []byte(`"kind":`), []byte(`"disable_bitsets":true,"syntactic_order":true,"kind":`), 1)
+	if bytes.Equal(legacy, plain) {
+		t.Fatal("lease JSON has no kind field to splice the legacy fields before")
+	}
+	sweepOf := func(body []byte) string {
+		t.Helper()
+		var lr LeaseResponse
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&lr); err != nil || lr.Lease == nil {
+			t.Fatalf("worker-side decode of %s: %v", body, err)
+		}
+		w := &worker{engines: make(map[string]*sweep.Engine)}
+		eng, err := w.engineFor(lr.Lease)
+		if err != nil {
+			t.Fatal(err)
+		}
+		final, err := count.SweepShardRange(context.Background(), eng, lr.Lease.Range, lr.Lease.Stride,
+			func(count.ShardCheckpoint) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(mustMarshal(t, final))
+	}
+	if got, want := sweepOf(legacy), sweepOf(plain); got != want {
+		t.Fatalf("legacy lease swept to %s, plain lease to %s", got, want)
 	}
 }
 

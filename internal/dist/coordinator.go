@@ -103,15 +103,13 @@ func (c Config) maxLeaseFails() int {
 }
 
 // JobSpec is everything a distributed sweep needs: the database text, the
-// query text, the sweep kind, and the compile escape hatches — the same
-// knobs the HTTP count API exposes, because leases forward them verbatim
-// to workers.
+// query text and the sweep kind. Leases forward them verbatim to
+// workers, which compile the default engine: counts, space sizes and
+// completion encodings do not depend on the engine variant.
 type JobSpec struct {
-	Database       string
-	Query          string
-	Kind           string // "val" | "comp"
-	DisableBitsets bool
-	SyntacticOrder bool
+	Database string
+	Query    string
+	Kind     string // "val" | "comp"
 }
 
 // slotState is the lifecycle of one lease range.
@@ -394,15 +392,13 @@ func (c *Coordinator) issueLocked(now time.Time, w *workerState, j *distJob, s *
 	c.leases[s.leaseID] = ref
 	w.held[s.leaseID] = ref
 	return &Lease{
-		ID:             s.leaseID,
-		JobID:          j.id,
-		Index:          s.index,
-		Database:       j.spec.Database,
-		Query:          j.spec.Query,
-		Kind:           j.spec.Kind,
-		DisableBitsets: j.spec.DisableBitsets,
-		SyntacticOrder: j.spec.SyntacticOrder,
-		Space:          j.size.String(),
+		ID:       s.leaseID,
+		JobID:    j.id,
+		Index:    s.index,
+		Database: j.spec.Database,
+		Query:    j.spec.Query,
+		Kind:     j.spec.Kind,
+		Space:    j.size.String(),
 		Range: count.ShardCheckpoint{
 			Lo:      s.lo.String(),
 			Next:    s.next.String(),
@@ -617,10 +613,7 @@ func (c *Coordinator) StartJob(spec JobSpec, resume *count.SweepCheckpoint) (*Jo
 	if completions {
 		mode = sweep.ModeCompletions
 	}
-	eng, err := sweep.CompileWith(db, q, mode, sweep.CompileOptions{
-		DisableBitsets: spec.DisableBitsets,
-		SyntacticOrder: spec.SyntacticOrder,
-	})
+	eng, err := sweep.Compile(db, q, mode)
 	if err != nil {
 		return nil, fmt.Errorf("dist: compile: %w", err)
 	}

@@ -114,19 +114,16 @@ type LeaseResponse struct {
 // together with everything a worker needs to sweep it from scratch: the
 // database text and query (workers are stateless — recompiling both
 // yields the same interned IDs and therefore the same canonical
-// completion encodings), the sweep kind and compile flags, and the
-// range's resume state (watermark, partial tally, completion records
-// seen so far).
+// completion encodings), the sweep kind, and the range's resume state
+// (watermark, partial tally, completion records seen so far).
 type Lease struct {
 	ID    string `json:"id"`
 	JobID string `json:"job_id"`
 	Index int    `json:"index"`
 
-	Database       string `json:"database"`
-	Query          string `json:"query"`
-	Kind           string `json:"kind"` // "val" | "comp"
-	DisableBitsets bool   `json:"disable_bitsets,omitempty"`
-	SyntacticOrder bool   `json:"syntactic_order,omitempty"`
+	Database string `json:"database"`
+	Query    string `json:"query"`
+	Kind     string `json:"kind"` // "val" | "comp"
 
 	// Space is the coordinator's enumerated-space size; a worker whose
 	// compile disagrees reports failure instead of sweeping the wrong

@@ -39,17 +39,17 @@ func TestWorkerEngineCacheKeyedBySpec(t *testing.T) {
 	space := ref.Size().String()
 
 	w := &worker{engines: make(map[string]*sweep.Engine)}
-	mk := func(jobID string, syntactic bool) *Lease {
-		return &Lease{JobID: jobID, Database: database, Query: query,
-			Kind: "val", SyntacticOrder: syntactic, Space: space}
+	mk := func(jobID, query string) *Lease {
+		return &Lease{JobID: jobID, Database: database, Query: query, Kind: "val", Space: space}
 	}
-	engA, err := w.engineFor(mk("dj-1", false))
+	engA, err := w.engineFor(mk("dj-1", query))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same job ID, different compile flags — a recycled ID from a
-	// restarted coordinator. Must compile its own engine.
-	engB, err := w.engineFor(mk("dj-1", true))
+	// Same job ID, different query over the same relations (so the same
+	// space) — a recycled ID from a restarted coordinator. Must compile
+	// its own engine.
+	engB, err := w.engineFor(mk("dj-1", "R(x, x) ∧ S(x)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestWorkerEngineCacheKeyedBySpec(t *testing.T) {
 		t.Fatal("engines for different specs shared via recycled job ID")
 	}
 	// Same spec, different job ID — must reuse the cached engine.
-	engA2, err := w.engineFor(mk("dj-9", false))
+	engA2, err := w.engineFor(mk("dj-9", query))
 	if err != nil {
 		t.Fatal(err)
 	}

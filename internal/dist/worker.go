@@ -237,8 +237,8 @@ func (w *worker) runLease(ctx context.Context, invalidate context.CancelFunc, le
 }
 
 // specKey digests everything that determines a lease's compiled engine:
-// the database and query text, the sweep kind, and the compile flags.
-// Length-framing keeps distinct field splits from colliding.
+// the database and query text and the sweep kind. Length-framing keeps
+// distinct field splits from colliding.
 func (l *Lease) specKey() string {
 	h := sha256.New()
 	for _, s := range []string{l.Database, l.Query, l.Kind} {
@@ -247,14 +247,6 @@ func (l *Lease) specKey() string {
 		h.Write(n[:])
 		h.Write([]byte(s))
 	}
-	var flags byte
-	if l.DisableBitsets {
-		flags |= 1
-	}
-	if l.SyntacticOrder {
-		flags |= 2
-	}
-	h.Write([]byte{flags})
 	return string(h.Sum(nil))
 }
 
@@ -280,10 +272,7 @@ func (w *worker) engineFor(lease *Lease) (*sweep.Engine, error) {
 		if lease.Kind == "comp" {
 			mode = sweep.ModeCompletions
 		}
-		eng, err = sweep.CompileWith(db, q, mode, sweep.CompileOptions{
-			DisableBitsets: lease.DisableBitsets,
-			SyntacticOrder: lease.SyntacticOrder,
-		})
+		eng, err = sweep.Compile(db, q, mode)
 		if err != nil {
 			return nil, fmt.Errorf("compile: %w", err)
 		}

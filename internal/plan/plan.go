@@ -81,7 +81,7 @@ const DefaultMaxValuations = 1 << 22
 const DefaultMaxCylinders = 18
 
 // Options configures planning. The zero value (and nil) applies the
-// defaults.
+// defaults; Normalized spells them out.
 type Options struct {
 	// MaxValuations is the brute-force guard a sweep node will be held
 	// to; 0 means DefaultMaxValuations. Planning never fails on it — the
@@ -95,39 +95,36 @@ type Options struct {
 	// are clamped to it, so a plan never promises an inexecutable route.
 	MaxCylinders int
 
-	// DisableBitsets pins the scalar membership path when compiling
-	// sweep engines: no bitset-compiled matching plan is built.
-	DisableBitsets bool
-
-	// SyntacticOrder pins the query's own (syntactic) atom order in the
-	// compiled sweep engines instead of the cost-driven reordering.
-	SyntacticOrder bool
+	// Compile is the engine variant the plan's sweep nodes compile. The
+	// zero value is the optimized engine; its escape hatches pin the
+	// scalar membership path or the query's own atom order, with counts
+	// identical either way.
+	Compile sweep.CompileOptions
 }
 
-// compileOptions projects the planning options onto the sweep compiler's.
-func (o *Options) compileOptions() sweep.CompileOptions {
+// Normalized returns o with every default applied, so options that plan
+// identically compare equal: the guard is DefaultMaxValuations unless
+// positive, and the cylinder cap is DefaultMaxCylinders when zero, −1
+// when negative (the route is disabled) and at most
+// cylinder.MaxUnionCylinders.
+func (o *Options) Normalized() Options {
+	n := Options{MaxValuations: DefaultMaxValuations, MaxCylinders: DefaultMaxCylinders}
 	if o == nil {
-		return sweep.CompileOptions{}
+		return n
 	}
-	return sweep.CompileOptions{DisableBitsets: o.DisableBitsets, SyntacticOrder: o.SyntacticOrder}
-}
-
-func (o *Options) maxValuations() *big.Int {
-	if o == nil || o.MaxValuations <= 0 {
-		return big.NewInt(DefaultMaxValuations)
+	n.Compile = o.Compile
+	if o.MaxValuations > 0 {
+		n.MaxValuations = o.MaxValuations
 	}
-	return big.NewInt(o.MaxValuations)
-}
-
-func (o *Options) maxCylinders() int {
-	m := DefaultMaxCylinders
-	if o != nil && o.MaxCylinders != 0 {
-		m = o.MaxCylinders
+	switch {
+	case o.MaxCylinders < 0:
+		n.MaxCylinders = -1
+	case o.MaxCylinders > cylinder.MaxUnionCylinders:
+		n.MaxCylinders = cylinder.MaxUnionCylinders
+	case o.MaxCylinders > 0:
+		n.MaxCylinders = o.MaxCylinders
 	}
-	if m > cylinder.MaxUnionCylinders {
-		m = cylinder.MaxUnionCylinders
-	}
-	return m
+	return n
 }
 
 // Decision is one structured entry of a node's decision record: an
@@ -211,6 +208,9 @@ type Plan struct {
 	Root  *Node
 
 	db *core.Database
+	// guard is the brute-force guard the plan was built under; the sweep
+	// costs are judged against it, also when a delta re-derives them.
+	guard int64
 }
 
 // Database returns the database the plan was compiled from. Executing a
@@ -249,7 +249,7 @@ func (p *Plan) StripPayloads() *Plan {
 		}
 		return &c
 	}
-	return &Plan{Kind: p.Kind, Query: p.Query, Root: strip(p.Root), db: p.db}
+	return &Plan{Kind: p.Kind, Query: p.Query, Root: strip(p.Root), db: p.db, guard: p.guard}
 }
 
 // Method renders the node's operator subtree as a compact signature.
@@ -291,14 +291,14 @@ func Build(db *core.Database, q cq.Query, kind classify.CountingKind, opts *Opti
 	if err := db.Validate(); err != nil {
 		return nil, err
 	}
-	b := &builder{db: db, opts: opts}
+	b := &builder{db: db, opts: opts.Normalized()}
 	var root *Node
 	if kind == classify.Valuations {
 		root = b.buildVal(q)
 	} else {
 		root = b.buildComp(q)
 	}
-	return &Plan{Kind: kind, Query: q, Root: root, db: db}, nil
+	return &Plan{Kind: kind, Query: q, Root: root, db: db, guard: b.opts.MaxValuations}, nil
 }
 
 // BruteOnly compiles a plan that bypasses every fast path and sweeps: the
@@ -307,7 +307,7 @@ func BruteOnly(db *core.Database, q cq.Query, kind classify.CountingKind, opts *
 	if err := db.Validate(); err != nil {
 		return nil, err
 	}
-	b := &builder{db: db, opts: opts}
+	b := &builder{db: db, opts: opts.Normalized()}
 	n := &Node{Kind: kind, Query: q}
 	n.Class = classification(db, q, kind)
 	n.Decisions = append(n.Decisions, Decision{
@@ -318,13 +318,13 @@ func BruteOnly(db *core.Database, q cq.Query, kind classify.CountingKind, opts *
 		Reason:    "every fast path was bypassed on request (force_brute)",
 	})
 	b.finishSweep(n, q)
-	return &Plan{Kind: kind, Query: q, Root: n, db: db}, nil
+	return &Plan{Kind: kind, Query: q, Root: n, db: db, guard: b.opts.MaxValuations}, nil
 }
 
 // builder carries the shared planning state.
 type builder struct {
 	db   *core.Database
-	opts *Options
+	opts Options // normalized
 	// relNulls memoizes the per-relation null sets of the factorization
 	// analysis.
 	relNulls map[string]map[core.NullID]bool
@@ -498,7 +498,7 @@ func (b *builder) planCylinderIE(n *Node, q cq.Query) bool {
 			"cylinder inclusion–exclusion needs a BCQ or a union of BCQs")
 		return false
 	}
-	maxCyl := b.opts.maxCylinders()
+	maxCyl := b.opts.MaxCylinders
 	if maxCyl < 0 {
 		b.reject(n, OpCylinderIE, algorithm, reference,
 			"cylinder inclusion–exclusion is disabled (MaxCylinders < 0)")
@@ -543,7 +543,7 @@ func (b *builder) finishSweep(n *Node, q cq.Query) {
 	if n.Kind == classify.Completions {
 		mode = sweep.ModeCompletions
 	}
-	eng, err := sweep.CompileWith(b.db, q, mode, b.opts.compileOptions())
+	eng, err := sweep.CompileWith(b.db, q, mode, b.opts.Compile)
 	if err != nil {
 		// The database was validated in Build; a compile failure here is
 		// impossible in practice, but keep the plan usable.
@@ -551,10 +551,7 @@ func (b *builder) finishSweep(n *Node, q cq.Query) {
 		return
 	}
 	n.Engine = eng
-	n.Cost.Space = eng.Size()
-	n.Cost.TotalSpace = eng.TotalSize()
-	n.Cost.PrunedNulls = eng.Pruned()
-	n.Cost.ExceedsGuard = eng.Size().Cmp(b.opts.maxValuations()) > 0
+	n.sweepCost(b.opts.MaxValuations)
 	// Record how the sweep will actually run on the accepted decision:
 	// whether atom matching compiled to the word-parallel bitset plan, and
 	// in which atom order.
@@ -565,16 +562,42 @@ func (b *builder) finishSweep(n *Node, q cq.Query) {
 		}
 		n.Decisions[last].Reason += fmt.Sprintf(" [%s membership, %s atom order]", membership, eng.AtomOrder())
 	}
-	switch {
-	case n.Cost.PrunedNulls > 0:
+}
+
+// sweepCost derives a sweep node's cost block from its compiled engine,
+// judged against the brute-force guard.
+func (n *Node) sweepCost(guard int64) {
+	eng := n.Engine
+	n.Cost.Space = eng.Size()
+	n.Cost.TotalSpace = eng.TotalSize()
+	n.Cost.PrunedNulls = eng.Pruned()
+	n.Cost.ExceedsGuard = eng.Size().Cmp(big.NewInt(guard)) > 0
+	if n.Cost.PrunedNulls > 0 {
 		n.Cost.Note = fmt.Sprintf("sweep %v of %v valuations (%d irrelevant nulls factored out)",
 			n.Cost.Space, n.Cost.TotalSpace, n.Cost.PrunedNulls)
-	default:
+	} else {
 		n.Cost.Note = fmt.Sprintf("sweep %v valuations", n.Cost.Space)
 	}
 	if n.Cost.ExceedsGuard {
-		n.Cost.Note += fmt.Sprintf("; EXCEEDS the guard of %v", b.opts.maxValuations())
+		n.Cost.Note += fmt.Sprintf("; EXCEEDS the guard of %v", guard)
 	}
+}
+
+// RefreshSweepCosts re-derives the cost blocks of the plan's sweep nodes
+// from their engines against the guard the plan was built under — after
+// a database delta patched the engines in place — so EXPLAIN renders the
+// post-delta geometry and the guard flag stays truthful.
+func (p *Plan) RefreshSweepCosts() {
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		if n.Op == OpSweep && n.Engine != nil {
+			n.sweepCost(p.guard)
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(p.Root)
 }
 
 // BuildEstimate compiles the plan of a Karp–Luby estimate request: a

@@ -33,7 +33,9 @@ const (
 // OpCount). An empty Database routes the request to the live mutable
 // session (loaded with POST /v1/db or incdb serve -db) instead of
 // parsing an inline database; such a request fails if no live database
-// has been loaded.
+// has been loaded. Requests are decoded strictly: an unknown field is a
+// 400, and so are the engine escape hatches, which are library-only
+// count.Options fields.
 type Request struct {
 	Op       string `json:"op,omitempty"`
 	Database string `json:"database,omitempty"`
@@ -62,17 +64,6 @@ type Request struct {
 	// the sharded brute-force sweep, the workload the async job API
 	// exists for. Ignored outside /v1/jobs.
 	ForceBrute bool `json:"force_brute,omitempty"`
-
-	// DisableBitsets pins the scalar membership path of the sweep
-	// engines behind this request: no bitset-compiled matching plan.
-	// Counts are identical either way; the request bypasses the result
-	// cache so its plan reflects the escape hatch.
-	DisableBitsets bool `json:"disable_bitsets,omitempty"`
-
-	// SyntacticOrder pins the query's own (syntactic) atom order instead
-	// of the engine's cost-driven reordering. Counts are identical
-	// either way; like DisableBitsets it bypasses the result cache.
-	SyntacticOrder bool `json:"syntactic_order,omitempty"`
 }
 
 // Response is the outcome of one Request. Which fields are set depends on
@@ -121,11 +112,11 @@ type Response struct {
 	Fingerprint string `json:"fingerprint,omitempty"`
 
 	// Cached reports that the result was served from the result cache
-	// rather than recomputed. The cache is keyed by the fingerprint of
-	// (database, query, kind) only: the count is exact under any
-	// planning options, but a cached response's Plan and Method describe
-	// the route the FIRST computation took, which may differ from what
-	// this request's MaxCylinders/MaxValuations would have planned.
+	// rather than recomputed. A request whose MaxValuations/MaxCylinders
+	// tighten the server's limits is still answered from the warm entry
+	// of a default request (a budget bounds computation, not lookup): the
+	// count is exact under any planning options, but such a response's
+	// Plan and Method describe the route the default computation took.
 	Cached bool `json:"cached,omitempty"`
 
 	// Phases splits the brute-force sweep time behind a count response

@@ -49,11 +49,9 @@ func (s *Server) runDistributed(ctx context.Context, j *jobs.Job, req Request, p
 		database = pdb.Database().String()
 	}
 	h, err := s.coord.StartJob(dist.JobSpec{
-		Database:       database,
-		Query:          q.String(),
-		Kind:           kind,
-		DisableBitsets: req.DisableBitsets,
-		SyntacticOrder: req.SyntacticOrder,
+		Database: database,
+		Query:    q.String(),
+		Kind:     kind,
 	}, resume)
 	if err != nil {
 		// The local path will surface the same compile error with its

@@ -295,3 +295,51 @@ func TestServeDrainLeavesJobsResumable(t *testing.T) {
 		t.Fatalf("resumed job result %+v, want count %v", final, want)
 	}
 }
+
+// TestLegacyHatchedJobRecordRecovers: a job stored before the engine
+// escape hatches left the wire still carries disable_bitsets and
+// syntactic_order in its request; recovery decodes it leniently and the
+// job finishes with the exact count.
+func TestLegacyHatchedJobRecordRecovers(t *testing.T) {
+	store := jobs.NewMemStore()
+	dbText := jobTestDB(10)
+	raw, err := json.Marshal(map[string]any{
+		"op": OpCount, "database": dbText, "query": "R(x, x)", "kind": KindVal,
+		"force_brute": true, "disable_bitsets": true, "syntactic_order": true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(&jobs.Record{ID: "legacy-1", Status: jobs.StatusRunning, Request: raw, CreatedAt: time.Now()}); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Workers: 2, JobStore: store})
+	defer srv.Close()
+	if resumed, err := srv.RecoverJobs(); err != nil || resumed != 1 {
+		t.Fatalf("RecoverJobs resumed %d (err %v), want 1", resumed, err)
+	}
+	j, ok := srv.jobs.Get("legacy-1")
+	if !ok {
+		t.Fatal("recovered server does not know the legacy job")
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatalf("legacy job did not finish; state %+v", j.Snapshot())
+	}
+	rec := j.Snapshot()
+	if rec.Status != jobs.StatusDone {
+		t.Fatalf("legacy job ended as %s (error %q)", rec.Status, rec.Error)
+	}
+	db, err := core.ParseDatabaseString(dbText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := count.BruteForceValuations(db, cq.MustParseBCQ("R(x, x)"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := jobFromRecord(rec); final.Result == nil || final.Result.Count != want.String() {
+		t.Fatalf("legacy job result %+v, want count %v", final.Result, want)
+	}
+}

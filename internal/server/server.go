@@ -579,8 +579,6 @@ func (s *Server) requestOptions(req Request, progress func(done, total int)) *co
 	if maxCyl := s.cfg.maxCylinders(); req.MaxCylinders < 0 || (req.MaxCylinders > 0 && req.MaxCylinders < maxCyl) {
 		o.MaxCylinders = req.MaxCylinders
 	}
-	o.DisableBitsets = req.DisableBitsets
-	o.SyntacticOrder = req.SyntacticOrder
 	return o
 }
 
@@ -605,10 +603,11 @@ func fingerprintKind(req Request) (fingerprint.Kind, string, error) {
 }
 
 // execCached answers count/certain/possible requests through a solver
-// session: a warm cache entry answers immediately regardless of the
-// request's budget overrides (the cache is keyed by fingerprint only,
-// exactly like the pre-solver service); everything else computes through
-// the solver's single-flight group. Computations run under the server's
+// session: the warm entry of a default request answers immediately
+// regardless of the request's budget overrides (a budget bounds
+// computation, not lookup); everything else computes through the
+// solver's cache and single-flight group, under the request's own
+// planning options. Computations run under the server's
 // root context (not the request's): a shared result must not die with
 // whichever of its waiters disconnects first.
 func (s *Server) execCached(req Request) (*Response, error) {
@@ -620,7 +619,7 @@ func (s *Server) execCached(req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	if res, ok := peekCached(req, pdb, q, fpKind); ok {
+	if res, ok := pdb.Cached(q, fpKind); ok {
 		return s.resultResponse(req.Op, q, kind, res), nil
 	}
 	opts := s.requestOptions(req, nil)
@@ -639,19 +638,6 @@ func (s *Server) execCached(req Request) (*Response, error) {
 		return nil, err
 	}
 	return s.resultResponse(req.Op, q, kind, res), nil
-}
-
-// peekCached returns the warm cache entry that may answer req. The
-// engine escape hatches (disable_bitsets, syntactic_order) never read
-// one: a hatched request must compute on the engine shape it asked for,
-// not be answered by a default-knob cached result. (The solver's own
-// cache layer refuses them too — see Solver.cacheable.) Both the
-// synchronous path and StartJob peek through here.
-func peekCached(req Request, pdb *solver.PreparedDB, q cq.Query, fpKind fingerprint.Kind) (*solver.Result, bool) {
-	if req.DisableBitsets || req.SyntacticOrder {
-		return nil, false
-	}
-	return pdb.Cached(q, fpKind)
 }
 
 // countingKind maps the wire kind to the classifier's.

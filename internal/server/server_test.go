@@ -535,63 +535,58 @@ func TestCountResponseKernel(t *testing.T) {
 	}
 }
 
-// TestEscapeHatchRequestsBypassCache: a count request or job carrying
-// disable_bitsets or syntactic_order must compute on the engine shape it
-// asked for — not be answered by a default-knob warm-cache entry — and
-// must not plant a cache entry of its own, while leaving the default
-// entry intact.
-func TestEscapeHatchRequestsBypassCache(t *testing.T) {
-	srv, base := startServer(t, Config{Workers: 2, MaxValuations: 1 << 20})
+// TestBudgetOverrideServedFromWarmEntry pins the service's warm-entry
+// policy: a request whose max_valuations tightens the server's budget
+// fails its guard on a cold fingerprint, but once a default request has
+// warmed that fingerprint the same request — and a job carrying the same
+// override — is answered from the warm entry: a budget bounds
+// computation, not lookup.
+func TestBudgetOverrideServedFromWarmEntry(t *testing.T) {
+	_, base := startServer(t, Config{Workers: 2, MaxValuations: 1 << 20})
 	db := "uniform a b\nR(?1, ?2)\nR(?3, ?4)\nR(?5, ?6)\n"
-	post := func(req Request) *Response {
-		t.Helper()
-		var out Response
-		if code := doJSON(t, http.MethodPost, base+"/v1/count", req, &out); code != http.StatusOK {
-			t.Fatalf("count returned HTTP %d: %+v", code, out)
-		}
-		return &out
-	}
-	// Inequality defeats every fast path, so all variants brute-sweep.
+	// Inequality defeats every fast path: a 64-valuation sweep.
 	plain := Request{Database: db, Query: "R(x, y) ∧ x ≠ y", Kind: KindVal}
-	first := post(plain)
-	if first.Cached {
-		t.Fatalf("first request was already cached: %+v", first)
-	}
-	if warm := post(plain); !warm.Cached || warm.Count != first.Count {
-		t.Fatalf("repeat default request: cached=%v count=%s, want cached=true count=%s",
-			warm.Cached, warm.Count, first.Count)
-	}
-	before := srv.Stats().Computations
+	tight := plain
+	tight.MaxValuations = 4
 
-	hatched := plain
-	hatched.DisableBitsets = true
-	hatched.SyntacticOrder = true
-	for i := 0; i < 2; i++ { // neither served from nor planted in the cache
-		got := post(hatched)
-		if got.Cached {
-			t.Fatalf("hatched request %d was served from the cache: %+v", i, got)
+	var resp Response
+	if code := doJSON(t, http.MethodPost, base+"/v1/count", tight, &resp); code != http.StatusUnprocessableEntity {
+		t.Fatalf("tightened count on a cold fingerprint returned HTTP %d, want 422: %+v", code, resp)
+	}
+	var warm Response
+	if code := doJSON(t, http.MethodPost, base+"/v1/count", plain, &warm); code != http.StatusOK || warm.Cached {
+		t.Fatalf("default count returned HTTP %d cached=%v, want a fresh 200", code, warm.Cached)
+	}
+	resp = Response{}
+	if code := doJSON(t, http.MethodPost, base+"/v1/count", tight, &resp); code != http.StatusOK {
+		t.Fatalf("tightened count on a warm fingerprint returned HTTP %d, want 200", code)
+	}
+	if !resp.Cached || resp.Count != warm.Count {
+		t.Fatalf("tightened count: cached=%v count=%s, want the warm entry's %s", resp.Cached, resp.Count, warm.Count)
+	}
+	var job Job
+	if code := doJSON(t, http.MethodPost, base+"/v1/jobs", tight, &job); code != http.StatusAccepted {
+		t.Fatalf("tightened job create returned HTTP %d", code)
+	}
+	if job.Status != JobDone || job.Result == nil || !job.Result.Cached || job.Result.Count != warm.Count {
+		t.Fatalf("tightened job: status %q result %+v, want done at once with the warm count %s", job.Status, job.Result, warm.Count)
+	}
+}
+
+// TestRemovedHatchFieldsRejected: the engine escape hatches are not part
+// of the wire API, and requests are decoded strictly, so a count request
+// carrying disable_bitsets or syntactic_order is a 400.
+func TestRemovedHatchFieldsRejected(t *testing.T) {
+	_, base := startServer(t, Config{Workers: 1})
+	for _, field := range []string{"disable_bitsets", "syntactic_order"} {
+		body := fmt.Sprintf(`{"database": "uniform a b\nR(?1, ?2)\n", "query": "R(x, x)", %q: true}`, field)
+		resp, err := http.Post(base+"/v1/count", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got.Count != first.Count {
-			t.Fatalf("hatched request %d count %s, default engine gave %s", i, got.Count, first.Count)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("count with %s returned HTTP %d, want 400", field, resp.StatusCode)
 		}
-	}
-	// The job endpoint peeks the same warm cache; a hatched job must run.
-	var created Job
-	if code := doJSON(t, http.MethodPost, base+"/v1/jobs", hatched, &created); code != http.StatusAccepted {
-		t.Fatalf("hatched job create returned HTTP %d", code)
-	}
-	job := pollJobDone(t, base, created.ID, 30*time.Second)
-	if job.Status != JobDone || job.Result == nil {
-		t.Fatalf("hatched job ended %q (result %+v, error %q)", job.Status, job.Result, job.Error)
-	}
-	if job.Result.Cached || job.Result.Count != first.Count {
-		t.Fatalf("hatched job: cached=%v count=%s, want a fresh computation of %s",
-			job.Result.Cached, job.Result.Count, first.Count)
-	}
-	if after := srv.Stats().Computations; after != before+3 {
-		t.Errorf("computations went %d → %d, want three fresh hatched computations", before, after)
-	}
-	if final := post(plain); !final.Cached {
-		t.Errorf("default entry evicted by hatched requests: %+v", final)
 	}
 }

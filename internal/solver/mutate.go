@@ -9,7 +9,6 @@ import (
 	"github.com/incompletedb/incompletedb/internal/core"
 	"github.com/incompletedb/incompletedb/internal/cq"
 	"github.com/incompletedb/incompletedb/internal/fingerprint"
-	"github.com/incompletedb/incompletedb/internal/plan"
 )
 
 // This file is the delta-maintenance half of a PreparedDB: the mutation
@@ -245,42 +244,9 @@ func (p *PreparedDB) patchEntry(e *planEntry, d core.Delta) bool {
 	}
 	if len(e.engines) > 0 {
 		p.s.plansPatched.Add(1)
-		p.refreshSweepCosts(e.plan)
+		e.plan.RefreshSweepCosts()
 	}
 	return true
-}
-
-// refreshSweepCosts re-derives the cost blocks of the plan's sweep nodes
-// from their (just patched) engines, so EXPLAIN renders the post-delta
-// geometry and the guard flag stays truthful.
-func (p *PreparedDB) refreshSweepCosts(pl *plan.Plan) {
-	guard := big.NewInt(p.s.maxValuations())
-	var walk func(n *plan.Node)
-	walk = func(n *plan.Node) {
-		if n == nil {
-			return
-		}
-		if n.Op == plan.OpSweep && n.Engine != nil {
-			eng := n.Engine
-			n.Cost.Space = eng.Size()
-			n.Cost.TotalSpace = eng.TotalSize()
-			n.Cost.PrunedNulls = eng.Pruned()
-			n.Cost.ExceedsGuard = eng.Size().Cmp(guard) > 0
-			if n.Cost.PrunedNulls > 0 {
-				n.Cost.Note = fmt.Sprintf("sweep %v of %v valuations (%d irrelevant nulls factored out)",
-					n.Cost.Space, n.Cost.TotalSpace, n.Cost.PrunedNulls)
-			} else {
-				n.Cost.Note = fmt.Sprintf("sweep %v valuations", n.Cost.Space)
-			}
-			if n.Cost.ExceedsGuard {
-				n.Cost.Note += fmt.Sprintf("; EXCEEDS the guard of %v", guard)
-			}
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(pl.Root)
 }
 
 // factorMemo caches, per session, the counts of the independent
@@ -384,12 +350,12 @@ func (m *factorMemo) dropAll() {
 }
 
 // factorRecorder adapts the session memo to count.FactorMemo for one
-// call, counting the hits that end up in Result.Stats.FactorsReused. It
-// is only attached on default-knob calls (the memoized counts were
-// computed under the solver's own planning knobs).
+// call, counting the hits that end up in Result.Stats.FactorsReused. Its
+// keys carry the call's planning-options suffix (see Solver.planKey).
 type factorRecorder struct {
-	p    *PreparedDB
-	hits int
+	p      *PreparedDB
+	suffix string
+	hits   int
 }
 
 func factorKey(q cq.Query, kind classify.CountingKind) string {
@@ -398,7 +364,7 @@ func factorKey(q cq.Query, kind classify.CountingKind) string {
 
 // LookupFactor implements count.FactorMemo.
 func (r *factorRecorder) LookupFactor(q cq.Query, kind classify.CountingKind) (*big.Int, bool) {
-	v, ok := r.p.factors.lookup(factorKey(q, kind), r.p.total)
+	v, ok := r.p.factors.lookup(factorKey(q, kind)+r.suffix, r.p.total)
 	if ok {
 		r.hits++
 		r.p.s.factorsReused.Add(1)
@@ -408,5 +374,5 @@ func (r *factorRecorder) LookupFactor(q cq.Query, kind classify.CountingKind) (*
 
 // StoreFactor implements count.FactorMemo.
 func (r *factorRecorder) StoreFactor(q cq.Query, kind classify.CountingKind, count *big.Int) {
-	r.p.factors.store(factorKey(q, kind), q, count, r.p.total, r.p.db)
+	r.p.factors.store(factorKey(q, kind)+r.suffix, q, count, r.p.total, r.p.db)
 }

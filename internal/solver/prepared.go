@@ -24,8 +24,8 @@ const methodEarlyExit = count.Method("sweep/early-exit")
 
 // planCacheKey renders the cache key of one compiled plan: the counting
 // kind and the canonical (variable-renaming-invariant) form of the
-// query. Plans are compiled under the solver's planning knobs, so the
-// key needs nothing else.
+// query. Plans built under other planning options than the solver's
+// append the suffix of Solver.planKey.
 func planCacheKey(canonQ string, kind classify.CountingKind) string {
 	if kind == classify.Completions {
 		return "comp\x00" + canonQ
@@ -140,53 +140,39 @@ func kindFingerprint(kind classify.CountingKind) fingerprint.Kind {
 }
 
 // Explain returns the compiled plan for (q, kind) under the solver's
-// configuration, building and caching it on first use. The plan is shared
-// and must be treated as read-only; isomorphic queries (renamed
-// variables, reordered atoms) share one entry. After a database delta the
-// shared plan may be patched in place or rebuilt.
+// configuration: ExplainWith without per-call options.
 func (p *PreparedDB) Explain(q cq.Query, kind classify.CountingKind) (*plan.Plan, error) {
-	p.rlock()
-	defer p.mu.RUnlock()
-	return p.planFor(fingerprint.Query(q), q, kind)
+	return p.ExplainWith(q, kind, nil)
 }
 
-// ExplainWith is Explain under per-call planning options: when opts
-// leaves the planning knobs at the solver's values the cached plan is
-// returned, otherwise a fresh plan is built (and not cached) so the
-// overrides are honored.
+// ExplainWith returns the compiled plan for (q, kind) under the solver's
+// configuration overlaid with the per-call options opts, building and
+// caching it on first use. The plan is shared and must be treated as
+// read-only; isomorphic queries (renamed variables, reordered atoms)
+// share one entry, and calls with other planning options get entries of
+// their own. After a database delta the shared plan may be patched in
+// place or rebuilt.
 func (p *PreparedDB) ExplainWith(q cq.Query, kind classify.CountingKind, opts *count.Options) (*plan.Plan, error) {
-	if p.planCacheable(opts) {
-		return p.Explain(q, kind)
-	}
 	p.rlock()
 	defer p.mu.RUnlock()
-	return count.Explain(p.db, q, kind, p.s.countOptions(context.Background(), opts))
+	po, suffix := p.s.planKey(p.s.countOptions(context.Background(), opts))
+	return p.planFor(fingerprint.Query(q), q, kind, po, suffix)
 }
 
-// planCacheable reports whether per-call options leave the planning knobs
-// at the solver's values; the plan cache (unlike the result cache) is
-// per-session and always on, so only the knobs matter.
-func (p *PreparedDB) planCacheable(opts *count.Options) bool {
-	return p.s.knobsDefault(opts)
-}
-
-// planFor returns the cached plan for (canonical query, kind), building
-// it under the solver's configuration on first use. Builds run outside
-// the cache lock: plan construction can compile sweep engines over the
-// whole database, and concurrent first uses of distinct queries should
-// not serialize. A racing duplicate build of the same query is harmless
-// — last writer wins, both plans are equivalent. Callers hold the
-// session read lock, so the database (and the cache's delta state) is
-// stable underneath the build.
-func (p *PreparedDB) planFor(canonQ string, q cq.Query, kind classify.CountingKind) (*plan.Plan, error) {
-	key := planCacheKey(canonQ, kind)
+// planFor returns the cached plan for (canonical query, kind) under the
+// planning options po, whose key suffix is suffix, building it on first
+// use. Builds run outside the cache lock: plan construction can compile
+// sweep engines over the whole database, and concurrent first uses of
+// distinct queries should not serialize. A racing duplicate build of the
+// same query is harmless — last writer wins, both plans are equivalent.
+// Callers hold the session read lock, so the database (and the cache's
+// delta state) is stable underneath the build.
+func (p *PreparedDB) planFor(canonQ string, q cq.Query, kind classify.CountingKind, po plan.Options, suffix string) (*plan.Plan, error) {
+	key := planCacheKey(canonQ, kind) + suffix
 	if e, ok := p.plans.get(key); ok {
 		return e.plan, nil
 	}
-	pl, err := count.Explain(p.db, q, kind, &count.Options{
-		MaxValuations: p.s.cfg.MaxValuations,
-		MaxCylinders:  p.s.cfg.MaxCylinders,
-	})
+	pl, err := plan.Build(p.db, q, kind, &po)
 	if err != nil {
 		return nil, err
 	}
@@ -204,44 +190,30 @@ func (p *PreparedDB) Count(ctx context.Context, q cq.Query, kind classify.Counti
 
 // CountWith is Count with per-call runtime options (the escape hatch the
 // service's request overrides and job runner use): zero fields of opts
-// inherit the solver's configuration. Calls that override the
-// planning-relevant knobs (MaxValuations, MaxCylinders) bypass the result
-// cache entirely — neither read (a tightened guard is honored rather
-// than answered from an earlier, looser computation) nor written (a
-// loosened guard's success must not make later default-knob calls stop
-// failing their guard) — so every call sees exactly the guard it asked
-// for.
+// inherit the solver's configuration. A call whose planning options
+// (guard, cylinder cap, engine variant) differ from the solver's uses
+// cache entries of its own (see Solver.planKey), so it sees exactly the
+// guard it asked for: a tightened guard is not answered from an earlier,
+// looser computation, and a loosened guard's success never reaches a
+// default-knob call.
 func (p *PreparedDB) CountWith(ctx context.Context, q cq.Query, kind classify.CountingKind, opts *count.Options) (*Result, error) {
 	start := time.Now()
 	p.rlock()
 	defer p.mu.RUnlock()
 	eff := p.s.countOptions(ctx, opts)
-	var rec *factorRecorder
-	if p.planCacheable(opts) {
-		// The factor memo only serves and stores counts computed under the
-		// solver's own planning knobs, mirroring the plan cache's rule.
-		rec = &factorRecorder{p: p}
-		eff.FactorMemo = rec
-	}
+	po, suffix := p.s.planKey(eff)
+	rec := &factorRecorder{p: p, suffix: suffix}
+	eff.FactorMemo = rec
 	canonQ := fingerprint.Query(q)
 	fp := fingerprint.OfCanonical(p.canonDB, canonQ, kindFingerprint(kind))
 	compute := func() (*Result, error) {
-		pl, err := p.planForOpts(canonQ, q, kind, opts)
+		pl, err := p.planFor(canonQ, q, kind, po, suffix)
 		if err != nil {
 			return nil, err
 		}
 		return p.executeCount(pl, eff, fp, start, rec)
 	}
-	return p.cachedCall(fp, p.s.cacheable(opts), eff, start, compute)
-}
-
-// planForOpts picks the session's cached plan when the per-call options
-// allow it and builds a fresh one otherwise.
-func (p *PreparedDB) planForOpts(canonQ string, q cq.Query, kind classify.CountingKind, opts *count.Options) (*plan.Plan, error) {
-	if p.planCacheable(opts) {
-		return p.planFor(canonQ, q, kind)
-	}
-	return count.Explain(p.db, q, kind, p.s.countOptions(context.Background(), opts))
+	return p.cachedCall(fp+suffix, eff, start, compute)
 }
 
 // executeCount runs a compiled plan and wraps the count in a Result.
@@ -282,42 +254,31 @@ func (p *PreparedDB) executeCount(pl *plan.Plan, eff *count.Options, fp string, 
 }
 
 // cachedCall is the shared cache/single-flight harness of the counting
-// and decision calls: read the cache (when the call is cacheable), share
-// in-flight identical work, store successful results.
-func (p *PreparedDB) cachedCall(fp string, cacheable bool, eff *count.Options, start time.Time, compute func() (*Result, error)) (*Result, error) {
-	if cacheable {
-		if res, ok := p.s.cache.get(fp); ok {
-			p.s.hits.Add(1)
-			return p.annotateHit(res, eff, start), nil
-		}
-		p.s.misses.Add(1)
-		res, sharedFlight, err := p.s.flight.do(fp, func() (*Result, error) {
-			p.s.computations.Add(1)
-			r, err := compute()
-			if err != nil {
-				return nil, err
-			}
-			p.s.cache.add(fp, r.stripped())
-			return r, nil
-		})
+// and decision calls: read the cache, share in-flight identical work,
+// store successful results — all under key, the call's fingerprint plus
+// its planning-options suffix. With caching disabled the LRU stores
+// nothing, and identical concurrent calls still share one flight.
+func (p *PreparedDB) cachedCall(key string, eff *count.Options, start time.Time, compute func() (*Result, error)) (*Result, error) {
+	if res, ok := p.s.cache.get(key); ok {
+		p.s.hits.Add(1)
+		return p.annotateHit(res, eff, start), nil
+	}
+	p.s.misses.Add(1)
+	res, sharedFlight, err := p.s.flight.do(key, func() (*Result, error) {
+		p.s.computations.Add(1)
+		r, err := compute()
 		if err != nil {
 			return nil, err
 		}
-		if sharedFlight {
-			p.s.shared.Add(1)
-		}
-		return res.clone(), nil
-	}
-	p.s.computations.Add(1)
-	res, err := compute()
+		p.s.cache.add(key, r.stripped())
+		return r, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	// Do NOT store: this branch runs under overridden planning knobs, and
-	// a result computed under (say) a loosened guard must never leak into
-	// the cache where a later default-knob call would find it — the
-	// default path must keep failing its guard exactly as if this call
-	// had never happened.
+	if sharedFlight {
+		p.s.shared.Add(1)
+	}
 	return res.clone(), nil
 }
 
@@ -333,11 +294,12 @@ func (p *PreparedDB) annotateHit(res *Result, eff *count.Options, start time.Tim
 }
 
 // Cached peeks at the result cache for (q, kind) without computing
-// anything; the boolean reports whether a result was found. A found
+// anything: at the entry of a call under the solver's own planning
+// options. The boolean reports whether a result was found. A found
 // result counts as a cache hit; an absent one does not count as a miss
 // (the compute call that typically follows will). The HTTP service uses
 // this to answer jobs and budget-overridden requests from warm cache
-// entries, like the pre-solver service did.
+// entries: a budget bounds computation, not lookup.
 func (p *PreparedDB) Cached(q cq.Query, kind fingerprint.Kind) (*Result, bool) {
 	p.rlock()
 	defer p.mu.RUnlock()
@@ -356,18 +318,17 @@ func (p *PreparedDB) Cached(q cq.Query, kind fingerprint.Kind) (*Result, bool) {
 // BruteCount bypasses every fast path and counts by the sharded
 // brute-force sweep (with completion dedup for kind Completions) — the
 // workload of a forced job. The result cache is not consulted, but the
-// computed count is stored: forced sweeps exist to (re)do the work, and
-// their answers are as valid as any.
+// computed count is stored under the call's key (see Solver.planKey):
+// forced sweeps exist to (re)do the work, and their answers are as valid
+// as any.
 func (p *PreparedDB) BruteCount(ctx context.Context, q cq.Query, kind classify.CountingKind, opts *count.Options) (*Result, error) {
 	start := time.Now()
 	p.rlock()
 	defer p.mu.RUnlock()
 	eff := p.s.countOptions(ctx, opts)
+	po, suffix := p.s.planKey(eff)
 	fp := fingerprint.OfCanonical(p.canonDB, fingerprint.Query(q), kindFingerprint(kind))
-	pl, err := plan.BruteOnly(p.db, q, kind, &plan.Options{
-		MaxValuations: eff.MaxValuations,
-		MaxCylinders:  eff.MaxCylinders,
-	})
+	pl, err := plan.BruteOnly(p.db, q, kind, &po)
 	if err != nil {
 		return nil, err
 	}
@@ -376,7 +337,7 @@ func (p *PreparedDB) BruteCount(ctx context.Context, q cq.Query, kind classify.C
 		return nil, err
 	}
 	p.s.computations.Add(1)
-	p.s.cache.add(fp, res.stripped())
+	p.s.cache.add(fp+suffix, res.stripped())
 	return res.clone(), nil
 }
 
@@ -409,6 +370,7 @@ func (p *PreparedDB) decide(ctx context.Context, q cq.Query, opts *count.Options
 	p.rlock()
 	defer p.mu.RUnlock()
 	eff := p.s.countOptions(ctx, opts)
+	_, suffix := p.s.planKey(eff)
 	fp := fingerprint.OfCanonical(p.canonDB, fingerprint.Query(q), kind)
 	compute := func() (*Result, error) {
 		ph := eff.Phases
@@ -434,7 +396,7 @@ func (p *PreparedDB) decide(ctx context.Context, q cq.Query, opts *count.Options
 			},
 		}, nil
 	}
-	return p.cachedCall(fp, p.s.cacheable(opts), eff, start, compute)
+	return p.cachedCall(fp+suffix, eff, start, compute)
 }
 
 // AllCompletions counts the distinct completions of the prepared

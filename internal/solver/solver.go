@@ -18,9 +18,11 @@ package solver
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 
 	"github.com/incompletedb/incompletedb/internal/count"
+	"github.com/incompletedb/incompletedb/internal/plan"
 )
 
 // Defaults for configuration fields left zero.
@@ -50,7 +52,8 @@ type Config struct {
 	MaxCylinders int
 
 	// CacheSize is the number of results the fingerprint-keyed LRU
-	// retains; 0 means DefaultCacheSize, negative disables caching.
+	// retains; 0 means DefaultCacheSize, negative disables caching
+	// (concurrent identical calls still share one computation).
 	CacheSize int
 }
 
@@ -77,9 +80,12 @@ func WithCacheSize(n int) Option { return func(c *Config) { c.CacheSize = n } }
 // single-flight deduplication shared by every database prepared through
 // it. A Solver is safe for concurrent use.
 type Solver struct {
-	cfg    Config
-	cache  *resultCache
-	flight *flightGroup
+	cfg Config
+	// planning is the configuration's normalized planning options: calls
+	// planned under exactly these use the plain cache keys.
+	planning plan.Options
+	cache    *resultCache
+	flight   *flightGroup
 
 	hits, misses, computations, shared atomic.Int64
 
@@ -103,7 +109,12 @@ func NewSolverConfig(cfg Config) *Solver {
 	if size == 0 {
 		size = DefaultCacheSize
 	}
-	return &Solver{cfg: cfg, cache: newResultCache(size), flight: newFlightGroup()}
+	return &Solver{
+		cfg:      cfg,
+		planning: count.PlanOptions(&count.Options{MaxValuations: cfg.MaxValuations, MaxCylinders: cfg.MaxCylinders}),
+		cache:    newResultCache(size),
+		flight:   newFlightGroup(),
+	}
 }
 
 // Config returns the solver's configuration.
@@ -151,23 +162,6 @@ func (s *Solver) Metrics() Metrics {
 	}
 }
 
-// maxValuations returns the solver's effective brute-force guard.
-func (s *Solver) maxValuations() int64 {
-	if s.cfg.MaxValuations <= 0 {
-		return count.DefaultMaxValuations
-	}
-	return s.cfg.MaxValuations
-}
-
-// maxCylinders returns the solver's effective cylinder cap (negative =
-// disabled, kept as-is).
-func (s *Solver) maxCylinders() int {
-	if s.cfg.MaxCylinders == 0 {
-		return count.DefaultMaxCylinders
-	}
-	return s.cfg.MaxCylinders
-}
-
 // countOptions builds the runtime counting options for one call: the
 // solver's configuration, overlaid with the per-call overrides of opts
 // (zero fields inherit the solver's values), under ctx.
@@ -203,39 +197,19 @@ func (s *Solver) countOptions(ctx context.Context, opts *count.Options) *count.O
 	return eff
 }
 
-// knobsDefault reports whether per-call overrides leave the
-// planning-relevant knobs (MaxValuations, MaxCylinders) at the solver's
-// own effective values. Worker-pool width and progress hooks never change
-// a result or a plan, so they are not knobs in this sense.
-func (s *Solver) knobsDefault(opts *count.Options) bool {
-	if opts == nil {
-		return true
+// planKey derives a call's planning options from its effective options
+// and renders them as the suffix of every session cache key the call
+// reads or writes: the result cache, the single-flight group, the plan
+// cache and the factor memo. The suffix is empty when the options equal
+// the solver's own, so default calls keep their plain keys. A count is
+// exact under any planning options, but whether the guard admits the
+// call and what its plan records are not, so entries never cross
+// options: a tightened guard misses and fails, and a loosened guard's
+// success or an engine variant's plan stays under its own key.
+func (s *Solver) planKey(eff *count.Options) (plan.Options, string) {
+	po := count.PlanOptions(eff)
+	if po == s.planning {
+		return po, ""
 	}
-	if opts.MaxValuations != 0 {
-		want := opts.MaxValuations
-		if want <= 0 {
-			want = count.DefaultMaxValuations
-		}
-		if want != s.maxValuations() {
-			return false
-		}
-	}
-	if opts.MaxCylinders != 0 && opts.MaxCylinders != s.maxCylinders() {
-		return false
-	}
-	// The engine escape hatches never change a count, but they do change
-	// the compiled engines and the plan's decision record, so a call
-	// carrying one must not be served a default-knob cached plan.
-	if opts.DisableBitsets || opts.SyntacticOrder {
-		return false
-	}
-	return true
-}
-
-// cacheable reports whether a call with the given per-call overrides may
-// be served from the result cache: only when the overrides leave the
-// planning-relevant knobs at the solver's own values, so a cached result
-// always describes a plan the solver itself would build.
-func (s *Solver) cacheable(opts *count.Options) bool {
-	return s.cfg.CacheSize >= 0 && s.knobsDefault(opts)
+	return po, fmt.Sprintf("\x00%+v", po)
 }

@@ -132,8 +132,8 @@ func TestPlanCacheSharesAcrossIsomorphicQueries(t *testing.T) {
 }
 
 // TestCountWithHonorsTightenedGuard: a per-call guard below the swept
-// space must fail even when a cached result exists, because the cache
-// read is bypassed for overridden knobs.
+// space must fail even when a default-knob result is cached, because the
+// tightened call reads only entries of its own planning options.
 func TestCountWithHonorsTightenedGuard(t *testing.T) {
 	db := core.NewDatabase()
 	db.MustAddFact("R", core.Null(1), core.Null(2))
@@ -154,9 +154,9 @@ func TestCountWithHonorsTightenedGuard(t *testing.T) {
 }
 
 // TestLoosenedGuardDoesNotPoisonCache: a success computed under a
-// RAISED per-call guard must not be stored, or later default-knob calls
-// would return a count where the pre-session API deterministically
-// failed its guard.
+// RAISED per-call guard — by a count or a forced sweep — must not be
+// stored where default-knob calls read, or they would return a count
+// where the pre-session API deterministically failed its guard.
 func TestLoosenedGuardDoesNotPoisonCache(t *testing.T) {
 	db := core.NewDatabase()
 	db.MustAddFact("R", core.Null(1), core.Null(2))
@@ -181,6 +181,13 @@ func TestLoosenedGuardDoesNotPoisonCache(t *testing.T) {
 	// ...and the default path must STILL fail its guard afterwards.
 	if _, err := pdb.Count(ctx, q, classify.Valuations); err == nil {
 		t.Fatal("loosened-guard success leaked into the default-knob cache")
+	}
+	// The same holds for a loosened-guard forced sweep.
+	if _, err := pdb.BruteCount(ctx, q, classify.Valuations, &count.Options{MaxValuations: 1 << 20}); err != nil {
+		t.Fatalf("loosened-guard BruteCount failed: %v", err)
+	}
+	if _, err := pdb.Count(ctx, q, classify.Valuations); err == nil {
+		t.Fatal("loosened-guard BruteCount leaked into the default-knob cache")
 	}
 }
 

@@ -32,5 +32,7 @@ func WithCacheSize(n int) Option { return solver.WithCacheSize(n) }
 // (MaxValuations), the cylinder inclusion–exclusion cap (MaxCylinders),
 // the worker-pool width (Workers; 0 means one worker per CPU), an
 // optional cancellation Context, and an optional Progress hook.
-// Zero fields inherit the solver's configuration.
+// Zero fields inherit the solver's configuration. A call whose guard,
+// cylinder cap or engine variant differs from the solver's reads and
+// writes the session caches under keys of its own.
 type CountOptions = count.Options
