@@ -390,6 +390,71 @@ func BenchmarkCylinderUnion(b *testing.B) {
 	}
 }
 
+// cycleSet builds the cylinders of R(x, x) over an n-cycle R(?1, ?2), …,
+// R(?n, ?1) over {a, b}: n cylinders of one two-null class each, whose
+// intersections are never empty, so inclusion–exclusion visits all 2^n − 1
+// subset terms.
+func cycleSet(b *testing.B, n int) *cylinder.Set {
+	db := core.NewUniformDatabase([]string{"a", "b"})
+	for i := 1; i <= n; i++ {
+		db.MustAddFact("R", core.Null(core.NullID(i)), core.Null(core.NullID(i%n+1)))
+	}
+	set, err := cylinder.Build(db, cq.MustParseBCQ("R(x, x)"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return set
+}
+
+// BenchmarkCylinderUnionCycle is the inclusion–exclusion walk alone, on
+// one worker: n=10 is the shape of serve-cold's cylinder-ie op, and n=18
+// the largest set a default plan sends to inclusion–exclusion. The
+// workers=2 case is the sharded walk a multi-core service runs.
+func BenchmarkCylinderUnionCycle(b *testing.B) {
+	for _, c := range []struct{ n, workers int }{{10, 1}, {14, 1}, {18, 1}, {18, 2}} {
+		name := fmt.Sprintf("n=%d", c.n)
+		if c.workers > 1 {
+			name += fmt.Sprintf(",workers=%d", c.workers)
+		}
+		b.Run(name, func(b *testing.B) {
+			set := cycleSet(b, c.n)
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := set.UnionCountParallel(ctx, c.workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCylinderBuild is cylinder construction alone, on serve-cold's
+// join op: R(x, y) ∧ S(y, z) over 100 ground pairs R(a_i, b_i), S(b_i, a_i)
+// plus R(?1, ?2), so 101×100 fact pairs are unified.
+func BenchmarkCylinderBuild(b *testing.B) {
+	const pairs = 100
+	db := core.NewDatabase()
+	db.SetDomain(1, []string{"a_0", "b_0"})
+	db.SetDomain(2, []string{"a_0", "b_0"})
+	for i := 0; i < pairs; i++ {
+		a, c := core.Const(fmt.Sprintf("a_%d", i)), core.Const(fmt.Sprintf("b_%d", i))
+		db.MustAddFact("R", a, c)
+		db.MustAddFact("S", c, a)
+	}
+	db.MustAddFact("R", core.Null(1), core.Null(2))
+	q := cq.MustParseBCQ("R(x, y) ∧ S(y, z)")
+	b.Run(fmt.Sprintf("join=%d", pairs), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := cylinder.Build(db, q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // --- Reduction benchmarks (E-P3.4, E-P3.11, E-P4.2, E-P5.6, E-T6.3, E-T6.4) --
 
 func BenchmarkReduction3Coloring(b *testing.B) {

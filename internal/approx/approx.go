@@ -106,15 +106,22 @@ const klCancelCheckInterval = 1024
 // sampling loop polls ctx every klCancelCheckInterval samples and returns
 // the context's error once it is done.
 func KarpLubyValuationsContext(ctx context.Context, db *core.Database, q cq.Query, eps, delta float64, r *rand.Rand) (*KarpLubyResult, error) {
+	set, err := cylinder.Build(db, q)
+	if err != nil {
+		return nil, err
+	}
+	return KarpLubyCylinders(ctx, set, eps, delta, r)
+}
+
+// KarpLubyCylinders is KarpLubyValuationsContext over cylinders already
+// built, such as the payload of an estimate plan. For a given seed the
+// estimate is deterministic: every draw runs in the Set's slot order.
+func KarpLubyCylinders(ctx context.Context, set *cylinder.Set, eps, delta float64, r *rand.Rand) (*KarpLubyResult, error) {
 	if eps <= 0 || eps >= 1 {
 		return nil, fmt.Errorf("approx: ε must lie in (0,1), got %v", eps)
 	}
 	if delta <= 0 || delta >= 1 {
 		return nil, fmt.Errorf("approx: δ must lie in (0,1), got %v", delta)
-	}
-	set, err := cylinder.Build(db, q)
-	if err != nil {
-		return nil, err
 	}
 	m := len(set.Cylinders)
 	z := set.TotalWeight()
@@ -125,21 +132,28 @@ func KarpLubyValuationsContext(ctx context.Context, db *core.Database, q cq.Quer
 	if n < 1 {
 		n = 1
 	}
-	// Σ 1/cnt(ν_s) as an exact rational.
-	sum := new(big.Rat)
+	// hist[c] counts the samples contained in exactly c cylinders.
+	hist := make([]int64, m+1)
+	vals := make([]int32, set.Slots())
 	for s := 0; s < n; s++ {
 		if s%klCancelCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		i := set.SampleIndex(r)
-		v := set.SampleValuation(i, r)
-		cnt := set.CountContaining(v)
+		set.SampleValuation(set.SampleIndex(r), r, vals)
+		cnt := set.CountContaining(vals)
 		if cnt <= 0 {
 			return nil, fmt.Errorf("approx: internal error: sampled valuation outside every cylinder")
 		}
-		sum.Add(sum, big.NewRat(1, int64(cnt)))
+		hist[cnt]++
+	}
+	// Σ_s 1/cnt(ν_s) = Σ_c hist[c]/c, as an exact rational.
+	sum := new(big.Rat)
+	for c, h := range hist {
+		if h > 0 {
+			sum.Add(sum, big.NewRat(h, int64(c)))
+		}
 	}
 	est := new(big.Rat).Mul(sum, new(big.Rat).SetInt(z))
 	est.Quo(est, new(big.Rat).SetInt64(int64(n)))

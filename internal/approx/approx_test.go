@@ -163,6 +163,29 @@ func TestKarpLubyParamValidation(t *testing.T) {
 	}
 }
 
+// TestKarpLubyDeterministicForSeed: one seed gives one estimate. Every
+// draw must consume the random stream in a fixed order, so no map
+// iteration may decide which null a draw lands on.
+func TestKarpLubyDeterministicForSeed(t *testing.T) {
+	db := core.NewUniformDatabase([]string{"a", "b"})
+	for i := 1; i <= 10; i++ {
+		db.MustAddFact("R", core.Null(core.NullID(i)), core.Null(core.NullID(i%10+1)))
+	}
+	q := cq.MustParseBCQ("R(x, x)")
+	var first *big.Int
+	for call := 0; call < 20; call++ {
+		res, err := KarpLubyValuations(db, q, 0.3, 0.3, rand.New(rand.NewSource(42)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = res.Estimate
+		} else if res.Estimate.Cmp(first) != 0 {
+			t.Fatalf("call %d estimated %v, call 0 estimated %v at the same seed", call, res.Estimate, first)
+		}
+	}
+}
+
 // TestKarpLubyScalesBeyondBruteForce runs the FPRAS on a database whose
 // valuation space is astronomically large (far beyond enumeration) and
 // checks the estimate against the closed-form answer.

@@ -100,14 +100,16 @@ func (d *Database) DeltasSince(v uint64) (deltas []Delta, ok bool) {
 }
 
 // record appends a mutation record at the next version, trimming the log
-// to its bound.
+// to its bound. Trimming reslices past the dropped records instead of
+// copying the kept ones: append copies the window only when it runs out
+// of capacity, about once per maxDeltaLog writes, so a write costs O(1)
+// amortized and the array holds at most about twice the bound.
 func (d *Database) record(delta Delta) {
 	d.version++
 	delta.Version = d.version
 	d.log = append(d.log, delta)
 	if len(d.log) > maxDeltaLog {
-		drop := len(d.log) - maxDeltaLog
-		d.log = append(d.log[:0:0], d.log[drop:]...)
+		d.log = d.log[len(d.log)-maxDeltaLog:]
 		d.logBase = d.log[0].Version - 1
 	}
 }

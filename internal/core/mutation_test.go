@@ -3,6 +3,7 @@ package core
 import (
 	"math/big"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -204,5 +205,34 @@ func TestDeltaLogTrimming(t *testing.T) {
 	recent, ok := d.DeltasSince(d.Version() - 5)
 	if !ok || len(recent) != 5 {
 		t.Fatalf("recent deltas = %d, ok=%v; want 5, true", len(recent), ok)
+	}
+}
+
+// TestDeltaLogTrimIsAmortized: once the log is full, a write must not
+// copy the retained log. It used to, so each write past the bound
+// allocated ~maxDeltaLog deltas and loading a large database took seconds.
+func TestDeltaLogTrimIsAmortized(t *testing.T) {
+	d := NewUniformDatabase([]string{"a"})
+	for i := 0; i < 2*maxDeltaLog; i++ {
+		d.MustAddFact("R", Null(NullID(i+1)))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < maxDeltaLog; i++ {
+		d.MustAddFact("S", Null(NullID(i+1)))
+	}
+	runtime.ReadMemStats(&after)
+	// The facts themselves take a few hundred bytes a write; one copy of
+	// the retained log per write would be maxDeltaLog deltas of ~100 bytes.
+	const budget = 2 << 10 * maxDeltaLog
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > budget {
+		t.Fatalf("%d writes past the bound allocated %d bytes, budget %d", maxDeltaLog, alloc, budget)
+	}
+	recent, ok := d.DeltasSince(d.Version() - maxDeltaLog)
+	if !ok || len(recent) != maxDeltaLog || recent[0].Fact.Rel != "S" {
+		t.Fatalf("DeltasSince(version − bound) = %d deltas, ok=%v", len(recent), ok)
+	}
+	if _, ok := d.DeltasSince(d.Version() - maxDeltaLog - 1); ok {
+		t.Fatalf("the log holds more than %d deltas", maxDeltaLog)
 	}
 }

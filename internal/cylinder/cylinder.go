@@ -9,19 +9,28 @@
 // constants) — a cylinder: a set of valuations of product form. The
 // satisfying valuations of q are exactly the union of its cylinders, so
 //
-//   - the exact count can be computed by inclusion–exclusion over cylinders
-//     (exponential in the number of cylinders; used for cross-validation),
+//   - the exact count is inclusion–exclusion over the cylinders: the
+//     planner's exact #Val route whenever a query has few cylinders, since
+//     its cost is exponential in the number of cylinders but not in the
+//     number of nulls,
 //   - and the Karp–Luby estimator samples cylinders proportionally to their
 //     weights (implemented in package approx).
+//
+// Build compiles a Set once, and both consumers run on it: the nulls some
+// cylinder constrains become integer slots sorted by null ID, each slot's
+// domain and each class's allowed values become ascending lists of
+// constant indices, and a single factor holds the product of the domain
+// sizes of the nulls no cylinder constrains. Sampling draws from the
+// lists; inclusion–exclusion compiles them further into bitmasks over
+// the few constants its intersections can keep (see UnionCountParallel).
 package cylinder
 
 import (
-	"context"
+	"cmp"
 	"fmt"
 	"math/big"
-	"math/rand"
-	"sort"
-	"sync"
+	"math/bits"
+	"slices"
 
 	"github.com/incompletedb/incompletedb/internal/core"
 	"github.com/incompletedb/incompletedb/internal/cq"
@@ -33,6 +42,15 @@ import (
 type Class struct {
 	Nulls   []core.NullID
 	Allowed []string
+
+	slots   []int32 // the slots of Nulls, ascending
+	allowed []int32 // Allowed as constant indices, ascending
+}
+
+// constrains reports whether the class restricts its nulls in s: it has
+// two or more, or it allows less than its one null's domain.
+func (c *Class) constrains(s *Set) bool {
+	return len(c.slots) > 1 || len(c.allowed) < len(s.doms[c.slots[0]])
 }
 
 // Cylinder is a product-form set of valuations of a database: each equality
@@ -72,12 +90,18 @@ func (c *Cylinder) Contains(v core.Valuation) bool {
 	return true
 }
 
-// Set holds the cylinders of a query over a database, plus the bookkeeping
-// needed to sample and weigh them.
+// Set holds the cylinders of a query over a database, compiled for
+// inclusion–exclusion and sampling. It is read-only after Build and safe
+// for concurrent use.
 type Set struct {
-	db        *core.Database
 	Cylinders []*Cylinder
-	freeOf    []map[core.NullID]bool // per cylinder: nulls not constrained
+
+	nulls  []core.NullID // slot → null, ascending
+	consts []string      // constant index → constant
+	doms   [][]int32     // slot → its domain as constant indices, ascending
+	free   *big.Int      // Π |dom| over the database's nulls in no slot
+	total  *big.Int      // Σ_j weight(C_j)
+	cum    []*big.Int    // cum[j] = Σ_{i ≤ j} weight(C_i) / free, for SampleIndex
 }
 
 // MaxCylinders bounds cylinder construction: the number of cylinders is the
@@ -86,6 +110,8 @@ type Set struct {
 const MaxCylinders = 1 << 16
 
 // Build constructs the cylinders of q over db. q must be a BCQ or a UCQ.
+// Its time and memory grow with the domain sizes of the nulls the query's
+// atoms can match, not with their number times the number of constants.
 func Build(db *core.Database, q cq.Query) (*Set, error) {
 	if err := db.Validate(); err != nil {
 		return nil, err
@@ -99,49 +125,176 @@ func Build(db *core.Database, q cq.Query) (*Set, error) {
 	default:
 		return nil, fmt.Errorf("cylinder: query %v is not a (union of) BCQ(s)", q)
 	}
-	s := &Set{db: db}
 	for _, d := range disjuncts {
 		if err := d.Validate(); err != nil {
 			return nil, err
 		}
-		if err := s.addDisjunct(d); err != nil {
+	}
+	b := newBuilder(db, disjuncts)
+	for _, d := range disjuncts {
+		if err := b.addDisjunct(d); err != nil {
 			return nil, err
 		}
 	}
-	return s, nil
+	return b.finish(), nil
 }
 
-func (s *Set) addDisjunct(q *cq.BCQ) error {
-	db := s.db
-	factsPerAtom := make([][]core.Fact, len(q.Atoms))
-	for i, a := range q.Atoms {
-		fs := db.FactsOf(a.Rel)
-		if len(fs) == 0 || db.Arity(a.Rel) != len(a.Vars) {
-			return nil // this disjunct contributes no cylinders
+// builder is the state of one Build.
+type builder struct {
+	db  *core.Database
+	set *Set
+
+	// The candidates are the nulls of the facts some atom can match,
+	// ascending: the only nulls a cylinder can constrain. Those some
+	// cylinder does constrain become the Set's slots.
+	cands    []core.NullID
+	candDom  [][]int32 // candidate → its domain as constant indices, ascending
+	constIdx map[string]int32
+	// facts holds each matched relation's facts with their arguments
+	// encoded: constant i as i ≥ 0, candidate c as −(c+1).
+	facts map[string][][]int32
+
+	// Scratch of unify. Its items are the query's variables followed by
+	// the nulls of the chosen facts.
+	parent  []int32
+	pin     []int32 // root item → pinned constant, or −1
+	items   []int32 // null item − variables → candidate
+	order   []int32 // null items by candidate
+	classAt []int32 // root item → class index, or −1
+	allowed [][]int32
+	buf     []int32 // backing of the allowed lists unify intersects
+}
+
+// eligible reports whether every atom of q can match some fact; a
+// disjunct with an atom that cannot contributes no cylinders.
+func eligible(db *core.Database, q *cq.BCQ) bool {
+	for _, a := range q.Atoms {
+		if len(db.FactsOf(a.Rel)) == 0 || db.Arity(a.Rel) != len(a.Vars) {
+			return false
 		}
-		factsPerAtom[i] = fs
+	}
+	return true
+}
+
+// newBuilder numbers the candidates and constants of the eligible
+// disjuncts and encodes the domains and facts their atoms match.
+func newBuilder(db *core.Database, disjuncts []*cq.BCQ) *builder {
+	b := &builder{db: db, set: &Set{}, facts: make(map[string][][]int32)}
+	var rels []string
+	candOf := make(map[core.NullID]int32)
+	for _, d := range disjuncts {
+		if !eligible(db, d) {
+			continue
+		}
+		for _, a := range d.Atoms {
+			if slices.Contains(rels, a.Rel) {
+				continue
+			}
+			rels = append(rels, a.Rel)
+			for _, f := range db.FactsOf(a.Rel) {
+				for _, v := range f.Args {
+					if v.IsNull() {
+						candOf[v.NullID()] = 0
+					}
+				}
+			}
+		}
+	}
+	for n := range candOf {
+		b.cands = append(b.cands, n)
+	}
+	slices.Sort(b.cands)
+	// Size the constant table for the domains, which hold most constants.
+	// A uniform database's nulls share one encoded domain.
+	size := 0
+	for _, n := range b.cands {
+		if size += len(db.Domain(n)); db.Uniform() {
+			break
+		}
+	}
+	b.constIdx = make(map[string]int32, size)
+	b.set.consts = make([]string, 0, size)
+	var uniform []int32
+	if db.Uniform() && len(b.cands) > 0 {
+		uniform = b.encode(db.UniformDomain())
+	}
+	b.candDom = make([][]int32, len(b.cands))
+	for c, n := range b.cands {
+		candOf[n] = int32(c)
+		if db.Uniform() {
+			b.candDom[c] = uniform
+		} else {
+			b.candDom[c] = b.encode(db.Domain(n))
+		}
+	}
+	for _, rel := range rels {
+		fs := db.FactsOf(rel)
+		enc := make([][]int32, len(fs))
+		for i, f := range fs {
+			enc[i] = make([]int32, len(f.Args))
+			for p, v := range f.Args {
+				if v.IsNull() {
+					enc[i][p] = -candOf[v.NullID()] - 1
+				} else {
+					enc[i][p] = b.intern(v.Constant())
+				}
+			}
+		}
+		b.facts[rel] = enc
+	}
+	return b
+}
+
+func (b *builder) intern(k string) int32 {
+	i, ok := b.constIdx[k]
+	if !ok {
+		i = int32(len(b.set.consts))
+		b.constIdx[k] = i
+		b.set.consts = append(b.set.consts, k)
+	}
+	return i
+}
+
+// encode returns the constant indices of dom, ascending.
+func (b *builder) encode(dom []string) []int32 {
+	enc := make([]int32, len(dom))
+	for i, k := range dom {
+		enc[i] = b.intern(k)
+	}
+	slices.Sort(enc)
+	return slices.Compact(enc)
+}
+
+func (b *builder) addDisjunct(q *cq.BCQ) error {
+	if !eligible(b.db, q) {
+		return nil
+	}
+	varIdx := make(map[string]int32)
+	atomVars := make([][]int32, len(q.Atoms))
+	factsPerAtom := make([][][]int32, len(q.Atoms))
+	for i, a := range q.Atoms {
+		atomVars[i] = make([]int32, len(a.Vars))
+		for p, v := range a.Vars {
+			x, ok := varIdx[v]
+			if !ok {
+				x = int32(len(varIdx))
+				varIdx[v] = x
+			}
+			atomVars[i][p] = x
+		}
+		factsPerAtom[i] = b.facts[a.Rel]
 	}
 	choice := make([]int, len(q.Atoms))
+	chosen := make([][]int32, len(q.Atoms))
 	for {
-		cyl := s.unify(q, factsPerAtom, choice)
-		if cyl != nil {
-			if len(s.Cylinders) >= MaxCylinders {
+		for i, c := range choice {
+			chosen[i] = factsPerAtom[i][c]
+		}
+		if cyl := b.unify(len(varIdx), atomVars, chosen); cyl != nil {
+			if len(b.set.Cylinders) >= MaxCylinders {
 				return fmt.Errorf("cylinder: more than %d cylinders; query/database too large", MaxCylinders)
 			}
-			s.Cylinders = append(s.Cylinders, cyl)
-			free := make(map[core.NullID]bool)
-			inClass := make(map[core.NullID]bool)
-			for _, cl := range cyl.Classes {
-				for _, n := range cl.Nulls {
-					inClass[n] = true
-				}
-			}
-			for _, n := range db.Nulls() {
-				if !inClass[n] {
-					free[n] = true
-				}
-			}
-			s.freeOf = append(s.freeOf, free)
+			b.set.Cylinders = append(b.set.Cylinders, cyl)
 		}
 		// Odometer.
 		i := len(choice) - 1
@@ -158,404 +311,255 @@ func (s *Set) addDisjunct(q *cq.BCQ) error {
 	}
 }
 
-// unify builds the cylinder for one choice of facts, or nil if the
-// constraints are unsatisfiable.
-func (s *Set) unify(q *cq.BCQ, factsPerAtom [][]core.Fact, choice []int) *Cylinder {
-	// Union-find over items: variables ("v:"+name) and nulls ("n:"+id).
-	parent := make(map[string]string)
-	var find func(x string) string
-	find = func(x string) string {
-		p, ok := parent[x]
-		if !ok {
-			parent[x] = x
-			return x
-		}
-		if p == x {
-			return x
-		}
-		r := find(p)
-		parent[x] = r
-		return r
+// union merges the classes of items x and y, carrying their pins; it
+// reports false when the two are pinned to different constants.
+func (b *builder) union(x, y int32) bool {
+	rx, ry := find(b.parent, x), find(b.parent, y)
+	if rx == ry {
+		return true
 	}
-	union := func(a, b string) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
+	if px := b.pin[rx]; px >= 0 {
+		if py := b.pin[ry]; py >= 0 && py != px {
+			return false
 		}
+		b.pin[ry] = px
 	}
-	pins := make(map[string]string) // root -> pinned constant
-	ok := true
-	pin := func(item, c string) {
-		r := find(item)
-		if prev, has := pins[r]; has && prev != c {
-			ok = false
-			return
-		}
-		pins[r] = c
-	}
-	for i, a := range q.Atoms {
-		f := factsPerAtom[i][choice[i]]
-		for p, v := range a.Vars {
-			arg := f.Args[p]
-			if arg.IsNull() {
-				union("v:"+v, "n:"+arg.NullID().String())
-			} else {
-				pin("v:"+v, arg.Constant())
-			}
-			if !ok {
-				return nil
-			}
+	b.parent[rx] = ry
+	return true
+}
+
+// nullItem returns the item of candidate c in the current choice, adding
+// it on its first occurrence.
+func (b *builder) nullItem(vars int, c int32) int32 {
+	for t, d := range b.items {
+		if d == c {
+			return int32(vars + t)
 		}
 	}
-	// Re-propagate pins after unions (a pin may have landed on a stale
-	// root): collect per final root.
-	finalPins := make(map[string]string)
-	for r, c := range pins {
-		fr := find(r)
-		if prev, has := finalPins[fr]; has && prev != c {
-			return nil
-		}
-		finalPins[fr] = c
+	it := int32(len(b.parent))
+	b.items = append(b.items, c)
+	b.parent = append(b.parent, it)
+	b.pin = append(b.pin, -1)
+	return it
+}
+
+// unify builds the cylinder of one choice of facts (chosen[i] matches atom
+// i), or returns nil if its constraints are unsatisfiable.
+func (b *builder) unify(vars int, atomVars [][]int32, chosen [][]int32) *Cylinder {
+	b.parent, b.pin, b.items = b.parent[:0], b.pin[:0], b.items[:0]
+	for x := 0; x < vars; x++ {
+		b.parent = append(b.parent, int32(x))
+		b.pin = append(b.pin, -1)
 	}
-	// Gather nulls per final root.
-	nullsOf := make(map[string][]core.NullID)
-	for item := range parent {
-		if len(item) > 2 && item[:2] == "n:" {
-			v, err := core.ParseValue(item[2:])
-			if err != nil || !v.IsNull() {
+	for i, f := range chosen {
+		for p, x := range atomVars[i] {
+			a := f[p]
+			if a < 0 {
+				if !b.union(x, b.nullItem(vars, -a-1)) {
+					return nil
+				}
 				continue
 			}
-			r := find(item)
-			nullsOf[r] = append(nullsOf[r], v.NullID())
-		}
-	}
-	cyl := &Cylinder{weight: big.NewInt(1)}
-	roots := make([]string, 0, len(nullsOf))
-	for r := range nullsOf {
-		roots = append(roots, r)
-	}
-	sort.Strings(roots)
-	for _, r := range roots {
-		nulls := nullsOf[r]
-		sort.Slice(nulls, func(i, j int) bool { return nulls[i] < nulls[j] })
-		allowed := intersectDomains(s.db, nulls)
-		if c, pinned := finalPins[r]; pinned {
-			if containsString(allowed, c) {
-				allowed = []string{c}
-			} else {
+			r := find(b.parent, x)
+			if prev := b.pin[r]; prev >= 0 && prev != a {
 				return nil
 			}
+			b.pin[r] = a
 		}
-		if len(allowed) == 0 {
+	}
+	// Group the nulls into classes, in candidate order: each class lists
+	// its nulls ascending, and classes come in the order of their first
+	// null. Classes of variables alone are constant checks the pins have
+	// already passed. A class's allowed list is its first null's domain,
+	// intersected with the others' by merging.
+	b.order = b.order[:0]
+	for t := range b.items {
+		b.order = append(b.order, int32(vars+t))
+	}
+	slices.SortFunc(b.order, func(x, y int32) int {
+		return cmp.Compare(b.items[int(x)-vars], b.items[int(y)-vars])
+	})
+	b.classAt = b.classAt[:0]
+	for range b.parent {
+		b.classAt = append(b.classAt, -1)
+	}
+	b.allowed, b.buf = b.allowed[:0], b.buf[:0]
+	for _, it := range b.order {
+		dom := b.candDom[b.items[int(it)-vars]]
+		r := find(b.parent, it)
+		ci := b.classAt[r]
+		if ci < 0 {
+			b.classAt[r] = int32(len(b.allowed))
+			b.allowed = append(b.allowed, dom)
+			continue
+		}
+		start := len(b.buf)
+		b.buf = intersect(b.buf, b.allowed[ci], dom)
+		b.allowed[ci] = b.buf[start:]
+	}
+	for r, ci := range b.classAt {
+		if ci < 0 {
+			continue
+		}
+		if k := b.pin[r]; k >= 0 {
+			if _, ok := slices.BinarySearch(b.allowed[ci], k); !ok {
+				return nil
+			}
+			start := len(b.buf)
+			b.buf = append(b.buf, k)
+			b.allowed[ci] = b.buf[start:]
+		}
+		if len(b.allowed[ci]) == 0 {
 			return nil
 		}
-		cyl.Classes = append(cyl.Classes, Class{Nulls: nulls, Allowed: allowed})
-		cyl.weight.Mul(cyl.weight, big.NewInt(int64(len(allowed))))
 	}
-	// Classes with no nulls are pure-constant checks, already verified via
-	// pins. Multiply in the free nulls.
-	inClass := make(map[core.NullID]bool)
-	for _, cl := range cyl.Classes {
-		for _, n := range cl.Nulls {
-			inClass[n] = true
+	// Satisfiable: materialize the classes. Their slots hold candidate
+	// indices until finish renumbers them. A class that allows its one
+	// null's whole domain shares the candidate's list.
+	cyl := &Cylinder{Classes: make([]Class, len(b.allowed))}
+	for _, it := range b.order {
+		cand := b.items[int(it)-vars]
+		c := &cyl.Classes[b.classAt[find(b.parent, it)]]
+		c.slots = append(c.slots, cand)
+		c.Nulls = append(c.Nulls, b.cands[cand])
+	}
+	for i := range cyl.Classes {
+		c := &cyl.Classes[i]
+		c.allowed = b.allowed[i]
+		if dom := b.candDom[c.slots[0]]; len(c.slots) > 1 || len(c.allowed) != len(dom) {
+			c.allowed = slices.Clone(c.allowed)
+		} else {
+			c.allowed = dom
 		}
-	}
-	for _, n := range s.db.Nulls() {
-		if !inClass[n] {
-			cyl.weight.Mul(cyl.weight, big.NewInt(int64(len(s.db.Domain(n)))))
+		c.Allowed = make([]string, len(c.allowed))
+		for a, k := range c.allowed {
+			c.Allowed[a] = b.set.consts[k]
 		}
 	}
 	return cyl
 }
 
-func intersectDomains(db *core.Database, nulls []core.NullID) []string {
-	cur := append([]string(nil), db.Domain(nulls[0])...)
-	for _, n := range nulls[1:] {
-		dom := db.Domain(n)
-		set := make(map[string]bool, len(dom))
-		for _, c := range dom {
-			set[c] = true
-		}
-		var next []string
-		for _, c := range cur {
-			if set[c] {
-				next = append(next, c)
-			}
-		}
-		cur = next
-		if len(cur) == 0 {
-			return nil
+// intersect appends the members common to the ascending lists x and y to
+// dst.
+func intersect(dst, x, y []int32) []int32 {
+	for len(x) > 0 && len(y) > 0 {
+		switch {
+		case x[0] < y[0]:
+			x = x[1:]
+		case x[0] > y[0]:
+			y = y[1:]
+		default:
+			dst = append(dst, x[0])
+			x, y = x[1:], y[1:]
 		}
 	}
-	sort.Strings(cur)
-	return cur
+	return dst
 }
 
-func containsString(xs []string, c string) bool {
-	for _, x := range xs {
-		if x == c {
-			return true
+// finish renumbers the constrained candidates as slots and derives the
+// weights.
+func (b *builder) finish() *Set {
+	s := b.set
+	used := make([]bool, len(b.cands))
+	for _, cyl := range s.Cylinders {
+		for _, c := range cyl.Classes {
+			for _, cand := range c.slots {
+				used[cand] = true
+			}
 		}
 	}
-	return false
+	slotOf := make([]int32, len(b.cands))
+	for cand, n := range b.cands {
+		if !used[cand] {
+			continue
+		}
+		slotOf[cand] = int32(len(s.nulls))
+		s.nulls = append(s.nulls, n)
+		s.doms = append(s.doms, b.candDom[cand])
+	}
+	for _, cyl := range s.Cylinders {
+		for _, c := range cyl.Classes {
+			for i, cand := range c.slots {
+				c.slots[i] = slotOf[cand]
+			}
+		}
+	}
+
+	// The free factor: every null of the database outside the slots.
+	free := newProduct()
+	slot := 0
+	for _, n := range b.db.Nulls() {
+		if slot < len(s.nulls) && s.nulls[slot] == n {
+			slot++
+			continue
+		}
+		free.mul(uint64(len(b.db.Domain(n))))
+	}
+	s.free = free.int()
+
+	// Weights: free × Π |allowed| × Π |dom| over the slots the cylinder
+	// leaves uncovered. SampleIndex draws from the running sums of the
+	// weights divided by free.
+	covered := make([]int, len(s.nulls))
+	sum := new(big.Int)
+	s.cum = make([]*big.Int, len(s.Cylinders))
+	for j, cyl := range s.Cylinders {
+		rel := newProduct()
+		for _, c := range cyl.Classes {
+			rel.mul(uint64(len(c.allowed)))
+			for _, sl := range c.slots {
+				covered[sl] = j + 1
+			}
+		}
+		for sl, dom := range s.doms {
+			if covered[sl] != j+1 {
+				rel.mul(uint64(len(dom)))
+			}
+		}
+		r := rel.int()
+		sum.Add(sum, r)
+		s.cum[j] = new(big.Int).Set(sum)
+		cyl.weight = r.Mul(r, s.free)
+	}
+	s.total = sum.Mul(sum, s.free)
+	return s
 }
 
 // TotalWeight returns Σ_j weight(C_j) (with multiplicity; cylinders
 // overlap, so this is an upper bound on the union size).
-func (s *Set) TotalWeight() *big.Int {
-	z := big.NewInt(0)
-	for _, c := range s.Cylinders {
-		z.Add(z, c.weight)
+func (s *Set) TotalWeight() *big.Int { return new(big.Int).Set(s.total) }
+
+// product multiplies machine-word factors: in a uint64 while the product
+// fits, folding the word into a big.Int whenever a factor overflows it.
+type product struct {
+	word uint64
+	big  *big.Int // the factors folded so far; nil while none are
+}
+
+func newProduct() product { return product{word: 1} }
+
+func (p *product) mul(x uint64) {
+	hi, lo := bits.Mul64(p.word, x)
+	p.word = lo
+	if hi != 0 {
+		p.fold(hi)
+	}
+}
+
+// fold moves the product hi·2⁶⁴ + word into big and starts the word over.
+func (p *product) fold(hi uint64) {
+	z := new(big.Int).SetUint64(hi)
+	z.Lsh(z, 64).Or(z, new(big.Int).SetUint64(p.word))
+	if p.big != nil {
+		z.Mul(z, p.big)
+	}
+	p.big, p.word = z, 1
+}
+
+func (p *product) int() *big.Int {
+	z := new(big.Int).SetUint64(p.word)
+	if p.big != nil {
+		z.Mul(z, p.big)
 	}
 	return z
-}
-
-// SampleIndex draws a cylinder index with probability proportional to its
-// weight. The total weight must be positive.
-func (s *Set) SampleIndex(r *rand.Rand) int {
-	z := s.TotalWeight()
-	x := new(big.Int).Rand(r, z)
-	acc := big.NewInt(0)
-	for i, c := range s.Cylinders {
-		acc.Add(acc, c.weight)
-		if x.Cmp(acc) < 0 {
-			return i
-		}
-	}
-	return len(s.Cylinders) - 1
-}
-
-// SampleValuation draws a uniform valuation from cylinder i: one uniform
-// allowed value per class, everything else uniform over its domain.
-func (s *Set) SampleValuation(i int, r *rand.Rand) core.Valuation {
-	cyl := s.Cylinders[i]
-	v := make(core.Valuation)
-	for _, cl := range cyl.Classes {
-		val := cl.Allowed[r.Intn(len(cl.Allowed))]
-		for _, n := range cl.Nulls {
-			v[n] = val
-		}
-	}
-	for n := range s.freeOf[i] {
-		dom := s.db.Domain(n)
-		v[n] = dom[r.Intn(len(dom))]
-	}
-	return v
-}
-
-// CountContaining returns the number of cylinders containing v (at least 1
-// when v was sampled from one of them).
-func (s *Set) CountContaining(v core.Valuation) int {
-	cnt := 0
-	for _, c := range s.Cylinders {
-		if c.Contains(v) {
-			cnt++
-		}
-	}
-	return cnt
-}
-
-// MaxUnionCylinders is the absolute limit of the inclusion–exclusion
-// counter: 2^30 subset terms is already hours of work, but with
-// cancellation a caller raising the dispatcher's (configurable) cap can
-// choose to wait — beyond this the loop could not terminate in practice.
-// The planner clamps its configurable cap to this value.
-const MaxUnionCylinders = 30
-
-// cancelCheckMasks is the number of subset terms evaluated between polls
-// of the cancellation context.
-const cancelCheckMasks = 1024
-
-// UnionCount computes |∪_j C_j| — the exact number of satisfying
-// valuations — by inclusion–exclusion over the cylinders. It is exponential
-// in the number of cylinders and guarded accordingly; it exists to
-// cross-validate the brute-force and Karp–Luby counters (the SpanL
-// "distinct witnesses" semantics of Proposition 5.2 made executable).
-func (s *Set) UnionCount() (*big.Int, error) {
-	return s.UnionCountContext(context.Background())
-}
-
-// UnionCountContext is UnionCount with cancellation: the 2^m subset loop
-// polls ctx every cancelCheckMasks terms and returns its error shortly
-// after it is done, like the sweep shards of internal/count do.
-func (s *Set) UnionCountContext(ctx context.Context) (*big.Int, error) {
-	m := len(s.Cylinders)
-	if m > MaxUnionCylinders {
-		return nil, fmt.Errorf("cylinder: inclusion–exclusion over %d cylinders is too large (limit %d)", m, MaxUnionCylinders)
-	}
-	total := big.NewInt(0)
-	for mask := 1; mask < 1<<uint(m); mask++ {
-		if mask%cancelCheckMasks == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		w := s.intersectionWeight(mask)
-		if popcount(mask)%2 == 1 {
-			total.Add(total, w)
-		} else {
-			total.Sub(total, w)
-		}
-	}
-	return total, ctx.Err()
-}
-
-// UnionCountParallel is UnionCountContext sharded across workers: the
-// [1, 2^m) subset range is split into contiguous chunks, each worker
-// accumulates the signed terms of its chunk into a local big.Int, and the
-// per-chunk sums are merged in chunk index order. big.Int addition is
-// exact, so the result is bit-identical to the serial loop regardless of
-// worker count. Small ranges and workers ≤ 1 fall back to the serial
-// implementation.
-func (s *Set) UnionCountParallel(ctx context.Context, workers int) (*big.Int, error) {
-	m := len(s.Cylinders)
-	if m > MaxUnionCylinders {
-		return nil, fmt.Errorf("cylinder: inclusion–exclusion over %d cylinders is too large (limit %d)", m, MaxUnionCylinders)
-	}
-	nmasks := 1<<uint(m) - 1 // subset terms: masks 1 .. 2^m-1
-	if workers > nmasks {
-		workers = nmasks
-	}
-	if workers <= 1 || nmasks < 2*cancelCheckMasks {
-		return s.UnionCountContext(ctx)
-	}
-	sums := make([]*big.Int, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := 1 + w*nmasks/workers
-		hi := 1 + (w+1)*nmasks/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			total := big.NewInt(0)
-			for mask := lo; mask < hi; mask++ {
-				if mask%cancelCheckMasks == 0 && ctx.Err() != nil {
-					errs[w] = ctx.Err()
-					return
-				}
-				t := s.intersectionWeight(mask)
-				if popcount(mask)%2 == 1 {
-					total.Add(total, t)
-				} else {
-					total.Sub(total, t)
-				}
-			}
-			sums[w] = total
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	total := big.NewInt(0)
-	for w := 0; w < workers; w++ {
-		if errs[w] != nil {
-			return nil, errs[w]
-		}
-		total.Add(total, sums[w])
-	}
-	return total, ctx.Err()
-}
-
-func popcount(x int) int {
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
-	}
-	return c
-}
-
-// intersectionWeight computes the weight of the intersection of the
-// cylinders selected by mask: merge all equality classes (union-find over
-// nulls) intersecting the allowed sets.
-func (s *Set) intersectionWeight(mask int) *big.Int {
-	parent := make(map[core.NullID]core.NullID)
-	var find func(n core.NullID) core.NullID
-	find = func(n core.NullID) core.NullID {
-		p, ok := parent[n]
-		if !ok {
-			parent[n] = n
-			return n
-		}
-		if p == n {
-			return n
-		}
-		r := find(p)
-		parent[n] = r
-		return r
-	}
-	allowed := make(map[core.NullID][]string) // root -> allowed values
-	merge := func(a, b core.NullID) {
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			return
-		}
-		av, aok := allowed[ra]
-		bv, bok := allowed[rb]
-		parent[ra] = rb
-		switch {
-		case aok && bok:
-			allowed[rb] = intersectSorted(av, bv)
-		case aok:
-			allowed[rb] = av
-		}
-		delete(allowed, ra)
-	}
-	restrict := func(n core.NullID, vals []string) {
-		r := find(n)
-		if cur, ok := allowed[r]; ok {
-			allowed[r] = intersectSorted(cur, vals)
-		} else {
-			allowed[r] = vals
-		}
-	}
-	for i, c := range s.Cylinders {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		for _, cl := range c.Classes {
-			first := cl.Nulls[0]
-			for _, n := range cl.Nulls[1:] {
-				merge(first, n)
-			}
-			restrict(first, cl.Allowed)
-		}
-	}
-	// Weight: product over roots of |allowed ∩ (domains)|; allowed sets
-	// already embed domain intersections of their own nulls, but merging
-	// may have united nulls whose pairwise domain intersection matters —
-	// recompute per root over all member nulls to be safe.
-	members := make(map[core.NullID][]core.NullID)
-	for n := range parent {
-		members[find(n)] = append(members[find(n)], n)
-	}
-	w := big.NewInt(1)
-	for r, ns := range members {
-		vals := intersectDomains(s.db, ns)
-		if av, ok := allowed[r]; ok {
-			vals = intersectSorted(vals, av)
-		}
-		if len(vals) == 0 {
-			return big.NewInt(0)
-		}
-		w.Mul(w, big.NewInt(int64(len(vals))))
-	}
-	// Free nulls.
-	for _, n := range s.db.Nulls() {
-		if _, bound := parent[n]; !bound {
-			w.Mul(w, big.NewInt(int64(len(s.db.Domain(n)))))
-		}
-	}
-	return w
-}
-
-func intersectSorted(a, b []string) []string {
-	set := make(map[string]bool, len(b))
-	for _, x := range b {
-		set[x] = true
-	}
-	var out []string
-	for _, x := range a {
-		if set[x] {
-			out = append(out, x)
-		}
-	}
-	return out
 }

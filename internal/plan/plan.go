@@ -188,7 +188,8 @@ type Node struct {
 	// Cost estimates the work executing this node (excluding children).
 	Cost Cost
 
-	// Cylinders is the prebuilt payload of an OpCylinderIE node.
+	// Cylinders is the prebuilt payload of an OpCylinderIE or OpKarpLuby
+	// node.
 	Cylinders *cylinder.Set
 
 	// Engine is the prebuilt payload of an OpSweep node: the compiled
@@ -601,39 +602,32 @@ func (p *Plan) RefreshSweepCosts() {
 }
 
 // BuildEstimate compiles the plan of a Karp–Luby estimate request: a
-// single OpKarpLuby node whose cost is the cylinder count the sampler
-// draws from. The estimate itself stays randomized and uncached.
+// single OpKarpLuby node whose payload is the query's cylinder set, and
+// whose cost is the cylinder count the sampler draws from. The estimate
+// itself stays randomized and uncached. It fails when the cylinders
+// cannot be built: the database is invalid, q is not a (union of) BCQ(s),
+// or it has too many cylinders.
 func BuildEstimate(db *core.Database, q cq.Query) (*Plan, error) {
-	if err := db.Validate(); err != nil {
+	set, err := cylinder.Build(db, q)
+	if err != nil {
 		return nil, err
 	}
-	n := &Node{Kind: classify.Valuations, Query: q}
-	n.Class = classification(db, q, classify.Valuations)
-	const algorithm = "Karp–Luby FPRAS"
-	const reference = "Corollary 5.3"
-	switch q.(type) {
-	case *cq.BCQ, *cq.UCQ:
-		set, err := cylinder.Build(db, q)
-		if err != nil {
-			n.Decisions = append(n.Decisions, Decision{
-				Algorithm: algorithm, Op: OpKarpLuby, Reference: reference,
-				Accepted: false, Reason: "cylinder construction failed: " + err.Error(),
-			})
-		} else {
-			n.Decisions = append(n.Decisions, Decision{
-				Algorithm: algorithm, Op: OpKarpLuby, Reference: reference, Accepted: true,
-				Reason: fmt.Sprintf("%d cylinders: sample valuations proportionally to cylinder weights", len(set.Cylinders)),
-			})
-			n.Cost.Space = big.NewInt(int64(len(set.Cylinders)))
-			n.Cost.Note = fmt.Sprintf("%d cylinders; samples scale with m·ln(2/δ)/ε²", len(set.Cylinders))
-		}
-	default:
-		n.Decisions = append(n.Decisions, Decision{
-			Algorithm: algorithm, Op: OpKarpLuby, Reference: reference,
-			Accepted: false, Reason: "the Karp–Luby estimator needs a BCQ or a union of BCQs",
-		})
+	m := len(set.Cylinders)
+	n := &Node{
+		Op:    OpKarpLuby,
+		Kind:  classify.Valuations,
+		Query: q,
+		Class: classification(db, q, classify.Valuations),
+		Decisions: []Decision{{
+			Algorithm: "Karp–Luby FPRAS", Op: OpKarpLuby, Reference: "Corollary 5.3", Accepted: true,
+			Reason: fmt.Sprintf("%d cylinders: sample valuations proportionally to cylinder weights", m),
+		}},
+		Cost: Cost{
+			Space: big.NewInt(int64(m)),
+			Note:  fmt.Sprintf("%d cylinders; samples scale with m·ln(2/δ)/ε²", m),
+		},
+		Cylinders: set,
 	}
-	n.Op = OpKarpLuby
 	return &Plan{Kind: classify.Valuations, Query: q, Root: n, db: db}, nil
 }
 

@@ -590,3 +590,24 @@ func TestRemovedHatchFieldsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestEstimateDeterministicForSeed: posting the same estimate twice gives
+// the same count, as the seed field promises.
+func TestEstimateDeterministicForSeed(t *testing.T) {
+	_, base := startServer(t, Config{Workers: 2})
+	var db strings.Builder
+	db.WriteString("uniform a b\n")
+	for i := 1; i <= 12; i++ {
+		fmt.Fprintf(&db, "R(?%d, ?%d)\n", i, i%12+1)
+	}
+	req := Request{Database: db.String(), Query: "R(x, x)", Eps: 0.2, Delta: 0.2, Seed: 42}
+	var first, second Response
+	for _, out := range []*Response{&first, &second} {
+		if code := doJSON(t, http.MethodPost, base+"/v1/estimate", req, out); code != http.StatusOK {
+			t.Fatalf("estimate returned HTTP %d", code)
+		}
+	}
+	if first.Count == "" || first.Count != second.Count {
+		t.Fatalf("the same estimate request counted %q, then %q", first.Count, second.Count)
+	}
+}

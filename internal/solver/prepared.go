@@ -461,16 +461,21 @@ func (s *Solver) Mu(ctx context.Context, db *core.Database, q cq.Query, k int, o
 // error eps and failure probability delta; q must be a (union of)
 // BCQ(s). Estimates are randomized, so they bypass the result cache; the
 // full sampling diagnostics (samples, cylinders, total weight) ride along
-// instead of being discarded.
+// instead of being discarded, and so does the sampling plan, whose
+// cylinder set the estimator samples from.
 func (p *PreparedDB) Estimate(ctx context.Context, q cq.Query, eps, delta float64, r *rand.Rand) (*EstimateResult, error) {
 	start := time.Now()
 	p.rlock()
 	defer p.mu.RUnlock()
-	kl, err := approx.KarpLubyValuationsContext(ctx, p.db, q, eps, delta, r)
+	pl, err := plan.BuildEstimate(p.db, q)
 	if err != nil {
 		return nil, err
 	}
-	res := &EstimateResult{
+	kl, err := approx.KarpLubyCylinders(ctx, pl.Root.Cylinders, eps, delta, r)
+	if err != nil {
+		return nil, err
+	}
+	return &EstimateResult{
 		Estimate:    kl.Estimate,
 		Eps:         eps,
 		Delta:       delta,
@@ -478,13 +483,8 @@ func (p *PreparedDB) Estimate(ctx context.Context, q cq.Query, eps, delta float6
 		Cylinders:   kl.Cylinders,
 		TotalWeight: kl.TotalWeight,
 		Wall:        time.Since(start),
-	}
-	// The sampling plan (cylinder count, classification) rides along like
-	// on exact counts; a failure to plan never fails the estimate.
-	if pl, perr := plan.BuildEstimate(p.db, q); perr == nil {
-		res.Plan = pl
-	}
-	return res, nil
+		Plan:        pl,
+	}, nil
 }
 
 // MonteCarlo estimates #Val(q) by uniform sampling (unbiased but without

@@ -194,8 +194,8 @@ type EstimateResult struct {
 	Cylinders int
 	// TotalWeight is Σ_j |C_j|, the importance-sampling normalizer.
 	TotalWeight *big.Int
-	// Plan is the sampling plan (cylinder count, classification); nil when
-	// planning failed, which never fails the estimate itself.
+	// Plan is the sampling plan (cylinder count, classification); its
+	// payload is the cylinder set the estimator sampled from.
 	Plan *plan.Plan
 	// Wall is the wall-clock time of the estimate.
 	Wall time.Duration
