@@ -78,6 +78,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("executed: #Val = %v   [%s]\n", resHard.Count, resHard.Method)
-	fmt.Printf("swept %v valuations across the factored components (%v total wall time)\n",
+	fmt.Printf("the sweeps accounted for %v valuations across the factored components (%v total wall time)\n",
 		resHard.Stats.SweptValuations, resHard.Stats.Wall.Round(time.Millisecond))
 }

@@ -52,7 +52,7 @@ func main() {
 		}
 		fmt.Printf("#Val(%s) = %v   [%s]\n", qs, res.Count, res.Method)
 		if res.Stats.SweptValuations != nil {
-			fmt.Printf("   swept %v valuations (%d workers, %v)\n",
+			fmt.Printf("   the sweep accounted for %v valuations (%d workers, %v)\n",
 				res.Stats.SweptValuations, res.Stats.Workers, res.Stats.Wall)
 		}
 	}

@@ -128,10 +128,13 @@ func KarpLubyCylinders(ctx context.Context, set *cylinder.Set, eps, delta float6
 	if m == 0 || z.Sign() == 0 {
 		return &KarpLubyResult{Estimate: big.NewInt(0), Cylinders: m, TotalWeight: z}, nil
 	}
-	n := int(math.Ceil(3 * float64(m) * math.Log(2/delta) / (eps * eps)))
-	if n < 1 {
-		n = 1
+	// The bound grows as 1/ε²; past an int it cannot be drawn, and the
+	// conversion would wrap to a negative count.
+	bound := math.Ceil(3 * float64(m) * math.Log(2/delta) / (eps * eps))
+	if !(bound < math.MaxInt) {
+		return nil, fmt.Errorf("approx: ε = %g and δ = %g need %.3g samples over %d cylinders, more than an int holds; use a larger ε", eps, delta, bound, m)
 	}
+	n := int(bound)
 	// hist[c] counts the samples contained in exactly c cylinders.
 	hist := make([]int64, m+1)
 	vals := make([]int32, set.Slots())

@@ -163,6 +163,24 @@ func TestKarpLubyParamValidation(t *testing.T) {
 	}
 }
 
+// TestKarpLubySampleBoundOverflow: an ε so small that the sample bound
+// ⌈3·m·ln(2/δ)/ε²⌉ passes an int is refused. Converting the bound
+// wrapped it negative, the n < 1 clamp then drew one sample, and the
+// 10-cycle below reported Samples 1 and 65610 against an exact 58023.
+func TestKarpLubySampleBoundOverflow(t *testing.T) {
+	db := core.NewUniformDatabase([]string{"a", "b", "c"})
+	for i := 1; i <= 10; i++ {
+		db.MustAddFact("R", core.Null(core.NullID(i)), core.Null(core.NullID(i%10+1)))
+	}
+	q := cq.MustParseBCQ("R(x, x)")
+	for _, eps := range []float64{1e-9, 1e-200} {
+		res, err := KarpLubyValuations(db, q, eps, 0.05, rand.New(rand.NewSource(1)))
+		if err == nil {
+			t.Fatalf("ε = %g accepted: %d samples, estimate %v", eps, res.Samples, res.Estimate)
+		}
+	}
+}
+
 // TestKarpLubyDeterministicForSeed: one seed gives one estimate. Every
 // draw must consume the random stream in a fixed order, so no map
 // iteration may decide which null a draw lands on.

@@ -260,16 +260,24 @@ func sweepValuationsOnEngine(eng *sweep.Engine, opts *Options) (*big.Int, error)
 	}
 	shards := shardCount(eng.Size(), opts)
 	counts := make([]shardTally, shards)
-	err := sweepSharded(eng, opts.context(), shards, opts.progress(), opts.phases(), func(shard int, cur *sweep.Cursor) bool {
-		if cur.Matches() {
-			counts[shard].n++
-		}
-		return true
+	err := sweepSharded(eng, opts.context(), shards, opts.progress(), opts.phases(), func(shard int, cur *sweep.Cursor, rest int64) int64 {
+		return counts[shard].leaf(cur, rest)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return foldTallies(counts, eng), nil
+}
+
+// leaf evaluates the cursor's leaf, tallies the valuations it accounts for
+// when they satisfy the query, and returns their number: the visit of
+// every valuation-count loop.
+func (t *shardTally) leaf(cur *sweep.Cursor, rest int64) int64 {
+	sat, span := cur.MatchSpan(rest)
+	if sat {
+		t.n += uint64(span)
+	}
+	return span
 }
 
 // sweepValuationsCheckpointed is the resumable variant: shard geometry
@@ -277,42 +285,29 @@ func sweepValuationsOnEngine(eng *sweep.Engine, opts *Options) (*big.Int, error)
 // resume state, fresh otherwise), every shard publishes its position and
 // tally each stride, and — crucially — the final state is flushed even
 // when the sweep is cancelled, so a drain-and-checkpoint shutdown loses
-// no visited valuation. A shard stops only between visits, so the flush
-// positions are exact.
+// no visited valuation. A shard stops only between leaves, and a leaf's
+// span is counted whole, so the flush positions are exact.
 func sweepValuationsCheckpointed(eng *sweep.Engine, opts *Options, ck *Checkpointer) (*big.Int, error) {
 	st := ck.begin(eng, opts, false)
 	counts := st.counts
-	visited := make([]int64, len(st.starts))
-	sincePub := make([]int64, len(st.starts))
-	pos := make([]big.Int, len(st.starts))
-	err := sweepShardedFrom(eng, opts.context(), st.bounds, st.starts, opts.progress(), opts.phases(), func(shard int, cur *sweep.Cursor) bool {
-		if cur.Matches() {
-			counts[shard].n++
+	err := sweepShardedFrom(eng, opts.context(), st.bounds, st.starts, opts.progress(), opts.phases(), func(shard int, cur *sweep.Cursor, rest int64) int64 {
+		t := &counts[shard]
+		span := t.leaf(cur, rest)
+		if t.checkpointed(span, ck.stride) {
+			ck.publish(shard, t.next(st.starts[shard]), &t.n, nil)
 		}
-		visited[shard]++
-		if sincePub[shard]++; sincePub[shard] >= ck.stride {
-			sincePub[shard] = 0
-			ck.publish(shard, shardPos(&pos[shard], st.starts[shard], visited[shard]), &counts[shard].n, nil)
-		}
-		return true
+		return span
 	})
 	// Flush every shard's exact final state (all shard goroutines have
 	// stopped): on success this records completion, on cancellation the
 	// freshest resumable position.
-	for i := range visited {
-		ck.publish(i, shardPos(&pos[i], st.starts[i], visited[i]), &counts[i].n, nil)
+	for i := range counts {
+		ck.publish(i, counts[i].next(st.starts[i]), &counts[i].n, nil)
 	}
 	if err != nil {
 		return nil, err
 	}
 	return foldTallies(counts, eng), nil
-}
-
-// shardPos computes start+visited — the shard's next unvisited index —
-// into the shard-owned scratch dst, so a publish allocates no big.Int.
-func shardPos(dst, start *big.Int, visited int64) *big.Int {
-	dst.SetInt64(visited)
-	return dst.Add(dst, start)
 }
 
 // BruteForceCompletions counts the distinct completions ν(db) of db with
@@ -390,9 +385,9 @@ func completionSweepOnEngine(eng *sweep.Engine, opts *Options, keepInstances boo
 		perShard[i] = newCompletionShard(keepInstances)
 		perShard[i].timing = opts.phases()
 	}
-	err := sweepSharded(eng, opts.context(), shards, opts.progress(), opts.phases(), func(shard int, cur *sweep.Cursor) bool {
+	err := sweepSharded(eng, opts.context(), shards, opts.progress(), opts.phases(), func(shard int, cur *sweep.Cursor, _ int64) int64 {
 		perShard[shard].visit(cur)
-		return true
+		return 1
 	})
 	if err != nil {
 		return nil, err
@@ -416,20 +411,16 @@ func sweepCompletionsCheckpointed(eng *sweep.Engine, opts *Options, ck *Checkpoi
 		perShard[i].timing = opts.phases()
 		perShard[i].restore(st.entriesAt(i))
 	}
-	visited := make([]int64, len(st.starts))
-	sincePub := make([]int64, len(st.starts))
-	pos := make([]big.Int, len(st.starts))
-	err := sweepShardedFrom(eng, opts.context(), st.bounds, st.starts, opts.progress(), opts.phases(), func(shard int, cur *sweep.Cursor) bool {
+	counts := st.counts
+	err := sweepShardedFrom(eng, opts.context(), st.bounds, st.starts, opts.progress(), opts.phases(), func(shard int, cur *sweep.Cursor, _ int64) int64 {
 		perShard[shard].visit(cur)
-		visited[shard]++
-		if sincePub[shard]++; sincePub[shard] >= ck.stride {
-			sincePub[shard] = 0
-			ck.publish(shard, shardPos(&pos[shard], st.starts[shard], visited[shard]), nil, perShard[shard].drainPending())
+		if t := &counts[shard]; t.checkpointed(1, ck.stride) {
+			ck.publish(shard, t.next(st.starts[shard]), nil, perShard[shard].drainPending())
 		}
-		return true
+		return 1
 	})
-	for i := range visited {
-		ck.publish(i, shardPos(&pos[i], st.starts[i], visited[i]), nil, perShard[i].drainPending())
+	for i := range counts {
+		ck.publish(i, counts[i].next(st.starts[i]), nil, perShard[i].drainPending())
 	}
 	if err != nil {
 		return nil, err

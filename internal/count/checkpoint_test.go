@@ -211,13 +211,12 @@ func TestCheckpointInvalidResumeDiscarded(t *testing.T) {
 // snapshot reflects the exact frontier — resuming and finishing visits
 // exactly the remaining valuations (no index visited twice or skipped),
 // which the bit-identical count across a forced mid-space kill verifies
-// on a space whose satisfying valuations are all distinct from zero.
+// on a space whose satisfying valuations are all distinct from zero. The
+// star leaves the skip no block to pass over, so every shard is still
+// mid-sweep when the kill lands.
 func TestCheckpointCancelledSnapshotFresh(t *testing.T) {
-	db := core.NewUniformDatabase([]string{"a", "b"})
-	for i := 1; i <= 12; i++ { // 4096 valuations
-		db.MustAddFact("R", core.Null(core.NullID(i)))
-	}
-	q := cq.MustParseBCQ("R(x)")
+	db := skipStarDB(14) // 16384 valuations
+	q := cq.MustParseBCQ("R(x, x)")
 	want, err := BruteForceValuations(db, q, &Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -158,43 +158,38 @@ func SweepShardRange(ctx context.Context, eng *sweep.Engine, shard ShardCheckpoi
 		return state, nil
 	}
 
-	var (
-		visited  int64
-		sincePub int64
-		pubErr   error
-	)
+	var pubErr error
+	t := shardTally{n: tally} // the cumulative tally and publish counters
 	// fill puts into state the cumulative tally, or the completion records
 	// first seen since the previous publish.
 	fill := func() {
 		if completions {
 			state.Count, state.Entries = "", cs.drainPending()
 		} else {
-			state.Count, state.Entries = tallyOf(tally), nil
+			state.Count, state.Entries = tallyOf(t.n), nil
 		}
 	}
 	flush := func() error {
 		if publish == nil {
 			return nil
 		}
-		pos := new(big.Int).Add(next, big.NewInt(visited))
-		state.Next = pos.String()
+		state.Next = t.next(next).String()
 		fill()
 		return publish(state)
 	}
-	err = sweepShard(eng, ctx, next, hi, 0, nil, func(_ int, cur *sweep.Cursor) bool {
+	err = sweepShard(eng, ctx, next, hi, 0, nil, func(_ int, cur *sweep.Cursor, rest int64) int64 {
+		span := int64(1)
 		if completions {
 			cs.visit(cur)
-		} else if cur.Matches() {
-			tally++
+		} else {
+			span = t.leaf(cur, rest)
 		}
-		visited++
-		if sincePub++; sincePub >= stride {
-			sincePub = 0
+		if t.checkpointed(span, stride) {
 			if pubErr = flush(); pubErr != nil {
-				return false
+				return 0
 			}
 		}
-		return true
+		return span
 	})
 	if err != nil {
 		return state, err // Seek error: the interval itself was invalid

@@ -70,19 +70,19 @@ func shardBounds(size *big.Int, shards int) []*big.Int {
 }
 
 // sweepSharded enumerates the engine's whole enumerated space across the
-// given number of shards, calling visit(shard, cur) for every valuation
-// with the shard's cursor positioned on it. visit runs concurrently across
-// shards and must only touch state owned by its shard; the cursor is
-// repositioned between calls within one shard. A false return from visit
-// stops that shard only. sweepSharded returns the context's error if the
-// sweep was cancelled, in which case the per-shard state is incomplete and
-// must be discarded.
+// given number of shards, calling visit(shard, cur, rest) for every leaf
+// with the shard's cursor positioned on it (see sweepShard for the span
+// contract). visit runs concurrently across shards and must only touch
+// state owned by its shard; the cursor is repositioned between calls
+// within one shard. A zero return from visit stops that shard only.
+// sweepSharded returns the context's error if the sweep was cancelled, in
+// which case the per-shard state is incomplete and must be discarded.
 //
 // progress, when non-nil, is notified as described by Options.Progress:
 // once with (0, shards) before enumeration starts, then with the new
 // completed-shard count each time a shard finishes without the sweep
 // having been cancelled. A progressTracker serializes the calls.
-func sweepSharded(eng *sweep.Engine, ctx context.Context, shards int, progress func(done, total int), phases *PhaseTimes, visit func(shard int, cur *sweep.Cursor) bool) error {
+func sweepSharded(eng *sweep.Engine, ctx context.Context, shards int, progress func(done, total int), phases *PhaseTimes, visit visitFunc) error {
 	size := eng.Size()
 	if size.Sign() == 0 {
 		tracker := newProgressTracker(progress, shards)
@@ -112,7 +112,7 @@ func sweepModeLabel(eng *sweep.Engine) string {
 // bounds[i] on a fresh sweep, past it when resuming from a checkpoint (a
 // shard whose start has reached its upper bound is already complete and
 // is not re-entered).
-func sweepShardedFrom(eng *sweep.Engine, ctx context.Context, bounds, starts []*big.Int, progress func(done, total int), phases *PhaseTimes, visit func(shard int, cur *sweep.Cursor) bool) error {
+func sweepShardedFrom(eng *sweep.Engine, ctx context.Context, bounds, starts []*big.Int, progress func(done, total int), phases *PhaseTimes, visit visitFunc) error {
 	shards := len(starts)
 	tracker := newProgressTracker(progress, shards)
 	if shards == 1 {
@@ -191,18 +191,27 @@ func (t *progressTracker) finishAll(ctx context.Context) {
 	t.fn(t.done, t.total)
 }
 
+// visitFunc is one leaf of a shard loop: it runs with the shard's cursor
+// on the leaf and rest, the valuations left in the shard counting this
+// one, and returns how many valuations the leaf accounts for, or 0 to stop
+// the shard. A count above 1 must be the span MatchSpan just granted, so
+// that Cursor.Pass can resume past the leaf's witness block.
+type visitFunc func(shard int, cur *sweep.Cursor, rest int64) int64
+
 // sweepShard sweeps one contiguous index interval with a fresh cursor,
-// polling ctx every cancelCheckInterval valuations. A Seek error (an
-// invalid interval) must propagate: swallowing it would turn a partial
-// sweep into a silent undercount. With phases non-nil, one visit in
-// phaseSampleStride is timed and the scaled estimate accumulated: the
-// visit goes to the dedup phase on completion sweeps (where the visit is
-// the dedup probe — the rare first-sight query evaluation inside it is
-// timed separately by the completion shard) and to the match phase
-// otherwise. An interval wider than an int64 is an error: the brute-force
-// guard and SweepShardRange's width check keep every real one narrower,
-// which is what lets a shard tally fit one uint64.
-func sweepShard(eng *sweep.Engine, ctx context.Context, lo, hi *big.Int, shard int, phases *PhaseTimes, visit func(int, *sweep.Cursor) bool) error {
+// advancing by the spans visit returns — one valuation at a time, or past
+// a satisfied leaf's witness block — and polling ctx every
+// cancelCheckInterval leaves. A Seek error (an invalid interval) must
+// propagate: swallowing it would turn a partial sweep into a silent
+// undercount. With phases non-nil, one leaf in phaseSampleStride is timed
+// and the scaled estimate accumulated: the visit goes to the dedup phase
+// on completion sweeps (where the visit is the dedup probe — the rare
+// first-sight query evaluation inside it is timed separately by the
+// completion shard) and to the match phase otherwise. An interval wider
+// than an int64 is an error: the brute-force guard and SweepShardRange's
+// width check keep every real one narrower, which is what lets a shard
+// tally fit one uint64.
+func sweepShard(eng *sweep.Engine, ctx context.Context, lo, hi *big.Int, shard int, phases *PhaseTimes, visit visitFunc) error {
 	n := new(big.Int).Sub(hi, lo)
 	if n.Sign() == 0 {
 		return nil
@@ -228,32 +237,33 @@ func sweepShard(eng *sweep.Engine, ctx context.Context, lo, hi *big.Int, shard i
 			if sinceSample++; sinceSample >= phaseSampleStride {
 				sinceSample = 0
 				t0 := time.Now()
-				ok := visit(shard, cur)
+				span := visit(shard, cur, remaining)
 				d := time.Since(t0)
 				if dedupVisits {
 					phases.addDedup(d, phaseSampleStride)
 				} else {
 					phases.addMatch(d, phaseSampleStride)
 				}
-				if !ok {
+				if span == 0 {
 					return nil
 				}
-				if remaining--; remaining == 0 {
+				if remaining -= span; remaining <= 0 {
 					return nil
 				}
 				t0 = time.Now()
-				cur.Step()
+				cur.Pass(span)
 				phases.addStep(time.Since(t0), phaseSampleStride)
 				continue
 			}
 		}
-		if !visit(shard, cur) {
+		span := visit(shard, cur, remaining)
+		if span == 0 {
 			return nil
 		}
-		if remaining--; remaining == 0 {
+		if remaining -= span; remaining <= 0 {
 			return nil
 		}
-		cur.Step()
+		cur.Pass(span)
 	}
 }
 

@@ -47,10 +47,10 @@ func IsPossible(db *core.Database, q cq.Query, opts *Options) (bool, error) {
 	return sat, nil
 }
 
-// sweepUntil sweeps the enumerated space serially until a valuation with
-// Matches() == want is found. It returns whether the last inspected
-// verdict equals want (sat), and whether the full space holds any
-// valuation at all (visited).
+// sweepUntil sweeps the enumerated space serially until a valuation whose
+// verdict is want is found, passing over satisfied witness blocks whole.
+// It returns whether the last inspected verdict equals want (sat), and
+// whether the full space holds any valuation at all (visited).
 func sweepUntil(db *core.Database, q cq.Query, opts *Options, want bool) (sat, visited bool, err error) {
 	eng, err := compileGuarded(db, q, sweep.ModeValuations, opts)
 	if err != nil {
@@ -62,9 +62,12 @@ func sweepUntil(db *core.Database, q cq.Query, opts *Options, want bool) (sat, v
 		return false, false, nil
 	}
 	sat = !want
-	err = sweepSharded(eng, opts.context(), 1, opts.progress(), opts.phases(), func(_ int, cur *sweep.Cursor) bool {
-		sat = cur.Matches()
-		return sat != want
+	err = sweepSharded(eng, opts.context(), 1, opts.progress(), opts.phases(), func(_ int, cur *sweep.Cursor, rest int64) int64 {
+		var span int64
+		if sat, span = cur.MatchSpan(rest); sat == want {
+			return 0
+		}
+		return span
 	})
 	if err != nil {
 		return false, false, err

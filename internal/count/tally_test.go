@@ -8,6 +8,7 @@ import (
 	"math/big"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/incompletedb/incompletedb/internal/core"
 	"github.com/incompletedb/incompletedb/internal/cq"
@@ -128,9 +129,11 @@ func TestSweepShardRejectsWideInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 	visits := 0
-	err = sweepShard(eng, context.Background(), new(big.Int), eng.Size(), 0, nil, func(int, *sweep.Cursor) bool {
-		visits++
-		return visits < 1000
+	err = sweepShard(eng, context.Background(), new(big.Int), eng.Size(), 0, nil, func(int, *sweep.Cursor, int64) int64 {
+		if visits++; visits < 1000 {
+			return 1
+		}
+		return 0
 	})
 	if err == nil || visits != 0 {
 		t.Fatalf("2^64-wide interval: err = %v after %d visits, want an error before any visit", err, visits)
@@ -154,5 +157,13 @@ func TestSweepShardRangeRejectsWideInterval(t *testing.T) {
 	shard := ShardCheckpoint{Lo: "0", Next: "0", Hi: eng.Size().String()}
 	if _, err := SweepShardRange(ctx, eng, shard, 0, nil); !errors.Is(err, ErrShardCheckpoint) {
 		t.Fatalf("2^64-wide range: err = %v, want ErrShardCheckpoint", err)
+	}
+}
+
+// TestShardTallyFillsACacheLine: a shard's tally and checkpoint counters
+// fill exactly one 64-byte line, so concurrent shards never share one.
+func TestShardTallyFillsACacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(shardTally{}); n != 64 {
+		t.Fatalf("shardTally is %d bytes, want one 64-byte cache line", n)
 	}
 }

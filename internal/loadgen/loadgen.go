@@ -78,7 +78,7 @@ type Config struct {
 	// checkpoint makes the checkpoint machinery observable in the report
 	// (stats.job_queue.checkpoint_age_seconds).
 	AnchorValuations int64
-	// DistJobNulls is the chain length (= log2 of the valuation space) of
+	// DistJobNulls is the star size (= log2 of the valuation space) of
 	// the databases distjob ops sweep; 0 means 22 — exactly the default
 	// brute-force budget (2^22, the guard admits size ≤ max) and over the
 	// coordinator's default distribution threshold (2^21), so the op fans
@@ -308,15 +308,15 @@ type worker struct {
 
 // buildPool pregenerates the worker's databases: a pool of small chain
 // databases (8–12 nulls, 256–4096 valuations) whose reuse exercises the
-// result cache, one 1024-valuation database for fast async jobs, and one
-// 2^distNulls-valuation database for distjob (see Config.DistJobNulls).
+// result cache, one 1024-valuation star for fast async jobs, and one
+// 2^distNulls-valuation star for distjob (see Config.DistJobNulls).
 func (w *worker) buildPool(distNulls int) {
 	for i := 0; i < 8; i++ {
 		n := 8 + w.rng.Intn(5)
 		w.dbPool = append(w.dbPool, chainDatabase(w.rng.Intn(1<<20)+1, n))
 	}
-	w.jobDB = chainDatabase(w.rng.Intn(1<<20)+1, 10)
-	w.distDB = chainDatabase(w.rng.Intn(1<<20)+1, distNulls)
+	w.jobDB = starDatabase(w.rng.Intn(1<<20)+1, 10)
+	w.distDB = starDatabase(w.rng.Intn(1<<20)+1, distNulls)
 }
 
 // dedupDatabase renders a uniform database of 2n single-null unary
@@ -342,6 +342,21 @@ func chainDatabase(base, n int) string {
 	b.WriteString("uniform a b\n")
 	for i := 0; i < n; i++ {
 		fmt.Fprintf(&b, "R(?%d, ?%d)\n", base+i, base+(i+1)%n)
+	}
+	return b.String()
+}
+
+// starDatabase renders a uniform database of n nulls whose binary facts
+// R(?base+i, ?base+n−1), i < n−1, all meet the largest null: 2^n
+// valuations over {a, b}, #Val of R(x, x) = 2^n − 2. Every witness of
+// R(x, x) holds the centre, the sweep's last digit, so the brute-force
+// sweep visits every valuation — the shape for jobs that must run for a
+// predictable while.
+func starDatabase(base, n int) string {
+	var b strings.Builder
+	b.WriteString("uniform a b\n")
+	for i := 0; i < n-1; i++ {
+		fmt.Fprintf(&b, "R(?%d, ?%d)\n", base+i, base+n-1)
 	}
 	return b.String()
 }
@@ -583,7 +598,7 @@ func submitAnchor(ctx context.Context, client *http.Client, base string, valuati
 		n++
 	}
 	raw, err := json.Marshal(server.Request{
-		Database:      chainDatabase(1<<21+7, n),
+		Database:      starDatabase(1<<21+7, n),
 		Query:         "R(x, x)",
 		Kind:          server.KindVal,
 		ForceBrute:    true,

@@ -149,9 +149,10 @@ type Decision struct {
 // Cost is a node's pre-execution cost estimate.
 type Cost struct {
 	// Space is the dominating enumeration size: the post-pruning swept
-	// space for OpSweep, the number of subset terms (2^m) for
-	// OpCylinderIE, the cylinder count for OpKarpLuby. Nil for
-	// closed-form and rewrite nodes.
+	// space for OpSweep (an upper bound on the leaves a #Val sweep
+	// evaluates, since satisfied witness blocks are counted unvisited),
+	// the number of subset terms (2^m) for OpCylinderIE, the cylinder
+	// count for OpKarpLuby. Nil for closed-form and rewrite nodes.
 	Space *big.Int
 	// TotalSpace is the full valuation space behind a sweep node, before
 	// relevant-null pruning (nil elsewhere).
@@ -214,9 +215,10 @@ type Plan struct {
 	guard int64
 }
 
-// Database returns the database the plan was compiled from. Executing a
-// plan against any other database would silently mix the embedded
-// payloads with the other database's totals; the executor rejects it.
+// Database returns the database the plan was compiled from (nil on a
+// StripPayloads copy). Executing a plan against any other database would
+// silently mix the embedded payloads with the other database's totals;
+// the executor rejects it.
 func (p *Plan) Database() *core.Database { return p.db }
 
 // Method renders the plan's operator tree as a compact method signature,
@@ -227,12 +229,16 @@ func (p *Plan) Method() string { return p.Root.Method() }
 
 // StripPayloads returns a copy of the plan without its execution
 // payloads — the compiled sweep engines and prebuilt cylinder sets,
-// which embed the database's interned fact arenas. The copy renders and
-// serializes identically (Render/JSON/Method never read the payloads)
-// and still executes correctly against the plan's own database (the
-// executor recompiles engine-less sweep nodes), so it is what a
-// long-lived cache should retain: the explanation, not the compiled
-// state.
+// which embed the database's interned fact arenas — and without its
+// reference to the database itself, which for a small query outweighs
+// the whole description. The copy renders and serializes identically
+// (Render/JSON/Method never read the payloads) and still executes
+// correctly against the database it was compiled from (the executor
+// recompiles engine-less sweep nodes), so it is what a long-lived cache
+// should retain: the explanation, not the compiled state or the data.
+// Database returns nil on the copy, so the executor can no longer tell
+// that database from another one; passing the right one is the caller's
+// job.
 func (p *Plan) StripPayloads() *Plan {
 	var strip func(n *Node) *Node
 	strip = func(n *Node) *Node {
@@ -250,7 +256,7 @@ func (p *Plan) StripPayloads() *Plan {
 		}
 		return &c
 	}
-	return &Plan{Kind: p.Kind, Query: p.Query, Root: strip(p.Root), db: p.db, guard: p.guard}
+	return &Plan{Kind: p.Kind, Query: p.Query, Root: strip(p.Root), guard: p.guard}
 }
 
 // Method renders the node's operator subtree as a compact signature.

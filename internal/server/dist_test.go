@@ -209,7 +209,7 @@ func TestDistributedJobRestartRecovery(t *testing.T) {
 		LeaseValuations:    1 << 15,
 		LeaseTTL:           time.Second,
 	}
-	dbText := jobTestDB(24) // 2^24 valuations: enough leases to interrupt
+	dbText := jobTestDB(22) // 2^22 valuations: enough leases to interrupt
 	want := valReference(t, dbText, "R(x, x)", 1<<26)
 	req := Request{Database: dbText, Query: "R(x, x)", Kind: KindVal, ForceBrute: true}
 

@@ -140,7 +140,7 @@ func TestJobResumeAfterCrash(t *testing.T) {
 		JobPersistInterval: 10 * time.Millisecond,
 		JobStore:           store,
 	}
-	dbText := jobTestDB(25) // 2^25 ≈ 33.5M valuations: seconds of sweep
+	dbText := jobTestDB(23) // 2^23 ≈ 8.4M valuations of 22 patched slots each: seconds of sweep
 	req := Request{Database: dbText, Query: "R(x, x)", Kind: KindVal, ForceBrute: true}
 
 	srvA := New(cfg)
@@ -238,7 +238,7 @@ func TestServeDrainLeavesJobsResumable(t *testing.T) {
 		JobPersistInterval: 10 * time.Millisecond,
 		JobStore:           store,
 	}
-	dbText := jobTestDB(25) // 2^25 ≈ 33.5M valuations: seconds of sweep
+	dbText := jobTestDB(23) // 2^23 ≈ 8.4M valuations of 22 patched slots each: seconds of sweep
 	req := Request{Database: dbText, Query: "R(x, x)", Kind: KindVal, ForceBrute: true}
 
 	srvA, base := startServer(t, cfg)

@@ -172,11 +172,15 @@ func TestConcurrentIsomorphicRequestsShareOneComputation(t *testing.T) {
 }
 
 // jobTestDB returns a uniform database with 2^n valuations whose #Val
-// brute-force sweep is heavy enough to observe progress on.
+// brute-force sweep is heavy enough to observe progress on: a star
+// R(?i, ?n), i < n, whose #Val of R(x, x) is 2^n − 2. Every witness of
+// R(x, x) holds the centre ?n, the last digit of the sweep, so no
+// witness block spans more than one valuation and the sweep visits all
+// 2^n of them.
 func jobTestDB(n int) string {
 	db := core.NewUniformDatabase([]string{"a", "b"})
-	for i := 1; i <= n; i++ {
-		db.MustAddFact("R", core.Null(core.NullID(i)), core.Null(core.NullID(i%n+1)))
+	for i := 1; i < n; i++ {
+		db.MustAddFact("R", core.Null(core.NullID(i)), core.Null(core.NullID(n)))
 	}
 	return db.String()
 }
@@ -609,5 +613,22 @@ func TestEstimateDeterministicForSeed(t *testing.T) {
 	}
 	if first.Count == "" || first.Count != second.Count {
 		t.Fatalf("the same estimate request counted %q, then %q", first.Count, second.Count)
+	}
+}
+
+// TestEstimateRejectsOverflowingEps: an ε whose Karp–Luby sample bound
+// does not fit an int answers 422 instead of a one-sample estimate
+// reported under that ε.
+func TestEstimateRejectsOverflowingEps(t *testing.T) {
+	_, base := startServer(t, Config{Workers: 2})
+	var db strings.Builder
+	db.WriteString("uniform a b c\n")
+	for i := 1; i <= 10; i++ {
+		fmt.Fprintf(&db, "R(?%d, ?%d)\n", i, i%10+1)
+	}
+	req := Request{Database: db.String(), Query: "R(x, x)", Eps: 1e-9, Delta: 0.05, Seed: 1}
+	var resp Response
+	if code := doJSON(t, http.MethodPost, base+"/v1/estimate", req, &resp); code != http.StatusUnprocessableEntity {
+		t.Fatalf("estimate with ε = 1e-9 returned HTTP %d (%+v), want 422", code, resp)
 	}
 }

@@ -101,7 +101,7 @@ func (c *lru[V]) purge(stale func(key string, val V) bool) int {
 // resultCache is the solver-wide LRU of finished results, keyed by
 // canonical fingerprint. Stored results carry payload-stripped plans
 // (plan.StripPayloads), so retention is bounded by plan descriptions,
-// not compiled engines.
+// not compiled engines or parsed databases.
 type resultCache = lru[*Result]
 
 func newResultCache(max int) *resultCache { return newLRU[*Result](max) }

@@ -50,8 +50,11 @@ type Result struct {
 type Stats struct {
 	// SweptValuations is the total size of the enumerated spaces of the
 	// plan's sweep nodes — the number of valuations a brute-force
-	// execution visits, after relevant-null pruning. Nil when the plan has
-	// no sweep node (closed-form and cylinder routes enumerate no
+	// execution accounts for, after relevant-null pruning. It is not the
+	// number of leaves the sweeps evaluated: a #Val sweep of a monotone
+	// query counts a satisfied leaf's whole witness block without
+	// visiting it, so it may evaluate far fewer. Nil when the plan has no
+	// sweep node (closed-form and cylinder routes enumerate no
 	// valuations).
 	SweptValuations *big.Int
 
@@ -128,7 +131,7 @@ func (r *Result) clone() *Result {
 // stripped returns the retention copy of r for the solver-wide result
 // cache: the same result with a payload-stripped plan, so the cache
 // holds plan *descriptions* (which render and serialize identically),
-// not compiled sweep engines pinning whole databases in memory.
+// not compiled sweep engines or the databases they were planned on.
 func (r *Result) stripped() *Result {
 	if r.Plan == nil {
 		return r

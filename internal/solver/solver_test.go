@@ -336,6 +336,9 @@ func TestCachedPlansAreStrippedButEquivalent(t *testing.T) {
 	if cached.Plan.Root.Engine != nil {
 		t.Error("cached plan still carries a compiled engine")
 	}
+	if cached.Plan.Database() != nil {
+		t.Error("cached plan still pins the database it was planned on")
+	}
 	if got, want := cached.Plan.Render(), fresh.Plan.Render(); got != want {
 		t.Errorf("stripped plan renders differently:\n--- cached ---\n%s--- fresh ---\n%s", got, want)
 	}

@@ -117,6 +117,9 @@ type bitsetPlan struct {
 	flat      []int
 	flatWords int
 	flatNeg   bool
+	// flatReady is the ready depth of each fact of the flat atom's
+	// relation, by ordinal: a hit's witness depth is one load.
+	flatReady []int32
 }
 
 type posKey struct {
@@ -282,6 +285,11 @@ func (e *Engine) buildBitsets() {
 			bp.flat = d0[0].eqOffs
 			bp.flatWords = d0[0].words
 			bp.flatNeg = e.prog.negate
+			rf := e.relFacts[e.prog.disjuncts[0].atoms[0].rel]
+			bp.flatReady = make([]int32, len(rf))
+			for o, fi := range rf {
+				bp.flatReady[o] = e.ready[fi]
+			}
 		}
 	}
 	e.bits = bp
@@ -289,7 +297,8 @@ func (e *Engine) buildBitsets() {
 
 // evalFlat is the flattened verdict (see bitsetPlan.flat): an unrolled
 // AND-chain over the equality bitmaps, materialized into the cursor's
-// scratch words only when the chain is longer than two.
+// scratch words only when the chain is longer than two. A hit records the
+// witness depth of the chain's first surviving fact.
 func (c *Cursor) evalFlat() bool {
 	bp := c.bits
 	w := bp.flatWords
@@ -300,6 +309,7 @@ func (c *Cursor) evalFlat() bool {
 			m &= c.eqBits[off]
 		}
 		if m != 0 {
+			c.depth = bp.flatReady[bits.TrailingZeros64(m)]
 			return !bp.flatNeg
 		}
 		return bp.flatNeg
@@ -308,16 +318,23 @@ func (c *Cursor) evalFlat() bool {
 	hit := false
 	switch len(bp.flat) {
 	case 1:
-		hit = anyNonzero(first)
+		if hit = anyNonzero(first); hit {
+			c.depth = bp.flatReady[firstAnd(first, first)]
+		}
 	case 2:
-		hit = andAnyNonzero(first, c.eqBits[bp.flat[1]:bp.flat[1]+w])
+		second := c.eqBits[bp.flat[1] : bp.flat[1]+w]
+		if hit = andAnyNonzero(first, second); hit {
+			c.depth = bp.flatReady[firstAnd(first, second)]
+		}
 	default:
 		s := c.scratchWords(0, w)
 		copyAnd(s, first, c.eqBits[bp.flat[1]:bp.flat[1]+w])
 		for _, off := range bp.flat[2:] {
 			andInto(s, c.eqBits[off:off+w])
 		}
-		hit = anyNonzero(s)
+		if hit = anyNonzero(s); hit {
+			c.depth = bp.flatReady[firstAnd(s, s)]
+		}
 	}
 	if hit {
 		return !bp.flatNeg
@@ -445,20 +462,27 @@ func (c *Cursor) updateSlotBits(u *slotUpd, old, v uint32) {
 // evalAtomsBits is evalAtoms with the candidate scan of masked atoms
 // replaced by the word-AND over the compiled bitmaps. Unmasked atoms
 // (all positions bind fresh, distinct variables) scan the relation's
-// live facts like the scalar path.
+// live facts like the scalar path. Witness depths are recorded as in
+// evalAtoms; an existence-only atom's witness is its first surviving
+// candidate, and an unmasked existence-only atom reads no argument, so
+// any fact of its relation matches on every valuation and adds nothing.
 func (c *Cursor) evalAtomsBits(b *compiledBCQ, abs []atomBits, asg []uint32, bound []bool, i int) bool {
 	if i == len(b.atoms) {
-		return diffsOK(b, asg, bound)
+		return c.matched(b, asg, bound)
 	}
 	e := c.eng
 	ab := &abs[i]
 	rf := e.relFacts[b.atoms[i].rel]
 	if !ab.use {
 		if ab.existOnly {
-			return len(rf) > 0
+			if len(rf) == 0 {
+				return false
+			}
+			c.depth = 0
+			return true
 		}
 		for _, fi := range rf {
-			if c.bindCandidate(b, abs, asg, bound, i, e.factArgs(c.args, fi)) {
+			if c.bindCandidate(b, abs, asg, bound, i, fi) {
 				return true
 			}
 		}
@@ -485,12 +509,13 @@ func (c *Cursor) evalAtomsBits(b *compiledBCQ, abs []atomBits, asg []uint32, bou
 			}
 		}
 		if ab.existOnly && m != 0 {
+			c.depth = e.ready[rf[w<<6|bits.TrailingZeros64(m)]]
 			return true
 		}
 		for m != 0 {
 			fi := rf[w<<6|bits.TrailingZeros64(m)]
 			m &= m - 1
-			if c.bindCandidate(b, abs, asg, bound, i, e.factArgs(c.args, fi)) {
+			if c.bindCandidate(b, abs, asg, bound, i, fi) {
 				return true
 			}
 		}
@@ -517,7 +542,7 @@ func (c *Cursor) evalAtomWide(b *compiledBCQ, abs []atomBits, asg []uint32, boun
 	rest := len(ab.checks) + len(ab.eqOffs) - 1
 	if rest == 0 {
 		if ab.existOnly {
-			return anyNonzero(first)
+			return c.existWitness(rf, first, first, anyNonzero(first))
 		}
 		return c.scanCandidates(b, abs, asg, bound, i, rf, first)
 	}
@@ -529,7 +554,7 @@ func (c *Cursor) evalAtomWide(b *compiledBCQ, abs []atomBits, asg []uint32, boun
 		} else {
 			second = c.eqBits[ab.eqOffs[len(ab.eqOffs)-1] : ab.eqOffs[len(ab.eqOffs)-1]+w]
 		}
-		return andAnyNonzero(first, second)
+		return c.existWitness(rf, first, second, andAnyNonzero(first, second))
 	}
 	s := c.scratchWords(i, w)
 	copy(s, first)
@@ -544,19 +569,28 @@ func (c *Cursor) evalAtomWide(b *compiledBCQ, abs []atomBits, asg []uint32, boun
 		andInto(s, c.eqBits[off:off+w])
 	}
 	if ab.existOnly {
-		return anyNonzero(s)
+		return c.existWitness(rf, s, s, anyNonzero(s))
 	}
 	return c.scanCandidates(b, abs, asg, bound, i, rf, s)
 }
 
+// existWitness passes through the verdict hit of an existence-only wide
+// atom whose candidates are a & b, recording on a hit the witness depth of
+// the first candidate.
+func (c *Cursor) existWitness(rf []int32, a, b []uint64, hit bool) bool {
+	if hit {
+		c.depth = c.eng.ready[rf[firstAnd(a, b)]]
+	}
+	return hit
+}
+
 // scanCandidates binds and recurses over every set bit of mask.
 func (c *Cursor) scanCandidates(b *compiledBCQ, abs []atomBits, asg []uint32, bound []bool, i int, rf []int32, mask []uint64) bool {
-	e := c.eng
 	for w, m := range mask {
 		for m != 0 {
 			fi := rf[w<<6|bits.TrailingZeros64(m)]
 			m &= m - 1
-			if c.bindCandidate(b, abs, asg, bound, i, e.factArgs(c.args, fi)) {
+			if c.bindCandidate(b, abs, asg, bound, i, fi) {
 				return true
 			}
 		}
@@ -564,10 +598,11 @@ func (c *Cursor) scanCandidates(b *compiledBCQ, abs []atomBits, asg []uint32, bo
 	return false
 }
 
-// bindCandidate binds atom i's fresh variables off one candidate fact and
+// bindCandidate binds atom i's fresh variables off candidate fact fi and
 // recurses — checks and equalities were already enforced by the masks (or
 // are absent). Bindings are unwound on failure.
-func (c *Cursor) bindCandidate(b *compiledBCQ, abs []atomBits, asg []uint32, bound []bool, i int, args []uint32) bool {
+func (c *Cursor) bindCandidate(b *compiledBCQ, abs []atomBits, asg []uint32, bound []bool, i int, fi int32) bool {
+	args := c.eng.factArgs(c.args, fi)
 	tp0 := c.tp
 	for _, bd := range abs[i].binds {
 		bound[bd.vr] = true
@@ -576,6 +611,7 @@ func (c *Cursor) bindCandidate(b *compiledBCQ, abs []atomBits, asg []uint32, bou
 		c.tp++
 	}
 	if diffsOK(b, asg, bound) && c.evalAtomsBits(b, abs, asg, bound, i+1) {
+		c.noteWitness(fi)
 		return true
 	}
 	for c.tp > tp0 {

@@ -2,7 +2,9 @@ package sweep
 
 import (
 	"fmt"
+	"math"
 	"math/big"
+	"math/bits"
 	"math/rand"
 
 	"github.com/incompletedb/incompletedb/internal/core"
@@ -17,9 +19,16 @@ type Cursor struct {
 	args  []uint32 // live argument arena
 	idx   []int    // current digit indices
 	radix []int    // per-digit domain sizes (odometer hot path)
+	// weight[k] is the index distance between consecutive values of
+	// digit k, ∏ radix[k+1:], saturated at math.MaxInt64 (see blockSpan).
+	weight []uint64
 
 	verdict      bool
 	verdictValid bool
+	// depth is the witness depth of the last successful evaluation of a
+	// monotone program: the largest ready depth among the facts its match
+	// used, 0 for TRUE and ground matches.
+	depth int32
 
 	// Compiled-query evaluation scratch, preallocated per disjunct.
 	asg   [][]uint32
@@ -63,6 +72,16 @@ func (e *Engine) NewCursor() *Cursor {
 	}
 	for k := range e.digits {
 		c.radix[k] = len(e.digits[k].dom)
+	}
+	c.weight = make([]uint64, len(e.digits))
+	w := uint64(1)
+	for k := len(c.radix) - 1; k >= 0; k-- {
+		c.weight[k] = w
+		if hi, lo := bits.Mul64(w, uint64(c.radix[k])); hi != 0 || lo > math.MaxInt64 {
+			w = math.MaxInt64
+		} else {
+			w = lo
+		}
 	}
 	maxVars := 0
 	for _, d := range e.prog.disjuncts {
@@ -158,8 +177,71 @@ func (c *Cursor) rebuild() {
 // Step advances the cursor to the next index, patching only the slots of
 // the digits that changed. It returns false when the space is exhausted
 // (the cursor then stays on the last valuation).
-func (c *Cursor) Step() bool {
-	k := len(c.idx) - 1
+func (c *Cursor) Step() bool { return c.advance(len(c.idx)) }
+
+// MatchSpan evaluates the query at the current valuation and returns the
+// verdict with the number of valuations, starting at this one and at most
+// limit (≥ 1), that certainly share it. An unsatisfied leaf, and any leaf
+// of a negated or opaque program, spans 1. A satisfied leaf of a monotone
+// program spans the rest of its witness block: every valuation that
+// agrees with it on digits 0..w−1, for w the witness depth, keeps the
+// facts the match used, so the same match satisfies it, and in index
+// order those valuations run contiguously to the block's end. The span
+// saturates at limit, since a block can be wider than an int64.
+func (c *Cursor) MatchSpan(limit int64) (bool, int64) {
+	if !c.Matches() {
+		return false, 1
+	}
+	if int(c.depth) >= len(c.idx) {
+		return true, 1
+	}
+	return true, c.blockSpan(limit)
+}
+
+// blockSpan is MatchSpan's span of a satisfied leaf whose witness depth
+// leaves digits to skip: the block's remaining length is one plus the
+// distance to its last valuation, where every digit from the witness
+// depth on sits at its largest value.
+func (c *Cursor) blockSpan(limit int64) int64 {
+	if !c.eng.prog.monotone() {
+		return 1
+	}
+	rest, lim := uint64(1), uint64(limit)
+	for k := int(c.depth); k < len(c.idx); k++ {
+		d := uint64(c.radix[k] - 1 - c.idx[k])
+		if d == 0 {
+			continue
+		}
+		hi, lo := bits.Mul64(d, c.weight[k])
+		if hi != 0 || lo >= lim {
+			return limit
+		}
+		if rest += lo; rest >= lim {
+			return limit
+		}
+	}
+	return int64(rest)
+}
+
+// Pass moves the cursor past the span valuations its current leaf
+// accounted for and returns false when the space is exhausted. A span of
+// 1 is Step; a larger span must be the one MatchSpan just granted, which
+// ran to the end of the witness block, and Pass then lands on the first
+// valuation past the block.
+func (c *Cursor) Pass(span int64) bool {
+	w := len(c.idx)
+	if span > 1 {
+		w = int(c.depth)
+	}
+	return c.advance(w)
+}
+
+// advance increments the odometer restricted to digits 0..w−1 and resets
+// digits w and beyond to 0: with w = len(idx) this is the next index, and
+// with a smaller w it skips every valuation sharing the current digits
+// 0..w−1.
+func (c *Cursor) advance(w int) bool {
+	k := w - 1
 	for k >= 0 && c.idx[k]+1 >= c.radix[k] {
 		k--
 	}
@@ -268,17 +350,22 @@ func (c *Cursor) SetGen() uint64 { return c.setGen }
 // re-evaluating only when a relevant relation changed since the last call.
 func (c *Cursor) Matches() bool {
 	if !c.verdictValid {
-		if c.bitsPending != nil || c.bitsRebuild {
-			c.syncBits()
-		}
-		if c.bits != nil && c.bits.flat != nil {
-			c.verdict = c.evalFlat()
-		} else {
-			c.verdict = c.evalProgram()
-		}
-		c.verdictValid = true
+		c.evaluate()
 	}
 	return c.verdict
+}
+
+// evaluate recomputes the cached verdict and, on a hit, the witness depth.
+func (c *Cursor) evaluate() {
+	if c.bitsPending != nil || c.bitsRebuild {
+		c.syncBits()
+	}
+	if c.bits != nil && c.bits.flat != nil {
+		c.verdict = c.evalFlat()
+	} else {
+		c.verdict = c.evalProgram()
+	}
+	c.verdictValid = true
 }
 
 // MatchesUsing is Matches, but reuses inst (when non-nil) for opaque

@@ -25,6 +25,19 @@
 // Index order is exactly that of core.ValuationSpace (nulls sorted by ID,
 // the largest ID varying fastest, restricted to the enumerated digits), so
 // sharded sweeps merge bit-identically to a serial pass.
+//
+// Counting sweeps of a monotone program (BCQ, UCQ, inequalities, TRUE) are
+// output-sensitive: every fact carries a ready depth, one past the largest
+// digit among its nulls, and a successful evaluation records the witness
+// depth w, the largest ready depth among the facts its match used. Every
+// valuation that agrees with the current one on digits 0..w−1 keeps those
+// facts, so the same match satisfies it; in index order these valuations
+// form one contiguous block, and Cursor.MatchSpan hands the block's
+// remaining length to the caller, who counts it without visiting it and
+// moves on with Pass. Negated and opaque programs are not monotone
+// and always get a span of 1. How far a block reaches depends on null-ID
+// order: a witness whose nulls all have small IDs fixes only leading
+// digits.
 package sweep
 
 import (
@@ -91,6 +104,10 @@ type Engine struct {
 	tmplArgs []uint32 // argument arena template; null positions hold 0
 
 	digits []digit
+
+	// ready holds each arena fact's ready depth: 1 + the largest digit
+	// index among its null slots, 0 for a ground fact (see buildReady).
+	ready []int32
 
 	prog program
 
@@ -228,9 +245,25 @@ func CompileWith(db *core.Database, q cq.Query, mode Mode, opts CompileOptions) 
 		e.size.Mul(e.size, big.NewInt(int64(len(dom))))
 	}
 	e.total = new(big.Int).Mul(e.size, e.multiplier)
+	e.buildReady()
 	e.buildBitsets()
 	e.buildSlotHashes()
 	return e, nil
+}
+
+// buildReady computes every fact's ready depth from the digits' slot
+// lists: a fact whose nulls are all digits below w keeps its values across
+// every valuation sharing digits 0..w−1 with the current one. Called at
+// the end of Compile and after every successful Patch, which can insert,
+// drop or renumber digits. Tombstoned facts hold no slots and read 0; they
+// are never matched.
+func (e *Engine) buildReady() {
+	e.ready = make([]int32, len(e.factRel))
+	for k := range e.digits {
+		for _, s := range e.digits[k].slots {
+			e.ready[s.fact] = int32(k + 1)
+		}
+	}
 }
 
 // slotHashBudget caps the precomputed per-(slot, domain value) fact

@@ -28,8 +28,9 @@ func (e *Engine) Patch(db *core.Database, d core.Delta) bool {
 	if ok {
 		// The bitset plan indexes live-fact ordinals, digit slot lists and
 		// the interned value range, all of which a patch can change;
-		// recompile it against the patched arena. The precomputed slot
-		// hashes depend on the same geometry.
+		// recompile it against the patched arena. The ready depths and
+		// the precomputed slot hashes depend on the same geometry.
+		e.buildReady()
 		e.buildBitsets()
 		e.buildSlotHashes()
 	}

@@ -16,6 +16,11 @@ type program struct {
 	disjuncts  []compiledBCQ
 }
 
+// monotone reports whether satisfaction survives adding facts: a
+// compiled, un-negated program. Only monotone programs may skip witness
+// blocks (see Cursor.MatchSpan).
+func (p *program) monotone() bool { return p.opaque == nil && !p.negate }
+
 // compiledBCQ is one disjunct: atoms over interned relation IDs with
 // variables renumbered to dense slots, plus inequality pairs.
 type compiledBCQ struct {
@@ -109,7 +114,9 @@ func (c *Cursor) evalProgram() bool {
 		return p.opaque.Eval(c.Instance())
 	}
 	res := p.alwaysTrue
-	if !res {
+	if res {
+		c.depth = 0 // TRUE reads no fact
+	} else {
 		for i := range p.disjuncts {
 			if c.evalDisjunct(i) {
 				res = true
@@ -125,7 +132,10 @@ func (c *Cursor) evalProgram() bool {
 
 // evalDisjunct is the homomorphism check of one compiled BCQ: backtracking
 // over atoms with array-indexed variable assignment and an explicit
-// binding trail — allocation-free.
+// binding trail — allocation-free. A successful match leaves its witness
+// depth in c.depth: the innermost level sets it, and every level folds in
+// its fact's ready depth as the success unwinds, so failing candidates
+// pay nothing for it.
 func (c *Cursor) evalDisjunct(di int) bool {
 	b := &c.eng.prog.disjuncts[di]
 	if !b.ok {
@@ -150,7 +160,7 @@ func (c *Cursor) evalDisjunct(di int) bool {
 
 func (c *Cursor) evalAtoms(b *compiledBCQ, asg []uint32, bound []bool, i int) bool {
 	if i == len(b.atoms) {
-		return diffsOK(b, asg, bound)
+		return c.matched(b, asg, bound)
 	}
 	a := &b.atoms[i]
 	e := c.eng
@@ -172,6 +182,7 @@ func (c *Cursor) evalAtoms(b *compiledBCQ, asg []uint32, bound []bool, i int) bo
 			}
 		}
 		if ok && diffsOK(b, asg, bound) && c.evalAtoms(b, asg, bound, i+1) {
+			c.noteWitness(fi)
 			return true
 		}
 		for c.tp > tp0 {
@@ -180,6 +191,24 @@ func (c *Cursor) evalAtoms(b *compiledBCQ, asg []uint32, bound []bool, i int) bo
 		}
 	}
 	return false
+}
+
+// matched is the innermost level of a match: every atom is bound, so the
+// match holds when the inequalities do, and its witness depth starts at 0.
+func (c *Cursor) matched(b *compiledBCQ, asg []uint32, bound []bool) bool {
+	if !diffsOK(b, asg, bound) {
+		return false
+	}
+	c.depth = 0
+	return true
+}
+
+// noteWitness folds fact fi's ready depth into the witness depth of the
+// match being unwound.
+func (c *Cursor) noteWitness(fi int32) {
+	if r := c.eng.ready[fi]; r > c.depth {
+		c.depth = r
+	}
 }
 
 // diffsOK checks every inequality whose two variables are both bound.

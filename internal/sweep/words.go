@@ -2,15 +2,13 @@ package sweep
 
 import "math/bits"
 
-// Word-level helpers shared by every bitset chain: AND/popcount loops
-// over []uint64 bitmap words. The AND-chain forms are 4-word-unrolled —
+// Word-level helpers shared by every bitset chain: AND and any-bit loops
+// over []uint64 bitmap words. The hot forms are 4-word-unrolled —
 // removing the per-word bounds check + loop-carried dependency keeps
-// four independent ALU chains in flight, measured ~2× at 16–64 words.
-// The popcount forms deliberately stay straight loops: OnesCount64
-// already feeds the ALU enough independent work that unrolling only
-// adds register pressure (measured ~15% slower unrolled).
-// BenchmarkAndPopcountWords and BenchmarkWordHelpers pin both choices
-// against their counterparts.
+// four independent ALU chains in flight, measured ~2× at 16–64 words;
+// BenchmarkWordHelpers pins that choice against the straight loops.
+// firstAnd runs only after a chain has already hit (to name the witness
+// fact of a satisfied match), so it stays a straight early-exit loop.
 
 // andInto sets dst[i] &= src[i] for every word. len(src) must be at
 // least len(dst).
@@ -84,22 +82,14 @@ func andAnyNonzero(a, b []uint64) bool {
 	return false
 }
 
-// popcountWords sums the set bits of ws.
-func popcountWords(ws []uint64) int {
-	c := 0
-	for _, w := range ws {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// andPopcountWords counts the set bits of (a & b) without materializing
-// the intersection.
-func andPopcountWords(a, b []uint64) int {
+// firstAnd returns the index of the lowest set bit of a & b, or -1 when
+// the intersection is empty. len(b) must be at least len(a).
+func firstAnd(a, b []uint64) int {
 	b = b[:len(a)]
-	c := 0
 	for i, w := range a {
-		c += bits.OnesCount64(w & b[i])
+		if m := w & b[i]; m != 0 {
+			return i<<6 | bits.TrailingZeros64(m)
+		}
 	}
-	return c
+	return -1
 }

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -36,13 +35,16 @@ func TestWordHelpersMatchStraightLoops(t *testing.T) {
 
 			wantAnd := make([]uint64, n)
 			wantAny, wantAndAny := false, false
-			wantPop, wantAndPop := 0, 0
+			wantFirst := -1
 			for i := 0; i < n; i++ {
 				wantAnd[i] = a[i] & b[i]
 				wantAny = wantAny || a[i] != 0
 				wantAndAny = wantAndAny || a[i]&b[i] != 0
-				wantPop += bits.OnesCount64(a[i])
-				wantAndPop += bits.OnesCount64(a[i] & b[i])
+				for bit := 0; bit < 64 && wantFirst < 0; bit++ {
+					if wantAnd[i]&(1<<bit) != 0 {
+						wantFirst = i*64 + bit
+					}
+				}
 			}
 
 			dst := append([]uint64(nil), a...)
@@ -65,11 +67,8 @@ func TestWordHelpersMatchStraightLoops(t *testing.T) {
 			if andAnyNonzero(a, b) != wantAndAny {
 				t.Fatalf("n=%d trial %d: andAnyNonzero = %v, want %v", n, trial, andAnyNonzero(a, b), wantAndAny)
 			}
-			if popcountWords(a) != wantPop {
-				t.Fatalf("n=%d trial %d: popcountWords = %d, want %d", n, trial, popcountWords(a), wantPop)
-			}
-			if andPopcountWords(a, b) != wantAndPop {
-				t.Fatalf("n=%d trial %d: andPopcountWords = %d, want %d", n, trial, andPopcountWords(a, b), wantAndPop)
+			if got := firstAnd(a, b); got != wantFirst {
+				t.Fatalf("n=%d trial %d: firstAnd = %d, want %d", n, trial, got, wantFirst)
 			}
 		}
 	}
@@ -85,31 +84,12 @@ func TestWordHelpersLongerSource(t *testing.T) {
 	if dst[0] != 0xF0 || dst[1] != 0x0F {
 		t.Fatalf("andInto with longer src: %#x", dst)
 	}
-	if got := andPopcountWords(a, b); got != 8 {
-		t.Fatalf("andPopcountWords with longer b = %d, want 8", got)
+	if got := firstAnd(a, b); got != 4 {
+		t.Fatalf("firstAnd with longer b = %d, want 4", got)
 	}
 	if !andAnyNonzero(a, b) {
 		t.Fatal("andAnyNonzero with longer b = false")
 	}
-}
-
-// unrolledAndPopcount is the 4-word-unrolled alternative the benchmark
-// compares against; measurement picked the straight loop for the helper
-// (OnesCount64 already saturates the ALU, unrolling only adds register
-// pressure), and this pins that the choice stays right.
-func unrolledAndPopcount(a, b []uint64) int {
-	n := len(a)
-	b = b[:n]
-	c := 0
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		c += bits.OnesCount64(a[i]&b[i]) + bits.OnesCount64(a[i+1]&b[i+1]) +
-			bits.OnesCount64(a[i+2]&b[i+2]) + bits.OnesCount64(a[i+3]&b[i+3])
-	}
-	for ; i < n; i++ {
-		c += bits.OnesCount64(a[i] & b[i])
-	}
-	return c
 }
 
 // straightAndInto is the un-unrolled alternative to the shipped helper.
@@ -130,29 +110,7 @@ func straightAnyNonzero(ws []uint64) bool {
 	return false
 }
 
-var (
-	sinkInt  int
-	sinkBool bool
-)
-
-// BenchmarkAndPopcountWords pins the helper (straight loop) against the
-// unrolled alternative at the bitmap widths the sweep runs with.
-func BenchmarkAndPopcountWords(b *testing.B) {
-	r := rand.New(rand.NewSource(7))
-	for _, n := range []int{4, 16, 64, 256} {
-		x, y := randWords(r, n), randWords(r, n)
-		b.Run(fmt.Sprintf("helper/words=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkInt = andPopcountWords(x, y)
-			}
-		})
-		b.Run(fmt.Sprintf("unrolled/words=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkInt = unrolledAndPopcount(x, y)
-			}
-		})
-	}
-}
+var sinkBool bool
 
 // BenchmarkWordHelpers pins the unrolled AND-chain helpers — the ones
 // evalFlat actually runs — against their straight-loop alternatives.
