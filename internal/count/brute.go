@@ -8,11 +8,12 @@
 // internal/sweep: the database is compiled once per sweep into an interned
 // arena, the mixed-radix odometer is driven incrementally, completions are
 // deduplicated by an incremental 128-bit set hash (with exact-encoding
-// collision buckets), and — for #Val with syntactic queries — nulls
-// occurring only in relations the query never mentions are factored out of
-// the enumeration as a multiplicative term. The enumerated space is sharded
-// across a worker pool (Options.Workers); parallel results are bit-identical
-// to a serial sweep.
+// collision buckets), a prefix memo skips every block of valuations that
+// can only repeat completions already seen, and — for #Val with syntactic
+// queries — nulls occurring only in relations the query never mentions
+// are factored out of the enumeration as a multiplicative term. The
+// enumerated space is sharded across a worker pool (Options.Workers);
+// parallel results are bit-identical to a serial sweep.
 //
 // All counts are exact big integers.
 package count
@@ -382,13 +383,12 @@ func completionSweepOnEngine(eng *sweep.Engine, opts *Options, keepInstances boo
 	shards := shardCount(eng.Size(), opts)
 	perShard := make([]*completionShard, shards)
 	for i := range perShard {
-		perShard[i] = newCompletionShard(keepInstances)
-		perShard[i].timing = opts.phases()
+		perShard[i] = newSweepShard(eng, keepInstances, opts.phases())
 	}
-	err := sweepSharded(eng, opts.context(), shards, opts.progress(), opts.phases(), func(shard int, cur *sweep.Cursor, _ int64) int64 {
-		perShard[shard].visit(cur)
-		return 1
+	err := sweepSharded(eng, opts.context(), shards, opts.progress(), opts.phases(), func(shard int, cur *sweep.Cursor, rest int64) int64 {
+		return perShard[shard].visit(cur, rest)
 	})
+	releaseMemos(perShard...)
 	if err != nil {
 		return nil, err
 	}
@@ -401,24 +401,27 @@ func completionSweepOnEngine(eng *sweep.Engine, opts *Options, keepInstances boo
 // re-evaluated nor double-counted), and each stride the shard publishes
 // its position together with the entries first seen since the previous
 // publish. The final flush after the sweep stops — success or
-// cancellation — captures the exact frontier. Instances are never
-// retained on this path (EnumerateCompletions runs un-checkpointed).
+// cancellation — captures the exact frontier. A block the prefix memo
+// skips is counted whole, so the published positions stay exact; the
+// memo itself is not checkpointed, and a resumed shard starts a fresh
+// one. Instances are never retained on this path (EnumerateCompletions
+// runs un-checkpointed).
 func sweepCompletionsCheckpointed(eng *sweep.Engine, opts *Options, ck *Checkpointer) (*completionShard, error) {
 	st := ck.begin(eng, opts, true)
 	perShard := make([]*completionShard, len(st.starts))
 	for i := range perShard {
-		perShard[i] = newCompletionShard(false)
-		perShard[i].timing = opts.phases()
+		perShard[i] = newSweepShard(eng, false, opts.phases())
 		perShard[i].restore(st.entriesAt(i))
 	}
 	counts := st.counts
-	err := sweepShardedFrom(eng, opts.context(), st.bounds, st.starts, opts.progress(), opts.phases(), func(shard int, cur *sweep.Cursor, _ int64) int64 {
-		perShard[shard].visit(cur)
-		if t := &counts[shard]; t.checkpointed(1, ck.stride) {
+	err := sweepShardedFrom(eng, opts.context(), st.bounds, st.starts, opts.progress(), opts.phases(), func(shard int, cur *sweep.Cursor, rest int64) int64 {
+		span := perShard[shard].visit(cur, rest)
+		if t := &counts[shard]; t.checkpointed(span, ck.stride) {
 			ck.publish(shard, t.next(st.starts[shard]), nil, perShard[shard].drainPending())
 		}
-		return 1
+		return span
 	})
+	releaseMemos(perShard...)
 	for i := range counts {
 		ck.publish(i, counts[i].next(st.starts[i]), nil, perShard[i].drainPending())
 	}

@@ -44,12 +44,13 @@ func roundTrip(t *testing.T, cp *SweepCheckpoint) *SweepCheckpoint {
 // from the previous attempt's snapshot, cancelling the context after a
 // random number of publishes, until one attempt runs to completion. It
 // returns the final merged result of that last attempt and the number of
-// resumes that actually happened (shards only poll for cancellation
-// every cancelCheckInterval visits, so sweeps over small spaces can
-// finish before a kill lands).
+// resumes from a snapshot that still had work left: shards only poll for
+// cancellation every cancelCheckInterval leaves, so a sweep of few
+// leaves can finish every shard before a kill lands.
 func runWithKills(t *testing.T, r *rand.Rand, db *core.Database, q cq.Query, workers int, completions bool) (*big.Int, *completionShard, int) {
 	t.Helper()
 	var resume *SweepCheckpoint
+	resumes := 0
 	for attempt := 0; ; attempt++ {
 		ck := NewCheckpointer(killStride, resume)
 		ctx, cancel := context.WithCancel(context.Background())
@@ -74,12 +75,18 @@ func runWithKills(t *testing.T, r *rand.Rand, db *core.Database, q cq.Query, wor
 		}
 		cancel()
 		if err == nil {
-			return n, merged, attempt
+			return n, merged, resumes
 		}
 		if err != context.Canceled {
 			t.Fatalf("attempt %d: %v", attempt, err)
 		}
 		resume = roundTrip(t, ck.Snapshot())
+		for _, s := range resume.Shards {
+			if s.Next != s.Hi {
+				resumes++
+				break
+			}
+		}
 	}
 }
 
@@ -132,7 +139,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	for name, build := range builders {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				resumes := 0
+				resumesV, resumesC := 0, 0
 				for seed := int64(0); seed < 6; seed++ {
 					r := rand.New(rand.NewSource(seed))
 					db := build(r)
@@ -150,7 +157,8 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 						t.Fatalf("seed %d: resumed #Val %v, want %v", seed, gotV, wantV)
 					}
 					_, gotC, nC := runWithKills(t, r, db, q, workers, true)
-					resumes += nV + nC
+					resumesV += nV
+					resumesC += nC
 					wantSig, gotSig := completionSig(wantC), completionSig(gotC)
 					if len(wantSig) != len(gotSig) {
 						t.Fatalf("seed %d: resumed sweep saw %d completions, want %d", seed, len(gotSig), len(wantSig))
@@ -161,8 +169,10 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 						}
 					}
 				}
-				if resumes == 0 {
-					t.Fatal("no sweep was ever killed and resumed — the property was not exercised")
+				// Each kind must resume mid-sweep on its own: a sweep that
+				// outruns its kills would drop its coverage silently.
+				if resumesV == 0 || resumesC == 0 {
+					t.Fatalf("%d #Val and %d #Comp sweeps killed and resumed mid-sweep — the property was not exercised for both", resumesV, resumesC)
 				}
 			})
 		}

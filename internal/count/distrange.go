@@ -149,7 +149,7 @@ func SweepShardRange(ctx context.Context, eng *sweep.Engine, shard ShardCheckpoi
 		if err != nil {
 			return shard, err
 		}
-		cs = newCompletionShard(false)
+		cs = newSweepShard(eng, false, nil)
 		cs.restore(entries)
 	}
 
@@ -178,9 +178,9 @@ func SweepShardRange(ctx context.Context, eng *sweep.Engine, shard ShardCheckpoi
 		return publish(state)
 	}
 	err = sweepShard(eng, ctx, next, hi, 0, nil, func(_ int, cur *sweep.Cursor, rest int64) int64 {
-		span := int64(1)
+		var span int64
 		if completions {
-			cs.visit(cur)
+			span = cs.visit(cur, rest)
 		} else {
 			span = t.leaf(cur, rest)
 		}
@@ -191,6 +191,7 @@ func SweepShardRange(ctx context.Context, eng *sweep.Engine, shard ShardCheckpoi
 		}
 		return span
 	})
+	releaseMemos(cs)
 	if err != nil {
 		return state, err // Seek error: the interval itself was invalid
 	}

@@ -194,13 +194,15 @@ func (t *progressTracker) finishAll(ctx context.Context) {
 // visitFunc is one leaf of a shard loop: it runs with the shard's cursor
 // on the leaf and rest, the valuations left in the shard counting this
 // one, and returns how many valuations the leaf accounts for, or 0 to stop
-// the shard. A count above 1 must be the span MatchSpan just granted, so
-// that Cursor.Pass can resume past the leaf's witness block.
+// the shard. A count above 1 must be the span MatchSpan or RepeatSpan
+// just granted — a satisfied leaf's witness block on a #Val sweep, a
+// block whose prefix state the shard's memo already swept on a #Comp
+// sweep — so that Cursor.Pass can resume past the block.
 type visitFunc func(shard int, cur *sweep.Cursor, rest int64) int64
 
 // sweepShard sweeps one contiguous index interval with a fresh cursor,
 // advancing by the spans visit returns — one valuation at a time, or past
-// a satisfied leaf's witness block — and polling ctx every
+// a witness block or a repeated prefix block — and polling ctx every
 // cancelCheckInterval leaves. A Seek error (an invalid interval) must
 // propagate: swallowing it would turn a partial sweep into a silent
 // undercount. With phases non-nil, one leaf in phaseSampleStride is timed
@@ -285,11 +287,24 @@ type compEntry struct {
 // needs no re-hashing and the common repeat visit costs one table load
 // plus one exact snapshot comparison. A genuine 128-bit collision simply
 // extends the probe chain; the snapshot comparison keeps it exact.
+//
+// A shard that sweeps (see newSweepShard) also owns a prefix memo: a
+// block whose prefix state the shard already swept holds only
+// completions it already recorded, so the shard skips it whole. Counts,
+// first-seen order and checkpoint records do not change.
 type completionShard struct {
 	order []*compEntry
 	table []int32 // linear-probe index into order; -1 is empty
 	mask  uint32
 	keep  bool
+
+	// memo is the shard's prefix memo; nil on merge tables and on
+	// engines with no depth to memoize.
+	memo *sweep.PrefixMemo
+
+	// emit, when non-nil, receives every satisfying completion at its
+	// first sight (the streaming sweep); a false return stops the shard.
+	emit func(*core.Instance) bool
 
 	// lastGen is the cursor SetGen observed by the previous visit: an
 	// equal generation proves the step moved only duplicated facts, so
@@ -316,6 +331,16 @@ func newCompletionShard(keepInstances bool) *completionShard {
 	return s
 }
 
+// newSweepShard returns the state of one shard sweeping eng: a dedup
+// table, the shard's prefix memo, and the phase timer of its first-sight
+// evaluations.
+func newSweepShard(eng *sweep.Engine, keepInstances bool, timing *PhaseTimes) *completionShard {
+	s := newCompletionShard(keepInstances)
+	s.memo = eng.NewPrefixMemo()
+	s.timing = timing
+	return s
+}
+
 func (s *completionShard) initTable(size int) {
 	s.table = make([]int32, size)
 	for i := range s.table {
@@ -335,15 +360,34 @@ func (s *completionShard) growTable() {
 	}
 }
 
-// visit records the cursor's current completion, snapshotting it and
+// releaseMemos hands the memos of finished shards back for reuse.
+func releaseMemos(shards ...*completionShard) {
+	for _, s := range shards {
+		if s != nil && s.memo != nil {
+			s.memo.Release()
+			s.memo = nil
+		}
+	}
+}
+
+// visit is the leaf of a completion sweep, with the visitFunc contract.
+// When the cursor enters a block whose prefix state the memo already
+// holds, it returns the block's span, clipped to rest. Otherwise it
+// records the cursor's current completion, snapshotting it and
 // evaluating the query only the first time the completion is seen within
-// this shard. A repeat visit whose step changed no distinct fact value is
-// skipped outright via the cursor's SetGen; other repeats cost one probe
-// and one exact comparison against the cursor's incremental hashes.
-func (s *completionShard) visit(cur *sweep.Cursor) {
+// this shard, and returns 1 (0 when emit stops the shard). A repeat visit
+// whose step changed no distinct fact value is skipped outright via the
+// cursor's SetGen; other repeats cost one probe and one exact comparison
+// against the cursor's incremental hashes.
+func (s *completionShard) visit(cur *sweep.Cursor, rest int64) int64 {
+	if s.memo != nil {
+		if span := cur.RepeatSpan(s.memo, rest); span > 0 {
+			return span
+		}
+	}
 	g := cur.SetGen()
 	if g == s.lastGen {
-		return
+		return 1
 	}
 	s.lastGen = g
 	h := cur.CompletionHash()
@@ -351,7 +395,7 @@ func (s *completionShard) visit(cur *sweep.Cursor) {
 	for s.table[i] >= 0 {
 		m := s.order[s.table[i]]
 		if m.hash == h && cur.EqualsSnapshot(m.snap) {
-			return
+			return 1
 		}
 		i = (i + 1) & s.mask
 	}
@@ -373,6 +417,10 @@ func (s *completionShard) visit(cur *sweep.Cursor) {
 	if 2*len(s.order) > len(s.table) {
 		s.growTable()
 	}
+	if e.sat && s.emit != nil && !s.emit(cur.Instance()) {
+		return 0
+	}
+	return 1
 }
 
 // add inserts an existing entry unless an equal completion (by canonical

@@ -11,66 +11,35 @@ import (
 // StreamCompletions enumerates the distinct completions of db that
 // satisfy q, calling fn for each one as it is first encountered, without
 // ever materializing the whole set of satisfying completions. Enumeration
-// is serial and in first-seen valuation-index order — the same order
-// EnumerateCompletions reports, restricted to the satisfying completions —
-// and stops early when fn returns false. The guard in opts applies to the
-// valuation space exactly as for BruteForceCompletions, and the context
-// in opts cancels the sweep between visits.
+// is one serial shard loop, in first-seen valuation-index order — the
+// same order EnumerateCompletions reports, restricted to the satisfying
+// completions — and stops early when fn returns false. The guard in opts
+// applies to the valuation space exactly as for BruteForceCompletions,
+// and the context in opts cancels the sweep between visits.
 //
 // Deduplication state (one 128-bit hash and canonical snapshot per
-// distinct completion seen) still grows with the number of distinct
-// completions; what streaming avoids is holding every satisfying
-// *instance* alive at once, and — when the consumer stops early — the
-// tail of the sweep.
+// distinct completion seen, and the shard's prefix memo) still grows with
+// the number of distinct completions; what streaming avoids is holding
+// every satisfying *instance* alive at once, and — when the consumer
+// stops early — the tail of the sweep.
 func StreamCompletions(db *core.Database, q cq.Query, opts *Options, fn func(*core.Instance) bool) error {
 	eng, err := compileGuarded(db, q, sweep.ModeCompletions, opts)
 	if err != nil {
 		return err
 	}
 	ctx := opts.context()
-	size := eng.Size()
-	if size.Sign() == 0 {
-		return ctx.Err()
+	s := newSweepShard(eng, false, nil)
+	stopped := false
+	s.emit = func(inst *core.Instance) bool {
+		stopped = !fn(inst)
+		return !stopped
 	}
-	cur := eng.NewCursor()
-	if err := cur.Seek(big.NewInt(0)); err != nil {
+	err = sweepShard(eng, ctx, new(big.Int), eng.Size(), 0, nil, func(_ int, cur *sweep.Cursor, rest int64) int64 {
+		return s.visit(cur, rest)
+	})
+	releaseMemos(s)
+	if err != nil || stopped {
 		return err
 	}
-	// Dedup by completion hash with exact snapshot comparison on every
-	// bucket hit, exactly like the counting sweep; the first-seen order
-	// list is not kept — the consumer sees each completion once, in order,
-	// and the stream holds only the dedup table.
-	buckets := make(map[sweep.Hash128][]*sweep.Snapshot)
-	remaining := new(big.Int).Set(size)
-	one := big.NewInt(1)
-	sinceCheck := 0
-	for {
-		if sinceCheck++; sinceCheck >= cancelCheckInterval {
-			sinceCheck = 0
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		h := cur.CompletionHash()
-		bucket := buckets[h]
-		seen := false
-		for _, snap := range bucket {
-			if cur.EqualsSnapshot(snap) {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			buckets[h] = append(bucket, cur.Snapshot())
-			if cur.Matches() {
-				if !fn(cur.Instance()) {
-					return nil
-				}
-			}
-		}
-		if remaining.Sub(remaining, one); remaining.Sign() == 0 {
-			return ctx.Err()
-		}
-		cur.Step()
-	}
+	return ctx.Err()
 }

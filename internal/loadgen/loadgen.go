@@ -321,18 +321,26 @@ func (w *worker) buildPool(distNulls int) {
 
 // dedupDatabase renders a uniform database of 2n single-null unary
 // facts R(?i), S(?j) plus one two-null binary fact T(?k, ?l) over
-// {a, b}: 2^(2n+2) valuations collapse to at most 36 distinct
+// {a_salt, b_salt}: 2^(2n+2) valuations collapse to at most 36 distinct
 // completions, so a #Comp sweep over it is almost entirely dedup work.
 // The binary fact keeps the schema non-unary, which blocks the
-// Theorem 4.6 exact fast path and forces the brute sweep.
-func dedupDatabase(base, n int) string {
+// Theorem 4.6 exact fast path and forces the brute sweep. Fingerprints
+// rename nulls but keep constants, so the salt, not the null IDs, is
+// what makes two such databases distinct to the result cache.
+func dedupDatabase(base, n int, salt int64) string {
 	var b strings.Builder
-	b.WriteString("uniform a b\n")
+	fmt.Fprintf(&b, "uniform a_%d b_%d\n", salt, salt)
 	for i := 0; i < n; i++ {
 		fmt.Fprintf(&b, "R(?%d)\nS(?%d)\n", base+2*i, base+2*i+1)
 	}
 	fmt.Fprintf(&b, "T(?%d, ?%d)\n", base+2*n, base+2*n+1)
 	return b.String()
+}
+
+// compDatabase draws the database of one comp request: a dedup shape
+// of 4 or 5 R/S pairs with constants salted per request.
+func (w *worker) compDatabase() string {
+	return dedupDatabase(w.rng.Intn(1<<20)+1, 4+w.rng.Intn(2), w.rng.Int63())
 }
 
 // chainDatabase renders a uniform database of n nulls chained through a
@@ -409,11 +417,11 @@ func (w *worker) do(ctx context.Context, op string) (err error, rejected bool) {
 	case OpComp:
 		// Completions-heavy: a fresh dedup-shaped database every request
 		// (defeating the result cache), counted under #Comp so the sweep
-		// spends its time deduplicating ~2^10 valuations into a handful
-		// of completions — the dedup fast path under load.
+		// deduplicates ~2^10 valuations into a handful of completions —
+		// the dedup fast path under load.
 		var resp server.Response
 		return w.post(ctx, "/v1/count", server.Request{
-			Database: dedupDatabase(w.rng.Intn(1<<20)+1, 4+w.rng.Intn(2)),
+			Database: w.compDatabase(),
 			Query:    "R(x) ∧ S(x)",
 			Kind:     server.KindComp,
 		}, &resp), false

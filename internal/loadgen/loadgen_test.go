@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/incompletedb/incompletedb/internal/core"
+	"github.com/incompletedb/incompletedb/internal/fingerprint"
 	"github.com/incompletedb/incompletedb/internal/jobs"
 	"github.com/incompletedb/incompletedb/internal/server"
 )
@@ -196,5 +198,25 @@ func TestRunRejectionsAreNotErrors(t *testing.T) {
 	}
 	if rep.Stats == nil || rep.Stats.JobQueue == nil || rep.Stats.JobQueue.Rejected == 0 {
 		t.Error("server stats do not show the rejections")
+	}
+}
+
+// TestCompDatabasesMissTheCache: the comp op promises a fresh database
+// per request. Fingerprints ignore null names, so the salted constants
+// are what tell two requests apart: 1000 generated comp databases must
+// have 1000 distinct fingerprints.
+func TestCompDatabasesMissTheCache(t *testing.T) {
+	w := &worker{rng: rand.New(rand.NewSource(1))}
+	seen := make(map[string]int)
+	for i := 0; i < 1000; i++ {
+		db, err := core.ParseDatabaseString(w.compDatabase())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp := fingerprint.Database(db)
+		if j, dup := seen[fp]; dup {
+			t.Fatalf("comp databases %d and %d share the fingerprint %s", j, i, fp)
+		}
+		seen[fp] = i
 	}
 }

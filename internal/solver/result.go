@@ -51,10 +51,11 @@ type Stats struct {
 	// SweptValuations is the total size of the enumerated spaces of the
 	// plan's sweep nodes — the number of valuations a brute-force
 	// execution accounts for, after relevant-null pruning. It is not the
-	// number of leaves the sweeps evaluated: a #Val sweep of a monotone
-	// query counts a satisfied leaf's whole witness block without
-	// visiting it, so it may evaluate far fewer. Nil when the plan has no
-	// sweep node (closed-form and cylinder routes enumerate no
+	// number of leaves the sweeps evaluated, which may be far fewer: a
+	// #Val sweep of a monotone query counts a satisfied leaf's whole
+	// witness block without visiting it, and a #Comp sweep skips every
+	// block whose prefix state it has already swept. Nil when the plan
+	// has no sweep node (closed-form and cylinder routes enumerate no
 	// valuations).
 	SweptValuations *big.Int
 

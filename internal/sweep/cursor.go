@@ -25,9 +25,10 @@ type Cursor struct {
 
 	verdict      bool
 	verdictValid bool
-	// depth is the witness depth of the last successful evaluation of a
-	// monotone program: the largest ready depth among the facts its match
-	// used, 0 for TRUE and ground matches.
+	// depth is the depth of the block Pass skips after a span above 1:
+	// the witness depth of the last successful evaluation of a monotone
+	// program (the largest ready depth among the facts its match used, 0
+	// for TRUE and ground matches), or the depth RepeatSpan matched.
 	depth int32
 
 	// Compiled-query evaluation scratch, preallocated per disjunct.
@@ -100,6 +101,11 @@ func (e *Engine) NewCursor() *Cursor {
 		c.bits = e.bits
 		c.posBits = make([]uint64, e.bits.posWords)
 		c.eqBits = make([]uint64, e.bits.eqWords)
+		if e.mode == ModeCompletions {
+			// Completion steps queue their bitmap updates (see
+			// deferSlotBits), up to maxPendingBits between matches.
+			c.bitsPending = make([]pendingBit, 0, maxPendingBits)
+		}
 	}
 	return c
 }
@@ -192,20 +198,17 @@ func (c *Cursor) MatchSpan(limit int64) (bool, int64) {
 	if !c.Matches() {
 		return false, 1
 	}
-	if int(c.depth) >= len(c.idx) {
+	if int(c.depth) >= len(c.idx) || !c.eng.prog.monotone() {
 		return true, 1
 	}
 	return true, c.blockSpan(limit)
 }
 
-// blockSpan is MatchSpan's span of a satisfied leaf whose witness depth
-// leaves digits to skip: the block's remaining length is one plus the
-// distance to its last valuation, where every digit from the witness
-// depth on sits at its largest value.
+// blockSpan is the span of the block at c.depth from the current
+// valuation, saturated at limit: one plus the distance to the block's
+// last valuation, where every digit from that depth on sits at its
+// largest value.
 func (c *Cursor) blockSpan(limit int64) int64 {
-	if !c.eng.prog.monotone() {
-		return 1
-	}
 	rest, lim := uint64(1), uint64(limit)
 	for k := int(c.depth); k < len(c.idx); k++ {
 		d := uint64(c.radix[k] - 1 - c.idx[k])
@@ -225,9 +228,9 @@ func (c *Cursor) blockSpan(limit int64) int64 {
 
 // Pass moves the cursor past the span valuations its current leaf
 // accounted for and returns false when the space is exhausted. A span of
-// 1 is Step; a larger span must be the one MatchSpan just granted, which
-// ran to the end of the witness block, and Pass then lands on the first
-// valuation past the block.
+// 1 is Step; a larger span must be the one MatchSpan or RepeatSpan just
+// granted, which ran to the end of a witness block or a repeated prefix
+// block, and Pass then lands on the first valuation past the block.
 func (c *Cursor) Pass(span int64) bool {
 	w := len(c.idx)
 	if span > 1 {

@@ -38,6 +38,18 @@
 // and always get a span of 1. How far a block reaches depends on null-ID
 // order: a witness whose nulls all have small IDs fixes only leading
 // digits.
+//
+// Completion sweeps skip blocks too, through a prefix-state memo (see
+// memo.go). The completions of a block at depth k depend only on its
+// prefix state: the distinct values of the facts of ready depth ≤ k, and
+// the values of the digits below k that still occur in a fact of larger
+// ready depth. A shard's PrefixMemo records the state of every block it
+// enters at the block's first valuation; when a later block's state
+// repeats one, Cursor.RepeatSpan grants the whole block and Pass skips
+// it, since it can only hold completions the shard has already seen.
+// The rule reasons about completions, not verdicts, so it holds for
+// negated and opaque queries as well; a star R(?i, ?n), whose centre
+// keeps every digit live until the last depth, gets no memo.
 package sweep
 
 import (
@@ -108,6 +120,16 @@ type Engine struct {
 	// ready holds each arena fact's ready depth: 1 + the largest digit
 	// index among its null slots, 0 for a ground fact (see buildReady).
 	ready []int32
+
+	// Prefix-state geometry of a completions engine (see memo.go):
+	// byReady lists the live non-ground facts by ascending ready depth,
+	// readyEnd[k] counts those of ready depth ≤ k, memoDepths are the
+	// depths a PrefixMemo probes, and memoAt[k] indexes the first of
+	// them at or past depth k.
+	byReady    []int32
+	readyEnd   []int32
+	memoDepths []memoDepth
+	memoAt     []int32
 
 	prog program
 
@@ -221,7 +243,9 @@ func CompileWith(db *core.Database, q cq.Query, mode Mode, opts CompileOptions) 
 
 	e.prune = mode == ModeValuations && e.prog.opaque == nil
 	e.size, e.multiplier = big.NewInt(1), big.NewInt(1)
-	for _, n := range db.Nulls() {
+	nulls := db.Nulls()
+	e.digits = make([]digit, 0, len(nulls))
+	for _, n := range nulls {
 		dom := db.Domain(n)
 		slots := nullSlots[n]
 		dirty := false
@@ -246,6 +270,7 @@ func CompileWith(db *core.Database, q cq.Query, mode Mode, opts CompileOptions) 
 	}
 	e.total = new(big.Int).Mul(e.size, e.multiplier)
 	e.buildReady()
+	e.buildPrefixes()
 	e.buildBitsets()
 	e.buildSlotHashes()
 	return e, nil

@@ -28,9 +28,11 @@ func (e *Engine) Patch(db *core.Database, d core.Delta) bool {
 	if ok {
 		// The bitset plan indexes live-fact ordinals, digit slot lists and
 		// the interned value range, all of which a patch can change;
-		// recompile it against the patched arena. The ready depths and
-		// the precomputed slot hashes depend on the same geometry.
+		// recompile it against the patched arena. The ready depths, the
+		// prefix-state geometry and the precomputed slot hashes depend on
+		// the same geometry.
 		e.buildReady()
+		e.buildPrefixes()
 		e.buildBitsets()
 		e.buildSlotHashes()
 	}

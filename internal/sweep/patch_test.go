@@ -1,8 +1,10 @@
 package sweep
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/incompletedb/incompletedb/internal/core"
@@ -220,6 +222,19 @@ func compareEngines(t *testing.T, seed int64, step int, eng, fresh *Engine) {
 		if sat, _ := spanCount(t, eng, 0, size); sat != stepCount(t, fresh, 0, size) {
 			t.Fatalf("seed %d step %d: patched engine's skipping count %d, fresh stepping count %d",
 				seed, step, sat, stepCount(t, fresh, 0, size))
+		}
+	}
+	// So does the prefix memo's geometry: the patched engine memoizes the
+	// fresh one's depths, and its memo sweep sees the fresh stepping
+	// sweep's completions.
+	if size := eng.Size().Int64(); eng.mode == ModeCompletions {
+		if !slices.Equal(eng.readyEnd, fresh.readyEnd) || fmt.Sprint(eng.memoDepths) != fmt.Sprint(fresh.memoDepths) {
+			t.Fatalf("seed %d step %d: patched prefix geometry %v %v, fresh %v %v",
+				seed, step, eng.readyEnd, eng.memoDepths, fresh.readyEnd, fresh.memoDepths)
+		}
+		got, _, _ := memoSweep(t, eng, 0, size, true)
+		if want, _, _ := memoSweep(t, fresh, 0, size, false); !slices.Equal(got, want) {
+			t.Fatalf("seed %d step %d: patched memo sweep saw %v, fresh stepping %v", seed, step, got, want)
 		}
 	}
 	if len(got.comps) != len(want.comps) {

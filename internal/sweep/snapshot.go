@@ -67,6 +67,11 @@ func (e *Engine) SnapshotOf(canonical []uint32) (*Snapshot, error) {
 
 // index splits Canonical into per-fact records with their hashes.
 func (s *Snapshot) index(e *Engine) {
+	n := 0
+	for off := 0; off < len(s.Canonical); n++ {
+		off += int(e.relArity[s.Canonical[off]]) + 1
+	}
+	s.facts = make([]snapFact, 0, n)
 	for off := 0; off < len(s.Canonical); {
 		rel := s.Canonical[off]
 		n := int(e.relArity[rel]) + 1

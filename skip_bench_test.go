@@ -91,3 +91,65 @@ func BenchmarkValCheckpointed(b *testing.B) {
 		})
 	}
 }
+
+// --- E-MEMO: prefix-state memo -------------------------------------------------
+//
+// #Comp sweeps at one worker on four shapes. The sweep-comp shape (6
+// R/S pairs and T over {a, b}) and the sweep-val cycle revisit few
+// prefix states, so the memo skips most of their blocks. The star
+// R(?i, ?16) keeps every digit live until its last one and has no depth
+// to memoize. The injective R(?i, c_i) gives every valuation a
+// completion of its own, so no block can repeat one: the memo must stop
+// probing there after a few dozen misses.
+
+// compMemoDB is the sweep-comp shape: R(?1), S(?2), …, R(?11), S(?12)
+// and T(?13, ?14) over {a, b}. 2^14 valuations collapse to 36
+// completions, 28 of them satisfying R(x) ∧ S(x).
+func compMemoDB() *core.Database {
+	db := core.NewUniformDatabase([]string{"a", "b"})
+	for i := 0; i < 6; i++ {
+		db.MustAddFact("R", core.Null(core.NullID(2*i+1)))
+		db.MustAddFact("S", core.Null(core.NullID(2*i+2)))
+	}
+	db.MustAddFact("T", core.Null(13), core.Null(14))
+	return db
+}
+
+// injectiveDB is R(?i, c_i), i ≤ n, over {a, b}: every valuation has a
+// completion of its own.
+func injectiveDB(n int) *core.Database {
+	db := core.NewUniformDatabase([]string{"a", "b"})
+	for i := 1; i <= n; i++ {
+		db.MustAddFact("R", core.Null(core.NullID(i)), core.Const(fmt.Sprintf("c%d", i)))
+	}
+	return db
+}
+
+func BenchmarkCompPrefixMemo(b *testing.B) {
+	shapes := []struct {
+		name string
+		db   *core.Database
+		q    cq.Query
+		want int64
+	}{
+		{"sweep-comp", compMemoDB(), cq.MustParseBCQ("R(x) ∧ S(x)"), 28},
+		{"cycle", skipCycleDB(16, [][2]int{{0, 5}, {3, 10}, {6, 13}}), cq.MustParseBCQ("R(x, x)"), 5},
+		{"star", skipStarDB(16), cq.MustParseBCQ("R(x, x)"), 4},
+		{"injective", injectiveDB(14), cq.MustParseBCQ("R(x, y)"), 1 << 14},
+	}
+	for _, s := range shapes {
+		b.Run("shape="+s.name, func(b *testing.B) {
+			opts := &count.Options{Workers: 1}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				n, err := count.BruteForceCompletions(s.db, s.q, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if n.Int64() != s.want {
+					b.Fatalf("#Comp %v, want %d", n, s.want)
+				}
+			}
+		})
+	}
+}
