@@ -93,7 +93,7 @@ func TestParseFactRoundTrip(t *testing.T) {
 }
 
 func TestParseFactErrors(t *testing.T) {
-	for _, s := range []string{"", "R", "R()", "(a)", "R(a", "R(a,,b)", "R(?0)"} {
+	for _, s := range []string{"", "R", "R()", "(a)", "R(a", "R(a,,b)", "R(?0)", "uniform \"a\"\nR(x)", "R\tS(a)"} {
 		if _, err := ParseFact(s); err == nil {
 			t.Errorf("ParseFact(%q) should fail", s)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"unicode"
 )
 
 // Fact is an atom R(a1, ..., ak) whose arguments may be constants or nulls.
@@ -74,7 +75,8 @@ func (f Fact) String() string {
 }
 
 // ParseFact parses the textual form produced by Fact.String, e.g.
-// "R(a, ?1, b)". Argument tokens beginning with '?' are nulls.
+// "R(a, ?1, b)". Argument tokens beginning with '?' are nulls. A relation
+// name may not hold a control character, such as a newline.
 func ParseFact(s string) (Fact, error) {
 	s = strings.TrimSpace(s)
 	open := strings.IndexByte(s, '(')
@@ -85,6 +87,9 @@ func ParseFact(s string) (Fact, error) {
 	inner := strings.TrimSpace(s[open+1 : len(s)-1])
 	if rel == "" {
 		return Fact{}, fmt.Errorf("core: malformed fact %q: empty relation", s)
+	}
+	if strings.ContainsFunc(rel, unicode.IsControl) {
+		return Fact{}, fmt.Errorf("core: malformed fact %q: control character in relation name", s)
 	}
 	if inner == "" {
 		return Fact{}, fmt.Errorf("core: malformed fact %q: zero arity", s)

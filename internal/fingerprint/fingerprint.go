@@ -10,21 +10,45 @@
 // also normalized, since the counting problems of the paper are
 // order-insensitive.
 //
-// Canonicalization is sound and best-effort complete: two inputs with the
-// same canonical form are always isomorphic (the canonical form fully
-// describes the database, so a shared form exhibits the renaming), which
-// is what cache correctness rests on. The converse — isomorphic inputs
-// always sharing a form — holds whenever iterated signature refinement
-// (a Weisfeiler–Leman-style partition of the nulls by domain and
-// occurrence structure) separates non-equivalent nulls; in the rare
-// symmetric cases it cannot, isomorphic presentations may fingerprint
-// differently, costing a cache miss but never a wrong answer.
+// One integer colour-refinement kernel orders the nulls of a database
+// and the variables of a query. A colour is a dense integer rank. A null
+// starts at the rank of its sorted domain among the database's distinct
+// domains; a query's variables all start at one colour. In each round a
+// null's signature is its colour plus the sorted list of its
+// occurrences, and sorting the signatures gives the next colours. An
+// occurrence is the relation's rank, the position, and for each argument
+// either "this null", a constant's rank or the co-occurring null's
+// colour; an inequality is an occurrence whose two ends are
+// interchangeable. Rounds stop when the number of classes stops growing.
+// Only facts that hold a null take part; ground facts are only rendered.
+// The kernel compares integers in flat, reused buffers: a round builds no
+// string, map or hash.
+//
+// Every comparison uses renaming-invariant data. Relation and constant
+// ranks come from sorted string order and domain ranks from the sorted
+// order of the sorted domains, none of which a null renaming can change;
+// colours are ranks of signatures built from them. So the colour a null
+// ends with, and the canonical order of distinct colours, do not depend
+// on how the nulls are named.
+//
+// Canonicalization is sound and best-effort complete. Two inputs with
+// the same canonical form are always isomorphic: the form quotes every
+// relation name and constant and lists every domain and fact, so it
+// describes the input completely and a shared form exhibits the
+// renaming. That is what cache correctness rests on. The converse —
+// isomorphic inputs always sharing a form — holds whenever refinement
+// gives every null its own colour. Nulls still tied at the fixpoint are
+// ordered by null ID (variables by name), so a renaming that reorders
+// tied nulls, such as the pairs of a Codd table or the nulls of a cycle,
+// may change the form: a cache miss, never a wrong answer.
 package fingerprint
 
 import (
+	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -72,164 +96,182 @@ func OfCanonical(dbCanonical, queryCanonical string, kind Kind) string {
 // databases are identical up to null renaming and fact/domain order (and
 // therefore have identical counting behaviour). The form is textual for
 // debuggability but is not a round-trippable database file: domain and
-// fact order are deliberately discarded.
+// fact order are deliberately discarded. Relation names and constants
+// are quoted, so no name can forge the form's line or fact structure.
 func Database(db *core.Database) string {
+	r := refiners.Get().(*refiner)
+	defer r.release()
+	return r.renderDatabase(db, r.refine(r.loadDatabase(db)))
+}
+
+// loadDatabase sets up the kernel for db's nulls and returns the number
+// of initial colours.
+func (r *refiner) loadDatabase(db *core.Database) int32 {
 	nulls := db.Nulls()
-	rank := canonicalNullOrder(db, nulls)
-	var b strings.Builder
+	facts := db.Facts()
+	k := len(nulls)
+
+	// The facts that hold a null become the kernel's tuples, each
+	// argument a null's index in nulls or, until it is ranked, a
+	// constant's placeholder; strs holds each argument's constant.
+	r.ids, r.cslot, r.strs = r.ids[:0], r.cslot[:0], r.strs[:0]
+	r.start, r.args = append(r.start[:0], 0), r.args[:0]
+	for i, f := range facts {
+		if f.IsGround() {
+			continue
+		}
+		for _, a := range f.Args {
+			if a.IsNull() {
+				e, _ := slices.BinarySearch(nulls, a.NullID())
+				r.args = append(r.args, int32(e))
+				r.strs = append(r.strs, "")
+			} else {
+				r.cslot = append(r.cslot, int32(len(r.args)))
+				r.args = append(r.args, 0)
+				r.strs = append(r.strs, a.Constant())
+			}
+		}
+		r.ids = append(r.ids, int32(i))
+		r.start = append(r.start, int32(len(r.args)))
+	}
+	// Relations and constants are ranked in sorted string order, which no
+	// null renaming can change.
+	r.label = resize(r.label, len(r.ids))
+	r.perm = identity(resize(r.perm, len(r.ids)))
+	rankBy(r.perm, r.label, func(a, b int32) int {
+		return strings.Compare(facts[r.ids[a]].Rel, facts[r.ids[b]].Rel)
+	})
+	rankBy(r.cslot, r.args, func(a, b int32) int {
+		return strings.Compare(r.strs[a], r.strs[b])
+	})
+	for _, s := range r.cslot {
+		r.args[s] = ^r.args[s]
+	}
+
+	// The initial colour is the rank of the null's sorted domain, and its
+	// quoted text is rendered once per distinct domain.
+	r.colour = resize(r.colour, k)
+	r.buf, r.spans = r.buf[:0], r.spans[:0]
+	classes := int32(min(k, 1))
 	if db.Uniform() {
-		b.WriteString("uniform")
-		for _, c := range sortedCopy(db.UniformDomain()) {
-			b.WriteByte(' ')
-			b.WriteString(strconv.Quote(c))
-		}
-		b.WriteByte('\n')
+		clear(r.colour)
 	} else {
-		// Domain lines in canonical null order.
-		lines := make([]string, len(nulls))
-		for _, n := range nulls {
-			lines[rank[n]-1] = "dom ?" + strconv.Itoa(rank[n]) + domainString(db.Domain(n))
+		r.doms, r.strs = resize(r.doms, k), r.strs[:0]
+		for e, n := range nulls {
+			r.doms[e] = r.sorted(db.Domain(n))
 		}
-		for _, l := range lines {
-			b.WriteString(l)
-			b.WriteByte('\n')
+		r.perm = identity(resize(r.perm, k))
+		classes = rankBy(r.perm, r.colour, func(a, b int32) int {
+			x, y := r.doms[a], r.doms[b]
+			switch { // a null without a domain sorts first
+			case x == nil && y != nil:
+				return -1
+			case x != nil && y == nil:
+				return 1
+			}
+			return slices.Compare(x, y)
+		})
+		r.dom = append(r.dom[:0], r.colour...)
+		for i, e := range r.perm {
+			if i > 0 && r.colour[e] == r.colour[r.perm[i-1]] {
+				continue
+			}
+			lo := len(r.buf)
+			r.buf = appendDomain(r.buf, r.doms[e])
+			r.spans = append(r.spans, span{lo, len(r.buf)})
 		}
 	}
-	facts := make([]string, 0, len(db.Facts()))
+
+	return classes
+}
+
+// renderDatabase renders db's canonical form, given each null's
+// canonical index.
+func (r *refiner) renderDatabase(db *core.Database, canon []int32) string {
+	// Render every fact, then sort the renderings.
+	facts0 := len(r.spans)
+	t := 0
 	for _, f := range db.Facts() {
-		var fb strings.Builder
-		fb.WriteString(f.Rel)
-		fb.WriteByte('(')
+		lo := len(r.buf)
+		r.buf = strconv.AppendQuote(r.buf, f.Rel)
+		r.buf = append(r.buf, '(')
+		ground := f.IsGround()
 		for i, a := range f.Args {
 			if i > 0 {
-				fb.WriteString(", ")
+				r.buf = append(r.buf, ", "...)
 			}
 			if a.IsNull() {
-				fb.WriteByte('?')
-				fb.WriteString(strconv.Itoa(rank[a.NullID()]))
+				r.buf = append(r.buf, '?')
+				r.buf = strconv.AppendInt(r.buf, int64(canon[r.args[r.start[t]+int32(i)]])+1, 10)
 			} else {
-				fb.WriteString(strconv.Quote(a.Constant()))
+				r.buf = strconv.AppendQuote(r.buf, a.Constant())
 			}
 		}
-		fb.WriteByte(')')
-		facts = append(facts, fb.String())
-	}
-	sort.Strings(facts)
-	b.WriteString(strings.Join(facts, "\n"))
-	return b.String()
-}
-
-func domainString(dom []string) string {
-	if dom == nil {
-		return " <nodomain>"
-	}
-	var b strings.Builder
-	for _, c := range sortedCopy(dom) {
-		b.WriteByte(' ')
-		b.WriteString(strconv.Quote(c))
-	}
-	return b.String()
-}
-
-func sortedCopy(in []string) []string {
-	out := append([]string(nil), in...)
-	sort.Strings(out)
-	return out
-}
-
-// canonicalNullOrder assigns each null a canonical index 1..k. Nulls are
-// partitioned by iterated signature refinement — the initial signature is
-// the null's (sorted) domain, and each round folds in the multiset of the
-// null's occurrence contexts (relation, position, and the current
-// signatures of the co-occurring values) — and ordered by final
-// signature. Refinement only ever splits classes, so it stabilizes within
-// len(nulls) rounds. Ties inside a stable class are broken by original ID:
-// for truly symmetric (automorphic) nulls any order yields the same
-// canonical form, and for the rare refinement-indistinguishable
-// non-symmetric nulls the result is still deterministic, merely not
-// renaming-invariant.
-func canonicalNullOrder(db *core.Database, nulls []core.NullID) map[core.NullID]int {
-	sig := make(map[core.NullID]string, len(nulls))
-	for _, n := range nulls {
-		sig[n] = "dom" + domainString(db.Domain(n))
-	}
-	facts := db.Facts()
-	classes := countClasses(nulls, sig)
-	for round := 0; round < len(nulls); round++ {
-		occ := make(map[core.NullID][]string, len(nulls))
-		for _, f := range facts {
-			for pos, a := range f.Args {
-				if a.IsNull() {
-					occ[a.NullID()] = append(occ[a.NullID()], occurrenceContext(f, pos, sig))
-				}
-			}
+		if !ground {
+			t++
 		}
-		next := make(map[core.NullID]string, len(nulls))
-		for _, n := range nulls {
-			o := occ[n]
-			sort.Strings(o)
-			next[n] = shortHash(sig[n] + "\x1f" + strings.Join(o, "\x1e"))
-		}
-		nextClasses := countClasses(nulls, next)
-		sig = next
-		if nextClasses == classes {
-			break // refinement reached a fixpoint
-		}
-		classes = nextClasses
+		r.buf = append(r.buf, ')')
+		r.spans = append(r.spans, span{lo, len(r.buf)})
 	}
-	order := append([]core.NullID(nil), nulls...)
-	sort.Slice(order, func(i, j int) bool {
-		if sig[order[i]] != sig[order[j]] {
-			return sig[order[i]] < sig[order[j]]
-		}
-		return order[i] < order[j]
+	factSpans := r.spans[facts0:]
+	slices.SortFunc(factSpans, func(a, b span) int {
+		return bytes.Compare(r.buf[a.lo:a.hi], r.buf[b.lo:b.hi])
 	})
-	rank := make(map[core.NullID]int, len(order))
-	for i, n := range order {
-		rank[n] = i + 1
-	}
-	return rank
-}
 
-// occurrenceContext describes one occurrence of the null at position pos
-// of fact f, in terms of renaming-invariant data only: the relation, the
-// position, and each argument rendered as a constant, as "this same
-// null", or as the current signature of another null.
-func occurrenceContext(f core.Fact, pos int, sig map[core.NullID]string) string {
-	self := f.Args[pos].NullID()
-	var b strings.Builder
-	b.WriteString(f.Rel)
-	b.WriteByte('/')
-	b.WriteString(strconv.Itoa(pos))
-	for _, a := range f.Args {
-		b.WriteByte('\x1d')
-		switch {
-		case !a.IsNull():
-			b.WriteString("c" + strconv.Quote(a.Constant()))
-		case a.NullID() == self:
-			b.WriteString("=")
-		default:
-			b.WriteString("n" + sig[a.NullID()])
+	out := len(r.buf)
+	if db.Uniform() {
+		r.buf = append(r.buf, "uniform"...)
+		r.buf = appendDomain(r.buf, r.sorted(db.UniformDomain()))
+		r.buf = append(r.buf, '\n')
+	} else {
+		byCanon := resize(r.next, len(canon))
+		for e, c := range canon {
+			byCanon[c] = int32(e)
+		}
+		for c, e := range byCanon {
+			r.buf = append(r.buf, "dom ?"...)
+			r.buf = strconv.AppendInt(r.buf, int64(c)+1, 10)
+			d := r.spans[r.dom[e]]
+			r.buf = append(r.buf, r.buf[d.lo:d.hi]...)
+			r.buf = append(r.buf, '\n')
 		}
 	}
-	return b.String()
-}
-
-func countClasses[K comparable](keys []K, sig map[K]string) int {
-	seen := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		seen[sig[k]] = true
+	for i, sp := range factSpans {
+		if i > 0 {
+			r.buf = append(r.buf, '\n')
+		}
+		r.buf = append(r.buf, r.buf[sp.lo:sp.hi]...)
 	}
-	return len(seen)
+	return string(r.buf[out:])
 }
 
-func shortHash(s string) string {
-	sum := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(sum[:12])
+// sorted returns dom sorted: dom itself when it already is, otherwise a
+// sorted copy in r.strs. It keeps a nil domain nil.
+func (r *refiner) sorted(dom []string) []string {
+	if slices.IsSorted(dom) {
+		return dom
+	}
+	lo := len(r.strs)
+	r.strs = append(r.strs, dom...)
+	slices.Sort(r.strs[lo:])
+	return r.strs[lo:len(r.strs):len(r.strs)]
+}
+
+// appendDomain renders a sorted domain as its quoted values, each after a
+// space; a null with no domain renders as " <nodomain>".
+func appendDomain(buf []byte, dom []string) []byte {
+	if dom == nil {
+		return append(buf, " <nodomain>"...)
+	}
+	for _, c := range dom {
+		buf = append(buf, ' ')
+		buf = strconv.AppendQuote(buf, c)
+	}
+	return buf
 }
 
 // Query returns the canonical form of q: variables renamed to x1, x2, …
-// in a renaming-invariant order (by the same refinement scheme as
+// in a renaming-invariant order (by the same refinement kernel as
 // Database), atoms sorted, union disjuncts sorted, inequality pairs
 // normalized. The form uses the syntax accepted by cq.Parse. Queries
 // outside the parseable fragment (cq.Func and other user-supplied types)
@@ -258,160 +300,66 @@ func Query(q cq.Query) string {
 }
 
 // canonicalConjunction canonicalizes one conjunction of relational atoms
-// plus optional inequality pairs.
+// plus optional inequality pairs. Its variables all start at one colour;
+// each inequality is a tuple whose two ends are interchangeable.
 func canonicalConjunction(atoms []cq.Atom, diffs [][2]string) string {
-	vars := distinctVars(atoms, diffs)
-	rank := canonicalVarOrder(atoms, diffs, vars)
-	name := func(v string) string { return "x" + strconv.Itoa(rank[v]) }
+	r := refiners.Get().(*refiner)
+	defer r.release()
+
+	// Argument slots in order: every atom's variables, then every
+	// inequality's pair. A variable's index is the rank of its name.
+	names := r.strs[:0]
+	r.start = append(r.start[:0], 0)
+	for _, a := range atoms {
+		names = append(names, a.Vars...)
+		r.start = append(r.start, int32(len(names)))
+	}
+	for _, d := range diffs {
+		names = append(names, d[0], d[1])
+		r.start = append(r.start, int32(len(names)))
+	}
+	r.strs = names
+	r.args = resize(r.args, len(names))
+	r.perm = identity(resize(r.perm, len(names)))
+	k := rankBy(r.perm, r.args, func(a, b int32) int {
+		return strings.Compare(names[a], names[b])
+	})
+	r.label = resize(r.label, len(atoms)+len(diffs))
+	r.perm = identity(resize(r.perm, len(atoms)))
+	rankBy(r.perm, r.label, func(a, b int32) int {
+		if c := strings.Compare(atoms[a].Rel, atoms[b].Rel); c != 0 {
+			return c
+		}
+		return cmp.Compare(len(atoms[a].Vars), len(atoms[b].Vars))
+	})
+	for i := range diffs {
+		r.label[len(atoms)+i] = symLabel
+	}
+	r.colour = resize(r.colour, int(k))
+	clear(r.colour)
+	canon := r.refine(min(k, 1))
+
+	name := func(slot int) string { return "x" + strconv.Itoa(int(canon[r.args[slot]])+1) }
 	parts := make([]string, 0, len(atoms)+len(diffs))
+	slot := 0
 	for _, a := range atoms {
 		renamed := make([]string, len(a.Vars))
-		for i, v := range a.Vars {
-			renamed[i] = name(v)
+		for i := range a.Vars {
+			renamed[i] = name(slot)
+			slot++
 		}
 		parts = append(parts, a.Rel+"("+strings.Join(renamed, ", ")+")")
 	}
 	sort.Strings(parts)
 	ineqs := make([]string, 0, len(diffs))
-	for _, d := range diffs {
-		lo, hi := name(d[0]), name(d[1])
-		if rank[d[0]] > rank[d[1]] {
+	for range diffs {
+		lo, hi := slot, slot+1
+		if canon[r.args[lo]] > canon[r.args[hi]] {
 			lo, hi = hi, lo
 		}
-		ineqs = append(ineqs, lo+" != "+hi)
+		ineqs = append(ineqs, name(lo)+" != "+name(hi))
+		slot += 2
 	}
 	sort.Strings(ineqs)
 	return strings.Join(append(parts, ineqs...), " ∧ ")
-}
-
-func distinctVars(atoms []cq.Atom, diffs [][2]string) []string {
-	seen := make(map[string]bool)
-	var out []string
-	add := func(v string) {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	for _, a := range atoms {
-		for _, v := range a.Vars {
-			add(v)
-		}
-	}
-	for _, d := range diffs {
-		add(d[0])
-		add(d[1])
-	}
-	return out
-}
-
-// canonicalVarOrder is the variable analogue of canonicalNullOrder: the
-// initial signature is empty (variables carry no data of their own), and
-// each refinement round folds in the multiset of occurrence contexts —
-// (relation, position, co-occurring variable signatures) for atom
-// occurrences and the partner's signature for inequality occurrences.
-func canonicalVarOrder(atoms []cq.Atom, diffs [][2]string, vars []string) map[string]int {
-	sig := make(map[string]string, len(vars))
-	for _, v := range vars {
-		sig[v] = ""
-	}
-	classes := countClasses(vars, sig)
-	for round := 0; round < len(vars); round++ {
-		occ := make(map[string][]string, len(vars))
-		for _, a := range atoms {
-			for pos, v := range a.Vars {
-				occ[v] = append(occ[v], varContext(a, pos, sig))
-			}
-		}
-		for _, d := range diffs {
-			occ[d[0]] = append(occ[d[0]], "!="+sig[d[1]])
-			occ[d[1]] = append(occ[d[1]], "!="+sig[d[0]])
-		}
-		next := make(map[string]string, len(vars))
-		for _, v := range vars {
-			o := occ[v]
-			sort.Strings(o)
-			next[v] = shortHash(sig[v] + "\x1f" + strings.Join(o, "\x1e"))
-		}
-		nextClasses := countClasses(vars, next)
-		sig = next
-		if nextClasses == classes {
-			break
-		}
-		classes = nextClasses
-	}
-	order := append([]string(nil), vars...)
-	sort.Slice(order, func(i, j int) bool {
-		if sig[order[i]] != sig[order[j]] {
-			return sig[order[i]] < sig[order[j]]
-		}
-		return order[i] < order[j]
-	})
-	rank := make(map[string]int, len(order))
-	for i, v := range order {
-		rank[v] = i + 1
-	}
-	return rank
-}
-
-// varContext describes one occurrence of the variable at position pos of
-// atom a, renaming-invariantly.
-func varContext(a cq.Atom, pos int, sig map[string]string) string {
-	self := a.Vars[pos]
-	var b strings.Builder
-	b.WriteString(a.Rel)
-	b.WriteByte('/')
-	b.WriteString(strconv.Itoa(pos))
-	for _, v := range a.Vars {
-		b.WriteByte('\x1d')
-		if v == self {
-			b.WriteString("=")
-		} else {
-			b.WriteString("v" + sig[v])
-		}
-	}
-	return b.String()
-}
-
-// Renamed returns a copy of db with its nulls renamed by the given
-// mapping; nulls absent from the mapping keep their IDs. It is exported
-// for tests and tools that construct isomorphic presentations.
-func Renamed(db *core.Database, mapping map[core.NullID]core.NullID) (*core.Database, error) {
-	rename := func(n core.NullID) core.NullID {
-		if m, ok := mapping[n]; ok {
-			return m
-		}
-		return n
-	}
-	var out *core.Database
-	if db.Uniform() {
-		out = core.NewUniformDatabase(db.UniformDomain())
-	} else {
-		out = core.NewDatabase()
-		for _, n := range db.Nulls() {
-			if dom := db.Domain(n); dom != nil {
-				if err := out.SetDomain(rename(n), dom); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	for _, f := range db.Facts() {
-		args := make([]core.Value, len(f.Args))
-		for i, a := range f.Args {
-			if a.IsNull() {
-				args[i] = core.Null(rename(a.NullID()))
-			} else {
-				args[i] = a
-			}
-		}
-		if err := out.AddFact(f.Rel, args...); err != nil {
-			return nil, err
-		}
-	}
-	// A non-injective mapping would silently merge nulls; reject it.
-	if len(out.Nulls()) != len(db.Nulls()) {
-		return nil, fmt.Errorf("fingerprint: null renaming is not injective on the database's nulls")
-	}
-	return out, nil
 }

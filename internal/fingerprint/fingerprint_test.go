@@ -1,7 +1,9 @@
 package fingerprint
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -41,35 +43,82 @@ func randomDB(r *rand.Rand) *core.Database {
 	return db
 }
 
+// renamed returns a copy of db with its nulls renamed by the given
+// mapping; nulls absent from the mapping keep their IDs. It builds the
+// isomorphic presentations the invariance tests compare.
+func renamed(db *core.Database, mapping map[core.NullID]core.NullID) (*core.Database, error) {
+	rename := func(n core.NullID) core.NullID {
+		if m, ok := mapping[n]; ok {
+			return m
+		}
+		return n
+	}
+	var out *core.Database
+	if db.Uniform() {
+		out = core.NewUniformDatabase(db.UniformDomain())
+	} else {
+		out = core.NewDatabase()
+		for _, n := range db.Nulls() {
+			if dom := db.Domain(n); dom != nil {
+				if err := out.SetDomain(rename(n), dom); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	for _, f := range db.Facts() {
+		args := make([]core.Value, len(f.Args))
+		for i, a := range f.Args {
+			if a.IsNull() {
+				args[i] = core.Null(rename(a.NullID()))
+			} else {
+				args[i] = a
+			}
+		}
+		if err := out.AddFact(f.Rel, args...); err != nil {
+			return nil, err
+		}
+	}
+	// A non-injective mapping would silently merge nulls; reject it.
+	if len(out.Nulls()) != len(db.Nulls()) {
+		return nil, fmt.Errorf("fingerprint: null renaming is not injective on the database's nulls")
+	}
+	return out, nil
+}
+
 // scramble returns an isomorphic presentation of db: null IDs mapped
-// through a random injection, facts re-inserted in a random order, and
-// each domain's element order rotated.
-func scramble(t *testing.T, r *rand.Rand, db *core.Database) *core.Database {
+// through a random injection (an increasing one if keepOrder), facts
+// re-inserted in a random order, and each domain's element order rotated.
+func scramble(t *testing.T, r *rand.Rand, db *core.Database, keepOrder bool) *core.Database {
 	t.Helper()
 	nulls := db.Nulls()
 	perm := r.Perm(len(nulls))
+	if keepOrder {
+		slices.Sort(perm)
+	}
 	mapping := make(map[core.NullID]core.NullID, len(nulls))
 	for i, n := range nulls {
-		mapping[n] = core.NullID(100 + perm[i]*7) // disjoint, gappy, shuffled IDs
+		mapping[n] = core.NullID(100 + perm[i]*7) // disjoint, gappy IDs
 	}
-	renamed, err := Renamed(db, mapping)
+	ren, err := renamed(db, mapping)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out *core.Database
-	if renamed.Uniform() {
-		dom := renamed.UniformDomain()
+	if ren.Uniform() {
+		dom := ren.UniformDomain()
 		rot := append(append([]string(nil), dom[len(dom)/2:]...), dom[:len(dom)/2]...)
 		out = core.NewUniformDatabase(rot)
 	} else {
 		out = core.NewDatabase()
-		for _, n := range renamed.Nulls() {
-			dom := renamed.Domain(n)
-			rot := append(append([]string(nil), dom[len(dom)/2:]...), dom[:len(dom)/2]...)
-			out.SetDomain(n, rot)
+		for _, n := range ren.Nulls() {
+			if dom := ren.Domain(n); dom != nil {
+				rot := append(append([]string(nil), dom[len(dom)/2:]...), dom[:len(dom)/2]...)
+				out.SetDomain(n, rot)
+			}
 		}
 	}
-	facts := append([]core.Fact(nil), renamed.Facts()...)
+	facts := append([]core.Fact(nil), ren.Facts()...)
 	r.Shuffle(len(facts), func(i, j int) { facts[i], facts[j] = facts[j], facts[i] })
 	for _, f := range facts {
 		out.MustAddFact(f.Rel, f.Args...)
@@ -85,7 +134,7 @@ func TestDatabaseCanonicalInvariance(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		db := randomDB(r)
-		iso := scramble(t, r, db)
+		iso := scramble(t, r, db, false)
 		c1, c2 := Database(db), Database(iso)
 		if c1 != c2 {
 			t.Fatalf("seed %d: canonical forms differ\n--- original\n%s\n--- scrambled\n%s\ncanon1:\n%s\ncanon2:\n%s",
@@ -105,7 +154,7 @@ func TestDatabaseUniformInvariance(t *testing.T) {
 	db.MustAddFact("S", core.Null(3))
 	for seed := int64(0); seed < 50; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		iso := scramble(t, r, db)
+		iso := scramble(t, r, db, false)
 		if Database(db) != Database(iso) {
 			t.Fatalf("seed %d: uniform canonical forms differ:\n%s\nvs\n%s", seed, Database(db), Database(iso))
 		}
@@ -173,6 +222,28 @@ func TestDatabaseDistinctions(t *testing.T) {
 	swapped.SetDomain(2, []string{"a", "b"})
 	if Database(swapped) == ref {
 		t.Errorf("swapping the two domains did not change the canonical form")
+	}
+}
+
+// TestDatabaseFormIsInjective: relation names are quoted in the form, so
+// a name holding a fact's or a header's syntax cannot make two different
+// databases render alike.
+func TestDatabaseFormIsInjective(t *testing.T) {
+	twoFacts := core.NewDatabase()
+	twoFacts.MustAddFact("R", core.Const("a"))
+	twoFacts.MustAddFact("S", core.Const("b"))
+	oneFact := core.NewDatabase()
+	oneFact.MustAddFact("R(\"a\")\nS", core.Const("b"))
+
+	uniform := core.NewUniformDatabase([]string{"a"})
+	uniform.MustAddFact("R", core.Const("x"))
+	header := core.NewDatabase()
+	header.MustAddFact("uniform \"a\"\nR", core.Const("x"))
+
+	for _, pair := range [][2]*core.Database{{twoFacts, oneFact}, {uniform, header}} {
+		if form := Database(pair[0]); form == Database(pair[1]) {
+			t.Errorf("different databases share the form\n%s\n--- and\n%s\n--- form\n%s", pair[0], pair[1], form)
+		}
 	}
 }
 
@@ -264,7 +335,7 @@ func TestQueryDistinctions(t *testing.T) {
 func TestRenamedRejectsMerging(t *testing.T) {
 	db := core.NewUniformDatabase([]string{"a"})
 	db.MustAddFact("R", core.Null(1), core.Null(2))
-	if _, err := Renamed(db, map[core.NullID]core.NullID{1: 5, 2: 5}); err == nil {
+	if _, err := renamed(db, map[core.NullID]core.NullID{1: 5, 2: 5}); err == nil {
 		t.Fatal("merging renaming accepted")
 	}
 }

@@ -130,6 +130,40 @@ func TestLiveSessionMutationFlow(t *testing.T) {
 	}
 }
 
+// TestLiveWriteCannotPoisonResultCache: a written fact whose relation
+// name holds a newline is rejected. Were it accepted, a live database
+// holding the one fact `uniform "a"` + "\n" + `R(x)` would share its
+// canonical form with the inline database "uniform a\nR(x)", and the
+// live session's cached count would answer the inline request.
+func TestLiveWriteCannotPoisonResultCache(t *testing.T) {
+	_, base := startServer(t, Config{})
+	var state DatabaseState
+	if code := doJSON(t, "POST", base+"/v1/db", Request{Database: "Z(z)\n"}, &state); code != http.StatusOK {
+		t.Fatalf("POST /v1/db: status %d", code)
+	}
+	var eb struct {
+		Error string `json:"error"`
+	}
+	if code := doJSON(t, "POST", base+"/v1/facts", MutationRequest{Facts: []string{"uniform \"a\"\nR(x)"}}, &eb); code != http.StatusBadRequest {
+		t.Errorf("POST /v1/facts with a newline in the relation name: status %d, want 400", code)
+	}
+	var mut MutationResponse
+	if code := doJSON(t, "DELETE", base+"/v1/facts", MutationRequest{Facts: []string{"Z(z)"}}, &mut); code != http.StatusOK {
+		t.Fatalf("DELETE /v1/facts: status %d", code)
+	}
+	var live Response
+	if code := doJSON(t, "POST", base+"/v1/count", Request{Query: "R(y)", Kind: KindVal}, &live); code != http.StatusOK {
+		t.Fatalf("live count: status %d", code)
+	}
+	var inline Response
+	if code := doJSON(t, "POST", base+"/v1/count", Request{Database: "uniform a\nR(x)\n", Query: "R(y)", Kind: KindVal}, &inline); code != http.StatusOK {
+		t.Fatalf("inline count: status %d", code)
+	}
+	if inline.Count != "1" || inline.Cached {
+		t.Fatalf("inline count of R(y) over {R(x)} = %s (cached %v), want a fresh 1", inline.Count, inline.Cached)
+	}
+}
+
 // TestLiveSessionUniformDomain exercises the uniform-domain branch of
 // POST /v1/domain.
 func TestLiveSessionUniformDomain(t *testing.T) {
