@@ -12,8 +12,11 @@
 // can only repeat completions already seen, and — for #Val with syntactic
 // queries — nulls occurring only in relations the query never mentions
 // are factored out of the enumeration as a multiplicative term. The
-// enumerated space is sharded across a worker pool (Options.Workers);
-// parallel results are bit-identical to a serial sweep.
+// enumerated space is partitioned into contiguous ranges swept by at most
+// Options.Workers goroutines, and a checkpointed, resumed or distributed
+// sweep is the same partition with its ranges' state persisted (see
+// partition.go); every way of running a sweep is bit-identical to a
+// serial one.
 //
 // All counts are exact big integers.
 package count
@@ -249,75 +252,62 @@ func BruteForceValuations(db *core.Database, q cq.Query, opts *Options) (*big.In
 	if err != nil {
 		return nil, err
 	}
-	return sweepValuationsOnEngine(eng, opts)
+	n, _, err := sweepEngine(eng, opts, false)
+	return n, err
 }
 
-// sweepValuationsOnEngine runs the sharded valuation count on an already
-// compiled (and guarded) engine — the entry point of the plan executor,
-// whose sweep nodes carry the engine the planner compiled.
-func sweepValuationsOnEngine(eng *sweep.Engine, opts *Options) (*big.Int, error) {
-	if ck := opts.checkpointer(); ck != nil && eng.Size().Sign() > 0 && ck.acquire() {
-		return sweepValuationsCheckpointed(eng, opts, ck)
+// sweepEngine runs the brute-force sweep of an already compiled (and
+// guarded) engine — also the entry point of the plan executor, whose
+// sweep nodes carry the engine the planner compiled — and returns its
+// count and, on #Comp, the distinct completions in first-seen order
+// (their instances too when keep is set). The partition is fresh
+// geometry, or the resume state of the Checkpointer bound to opts when
+// that parses against eng; a sweep that keeps instances runs
+// un-checkpointed. Under a Checkpointer every range publishes its
+// position and accumulator each stride, and — crucially — every range's
+// final state is flushed even when the sweep is cancelled, so a
+// drain-and-checkpoint shutdown loses no visited valuation. Fresh or
+// resumed, at most Options.Workers ranges are swept at once.
+func sweepEngine(eng *sweep.Engine, opts *Options, keep bool) (*big.Int, []*compEntry, error) {
+	size := eng.Size()
+	var (
+		p      *Partition
+		pub    func(int, ShardCheckpoint) error
+		stride int64
+	)
+	if ck := opts.checkpointer(); ck != nil && !keep && size.Sign() > 0 && ck.acquire() {
+		p, pub, stride = ck.begin(eng, opts), ck.publish, ck.stride
+	} else {
+		p = freshPartition(size, shardCount(size, opts), eng.Mode() == sweep.ModeCompletions)
+		p.keep = keep
 	}
-	shards := shardCount(eng.Size(), opts)
-	counts := make([]shardTally, shards)
-	err := sweepSharded(eng, opts.context(), shards, opts.progress(), opts.phases(), func(shard int, cur *sweep.Cursor, rest int64) int64 {
-		return counts[shard].leaf(cur, rest)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return foldTallies(counts, eng), nil
-}
-
-// leaf evaluates the cursor's leaf, tallies the valuations it accounts for
-// when they satisfy the query, and returns their number: the visit of
-// every valuation-count loop.
-func (t *shardTally) leaf(cur *sweep.Cursor, rest int64) int64 {
-	sat, span := cur.MatchSpan(rest)
-	if sat {
-		t.n += uint64(span)
-	}
-	return span
-}
-
-// sweepValuationsCheckpointed is the resumable variant: shard geometry
-// and partial tallies come from the Checkpointer (restored from its
-// resume state, fresh otherwise), every shard publishes its position and
-// tally each stride, and — crucially — the final state is flushed even
-// when the sweep is cancelled, so a drain-and-checkpoint shutdown loses
-// no visited valuation. A shard stops only between leaves, and a leaf's
-// span is counted whole, so the flush positions are exact.
-func sweepValuationsCheckpointed(eng *sweep.Engine, opts *Options, ck *Checkpointer) (*big.Int, error) {
-	st := ck.begin(eng, opts, false)
-	counts := st.counts
-	err := sweepShardedFrom(eng, opts.context(), st.bounds, st.starts, opts.progress(), opts.phases(), func(shard int, cur *sweep.Cursor, rest int64) int64 {
-		t := &counts[shard]
-		span := t.leaf(cur, rest)
-		if t.checkpointed(span, ck.stride) {
-			ck.publish(shard, t.next(st.starts[shard]), &t.n, nil)
+	ctx := opts.context()
+	err := p.sweep(eng, ctx, opts.workers(), opts.progress(), opts.phases(), stride, pub)
+	if pub != nil {
+		// Every range has stopped: on success this records completion, on
+		// cancellation the freshest resumable position. A Checkpointer's
+		// publish never fails.
+		for i := range p.ranges {
+			_ = pub(i, p.ranges[i].state())
 		}
-		return span
-	})
-	// Flush every shard's exact final state (all shard goroutines have
-	// stopped): on success this records completion, on cancellation the
-	// freshest resumable position.
-	for i := range counts {
-		ck.publish(i, counts[i].next(st.starts[i]), &counts[i].n, nil)
+	}
+	if err == nil {
+		err = ctx.Err()
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return foldTallies(counts, eng), nil
+	n, merged := p.fold(eng)
+	return n, merged, nil
 }
 
 // BruteForceCompletions counts the distinct completions ν(db) of db with
 // ν(db) ⊨ q by exhaustive enumeration with hashed deduplication, sharded
-// across Options.Workers goroutines. Each shard deduplicates its own index
+// across Options.Workers goroutines. Each range deduplicates its own index
 // range by the 128-bit completion hash (hash buckets compare exact
 // canonical encodings, so a hash collision cannot corrupt the count); the
-// shard tables are merged in index order at the end, so every distinct
-// completion is evaluated at most once per shard and the result is
+// range tables are merged in index order at the end, so every distinct
+// completion is evaluated at most once per range and the result is
 // bit-identical to a serial sweep. It fails if the valuation space exceeds
 // the guard in opts or the context is cancelled.
 func BruteForceCompletions(db *core.Database, q cq.Query, opts *Options) (*big.Int, error) {
@@ -325,24 +315,8 @@ func BruteForceCompletions(db *core.Database, q cq.Query, opts *Options) (*big.I
 	if err != nil {
 		return nil, err
 	}
-	return sweepCompletionsOnEngine(eng, opts)
-}
-
-// sweepCompletionsOnEngine runs the sharded completion-dedup count on an
-// already compiled (and guarded) engine, counting the satisfying
-// distinct completions.
-func sweepCompletionsOnEngine(eng *sweep.Engine, opts *Options) (*big.Int, error) {
-	merged, err := completionSweepOnEngine(eng, opts, false)
-	if err != nil {
-		return nil, err
-	}
-	count := int64(0)
-	for _, e := range merged.order {
-		if e.sat {
-			count++
-		}
-	}
-	return big.NewInt(count), nil
+	n, _, err := sweepEngine(eng, opts, false)
+	return n, err
 }
 
 // BruteForceAllCompletions counts all distinct completions of db.
@@ -358,75 +332,20 @@ func EnumerateCompletions(db *core.Database, opts *Options) ([]*core.Instance, e
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*core.Instance, 0, len(merged.order))
-	for _, e := range merged.order {
+	out := make([]*core.Instance, 0, len(merged))
+	for _, e := range merged {
 		out = append(out, e.inst)
 	}
 	return out, nil
 }
 
-// bruteCompletionSweep runs the guarded, sharded completion-dedup sweep
-// shared by BruteForceCompletions and EnumerateCompletions.
-func bruteCompletionSweep(db *core.Database, q cq.Query, opts *Options, keepInstances bool) (*completionShard, error) {
+// bruteCompletionSweep runs the guarded completion-dedup sweep and returns
+// the distinct completions in first-seen order.
+func bruteCompletionSweep(db *core.Database, q cq.Query, opts *Options, keepInstances bool) ([]*compEntry, error) {
 	eng, err := compileGuarded(db, q, sweep.ModeCompletions, opts)
 	if err != nil {
 		return nil, err
 	}
-	return completionSweepOnEngine(eng, opts, keepInstances)
-}
-
-// completionSweepOnEngine is bruteCompletionSweep after compilation.
-func completionSweepOnEngine(eng *sweep.Engine, opts *Options, keepInstances bool) (*completionShard, error) {
-	if ck := opts.checkpointer(); ck != nil && !keepInstances && eng.Size().Sign() > 0 && ck.acquire() {
-		return sweepCompletionsCheckpointed(eng, opts, ck)
-	}
-	shards := shardCount(eng.Size(), opts)
-	perShard := make([]*completionShard, shards)
-	for i := range perShard {
-		perShard[i] = newSweepShard(eng, keepInstances, opts.phases())
-	}
-	err := sweepSharded(eng, opts.context(), shards, opts.progress(), opts.phases(), func(shard int, cur *sweep.Cursor, rest int64) int64 {
-		return perShard[shard].visit(cur, rest)
-	})
-	releaseMemos(perShard...)
-	if err != nil {
-		return nil, err
-	}
-	return mergeCompletionShards(perShard), nil
-}
-
-// sweepCompletionsCheckpointed is the resumable completion-dedup sweep:
-// each shard's dedup table is seeded from the restored checkpoint entries
-// (so completions first seen before the interruption are neither
-// re-evaluated nor double-counted), and each stride the shard publishes
-// its position together with the entries first seen since the previous
-// publish. The final flush after the sweep stops — success or
-// cancellation — captures the exact frontier. A block the prefix memo
-// skips is counted whole, so the published positions stay exact; the
-// memo itself is not checkpointed, and a resumed shard starts a fresh
-// one. Instances are never retained on this path (EnumerateCompletions
-// runs un-checkpointed).
-func sweepCompletionsCheckpointed(eng *sweep.Engine, opts *Options, ck *Checkpointer) (*completionShard, error) {
-	st := ck.begin(eng, opts, true)
-	perShard := make([]*completionShard, len(st.starts))
-	for i := range perShard {
-		perShard[i] = newSweepShard(eng, false, opts.phases())
-		perShard[i].restore(st.entriesAt(i))
-	}
-	counts := st.counts
-	err := sweepShardedFrom(eng, opts.context(), st.bounds, st.starts, opts.progress(), opts.phases(), func(shard int, cur *sweep.Cursor, rest int64) int64 {
-		span := perShard[shard].visit(cur, rest)
-		if t := &counts[shard]; t.checkpointed(span, ck.stride) {
-			ck.publish(shard, t.next(st.starts[shard]), nil, perShard[shard].drainPending())
-		}
-		return span
-	})
-	releaseMemos(perShard...)
-	for i := range counts {
-		ck.publish(i, counts[i].next(st.starts[i]), nil, perShard[i].drainPending())
-	}
-	if err != nil {
-		return nil, err
-	}
-	return mergeCompletionShards(perShard), nil
+	_, merged, err := sweepEngine(eng, opts, keepInstances)
+	return merged, err
 }

@@ -2,28 +2,29 @@ package count
 
 import (
 	"encoding/json"
-	"math/big"
 	"strconv"
 	"sync"
 
 	"github.com/incompletedb/incompletedb/internal/sweep"
 )
 
-// Checkpointing makes a sharded brute-force sweep resumable: each shard
-// periodically publishes its odometer position and partial accumulators
-// (valuation count, completion-dedup entries) into a Checkpointer, whose
-// Snapshot can be persisted and later handed to a fresh sweep as the
-// resume state. A resumed sweep restores every shard's position and
-// accumulator and continues; because shards partition the index space
-// contiguously and per-shard state is only ever published at exact visit
-// boundaries, the final merged result is bit-identical to an
+// Checkpointing makes a brute-force sweep resumable: each range of the
+// sweep's partition periodically publishes its odometer position and
+// partial accumulator (valuation count, completion-dedup entries) into a
+// Checkpointer, whose Snapshot can be persisted and later handed to a
+// fresh sweep as the resume state. A resumed sweep parses the snapshot
+// back into the same partition (ParseCheckpoint) and runs it through the
+// same range loop and fold as a fresh one, on at most Options.Workers
+// goroutines whatever the number of ranges; because ranges partition the
+// index space contiguously and state is only ever published at exact
+// visit boundaries, the final result is bit-identical to an
 // uninterrupted run.
 
-// DefaultCheckpointStride is the default number of valuations a shard
+// DefaultCheckpointStride is the default number of valuations a range
 // visits between publishing its state into the Checkpointer. Publishing
-// is cheap for valuation counts (one big.Int add and a string render) and
-// O(new distinct completions) for completion sweeps, so the stride mainly
-// bounds how much work a crash can lose per shard.
+// is cheap for valuation counts (one big.Int add and a few short string
+// renders) and O(new distinct completions) for completion sweeps, so the
+// stride mainly bounds how much work a crash can lose per range.
 const DefaultCheckpointStride = 1 << 16
 
 // SweepCheckpoint is the serializable resume state of one sharded sweep.
@@ -82,7 +83,7 @@ func (t *Tally) UnmarshalJSON(b []byte) error {
 }
 
 // value parses the tally; false means a malformed value or one beyond a
-// machine word, which no shard can have counted (parseShard then rejects
+// machine word, which no shard can have counted (parseRange then rejects
 // the shard).
 func (t Tally) value() (uint64, bool) {
 	if t == "" {
@@ -180,128 +181,38 @@ func (c *Checkpointer) acquire() bool {
 	return true
 }
 
-// resumeState is what a checkpointed sweep starts from: the shard
-// geometry (bounds has len(shards)+1 entries), each shard's start
-// position within its interval, and the restored accumulators.
-type resumeState struct {
-	bounds []*big.Int
-	starts []*big.Int
-	// counts is the per-shard tally over [bounds[i], starts[i]).
-	counts []shardTally
-	// entries is the restored completion-dedup state per shard (nil
-	// outside completion sweeps or on a fresh start).
-	entries [][]*compEntry
-}
-
-// begin computes the resume state for eng under opts: the restored
-// checkpoint when one is present and valid, fresh geometry otherwise. It
-// also initializes the Checkpointer's live state to match, so a Snapshot
-// taken before the first publish already describes the sweep.
-func (c *Checkpointer) begin(eng *sweep.Engine, opts *Options, completions bool) *resumeState {
-	st := c.restore(eng, completions)
-	if st == nil {
-		size := eng.Size()
-		shards := shardCount(size, opts)
-		bounds := shardBounds(size, shards)
-		st = &resumeState{
-			bounds: bounds,
-			starts: bounds[:shards],
-			counts: make([]shardTally, shards),
-		}
-		if completions {
-			st.entries = make([][]*compEntry, shards)
-		}
-	}
-	c.mu.Lock()
-	c.state = &SweepCheckpoint{Space: eng.Size().String(), Completions: completions}
-	for i := range st.starts {
-		sc := ShardCheckpoint{
-			Lo:   st.bounds[i].String(),
-			Next: st.starts[i].String(),
-			Hi:   st.bounds[i+1].String(),
-		}
-		if !completions {
-			sc.Count = tallyOf(st.counts[i].n)
-		}
-		for _, e := range st.entriesAt(i) {
-			sc.Entries = append(sc.Entries, recordOf(e))
-		}
-		c.state.Shards = append(c.state.Shards, sc)
-	}
-	c.mu.Unlock()
-	return st
-}
-
-// entriesAt returns the restored entries of shard i, tolerating a nil
-// entries slice (valuation sweeps).
-func (st *resumeState) entriesAt(i int) []*compEntry {
-	if st.entries == nil {
-		return nil
-	}
-	return st.entries[i]
-}
-
-// restore validates and decodes the resume checkpoint against eng;
-// any inconsistency discards it (returning nil → fresh start).
-func (c *Checkpointer) restore(eng *sweep.Engine, completions bool) *resumeState {
-	r := c.resume
-	if r == nil || len(r.Shards) == 0 || r.Completions != completions {
-		return nil
-	}
+// begin binds the Checkpointer's live state to a sweep of eng and returns
+// the partition the sweep starts from: the resume checkpoint when it
+// parses against eng (ParseCheckpoint), fresh geometry otherwise. The
+// live state is that partition's rendering, so a Snapshot taken before
+// the first publish already describes the sweep.
+func (c *Checkpointer) begin(eng *sweep.Engine, opts *Options) *Partition {
 	size := eng.Size()
-	if r.Space != size.String() {
-		return nil
+	p, err := ParseCheckpoint(eng, c.resume)
+	if err != nil {
+		p = freshPartition(size, shardCount(size, opts), eng.Mode() == sweep.ModeCompletions)
 	}
-	st := &resumeState{
-		bounds: make([]*big.Int, 0, len(r.Shards)+1),
-		counts: make([]shardTally, len(r.Shards)),
-	}
-	if completions {
-		st.entries = make([][]*compEntry, len(r.Shards))
-	}
-	prev := big.NewInt(0)
-	st.bounds = append(st.bounds, prev)
-	for i := range r.Shards {
-		s := &r.Shards[i]
-		lo, next, hi, tally, err := parseShard(s, size)
-		if err != nil || lo.Cmp(prev) != 0 {
-			return nil
-		}
-		st.bounds = append(st.bounds, hi)
-		st.starts = append(st.starts, next)
-		st.counts[i].n = tally
-		if completions {
-			entries, err := rehydrateEntries(eng, s.Entries)
-			if err != nil {
-				return nil
-			}
-			st.entries[i] = entries
-		}
-		prev = hi
-	}
-	if prev.Cmp(size) != 0 {
-		return nil
-	}
-	return st
+	state := p.checkpoint(size)
+	c.mu.Lock()
+	c.state = state
+	c.mu.Unlock()
+	return p
 }
 
-// publish records shard's current position and accumulator: next is the
-// first unvisited index, count the satisfying tally over [Lo, next)
-// (nil on completion sweeps, whose tally lives in the entries), and
-// fresh the completion entries first seen since the previous publish.
-func (c *Checkpointer) publish(shard int, next *big.Int, count *uint64, fresh []CompletionRecord) {
+// publish records range i's state: its next unvisited index, its tally
+// (#Val), and the completion records first seen since its previous
+// publish (#Comp). It never fails.
+func (c *Checkpointer) publish(i int, sc ShardCheckpoint) error {
 	c.mu.Lock()
-	s := &c.state.Shards[shard]
-	s.Next = next.String()
-	if count != nil {
-		s.Count = tallyOf(*count)
-	}
-	s.Entries = append(s.Entries, fresh...)
+	defer c.mu.Unlock()
+	s := &c.state.Shards[i]
+	s.Next, s.Count = sc.Next, sc.Count
+	s.Entries = append(s.Entries, sc.Entries...)
 	c.publishes++
 	if c.onPublish != nil {
 		c.onPublish(c.publishes)
 	}
-	c.mu.Unlock()
+	return nil
 }
 
 // recordOf serializes one dedup entry.

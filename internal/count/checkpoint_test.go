@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/incompletedb/incompletedb/internal/core"
@@ -47,7 +48,7 @@ func roundTrip(t *testing.T, cp *SweepCheckpoint) *SweepCheckpoint {
 // resumes from a snapshot that still had work left: shards only poll for
 // cancellation every cancelCheckInterval leaves, so a sweep of few
 // leaves can finish every shard before a kill lands.
-func runWithKills(t *testing.T, r *rand.Rand, db *core.Database, q cq.Query, workers int, completions bool) (*big.Int, *completionShard, int) {
+func runWithKills(t *testing.T, r *rand.Rand, db *core.Database, q cq.Query, workers int, completions bool) (*big.Int, []*compEntry, int) {
 	t.Helper()
 	var resume *SweepCheckpoint
 	resumes := 0
@@ -65,7 +66,7 @@ func runWithKills(t *testing.T, r *rand.Rand, db *core.Database, q cq.Query, wor
 		opts := &Options{Workers: workers, Context: ctx, Checkpoint: ck}
 		var (
 			n      *big.Int
-			merged *completionShard
+			merged []*compEntry
 			err    error
 		)
 		if completions {
@@ -90,12 +91,12 @@ func runWithKills(t *testing.T, r *rand.Rand, db *core.Database, q cq.Query, wor
 	}
 }
 
-// completionSig renders a merged completion shard as an exact sequence of
+// completionSig renders merged completions as an exact sequence of
 // (canonical encoding, verdict) pairs — order included, since first-seen
 // order is part of the contract.
-func completionSig(s *completionShard) []string {
-	out := make([]string, len(s.order))
-	for i, e := range s.order {
+func completionSig(entries []*compEntry) []string {
+	out := make([]string, len(entries))
+	for i, e := range entries {
 		out[i] = fmt.Sprintf("%v:%v", e.snap.Canonical, e.sat)
 	}
 	return out
@@ -179,40 +180,46 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCheckpointInvalidResumeDiscarded: resume states that do not match
-// the engine — wrong space size, non-contiguous shards, corrupted
-// canonical encodings, a tally above the valuations its shard visited —
-// are discarded and the sweep restarts from scratch, still producing the
-// right answer.
-func TestCheckpointInvalidResumeDiscarded(t *testing.T) {
-	db := core.NewUniformDatabase([]string{"a", "b", "c"})
-	for i := 1; i <= 6; i++ { // 3^6 = 729 valuations
-		db.MustAddFact("R", core.Null(core.NullID(i)))
-	}
-	q := cq.MustParseBCQ("R(x)")
-	want, err := BruteForceValuations(db, q, &Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := []*SweepCheckpoint{
-		{Space: "999", Shards: []ShardCheckpoint{{Lo: "0", Next: "100", Hi: "999", Count: "42"}}},
-		{Space: "729", Shards: []ShardCheckpoint{{Lo: "5", Next: "100", Hi: "729", Count: "42"}}},
-		{Space: "729", Shards: []ShardCheckpoint{{Lo: "0", Next: "800", Hi: "729", Count: "42"}}},
-		{Space: "729", Shards: []ShardCheckpoint{{Lo: "0", Next: "not-a-number", Hi: "729"}}},
-		{Space: "729", Completions: true, Shards: []ShardCheckpoint{{Lo: "0", Next: "1", Hi: "729",
-			Entries: []CompletionRecord{{Canonical: []uint32{9999}}}}}},
-		// Tallies above Next − Lo: one past the bound, and one no word holds.
-		{Space: "729", Shards: []ShardCheckpoint{{Lo: "0", Next: "100", Hi: "729", Count: "101"}}},
-		{Space: "729", Shards: []ShardCheckpoint{{Lo: "0", Next: "2", Hi: "729", Count: Tally(two128)}}},
-	}
-	for i, cp := range bad {
-		ck := NewCheckpointer(killStride, cp)
-		got, err := BruteForceValuations(db, q, &Options{Workers: 2, Checkpoint: ck})
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if got.Cmp(want) != 0 {
-			t.Fatalf("case %d: count %v, want %v (invalid resume state was trusted)", i, got, want)
+// TestCheckpointResumeHonoursWorkers: a resumed sweep holds at most
+// Options.Workers ranges in flight, however many ranges its checkpoint
+// has — a recovered distributed lease table can have hundreds, each with
+// its own cursor, dedup table and prefix memo. A 64-range fresh table is
+// resumed at one and two workers, for #Val and #Comp, on a star whose
+// every range really sweeps; the peak number of goroutines, sampled at
+// each range's completion, may exceed the count before the sweep by at
+// most Workers, and the count must equal a fresh sweep's.
+func TestCheckpointResumeHonoursWorkers(t *testing.T) {
+	db := skipStarDB(16) // 2^16 valuations: 64 ranges of 1024
+	q := cq.MustParseBCQ("R(x, x)")
+	for _, completions := range []bool{false, true} {
+		for _, workers := range []int{1, 2} {
+			run := BruteForceValuations
+			if completions {
+				run = BruteForceCompletions
+			}
+			want, err := run(db, q, &Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := runtime.NumGoroutine()
+			peak, reports := 0, 0
+			ck := NewCheckpointer(0, NewSweepCheckpoint(big.NewInt(1<<16), 64, completions))
+			got, err := run(db, q, &Options{Workers: workers, Checkpoint: ck, Progress: func(done, total int) {
+				peak = max(peak, runtime.NumGoroutine())
+				reports++
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Cmp(want) != 0 {
+				t.Fatalf("completions=%v workers=%d: resumed count %v, want %v", completions, workers, got, want)
+			}
+			if reports != 65 {
+				t.Fatalf("completions=%v workers=%d: %d progress reports, want 65 (the table was not resumed)", completions, workers, reports)
+			}
+			if extra := peak - base; extra > workers {
+				t.Fatalf("completions=%v workers=%d: %d goroutines beyond the caller's at peak, want at most %d", completions, workers, extra, workers)
+			}
 		}
 	}
 }

@@ -18,7 +18,9 @@ import (
 // NewSweepCheckpoint, swept (with interruptions and re-issues) by
 // SweepShardRange, and folded by MergeCheckpoint must reproduce the
 // serial reference bit-for-bit, and malformed lease state must be
-// rejected with ErrShardCheckpoint rather than trusted.
+// rejected with ErrShardCheckpoint rather than trusted. The merge's
+// refusals share one table with the local resume's and the
+// coordinator's (validity_test.go).
 
 // distEngine compiles the engine the way a worker process does.
 func distEngine(t *testing.T, db *core.Database, q cq.Query, completions bool) *sweep.Engine {
@@ -278,35 +280,6 @@ func TestDistRangeRejectsMalformed(t *testing.T) {
 		}
 		if err := ValidateShardProgress(tc.eng, &tc.s); !errors.Is(err, ErrShardCheckpoint) {
 			t.Errorf("%s: ValidateShardProgress err = %v, want ErrShardCheckpoint", tc.name, err)
-		}
-	}
-}
-
-// TestMergeCheckpointRejects: merges over incomplete or non-partitioning
-// shard sets must fail loudly — a silent undercount is the one outcome
-// the distributed path may never produce.
-func TestMergeCheckpointRejects(t *testing.T) {
-	db := core.NewUniformDatabase([]string{"a", "b"})
-	for i := 1; i <= 4; i++ { // 16 valuations
-		db.MustAddFact("R", core.Null(core.NullID(i)))
-	}
-	q := cq.MustParseBCQ("R(x)")
-	eng := distEngine(t, db, q, false)
-	bad := []*SweepCheckpoint{
-		nil,
-		{Space: "16"}, // no shards
-		{Space: "99", Shards: []ShardCheckpoint{{Lo: "0", Next: "99", Hi: "99", Count: "1"}}},
-		{Space: "16", Completions: true, Shards: []ShardCheckpoint{{Lo: "0", Next: "16", Hi: "16"}}},
-		{Space: "16", Shards: []ShardCheckpoint{{Lo: "0", Next: "8", Hi: "16", Count: "1"}}},      // incomplete
-		{Space: "16", Shards: []ShardCheckpoint{{Lo: "0", Next: "8", Hi: "8", Count: "1"}}},       // gap at tail
-		{Space: "16", Shards: []ShardCheckpoint{{Lo: "4", Next: "16", Hi: "16", Count: "1"}}},     // gap at head
-		{Space: "16", Shards: []ShardCheckpoint{{Lo: "0", Next: "16", Hi: "16", Count: "bogus"}}}, // tally
-		{Space: "16", Shards: []ShardCheckpoint{{Lo: "0", Next: "16", Hi: "16", Count: "17"}}},    // tally > visited
-		{Space: "16", Shards: []ShardCheckpoint{{Lo: "0", Next: "16", Hi: "16"}, {Lo: "4", Next: "16", Hi: "16"}}},
-	}
-	for i, cp := range bad {
-		if _, err := MergeCheckpoint(eng, cp); !errors.Is(err, ErrShardCheckpoint) {
-			t.Errorf("case %d: err = %v, want ErrShardCheckpoint", i, err)
 		}
 	}
 }

@@ -130,10 +130,8 @@ func execNode(db *core.Database, n *plan.Node, opts *Options) (*big.Int, error) 
 			if err := guardEngine(eng, o); err != nil {
 				return nil, err
 			}
-			if n.Kind == classify.Completions {
-				return sweepCompletionsOnEngine(eng, o)
-			}
-			return sweepValuationsOnEngine(eng, o)
+			res, _, err := sweepEngine(eng, o, false)
+			return res, err
 		}
 		if n.Kind == classify.Completions {
 			return BruteForceCompletions(db, n.Query, o)

@@ -35,7 +35,7 @@ func compRange(t *testing.T, eng *sweep.Engine, lo, hi int64, memo bool) (*compl
 		s.memo = eng.NewPrefixMemo()
 	}
 	var leaves int64
-	err := sweepShard(eng, context.Background(), big.NewInt(lo), big.NewInt(hi), 0, nil, func(_ int, cur *sweep.Cursor, rest int64) int64 {
+	_, err := sweepShard(eng, context.Background(), big.NewInt(lo), big.NewInt(hi), nil, func(cur *sweep.Cursor, rest int64) int64 {
 		span := s.visit(cur, rest)
 		if span == 1 {
 			leaves++
@@ -48,13 +48,13 @@ func compRange(t *testing.T, eng *sweep.Engine, lo, hi int64, memo bool) (*compl
 	if err != nil {
 		t.Fatal(err)
 	}
-	releaseMemos(s)
+	s.releaseMemo()
 	return s, leaves
 }
 
-// sameCompletions fails unless two shards hold the same (canonical,
-// verdict) sequence.
-func sameCompletions(t *testing.T, what string, got, want *completionShard) {
+// sameCompletions fails unless two completion sequences hold the same
+// (canonical, verdict) pairs in the same order.
+func sameCompletions(t *testing.T, what string, got, want []*compEntry) {
 	t.Helper()
 	g, w := completionSig(got), completionSig(want)
 	if !slices.Equal(g, w) {
@@ -95,7 +95,7 @@ func TestCompMemoMatchesReference(t *testing.T) {
 				size := eng.Size().Int64()
 				memo, n := compRange(t, eng, 0, size, true)
 				step, _ := compRange(t, eng, 0, size, false)
-				sameCompletions(t, fmt.Sprintf("%s seed %d q=%v", name, seed, q), memo, step)
+				sameCompletions(t, fmt.Sprintf("%s seed %d q=%v", name, seed, q), memo.order, step.order)
 				leaves += n
 				valuations += size
 
@@ -191,7 +191,7 @@ func TestCompMemoShardRangeCycle(t *testing.T) {
 		}
 		collect(final.Entries)
 		step, _ := compRange(t, eng, lo, hi, false)
-		if ref := completionSig(step); final.Next != to || !slices.Equal(got, ref) {
+		if ref := completionSig(step.order); final.Next != to || !slices.Equal(got, ref) {
 			t.Fatalf("range [%d, %d): next %s, %d completions %v, want %d %v", lo, hi, final.Next, len(got), got, len(ref), ref)
 		}
 	}
@@ -244,7 +244,7 @@ func FuzzCompMemoMatchesFullSweep(f *testing.F) {
 		}
 		memo, _ := compRange(t, eng, l, h, true)
 		step, _ := compRange(t, eng, l, h, false)
-		sameCompletions(t, fmt.Sprintf("q=%v [%d, %d) db:\n%s", q, l, h, db), memo, step)
+		sameCompletions(t, fmt.Sprintf("q=%v [%d, %d) db:\n%s", q, l, h, db), memo.order, step.order)
 		_, want := refCompletions(t, db, q)
 		got, err := BruteForceCompletions(db, q, &Options{Workers: 3})
 		if err != nil {

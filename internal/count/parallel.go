@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
-	"runtime/pprof"
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 
@@ -14,12 +12,13 @@ import (
 	"github.com/incompletedb/incompletedb/internal/sweep"
 )
 
-// The sharded valuation-sweep driver behind the brute-force counters: the
-// engine's enumerated space is split into one contiguous, index-ordered
-// shard per worker, and each worker sweeps its shard with its own cursor
-// and shard-local state. Because shards partition [0, Size) in index
-// order, per-shard results can always be merged back into exactly the
-// answer a serial sweep would produce.
+// The fresh geometry of a local sweep, the loop that sweeps one index
+// interval, and the shard-local state of a completion sweep. A fresh
+// sweep's partition (partition.go) has one contiguous, index-ordered
+// range per worker; each range is swept with its own cursor and
+// range-local state, and because ranges partition [0, Size) in index
+// order, per-range results always merge back into exactly the answer a
+// serial sweep would produce.
 
 // serialCutoff is the space size below which sharding is not worth the
 // goroutine and merge overhead and the sweep runs on the calling
@@ -69,85 +68,6 @@ func shardBounds(size *big.Int, shards int) []*big.Int {
 	return bounds
 }
 
-// sweepSharded enumerates the engine's whole enumerated space across the
-// given number of shards, calling visit(shard, cur, rest) for every leaf
-// with the shard's cursor positioned on it (see sweepShard for the span
-// contract). visit runs concurrently across shards and must only touch
-// state owned by its shard; the cursor is repositioned between calls
-// within one shard. A zero return from visit stops that shard only.
-// sweepSharded returns the context's error if the sweep was cancelled, in
-// which case the per-shard state is incomplete and must be discarded.
-//
-// progress, when non-nil, is notified as described by Options.Progress:
-// once with (0, shards) before enumeration starts, then with the new
-// completed-shard count each time a shard finishes without the sweep
-// having been cancelled. A progressTracker serializes the calls.
-func sweepSharded(eng *sweep.Engine, ctx context.Context, shards int, progress func(done, total int), phases *PhaseTimes, visit visitFunc) error {
-	size := eng.Size()
-	if size.Sign() == 0 {
-		tracker := newProgressTracker(progress, shards)
-		tracker.finishAll(ctx)
-		return ctx.Err()
-	}
-	bounds := shardBounds(size, shards)
-	return sweepShardedFrom(eng, ctx, bounds, bounds[:shards], progress, phases, visit)
-}
-
-// sweepModeLabel names the engine's mode for the pprof labels the shard
-// goroutines run under.
-func sweepModeLabel(eng *sweep.Engine) string {
-	switch eng.Mode() {
-	case sweep.ModeCompletions:
-		return "completions"
-	case sweep.ModeSample:
-		return "sample"
-	default:
-		return "valuations"
-	}
-}
-
-// sweepShardedFrom is sweepSharded over explicit shard geometry: bounds
-// has len(starts)+1 entries delimiting the shards' full intervals, and
-// starts[i] ∈ [bounds[i], bounds[i+1]] is where shard i begins — equal to
-// bounds[i] on a fresh sweep, past it when resuming from a checkpoint (a
-// shard whose start has reached its upper bound is already complete and
-// is not re-entered).
-func sweepShardedFrom(eng *sweep.Engine, ctx context.Context, bounds, starts []*big.Int, progress func(done, total int), phases *PhaseTimes, visit visitFunc) error {
-	shards := len(starts)
-	tracker := newProgressTracker(progress, shards)
-	if shards == 1 {
-		if err := sweepShard(eng, ctx, starts[0], bounds[1], 0, phases, visit); err != nil {
-			return err
-		}
-		tracker.shardDone(ctx)
-		return ctx.Err()
-	}
-	errs := make([]error, shards)
-	mode := sweepModeLabel(eng)
-	var wg sync.WaitGroup
-	for w := 0; w < shards; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Label the shard goroutine so pprof profiles break the
-			// sweep down by shard and mode.
-			pprof.Do(ctx, pprof.Labels("sweep_shard", strconv.Itoa(w), "sweep_mode", mode), func(ctx context.Context) {
-				errs[w] = sweepShard(eng, ctx, starts[w], bounds[w+1], w, phases, visit)
-			})
-			if errs[w] == nil {
-				tracker.shardDone(ctx)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return ctx.Err()
-}
-
 // progressTracker serializes shard-completion notifications and enforces
 // the Options.Progress contract (monotone done, no completions reported
 // after cancellation).
@@ -191,14 +111,16 @@ func (t *progressTracker) finishAll(ctx context.Context) {
 	t.fn(t.done, t.total)
 }
 
-// visitFunc is one leaf of a shard loop: it runs with the shard's cursor
-// on the leaf and rest, the valuations left in the shard counting this
-// one, and returns how many valuations the leaf accounts for, or 0 to stop
-// the shard. A count above 1 must be the span MatchSpan or RepeatSpan
-// just granted — a satisfied leaf's witness block on a #Val sweep, a
-// block whose prefix state the shard's memo already swept on a #Comp
-// sweep — so that Cursor.Pass can resume past the block.
-type visitFunc func(shard int, cur *sweep.Cursor, rest int64) int64
+// visitFunc is one leaf of the interval loop sweepShard: it runs with the
+// cursor on the leaf and rest, the valuations left in the interval
+// counting this one, and returns how many valuations the leaf accounts
+// for, or 0 to stop the interval. A count above 1 must be the span
+// MatchSpan or RepeatSpan just granted — a satisfied leaf's witness block
+// on a #Val sweep, a block whose prefix state the range's memo already
+// swept on a #Comp sweep — so that Cursor.Pass can resume past the block.
+// The range loop (sweepRange.sweep) supplies every production visit;
+// tests drive sweepShard directly to count leaves.
+type visitFunc func(cur *sweep.Cursor, rest int64) int64
 
 // sweepShard sweeps one contiguous index interval with a fresh cursor,
 // advancing by the spans visit returns — one valuation at a time, or past
@@ -212,34 +134,36 @@ type visitFunc func(shard int, cur *sweep.Cursor, rest int64) int64
 // completion shard) and to the match phase otherwise. An interval wider
 // than an int64 is an error: the brute-force guard and SweepShardRange's
 // width check keep every real one narrower, which is what lets a shard
-// tally fit one uint64.
-func sweepShard(eng *sweep.Engine, ctx context.Context, lo, hi *big.Int, shard int, phases *PhaseTimes, visit visitFunc) error {
+// tally fit one uint64. sweepShard returns how many valuations the visits
+// accounted for, so lo plus it is the interval's next unvisited index.
+func sweepShard(eng *sweep.Engine, ctx context.Context, lo, hi *big.Int, phases *PhaseTimes, visit visitFunc) (int64, error) {
 	n := new(big.Int).Sub(hi, lo)
 	if n.Sign() == 0 {
-		return nil
+		return 0, nil
 	}
 	if !n.IsInt64() {
-		return fmt.Errorf("count: shard interval [%v, %v) is wider than an int64", lo, hi)
+		return 0, fmt.Errorf("count: shard interval [%v, %v) is wider than an int64", lo, hi)
 	}
 	cur := eng.NewCursor()
 	if err := cur.Seek(lo); err != nil {
-		return err
+		return 0, err
 	}
 	dedupVisits := eng.Mode() == sweep.ModeCompletions
 	sinceSample := 0
 	sinceCheck := 0
-	for remaining := n.Int64(); ; {
+	total := n.Int64()
+	for remaining := total; ; {
 		if sinceCheck++; sinceCheck >= cancelCheckInterval {
 			sinceCheck = 0
 			if ctx.Err() != nil {
-				return nil
+				return total - remaining, nil
 			}
 		}
 		if phases != nil {
 			if sinceSample++; sinceSample >= phaseSampleStride {
 				sinceSample = 0
 				t0 := time.Now()
-				span := visit(shard, cur, remaining)
+				span := visit(cur, remaining)
 				d := time.Since(t0)
 				if dedupVisits {
 					phases.addDedup(d, phaseSampleStride)
@@ -247,10 +171,10 @@ func sweepShard(eng *sweep.Engine, ctx context.Context, lo, hi *big.Int, shard i
 					phases.addMatch(d, phaseSampleStride)
 				}
 				if span == 0 {
-					return nil
+					return total - remaining, nil
 				}
 				if remaining -= span; remaining <= 0 {
-					return nil
+					return total, nil
 				}
 				t0 = time.Now()
 				cur.Pass(span)
@@ -258,12 +182,12 @@ func sweepShard(eng *sweep.Engine, ctx context.Context, lo, hi *big.Int, shard i
 				continue
 			}
 		}
-		span := visit(shard, cur, remaining)
+		span := visit(cur, remaining)
 		if span == 0 {
-			return nil
+			return total - remaining, nil
 		}
 		if remaining -= span; remaining <= 0 {
-			return nil
+			return total, nil
 		}
 		cur.Pass(span)
 	}
@@ -288,17 +212,17 @@ type compEntry struct {
 // plus one exact snapshot comparison. A genuine 128-bit collision simply
 // extends the probe chain; the snapshot comparison keeps it exact.
 //
-// A shard that sweeps (see newSweepShard) also owns a prefix memo: a
-// block whose prefix state the shard already swept holds only
-// completions it already recorded, so the shard skips it whole. Counts,
-// first-seen order and checkpoint records do not change.
+// While the range loop sweeps a range, the range's shard also owns a
+// prefix memo: a block whose prefix state the shard already swept holds
+// only completions it already recorded, so the shard skips it whole.
+// Counts, first-seen order and checkpoint records do not change.
 type completionShard struct {
 	order []*compEntry
 	table []int32 // linear-probe index into order; -1 is empty
 	mask  uint32
 	keep  bool
 
-	// memo is the shard's prefix memo; nil on merge tables and on
+	// memo is the shard's prefix memo; nil outside the range loop and on
 	// engines with no depth to memoize.
 	memo *sweep.PrefixMemo
 
@@ -331,16 +255,6 @@ func newCompletionShard(keepInstances bool) *completionShard {
 	return s
 }
 
-// newSweepShard returns the state of one shard sweeping eng: a dedup
-// table, the shard's prefix memo, and the phase timer of its first-sight
-// evaluations.
-func newSweepShard(eng *sweep.Engine, keepInstances bool, timing *PhaseTimes) *completionShard {
-	s := newCompletionShard(keepInstances)
-	s.memo = eng.NewPrefixMemo()
-	s.timing = timing
-	return s
-}
-
 func (s *completionShard) initTable(size int) {
 	s.table = make([]int32, size)
 	for i := range s.table {
@@ -360,13 +274,11 @@ func (s *completionShard) growTable() {
 	}
 }
 
-// releaseMemos hands the memos of finished shards back for reuse.
-func releaseMemos(shards ...*completionShard) {
-	for _, s := range shards {
-		if s != nil && s.memo != nil {
-			s.memo.Release()
-			s.memo = nil
-		}
+// releaseMemo hands the shard's prefix memo back for reuse.
+func (s *completionShard) releaseMemo() {
+	if s.memo != nil {
+		s.memo.Release()
+		s.memo = nil
 	}
 }
 
@@ -424,7 +336,7 @@ func (s *completionShard) visit(cur *sweep.Cursor, rest int64) int64 {
 }
 
 // add inserts an existing entry unless an equal completion (by canonical
-// encoding) is already present — the merge and restore path.
+// encoding) is already present — the fold and restore path.
 func (s *completionShard) add(e *compEntry) {
 	i := uint32(e.hash.Lo) & s.mask
 	for s.table[i] >= 0 {
@@ -465,21 +377,4 @@ func (s *completionShard) drainPending() []CompletionRecord {
 	}
 	s.pendingFrom = len(s.order)
 	return recs
-}
-
-// mergeCompletionShards folds the shards together in shard order (= index
-// order, since shards are contiguous), keeping each completion's
-// first-seen occurrence. The result is identical to what one serial sweep
-// would have produced.
-func mergeCompletionShards(shards []*completionShard) *completionShard {
-	if len(shards) == 1 {
-		return shards[0]
-	}
-	merged := newCompletionShard(shards[0].keep)
-	for _, s := range shards {
-		for _, e := range s.order {
-			merged.add(e)
-		}
-	}
-	return merged
 }

@@ -21,58 +21,44 @@ import (
 // the verdict is constant across the factored-out nulls) and is guarded
 // like the brute-force counters; for the tractable Table 1 cells,
 // comparing CountValuations against the total is the polynomial route.
+// A database with zero valuations (an empty domain) has no completion;
+// by the usual convention every query is then (vacuously) certain.
 func IsCertain(db *core.Database, q cq.Query, opts *Options) (bool, error) {
-	sat, visited, err := sweepUntil(db, q, opts, false)
-	if err != nil {
-		return false, err
-	}
-	// A database with zero valuations (an empty domain) has no completion;
-	// by the usual convention every query is then (vacuously) certain.
-	if !visited {
-		return true, nil
-	}
-	return sat, nil
+	sat, size, err := sweepUntil(db, q, opts, false)
+	return err == nil && sat == size, err
 }
 
 // IsPossible reports whether q holds in SOME completion of db, with early
 // exit.
 func IsPossible(db *core.Database, q cq.Query, opts *Options) (bool, error) {
-	sat, visited, err := sweepUntil(db, q, opts, true)
-	if err != nil {
-		return false, err
-	}
-	if !visited {
-		return false, nil
-	}
-	return sat, nil
+	sat, _, err := sweepUntil(db, q, opts, true)
+	return sat > 0, err
 }
 
-// sweepUntil sweeps the enumerated space serially until a valuation whose
-// verdict is want is found, passing over satisfied witness blocks whole.
-// It returns whether the last inspected verdict equals want (sat), and
-// whether the full space holds any valuation at all (visited).
-func sweepUntil(db *core.Database, q cq.Query, opts *Options, want bool) (sat, visited bool, err error) {
+// sweepUntil runs the range loop serially over the whole enumerated space
+// until a leaf whose verdict is want, passing over satisfied witness
+// blocks whole. It returns the satisfying valuations accounted for and
+// the size of the space — both 0 when db has no valuation at all.
+func sweepUntil(db *core.Database, q cq.Query, opts *Options, want bool) (sat, size uint64, err error) {
 	eng, err := compileGuarded(db, q, sweep.ModeValuations, opts)
 	if err != nil {
-		return false, false, err
+		return 0, 0, err
 	}
 	// An empty full space means db has no completion at all — also when
 	// the emptiness comes from a pruned null's empty domain.
 	if eng.TotalSize().Sign() == 0 {
-		return false, false, nil
+		return 0, 0, nil
 	}
-	sat = !want
-	err = sweepSharded(eng, opts.context(), 1, opts.progress(), opts.phases(), func(_ int, cur *sweep.Cursor, rest int64) int64 {
-		var span int64
-		if sat, span = cur.MatchSpan(rest); sat == want {
-			return 0
-		}
-		return span
-	})
-	if err != nil {
-		return false, false, err
+	p := freshPartition(eng.Size(), 1, false)
+	p.ranges[0].until = &want
+	ctx := opts.context()
+	if err := p.sweep(eng, ctx, 1, opts.progress(), opts.phases(), 0, nil); err != nil {
+		return 0, 0, err
 	}
-	return sat, true, nil
+	if err := ctx.Err(); err != nil {
+		return 0, 0, err
+	}
+	return p.ranges[0].t.n, eng.Size().Uint64(), nil
 }
 
 // MuDatabase builds the µ_k construction shared by MuK and the solver's

@@ -121,9 +121,10 @@ func stepRange(t *testing.T, eng *sweep.Engine, lo, hi int64) uint64 {
 func spanRange(t *testing.T, eng *sweep.Engine, lo, hi int64) (tally uint64, leaves int64) {
 	t.Helper()
 	var st shardTally
-	err := sweepShard(eng, context.Background(), big.NewInt(lo), big.NewInt(hi), 0, nil, func(_ int, cur *sweep.Cursor, rest int64) int64 {
+	_, err := sweepShard(eng, context.Background(), big.NewInt(lo), big.NewInt(hi), nil, func(cur *sweep.Cursor, rest int64) int64 {
 		leaves++
-		return st.leaf(cur, rest)
+		_, span := st.leaf(cur, rest)
+		return span
 	})
 	if err != nil {
 		t.Fatal(err)

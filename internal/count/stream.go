@@ -1,8 +1,6 @@
 package count
 
 import (
-	"math/big"
-
 	"github.com/incompletedb/incompletedb/internal/core"
 	"github.com/incompletedb/incompletedb/internal/cq"
 	"github.com/incompletedb/incompletedb/internal/sweep"
@@ -11,14 +9,15 @@ import (
 // StreamCompletions enumerates the distinct completions of db that
 // satisfy q, calling fn for each one as it is first encountered, without
 // ever materializing the whole set of satisfying completions. Enumeration
-// is one serial shard loop, in first-seen valuation-index order — the
-// same order EnumerateCompletions reports, restricted to the satisfying
-// completions — and stops early when fn returns false. The guard in opts
-// applies to the valuation space exactly as for BruteForceCompletions,
-// and the context in opts cancels the sweep between visits.
+// is the range loop over a one-range partition, in first-seen
+// valuation-index order — the same order EnumerateCompletions reports,
+// restricted to the satisfying completions — and stops early when fn
+// returns false. The guard in opts applies to the valuation space exactly
+// as for BruteForceCompletions, and the context in opts cancels the sweep
+// between visits.
 //
 // Deduplication state (one 128-bit hash and canonical snapshot per
-// distinct completion seen, and the shard's prefix memo) still grows with
+// distinct completion seen, and the range's prefix memo) still grows with
 // the number of distinct completions; what streaming avoids is holding
 // every satisfying *instance* alive at once, and — when the consumer
 // stops early — the tail of the sweep.
@@ -27,18 +26,16 @@ func StreamCompletions(db *core.Database, q cq.Query, opts *Options, fn func(*co
 	if err != nil {
 		return err
 	}
-	ctx := opts.context()
-	s := newSweepShard(eng, false, nil)
+	p := freshPartition(eng.Size(), 1, true)
+	s := newCompletionShard(false)
 	stopped := false
 	s.emit = func(inst *core.Instance) bool {
 		stopped = !fn(inst)
 		return !stopped
 	}
-	err = sweepShard(eng, ctx, new(big.Int), eng.Size(), 0, nil, func(_ int, cur *sweep.Cursor, rest int64) int64 {
-		return s.visit(cur, rest)
-	})
-	releaseMemos(s)
-	if err != nil || stopped {
+	p.ranges[0].comp = s
+	ctx := opts.context()
+	if err := p.sweep(eng, ctx, 1, nil, nil, 0, nil); err != nil || stopped {
 		return err
 	}
 	return ctx.Err()

@@ -54,9 +54,9 @@ func TestTallyDecode(t *testing.T) {
 }
 
 // TestShardTallyBound: every consumer of checkpoint state — the local
-// restore, ValidateShardProgress, SweepShardRange and MergeCheckpoint —
-// accepts a tally equal to the valuations its shard visited and rejects
-// one past it.
+// restore (ParseCheckpoint), ValidateShardProgress, SweepShardRange and
+// MergeCheckpoint — accepts a tally equal to the valuations its shard
+// visited and rejects one past it.
 func TestShardTallyBound(t *testing.T) {
 	db := core.NewUniformDatabase([]string{"a", "b"})
 	for i := 1; i <= 4; i++ { // 2^4 = 16 valuations, every one satisfying
@@ -73,14 +73,13 @@ func TestShardTallyBound(t *testing.T) {
 		check func(excess uint64) error
 	}{
 		{"restore", func(excess uint64) error {
-			ck := NewCheckpointer(0, &SweepCheckpoint{Space: "16", Shards: []ShardCheckpoint{
+			p, err := ParseCheckpoint(eng, &SweepCheckpoint{Space: "16", Shards: []ShardCheckpoint{
 				{Lo: "0", Next: "8", Hi: "16", Count: tallyOf(8 + excess)}}})
-			st := ck.restore(eng, false)
-			if st == nil {
-				return fmt.Errorf("%w: checkpoint discarded", ErrShardCheckpoint)
+			if err != nil {
+				return err
 			}
-			if st.counts[0].n != 8 {
-				return fmt.Errorf("restored tally %d, want 8", st.counts[0].n)
+			if p.ranges[0].t.n != 8 {
+				return fmt.Errorf("restored tally %d, want 8", p.ranges[0].t.n)
 			}
 			return nil
 		}},
@@ -129,7 +128,7 @@ func TestSweepShardRejectsWideInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 	visits := 0
-	err = sweepShard(eng, context.Background(), new(big.Int), eng.Size(), 0, nil, func(int, *sweep.Cursor, int64) int64 {
+	_, err = sweepShard(eng, context.Background(), new(big.Int), eng.Size(), nil, func(*sweep.Cursor, int64) int64 {
 		if visits++; visits < 1000 {
 			return 1
 		}

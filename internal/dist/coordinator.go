@@ -595,10 +595,13 @@ func (j *distJob) checkpoint() *count.SweepCheckpoint {
 }
 
 // StartJob compiles the spec, builds (or restores) its lease table, and
-// makes it eligible for issuance. A resume checkpoint that does not
-// match the engine (different space, wrong mode, malformed or
-// non-contiguous shards) is discarded and the table starts fresh —
-// mirroring the local Checkpointer's resume contract.
+// makes it eligible for issuance. A resume checkpoint that does not parse
+// against the engine (count.ParseCheckpoint: different space, wrong mode,
+// malformed or non-contiguous shards, completion records that no longer
+// decode) is discarded and the table starts fresh — the local
+// Checkpointer's resume contract, through the same check. Discarding
+// undecodable records here keeps every re-issued lease from failing on
+// every worker until MaxLeaseFails kills the job.
 func (c *Coordinator) StartJob(spec JobSpec, resume *count.SweepCheckpoint) (*JobHandle, error) {
 	db, err := core.ParseDatabaseString(spec.Database)
 	if err != nil {
@@ -619,9 +622,8 @@ func (c *Coordinator) StartJob(spec JobSpec, resume *count.SweepCheckpoint) (*Jo
 	}
 	size := eng.Size()
 	cp := resume
-	if !resumable(eng, cp, size, completions) {
-		leases := c.leaseCount(size)
-		cp = count.NewSweepCheckpoint(size, leases, completions)
+	if _, err := count.ParseCheckpoint(eng, cp); err != nil {
+		cp = count.NewSweepCheckpoint(size, c.leaseCount(size), completions)
 	}
 	j := &distJob{
 		spec:        spec,
@@ -670,34 +672,6 @@ func (c *Coordinator) StartJob(spec JobSpec, resume *count.SweepCheckpoint) (*Jo
 		j.finish()
 	}
 	return &JobHandle{c: c, j: j}, nil
-}
-
-// resumable reports whether a persisted lease table can seed this job:
-// the space and mode must match and the shards must form a contiguous
-// partition with valid state — the same checks the local restore makes,
-// via the same validation the merge uses. Each shard runs through
-// count.ValidateShardProgress, so completion records that no longer
-// decode against the engine (version skew across a restart) discard the
-// checkpoint here, instead of every re-issued lease failing on every
-// worker until MaxLeaseFails kills the job.
-func resumable(eng *sweep.Engine, cp *count.SweepCheckpoint, size *big.Int, completions bool) bool {
-	if cp == nil || len(cp.Shards) == 0 || cp.Space != size.String() || cp.Completions != completions {
-		return false
-	}
-	prev := new(big.Int)
-	for i := range cp.Shards {
-		s := &cp.Shards[i]
-		if count.ValidateShardProgress(eng, s) != nil {
-			return false
-		}
-		lo, _ := new(big.Int).SetString(s.Lo, 10)
-		hi, _ := new(big.Int).SetString(s.Hi, 10)
-		if lo.Cmp(prev) != 0 {
-			return false
-		}
-		prev = hi
-	}
-	return prev.Cmp(size) == 0
 }
 
 // leaseCount sizes a job's lease table.

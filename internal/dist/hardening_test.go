@@ -7,16 +7,16 @@ import (
 	"time"
 
 	"github.com/incompletedb/incompletedb/internal/core"
-	"github.com/incompletedb/incompletedb/internal/count"
 	"github.com/incompletedb/incompletedb/internal/cq"
 	"github.com/incompletedb/incompletedb/internal/sweep"
 )
 
 // Regression tests for the review findings on the distributed subsystem:
 // the worker engine cache must key on the lease spec (job IDs recycle
-// across coordinator restarts), /cluster must honor a shared token,
-// resume must discard checkpoints whose completion records no longer
-// decode, and a degenerate lease TTL must not panic the expiry loop.
+// across coordinator restarts), /cluster must honor a shared token, and
+// a degenerate lease TTL must not panic the expiry loop. Resume's
+// discarding of checkpoints whose completion records no longer decode is
+// a row of the checkpoint validity table in internal/count.
 
 // TestWorkerEngineCacheKeyedBySpec: two leases sharing a job ID but
 // differing in spec (the coordinator-restart ID-recycling scenario) must
@@ -113,40 +113,6 @@ func TestClusterTokenAuth(t *testing.T) {
 	}
 	if got.Cmp(want) != 0 {
 		t.Fatalf("tokened distributed count %v, want %v", got, want)
-	}
-}
-
-// TestResumeDiscardsUndecodableCheckpoint: a persisted lease table whose
-// completion records no longer decode against the engine (version skew
-// across a restart) must be discarded at StartJob — starting the table
-// fresh — rather than accepted and re-issued to fail on every worker.
-func TestResumeDiscardsUndecodableCheckpoint(t *testing.T) {
-	database, query := testDB("codd")
-	cl := startCluster(t, testConfig())
-	spec := JobSpec{Database: database, Query: query, Kind: "comp"}
-	h, err := cl.coord.StartJob(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := h.Checkpoint()
-	h.Cancel()
-	// A structurally plausible table: shard 0 fully swept, but its
-	// records name a relation ID the engine does not have.
-	cp.Shards[0].Next = cp.Shards[0].Hi
-	cp.Shards[0].Entries = []count.CompletionRecord{{Canonical: []uint32{987654}}}
-
-	h2, err := cl.coord.StartJob(spec, cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h2.Cancel()
-	fresh := h2.Checkpoint()
-	for i := range fresh.Shards {
-		s := &fresh.Shards[i]
-		if s.Next != s.Lo || len(s.Entries) != 0 {
-			t.Fatalf("shard %d resumed from a corrupt checkpoint: next %s (lo %s), %d entries",
-				i, s.Next, s.Lo, len(s.Entries))
-		}
 	}
 }
 

@@ -574,9 +574,12 @@ func (m *Manager) finish(j *Job, res json.RawMessage, err error) {
 		j.rec.FinishedAt = m.now()
 	}
 	j.mu.Unlock()
+	// Persist before Done closes: Drain returns once every job it cancelled
+	// is done, and the drained job's final record must be in the store by
+	// then.
+	m.persist(j)
 	close(j.done)
 	j.cancel()
-	m.persist(j)
 	m.mu.Lock()
 	m.running--
 	if terminal {

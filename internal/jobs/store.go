@@ -67,8 +67,10 @@ func (s *MemStore) List() ([]*Record, error) {
 }
 
 // FileStore keeps one JSON file per job under a directory (the `incdb
-// serve -jobdir` backing). Writes go through a temp file and an atomic
-// rename, so a kill -9 mid-checkpoint leaves the previous intact record.
+// serve -jobdir` backing). Put writes a temp file, fsyncs it, renames it
+// over the record and fsyncs the directory: a kill -9 mid-checkpoint
+// leaves the previous intact record, and a Put that returned survives a
+// machine crash.
 type FileStore struct {
 	dir string
 	mu  sync.Mutex
@@ -108,6 +110,9 @@ func (s *FileStore) Put(rec *Record) error {
 		return err
 	}
 	_, werr := tmp.Write(blob)
+	if werr == nil {
+		werr = tmp.Sync()
+	}
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
@@ -116,7 +121,24 @@ func (s *FileStore) Put(rec *Record) error {
 		}
 		return cerr
 	}
-	return os.Rename(tmp.Name(), s.path(rec.ID))
+	if err := os.Rename(tmp.Name(), s.path(rec.ID)); err != nil {
+		return err
+	}
+	return s.syncDir()
+}
+
+// syncDir flushes the directory entry a rename changed, so the record
+// survives a machine crash and not only a process crash.
+func (s *FileStore) syncDir() error {
+	d, err := os.Open(s.dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (s *FileStore) Delete(id string) error {

@@ -334,11 +334,26 @@ func (s *Server) Shutdown(ctx context.Context) {
 	s.Close()
 }
 
+// A client must finish sending its request headers within
+// readHeaderTimeout, and an idle keep-alive connection is closed after
+// idleTimeout, so slow or abandoned clients cannot hold connections open
+// without bound. Request bodies and responses are not bounded here:
+// distributed-job and long-poll traffic legitimately takes long.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// httpServer builds the http.Server that Serve runs.
+func (s *Server) httpServer() *http.Server {
+	return &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // Serve serves the API on ln until ctx is cancelled, then shuts down
 // gracefully: in-flight HTTP requests finish, running jobs checkpoint,
 // and only then is background work cancelled.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	hs := &http.Server{Handler: s.mux}
+	hs := s.httpServer()
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {

@@ -632,3 +632,21 @@ func TestEstimateRejectsOverflowingEps(t *testing.T) {
 		t.Fatalf("estimate with ε = 1e-9 returned HTTP %d (%+v), want 422", code, resp)
 	}
 }
+
+// TestServeSetsConnectionTimeouts: the http.Server that Serve runs bounds
+// how long a client may take to send its request headers and how long an
+// idle keep-alive connection stays open.
+func TestServeSetsConnectionTimeouts(t *testing.T) {
+	srv := New(Config{})
+	defer srv.Close()
+	hs := srv.httpServer()
+	if hs.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want the positive readHeaderTimeout %v", hs.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if hs.IdleTimeout != idleTimeout || idleTimeout <= 0 {
+		t.Fatalf("IdleTimeout = %v, want the positive idleTimeout %v", hs.IdleTimeout, idleTimeout)
+	}
+	if hs.Handler == nil {
+		t.Fatal("the server has no handler")
+	}
+}
