@@ -53,8 +53,8 @@ func ExampleSolver() {
 }
 
 // ExamplePreparedDB_mutation mutates a live session in place: each
-// write replays through the session's delta path (patching or
-// invalidating exactly the affected cached plans), and the next count
+// write replays through the session's delta path (emptying the cached
+// plans, keeping the factors it did not touch), and the next count
 // reflects it immediately — no re-Prepare.
 func ExamplePreparedDB_mutation() {
 	db := incdb.NewDatabase()

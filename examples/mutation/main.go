@@ -1,9 +1,9 @@
 // Mutation demonstrates mutable databases with incremental recount: a
 // prepared session absorbs fact and domain deltas in place, and the
-// next count re-derives only what the delta could have changed —
-// cached plans are patched or surgically invalidated, and on factorized
-// queries the untouched independent components are served from the
-// session's factor memo instead of being re-swept.
+// next count re-derives only what the delta could have changed — a
+// write empties the session's plan cache, and on factorized queries the
+// untouched independent components are served from the session's
+// factor memo instead of being re-swept.
 //
 // The same delta surface is exposed over HTTP (POST/DELETE /v1/facts,
 // POST /v1/domain on the live session of `incdb serve -db`) and from
@@ -58,9 +58,9 @@ func main() {
 
 	count("initial")
 
-	// A ground fact lands on C0 only. The session patches what it can,
-	// drops only the plans whose signature intersects C0, and the
-	// recount serves C1–C3 from the factor memo.
+	// A ground fact lands on C0 only. The session drops its cached
+	// plans, and the recount rebuilds the plan but serves C1–C3 from the
+	// factor memo.
 	if err := pdb.AddFact("C0", incdb.Const("a"), incdb.Const("a")); err != nil {
 		log.Fatal(err)
 	}
@@ -71,8 +71,8 @@ func main() {
 	}
 	count("after RemoveFact")
 
-	// Growing a null's domain is a delta too: only plans that embed ?1's
-	// geometry are touched.
+	// Growing a null's domain is a delta too: only the memoized factors
+	// whose facts hold ?1 are dropped.
 	if err := pdb.ExtendDomain(1, "d"); err != nil {
 		log.Fatal(err)
 	}

@@ -18,7 +18,9 @@
 // the maximum over the components.
 //
 // Plans are pure descriptions plus prebuilt read-only payloads (the
-// cylinder set of an inclusion–exclusion node); execution lives in
+// cylinder set of an inclusion–exclusion node, the engine of a sweep);
+// once Build returns, nothing writes to a plan, so any number of
+// goroutines may execute and render it. Execution lives in
 // internal/count, which walks the DAG. The same rendered plan backs
 // `incdb explain`, POST /v1/explain and the root Explain API.
 package plan
@@ -210,9 +212,6 @@ type Plan struct {
 	Root  *Node
 
 	db *core.Database
-	// guard is the brute-force guard the plan was built under; the sweep
-	// costs are judged against it, also when a delta re-derives them.
-	guard int64
 }
 
 // Database returns the database the plan was compiled from (nil on a
@@ -256,7 +255,7 @@ func (p *Plan) StripPayloads() *Plan {
 		}
 		return &c
 	}
-	return &Plan{Kind: p.Kind, Query: p.Query, Root: strip(p.Root), guard: p.guard}
+	return &Plan{Kind: p.Kind, Query: p.Query, Root: strip(p.Root)}
 }
 
 // Method renders the node's operator subtree as a compact signature.
@@ -305,7 +304,7 @@ func Build(db *core.Database, q cq.Query, kind classify.CountingKind, opts *Opti
 	} else {
 		root = b.buildComp(q)
 	}
-	return &Plan{Kind: kind, Query: q, Root: root, db: db, guard: b.opts.MaxValuations}, nil
+	return &Plan{Kind: kind, Query: q, Root: root, db: db}, nil
 }
 
 // BruteOnly compiles a plan that bypasses every fast path and sweeps: the
@@ -325,7 +324,7 @@ func BruteOnly(db *core.Database, q cq.Query, kind classify.CountingKind, opts *
 		Reason:    "every fast path was bypassed on request (force_brute)",
 	})
 	b.finishSweep(n, q)
-	return &Plan{Kind: kind, Query: q, Root: n, db: db, guard: b.opts.MaxValuations}, nil
+	return &Plan{Kind: kind, Query: q, Root: n, db: db}, nil
 }
 
 // builder carries the shared planning state.
@@ -588,23 +587,6 @@ func (n *Node) sweepCost(guard int64) {
 	if n.Cost.ExceedsGuard {
 		n.Cost.Note += fmt.Sprintf("; EXCEEDS the guard of %v", guard)
 	}
-}
-
-// RefreshSweepCosts re-derives the cost blocks of the plan's sweep nodes
-// from their engines against the guard the plan was built under — after
-// a database delta patched the engines in place — so EXPLAIN renders the
-// post-delta geometry and the guard flag stays truthful.
-func (p *Plan) RefreshSweepCosts() {
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n.Op == OpSweep && n.Engine != nil {
-			n.sweepCost(p.guard)
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(p.Root)
 }
 
 // BuildEstimate compiles the plan of a Karp–Luby estimate request: a

@@ -320,14 +320,12 @@ type Stats struct {
 	FlightShared int64 `json:"flight_shared"`
 
 	// Mutations counts database deltas absorbed by live sessions;
-	// PlansInvalidated/PlansPatched split how each delta hit the plan
-	// cache (dropped vs. patched in place), and FactorsReused counts
-	// independent-component counts served from the factor memo instead
-	// of re-swept. Together they make the incremental-recount path
-	// observable.
+	// PlansInvalidated counts the cached plans those writes dropped, and
+	// FactorsReused counts independent-component counts served from the
+	// factor memo instead of re-swept. Together they make the
+	// incremental-recount path observable.
 	Mutations        int64 `json:"mutations,omitempty"`
 	PlansInvalidated int64 `json:"plans_invalidated,omitempty"`
-	PlansPatched     int64 `json:"plans_patched,omitempty"`
 	FactorsReused    int64 `json:"factors_reused,omitempty"`
 
 	// Live describes the live mutable session, if one is loaded.

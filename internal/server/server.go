@@ -29,10 +29,10 @@
 // The server also hosts one live mutable session: a database loaded with
 // POST /v1/db (or incdb serve -db) stays prepared across requests, and
 // the write endpoints mutate it through the solver session's delta path —
-// plans whose relations a delta touches are invalidated or patched in
-// place, untouched independent components are served from the factor
-// memo, and interleaved count traffic (any read request with an empty
-// database field) sees each write immediately.
+// a write empties the session's plan cache, untouched independent
+// components are served from the factor memo, and interleaved count
+// traffic (any read request with an empty database field) sees each
+// write immediately.
 //
 // Endpoints:
 //
@@ -394,7 +394,6 @@ func (s *Server) Stats() Stats {
 		FlightShared:     m.FlightShared,
 		Mutations:        m.Mutations,
 		PlansInvalidated: m.PlansInvalidated,
-		PlansPatched:     m.PlansPatched,
 		FactorsReused:    m.FactorsReused,
 		Jobs:             s.jobStatusCounts(),
 	}

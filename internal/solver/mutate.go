@@ -13,25 +13,25 @@ import (
 
 // This file is the delta-maintenance half of a PreparedDB: the mutation
 // surface (AddFact/RemoveFact/ExtendDomain), the version-sync machinery
-// that replays core.Database deltas into the session, the sig(q)-scoped
-// plan invalidation that patches compiled sweep engines in place where it
-// can and drops plans where it must, and the factor memo that lets a
-// recount after a single-component delta re-sweep only that component.
+// that brings the session up to the database's version, and the factor
+// memo that lets a recount after a single-component delta re-sweep only
+// that component. A cached plan serves only the version it was built at,
+// so every sync that advances the version empties the plan cache; the
+// factor memo replays the deltas and drops exactly the components they
+// touched.
 //
 // The locking discipline: every read entry point holds p.mu.RLock for its
-// whole execution (plans and their engines are therefore never patched
-// mid-sweep), and rlock() first brings the session up to date with the
-// database's version under the write lock. Mutations through the session
-// methods sync eagerly; mutating the database directly is also supported
-// — the next call on the session replays the missed deltas.
+// whole execution, and rlock() first brings the session up to date with
+// the database's version under the write lock. Mutations through the
+// session methods sync eagerly; mutating the database directly is also
+// supported — the next call on the session replays the missed deltas.
 
-// AddFact adds rel(args...) to the prepared database and incrementally
-// updates the session: cached plans whose queries do not mention rel have
-// their sweep engines patched in place; plans that do mention it are
-// invalidated and rebuilt on next use (their factorized components that
-// do not touch rel are still served from the factor memo). In a
-// non-uniform database every null argument must already have a domain
-// (set one with ExtendDomain first); a duplicate fact is a no-op.
+// AddFact adds rel(args...) to the prepared database and updates the
+// session: every cached plan is dropped and rebuilt on next use, while
+// the factorized components that do not touch rel are still served from
+// the factor memo. In a non-uniform database every null argument must
+// already have a domain (set one with ExtendDomain first); a duplicate
+// fact is a no-op.
 func (p *PreparedDB) AddFact(rel string, args ...core.Value) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -49,9 +49,8 @@ func (p *PreparedDB) AddFact(rel string, args ...core.Value) error {
 	return nil
 }
 
-// RemoveFact removes rel(args...) from the prepared database and
-// incrementally updates the session like AddFact. It reports whether the
-// fact was present.
+// RemoveFact removes rel(args...) from the prepared database and updates
+// the session like AddFact. It reports whether the fact was present.
 func (p *PreparedDB) RemoveFact(rel string, args ...core.Value) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -61,9 +60,8 @@ func (p *PreparedDB) RemoveFact(rel string, args ...core.Value) bool {
 }
 
 // ExtendDomain appends values to the domain of null n (creating the
-// domain if n had none) and incrementally updates the session; cached
-// cylinder inclusion–exclusion plans are invalidated (their prebuilt
-// payloads embed domain weights), sweep plans are patched in place.
+// domain if n had none) and updates the session like AddFact; the factor
+// memo keeps the components whose facts do not hold n.
 func (p *PreparedDB) ExtendDomain(n core.NullID, values ...string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -75,7 +73,8 @@ func (p *PreparedDB) ExtendDomain(n core.NullID, values ...string) error {
 }
 
 // ExtendUniformDomain appends values to the shared domain of a uniform
-// prepared database and incrementally updates the session.
+// prepared database and updates the session; the extension reaches every
+// null, so the factor memo is emptied too.
 func (p *PreparedDB) ExtendUniformDomain(values ...string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -112,41 +111,29 @@ func (p *PreparedDB) rlock() {
 	}
 }
 
-// syncLocked replays the database deltas the session has not applied yet.
-// Callers hold the write lock.
+// syncLocked brings the session up to the database's version: it empties
+// the plan cache, replays the deltas it has not applied into the factor
+// memo, and recomputes the session geometry. Callers hold the write lock.
 func (p *PreparedDB) syncLocked() {
 	ver := p.db.Version()
 	if ver == p.appliedVersion {
 		return
 	}
 	p.s.mutations.Add(int64(ver - p.appliedVersion))
+	p.s.plansInvalidated.Add(int64(p.plans.purge()))
 	deltas, ok := p.db.DeltasSince(p.appliedVersion)
-	if !ok {
-		// The delta log was trimmed past our version (or the version moved
-		// backwards): rebuild the session state wholesale.
-		p.resetLocked()
-		return
+	// The factor memo is emptied wholesale when the deltas are gone (the
+	// log was trimmed past our version, or the version moved backwards),
+	// or when the batch flipped the database's Codd-ness: a property of
+	// the whole fact set that drives plan selection (Theorem 3.7), checked
+	// once per batch against the final state.
+	if !ok || p.db.IsCodd() != p.wasCodd {
+		p.factors.dropAll()
+	} else {
+		for _, d := range deltas {
+			p.factors.apply(d)
+		}
 	}
-	// Codd-ness drives plan selection (Theorem 3.7) and is a property of
-	// the whole fact set; check the flip once per batch against the final
-	// state instead of per delta.
-	if p.db.IsCodd() != p.wasCodd {
-		p.resetLocked()
-		return
-	}
-	for _, d := range deltas {
-		p.applyDeltaLocked(d)
-	}
-	p.refreshGeometryLocked()
-}
-
-// resetLocked discards every cached plan and memoized factor and
-// recomputes the session geometry — the wholesale fallback for deltas
-// that cannot be maintained incrementally.
-func (p *PreparedDB) resetLocked() {
-	n := p.plans.purge(func(string, *planEntry) bool { return true })
-	p.s.plansInvalidated.Add(int64(n))
-	p.factors.dropAll()
 	p.refreshGeometryLocked()
 }
 
@@ -167,86 +154,6 @@ func (p *PreparedDB) refreshGeometryLocked() {
 	}
 	p.appliedVersion = p.db.Version()
 	p.wasCodd = p.db.IsCodd()
-}
-
-// applyDeltaLocked folds one delta into the session's caches: the factor
-// memo drops exactly the components the delta could have changed, and
-// each cached plan is either patched in place or dropped.
-func (p *PreparedDB) applyDeltaLocked(d core.Delta) {
-	switch d.Op {
-	case core.DeltaSetDomain:
-		// Wholesale domain replacement is the one delta the sweep engine
-		// cannot absorb (values may disappear or reorder): drop everything.
-		n := p.plans.purge(func(string, *planEntry) bool { return true })
-		p.s.plansInvalidated.Add(int64(n))
-		p.factors.dropAll()
-		return
-	case core.DeltaExtendUniform:
-		// The shared domain extension reaches every null, including every
-		// memoized component's nulls.
-		p.factors.dropAll()
-	case core.DeltaExtendDomain:
-		p.factors.dropNull(d.Null)
-	case core.DeltaAddFact, core.DeltaRemoveFact:
-		p.factors.dropRel(d.Fact.Rel)
-	}
-	dropped := p.plans.purge(func(_ string, e *planEntry) bool {
-		return p.planStale(e, d)
-	})
-	p.s.plansInvalidated.Add(int64(dropped))
-}
-
-// planStale decides one cached plan's fate under one delta: false keeps
-// the entry (patching its engines in place as a side effect), true drops
-// it. The policy errs towards dropping whenever a delta could change the
-// planner's algorithm selection or a prebuilt non-sweep payload.
-func (p *PreparedDB) planStale(e *planEntry, d core.Delta) bool {
-	switch d.Op {
-	case core.DeltaAddFact, core.DeltaRemoveFact:
-		if e.kind == classify.Completions && e.hasUniformComp {
-			// Theorem 4.6 applicability depends on the schema (all
-			// relations unary), which a fact can change; closed-form plans
-			// are cheap to rebuild.
-			return true
-		}
-		if e.sigOK && e.sig[d.Fact.Rel] {
-			// The delta touches a relation the query mentions: the
-			// dichotomy verdicts and factorization that shaped this plan
-			// may no longer hold. Rebuild; the factor memo preserves the
-			// untouched components' counts across the rebuild.
-			return true
-		}
-		if e.hasCylinder && len(d.Fact.Nulls()) > 0 {
-			// Cylinder payloads embed the null population's weights; a
-			// fact outside sig(q) can still add or retire nulls.
-			return true
-		}
-		return !p.patchEntry(e, d)
-	case core.DeltaExtendDomain, core.DeltaExtendUniform:
-		if e.hasCylinder {
-			return true
-		}
-		return !p.patchEntry(e, d)
-	default:
-		return true
-	}
-}
-
-// patchEntry patches every compiled sweep engine of the entry for the
-// delta, reporting whether all succeeded. Entries without engines
-// (closed-form plans, which read the database fresh at execution) are
-// trivially up to date.
-func (p *PreparedDB) patchEntry(e *planEntry, d core.Delta) bool {
-	for _, eng := range e.engines {
-		if !eng.Patch(p.db, d) {
-			return false
-		}
-	}
-	if len(e.engines) > 0 {
-		p.s.plansPatched.Add(1)
-		e.plan.RefreshSweepCosts()
-	}
-	return true
 }
 
 // factorMemo caches, per session, the counts of the independent
@@ -273,6 +180,20 @@ type factorEntry struct {
 
 func newFactorMemo() *factorMemo {
 	return &factorMemo{entries: make(map[string]*factorEntry)}
+}
+
+// apply drops exactly the entries one delta could have changed.
+func (m *factorMemo) apply(d core.Delta) {
+	switch d.Op {
+	case core.DeltaSetDomain, core.DeltaExtendUniform:
+		// A wholesale domain replacement, or the shared domain extension,
+		// which reaches every null, including every memoized component's.
+		m.dropAll()
+	case core.DeltaExtendDomain:
+		m.dropNull(d.Null)
+	case core.DeltaAddFact, core.DeltaRemoveFact:
+		m.dropRel(d.Fact.Rel)
+	}
 }
 
 // lookup scales the memoized ratio back to a count at the current total.

@@ -45,18 +45,17 @@ func planCacheKey(canonQ string, kind classify.CountingKind) string {
 // A PreparedDB is a *live* session: the database may be mutated after
 // Prepare — through the session's AddFact/RemoveFact/ExtendDomain
 // methods, or directly on the database between calls — and the session
-// incrementally resynchronizes by replaying the database's delta log. A
-// delta invalidates only the cached plans whose query signature
-// intersects the touched relations; other plans have their compiled sweep
-// engines patched in place, and factorized counts are re-derived by
-// re-sweeping only the affected independent component while the others'
-// counts are reused from the session's factor memo (see mutate.go).
+// resynchronizes by replaying the database's delta log. A cached plan
+// serves only the database version it was built at, so a write empties
+// the plan cache; factorized counts are re-derived by re-sweeping only
+// the affected independent component while the others' counts are
+// reused from the session's factor memo (see mutate.go).
 //
 // A PreparedDB is safe for concurrent use, including concurrent
 // mutations through its own methods; mutating the database directly must
 // not race with session calls. Plans handed out by Explain (and carried
-// on Results) are live session state: a later delta may patch their
-// engines and costs in place.
+// on Results) are values: a later write never changes them, and the
+// next call builds a new plan instead.
 type PreparedDB struct {
 	s     *Solver
 	db    *core.Database
@@ -150,8 +149,8 @@ func (p *PreparedDB) Explain(q cq.Query, kind classify.CountingKind) (*plan.Plan
 // caching it on first use. The plan is shared and must be treated as
 // read-only; isomorphic queries (renamed variables, reordered atoms)
 // share one entry, and calls with other planning options get entries of
-// their own. After a database delta the shared plan may be patched in
-// place or rebuilt.
+// their own. A plan describes the database version it was built at: a
+// later write leaves it as it is, and the next call returns a new plan.
 func (p *PreparedDB) ExplainWith(q cq.Query, kind classify.CountingKind, opts *count.Options) (*plan.Plan, error) {
 	p.rlock()
 	defer p.mu.RUnlock()
@@ -165,18 +164,18 @@ func (p *PreparedDB) ExplainWith(q cq.Query, kind classify.CountingKind, opts *c
 // sweep engines over the whole database, and concurrent first uses of
 // distinct queries should not serialize. A racing duplicate build of the
 // same query is harmless — last writer wins, both plans are equivalent.
-// Callers hold the session read lock, so the database (and the cache's
-// delta state) is stable underneath the build.
+// Callers hold the session read lock, so the database version the plan
+// is built and cached at cannot advance underneath the build.
 func (p *PreparedDB) planFor(canonQ string, q cq.Query, kind classify.CountingKind, po plan.Options, suffix string) (*plan.Plan, error) {
 	key := planCacheKey(canonQ, kind) + suffix
-	if e, ok := p.plans.get(key); ok {
-		return e.plan, nil
+	if pl, ok := p.plans.get(key); ok {
+		return pl, nil
 	}
 	pl, err := plan.Build(p.db, q, kind, &po)
 	if err != nil {
 		return nil, err
 	}
-	p.plans.add(key, newPlanEntry(pl, q, kind))
+	p.plans.add(key, pl)
 	return pl, nil
 }
 

@@ -90,7 +90,7 @@ type Solver struct {
 	hits, misses, computations, shared atomic.Int64
 
 	// Delta-maintenance counters (the incremental-recount path).
-	mutations, plansInvalidated, plansPatched, factorsReused atomic.Int64
+	mutations, plansInvalidated, factorsReused atomic.Int64
 }
 
 // NewSolver returns a Solver configured by the given options.
@@ -135,12 +135,12 @@ type Metrics struct {
 	// Mutations counts database deltas applied through prepared sessions
 	// (facts added or removed, domains extended).
 	Mutations int64
-	// PlansInvalidated counts cached plans dropped by delta invalidation:
-	// the delta touched a relation in the plan's signature, or the plan's
-	// payloads could not be maintained in place.
+	// PlansInvalidated counts cached plans dropped because the database
+	// version advanced: a write empties its session's plan cache.
 	PlansInvalidated int64
-	// PlansPatched counts cached plans whose compiled sweep engines were
-	// patched in place after a delta instead of being recompiled.
+	// PlansPatched is always zero: a write empties the session's plan
+	// cache instead of patching its plans. It is kept for readers built
+	// against the older metrics.
 	PlansPatched int64
 	// FactorsReused counts independent components of factorized plans
 	// served from session factor memos instead of being re-swept.
@@ -157,7 +157,6 @@ func (s *Solver) Metrics() Metrics {
 		FlightShared:     s.shared.Load(),
 		Mutations:        s.mutations.Load(),
 		PlansInvalidated: s.plansInvalidated.Load(),
-		PlansPatched:     s.plansPatched.Load(),
 		FactorsReused:    s.factorsReused.Load(),
 	}
 }

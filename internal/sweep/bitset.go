@@ -24,9 +24,7 @@ import "math/bits"
 // cursor-local state, maintained incrementally by applyDigit: patching
 // one null slot moves at most one bit per affected bitmap. The
 // engine-side plan (block offsets, per-atom access plans, per-slot
-// update descriptors) is recomputed after every successful Patch — Patch
-// invalidates all cursors anyway, and relFacts hold exactly the live
-// facts, so ordinals stay dense across tombstones and appends.
+// update descriptors) is built once, at compile time.
 
 // bitsetWordBudget caps the bitmap words one cursor allocates (position
 // plus equality blocks, 8 MiB of uint64s). Beyond it the plan is dropped
@@ -132,13 +130,10 @@ type eqKey struct {
 	p1, p2 int32
 }
 
-// buildBitsets compiles (or rebuilds) the engine's bitset plan, clearing
-// it when disabled, when no atom carries a mask, or when the word budget
-// is exceeded. Called at the end of Compile and after every successful
-// Patch.
+// buildBitsets compiles the engine's bitset plan, leaving it nil when no
+// atom carries a mask or when the word budget is exceeded.
 func (e *Engine) buildBitsets() {
-	e.bits = nil
-	if e.bitsetOff || e.mode == ModeSample || e.prog.opaque != nil || len(e.prog.disjuncts) == 0 {
+	if e.mode == ModeSample || e.prog.opaque != nil || len(e.prog.disjuncts) == 0 {
 		return
 	}
 	bp := &bitsetPlan{atoms: make([][]atomBits, len(e.prog.disjuncts))}
@@ -231,7 +226,7 @@ func (e *Engine) buildBitsets() {
 			}
 		}
 	}
-	// Fact ordinals are positions in relFacts — live facts only.
+	// Fact ordinals are positions in relFacts.
 	ord := make([]int32, len(e.factRel))
 	for i := range ord {
 		ord[i] = -1
@@ -360,15 +355,6 @@ func (c *Cursor) scratchWords(d, n int) []uint64 {
 // (cursor evaluation then runs word-parallel).
 func (e *Engine) Bitset() bool { return e.bits != nil }
 
-// DisableBitsets drops the bitset plan and prevents it from being
-// rebuilt, pinning the scalar evaluation path — a comparison hook for
-// tests and benchmarks. Like Patch, it must not run concurrently with
-// cursor use and existing cursors must be discarded.
-func (e *Engine) DisableBitsets() {
-	e.bitsetOff = true
-	e.bits = nil
-}
-
 // rebuildBits repopulates the cursor's bitmaps from its current arena.
 func (c *Cursor) rebuildBits() {
 	bp := c.bits
@@ -462,7 +448,7 @@ func (c *Cursor) updateSlotBits(u *slotUpd, old, v uint32) {
 // evalAtomsBits is evalAtoms with the candidate scan of masked atoms
 // replaced by the word-AND over the compiled bitmaps. Unmasked atoms
 // (all positions bind fresh, distinct variables) scan the relation's
-// live facts like the scalar path. Witness depths are recorded as in
+// facts like the scalar path. Witness depths are recorded as in
 // evalAtoms; an existence-only atom's witness is its first surviving
 // candidate, and an unmasked existence-only atom reads no argument, so
 // any fact of its relation matches on every valuation and adds nothing.

@@ -14,7 +14,7 @@ import (
 // evaluator: for any engine, a sweep with the compiled bitmaps must
 // produce exactly the verdict sequence of the same engine with bitsets
 // disabled — across query shapes (BCQ, UCQ, negation, inequality),
-// database styles, and mutations applied through Patch.
+// database styles, and random mutations followed by a recompile.
 
 // bitsetQueries spans the program shapes the bitset compiler classifies
 // differently: bound-variable checks, repeated-variable equality masks
@@ -79,58 +79,29 @@ func compareBitsetScalar(t *testing.T, seed int64, step int, bit, sc *Engine) {
 
 // TestBitsetMatchesScalar is the property test: random databases ×
 // bitsetQueries, sweeping the default (bitset) engine against the same
-// compile with DisableBitsets, then interleaving random mutations through
-// Patch on both and re-comparing.
+// compile with DisableBitsets, then after each batch of random mutations
+// recompiling both and re-comparing.
 func TestBitsetMatchesScalar(t *testing.T) {
 	bitsetSeen := 0
 	for seed := int64(0); seed < 100; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		db := randDB(r, int(seed%3))
 		q := bitsetQueries[r.Intn(len(bitsetQueries))]
-		bit, err := Compile(db, q, ModeValuations)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc, err := Compile(db, q, ModeValuations)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc.DisableBitsets()
+		bit, sc := compileBitsetScalar(t, db, q)
 		if sc.Bitset() {
-			t.Fatal("DisableBitsets left the plan in place")
+			t.Fatal("DisableBitsets compiled a bitset plan")
 		}
 		if bit.Bitset() {
 			bitsetSeen++
 		}
 		compareBitsetScalar(t, seed, -1, bit, sc)
 
-		ver := db.Version()
 		mr := rand.New(rand.NewSource(seed * 101))
 		for step := 0; step < 4; step++ {
 			for n := 1 + mr.Intn(3); n > 0; n-- {
 				mutateRandom(mr, db)
 			}
-			deltas, ok := db.DeltasSince(ver)
-			if !ok {
-				t.Fatal("delta log unavailable")
-			}
-			ver = db.Version()
-			for _, d := range deltas {
-				// Patch both engines with the same delta; on either
-				// failing, recompile both so they stay comparable.
-				pb, ps := bit.Patch(db, d), sc.Patch(db, d)
-				if pb && ps {
-					continue
-				}
-				if bit, err = Compile(db, q, ModeValuations); err != nil {
-					t.Fatalf("seed %d step %d: recompile: %v", seed, step, err)
-				}
-				if sc, err = Compile(db, q, ModeValuations); err != nil {
-					t.Fatalf("seed %d step %d: recompile: %v", seed, step, err)
-				}
-				sc.DisableBitsets()
-				break
-			}
+			bit, sc = compileBitsetScalar(t, db, q)
 			if !bit.Size().IsInt64() || bit.Size().Int64() > 1<<14 {
 				break // keep full enumeration cheap
 			}
@@ -140,6 +111,21 @@ func TestBitsetMatchesScalar(t *testing.T) {
 	if bitsetSeen == 0 {
 		t.Fatal("no seed compiled a bitset plan; the property test pinned nothing")
 	}
+}
+
+// compileBitsetScalar compiles db's valuations engine for q twice: with
+// default options and with DisableBitsets.
+func compileBitsetScalar(t *testing.T, db *core.Database, q cq.Query) (bit, sc *Engine) {
+	t.Helper()
+	bit, err := Compile(db, q, ModeValuations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err = CompileWith(db, q, ModeValuations, CompileOptions{DisableBitsets: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bit, sc
 }
 
 // TestBitsetSampleModeOff pins that ModeSample engines never carry a
@@ -287,7 +273,8 @@ func compareVariantsLockstep(t *testing.T, seed int64, step int, engs []*Engine)
 // TestVariantsLockstep is the escape-hatch property test: every compile
 // variant — bitset/scalar × cost/syntactic order — must produce
 // bit-identical verdict sequences, completion hashes and deduplicated
-// completion sets, in both modes, across Patch interleavings.
+// completion sets, in both modes, recompiled after each batch of random
+// mutations.
 func TestVariantsLockstep(t *testing.T) {
 	for _, mode := range []Mode{ModeValuations, ModeCompletions} {
 		name := "valuations"
@@ -313,31 +300,12 @@ func TestVariantsLockstep(t *testing.T) {
 				compared++
 				compareVariantsLockstep(t, seed, -1, engs)
 
-				ver := db.Version()
 				mr := rand.New(rand.NewSource(seed*131 + 7))
 				for step := 0; step < 3; step++ {
 					for n := 1 + mr.Intn(3); n > 0; n-- {
 						mutateRandom(mr, db)
 					}
-					deltas, ok := db.DeltasSince(ver)
-					if !ok {
-						t.Fatal("delta log unavailable")
-					}
-					ver = db.Version()
-					for _, d := range deltas {
-						// Patch every variant with the same delta; if any
-						// refuses, recompile all so they stay comparable.
-						okAll := true
-						for _, e := range engs {
-							if !e.Patch(db, d) {
-								okAll = false
-							}
-						}
-						if !okAll {
-							engs = compileVariants(t, db, q, mode)
-							break
-						}
-					}
+					engs = compileVariants(t, db, q, mode)
 					if !engs[3].Size().IsInt64() || engs[3].Size().Int64() > 1<<13 {
 						break
 					}

@@ -160,9 +160,6 @@ func (c *Cursor) rebuild() {
 		c.sum = Hash128{}
 		c.setGen++ // a reposition is always a fresh completion
 		for fi := range e.factRel {
-			if e.dead != nil && e.dead[fi] {
-				continue
-			}
 			args := e.factArgs(c.args, int32(fi))
 			h := factHash(e.factRel[fi], args)
 			c.factHash[fi] = h
@@ -406,9 +403,6 @@ func (c *Cursor) AppendCanonical(dst []uint32) []uint32 {
 	}
 	last := int32(-1)
 	for _, fi := range ids {
-		if e.dead != nil && e.dead[fi] {
-			continue
-		}
 		if last >= 0 && c.factEqual(last, fi) {
 			continue
 		}
@@ -455,9 +449,6 @@ func (c *Cursor) Instance() *core.Instance {
 	e := c.eng
 	inst := core.NewInstance()
 	for fi := range e.factRel {
-		if e.dead != nil && e.dead[fi] {
-			continue
-		}
 		args := e.factArgs(c.args, int32(fi))
 		if cap(c.strArgs) < len(args) {
 			c.strArgs = make([]string, len(args))

@@ -15,6 +15,9 @@
 // over the interned arena; opaque cq.Func queries fall back to a full
 // re-check on a materialized core.Instance.
 //
+// An Engine is read-only after Compile, so any number of cursors can
+// share it; a database that changes is compiled again.
+//
 // For counting valuations the engine additionally applies relevant-null
 // pruning: a null occurring only in relations the query never mentions
 // cannot influence the verdict, so it is factored out of the enumeration as
@@ -99,9 +102,8 @@ type digit struct {
 }
 
 // Engine is a database compiled for sweeping, safe for concurrent use by
-// any number of Cursors. It is read-only except for Patch, which applies a
-// database delta in place; Patch must not run concurrently with cursor use,
-// and it invalidates every existing cursor.
+// any number of Cursors. It is read-only after Compile: a database that
+// changes needs a fresh compile.
 type Engine struct {
 	mode Mode
 
@@ -109,7 +111,7 @@ type Engine struct {
 	rels   *Interner // relation names
 
 	relArity []int32
-	relFacts [][]int32 // live fact indices grouped per relation ID
+	relFacts [][]int32 // fact indices grouped per relation ID
 
 	factRel  []uint32
 	factOff  []int32  // fact i's args live at [factOff[i], factOff[i+1])
@@ -122,7 +124,7 @@ type Engine struct {
 	ready []int32
 
 	// Prefix-state geometry of a completions engine (see memo.go):
-	// byReady lists the live non-ground facts by ascending ready depth,
+	// byReady lists the non-ground facts by ascending ready depth,
 	// readyEnd[k] counts those of ready depth ≤ k, memoDepths are the
 	// depths a PrefixMemo probes, and memoAt[k] indexes the first of
 	// them at or past depth k.
@@ -138,25 +140,13 @@ type Engine struct {
 	total      *big.Int // full valuation-space size = size × multiplier
 	pruned     int      // number of pruned (irrelevant) nulls
 
-	// Patch support (see patch.go). The arena is append-only: removed facts
-	// are tombstoned in dead rather than spliced out, so fact indices — and
-	// with them every digit's slots — stay stable.
-	factIdx     map[string]int32     // live fact Key → arena index
-	relevant    []bool               // per relation ID: query mentions it
-	queryRels   map[string]bool      // sig(q) by name; nil when opaque
-	prunedNulls map[core.NullID]bool // nulls factored out of the sweep
-	prune       bool                 // relevant-null pruning is active
-	dead        []bool               // tombstones; nil until first removal
-
 	// Bitset-compiled membership (see bitset.go): the word-parallel atom
-	// matching plan, rebuilt after every successful Patch; nil when no
-	// atom profits, the budget is exceeded, or bitsets are disabled.
-	bits      *bitsetPlan
-	bitsetOff bool
+	// matching plan; nil when no atom profits, the budget is exceeded,
+	// or bitsets are disabled.
+	bits *bitsetPlan
 
-	// Atom ordering (see order.go): syntactic pins the query's own atom
-	// order, orderNote describes the order the engine evaluates with.
-	syntactic bool
+	// Atom ordering (see order.go): orderNote describes the order the
+	// engine evaluates with.
 	orderNote string
 }
 
@@ -165,7 +155,7 @@ type Engine struct {
 // cost-ordered atoms.
 type CompileOptions struct {
 	// DisableBitsets pins the scalar evaluation path: no bitset
-	// membership plan is compiled or rebuilt after patches.
+	// membership plan is compiled.
 	DisableBitsets bool
 	// SyntacticOrder pins the query's own (syntactic) atom order
 	// instead of the cost-driven most-bound-first reordering.
@@ -184,19 +174,15 @@ func CompileWith(db *core.Database, q cq.Query, mode Mode, opts CompileOptions) 
 		return nil, err
 	}
 	e := &Engine{
-		mode:        mode,
-		values:      NewInterner(),
-		rels:        NewInterner(),
-		prunedNulls: make(map[core.NullID]bool),
-		bitsetOff:   opts.DisableBitsets,
-		syntactic:   opts.SyntacticOrder,
+		mode:   mode,
+		values: NewInterner(),
+		rels:   NewInterner(),
 	}
 
 	facts := db.Facts()
 	nullSlots := make(map[core.NullID][]slot)
 	e.factRel = make([]uint32, len(facts))
 	e.factOff = make([]int32, len(facts)+1)
-	e.factIdx = make(map[string]int32, len(facts))
 	for i, f := range facts {
 		rid := e.rels.Intern(f.Rel)
 		if int(rid) == len(e.relArity) {
@@ -206,7 +192,6 @@ func CompileWith(db *core.Database, q cq.Query, mode Mode, opts CompileOptions) 
 		e.factRel[i] = rid
 		e.factOff[i] = int32(len(e.tmplArgs))
 		e.relFacts[rid] = append(e.relFacts[rid], int32(i))
-		e.factIdx[f.Key()] = int32(i)
 		for p, a := range f.Args {
 			if a.IsNull() {
 				e.tmplArgs = append(e.tmplArgs, 0)
@@ -219,29 +204,28 @@ func CompileWith(db *core.Database, q cq.Query, mode Mode, opts CompileOptions) 
 	e.factOff[len(facts)] = int32(len(e.tmplArgs))
 
 	e.prog = compileQuery(e, q)
-	e.orderAtoms()
-	e.queryRels, _ = cq.Signature(q)
+	e.orderAtoms(opts.SyntacticOrder)
 
 	// Per-relation relevance: a relation the query mentions (or every
 	// relation, for opaque queries whose signature is unknown).
-	e.relevant = make([]bool, e.rels.Len())
+	relevant := make([]bool, e.rels.Len())
 	if e.prog.opaque != nil {
-		for i := range e.relevant {
-			e.relevant[i] = true
+		for i := range relevant {
+			relevant[i] = true
 		}
 	} else {
 		for _, d := range e.prog.disjuncts {
 			for _, a := range d.atoms {
 				// Atoms over relations the database does not have carry a
 				// sentinel ID; they have no facts to mark relevant.
-				if int(a.rel) < len(e.relevant) {
-					e.relevant[a.rel] = true
+				if int(a.rel) < len(relevant) {
+					relevant[a.rel] = true
 				}
 			}
 		}
 	}
 
-	e.prune = mode == ModeValuations && e.prog.opaque == nil
+	prune := mode == ModeValuations && e.prog.opaque == nil
 	e.size, e.multiplier = big.NewInt(1), big.NewInt(1)
 	nulls := db.Nulls()
 	e.digits = make([]digit, 0, len(nulls))
@@ -250,14 +234,13 @@ func CompileWith(db *core.Database, q cq.Query, mode Mode, opts CompileOptions) 
 		slots := nullSlots[n]
 		dirty := false
 		for _, s := range slots {
-			if e.relevant[e.factRel[s.fact]] {
+			if relevant[e.factRel[s.fact]] {
 				dirty = true
 				break
 			}
 		}
-		if e.prune && !dirty {
+		if prune && !dirty {
 			e.multiplier.Mul(e.multiplier, big.NewInt(int64(len(dom))))
-			e.prunedNulls[n] = true
 			e.pruned++
 			continue
 		}
@@ -271,17 +254,16 @@ func CompileWith(db *core.Database, q cq.Query, mode Mode, opts CompileOptions) 
 	e.total = new(big.Int).Mul(e.size, e.multiplier)
 	e.buildReady()
 	e.buildPrefixes()
-	e.buildBitsets()
+	if !opts.DisableBitsets {
+		e.buildBitsets()
+	}
 	e.buildSlotHashes()
 	return e, nil
 }
 
 // buildReady computes every fact's ready depth from the digits' slot
 // lists: a fact whose nulls are all digits below w keeps its values across
-// every valuation sharing digits 0..w−1 with the current one. Called at
-// the end of Compile and after every successful Patch, which can insert,
-// drop or renumber digits. Tombstoned facts hold no slots and read 0; they
-// are never matched.
+// every valuation sharing digits 0..w−1 with the current one.
 func (e *Engine) buildReady() {
 	e.ready = make([]int32, len(e.factRel))
 	for k := range e.digits {
@@ -300,8 +282,7 @@ const slotHashBudget = 1 << 18
 // completion stepping then replaces the fact rehash (two mixing lanes
 // per argument) with a single table load. Facts holding several nulls
 // keep hashing live — their hash depends on the other nulls' current
-// values. Called at the end of Compile and after every successful Patch;
-// beyond the budget the remaining slots simply stay live-hashed.
+// values. Beyond the budget the remaining slots simply stay live-hashed.
 func (e *Engine) buildSlotHashes() {
 	if e.mode != ModeCompletions {
 		return
@@ -316,7 +297,6 @@ func (e *Engine) buildSlotHashes() {
 	var scratch []uint32
 	for k := range e.digits {
 		dg := &e.digits[k]
-		dg.slotHash = nil
 		for si, s := range dg.slots {
 			if nullSlots[s.fact] != 1 || budget < len(dg.dom) {
 				continue
@@ -359,10 +339,6 @@ func (e *Engine) Pruned() int { return e.pruned }
 // Opaque reports whether the query fell outside the compiled fragment and
 // is re-checked on a materialized instance at every dirty step.
 func (e *Engine) Opaque() bool { return e.prog.opaque != nil }
-
-// NumFacts returns the number of arena entries, including facts tombstoned
-// by Patch.
-func (e *Engine) NumFacts() int { return len(e.factRel) }
 
 func (e *Engine) factArgs(args []uint32, fi int32) []uint32 {
 	return args[e.factOff[fi]:e.factOff[fi+1]]

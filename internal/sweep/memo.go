@@ -68,10 +68,8 @@ type memoDepth struct {
 }
 
 // buildPrefixes computes the prefix-state geometry of a completions
-// engine from the ready depths. Called right after buildReady, at the
-// end of Compile and after every successful Patch.
+// engine from the ready depths. Called right after buildReady.
 func (e *Engine) buildPrefixes() {
-	e.byReady, e.readyEnd, e.memoDepths, e.memoAt = nil, nil, nil, nil
 	if e.mode != ModeCompletions {
 		return
 	}

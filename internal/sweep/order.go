@@ -20,16 +20,13 @@ import (
 // atoms are matched in, and the inequality pairs reference slots, not
 // positions. Both the scalar evaluator and the bitset compiler consume
 // the reordered atom list, so the two paths always agree on the order.
-// Patch never recompiles the program, so the order chosen at Compile
-// time persists across deltas (cardinality tie-breaks reflect the
-// compile-time fact counts).
 
-// orderAtoms reorders every disjunct of the compiled program (unless the
-// engine was compiled with SyntacticOrder) and records the result in
+// orderAtoms reorders every disjunct of the compiled program (unless
+// syntactic pins the query's own order) and records the result in
 // orderNote.
-func (e *Engine) orderAtoms() {
+func (e *Engine) orderAtoms(syntactic bool) {
 	e.orderNote = "syntactic"
-	if e.syntactic || e.prog.opaque != nil {
+	if syntactic || e.prog.opaque != nil {
 		return
 	}
 	var parts []string

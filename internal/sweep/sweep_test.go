@@ -84,6 +84,82 @@ func randDB(r *rand.Rand, kind int) *core.Database {
 	return db
 }
 
+// mutateRandom applies one random mutation to db: fact adds (possibly with
+// fresh nulls or fresh relations), fact removals, domain extensions and the
+// occasional wholesale SetDomain.
+func mutateRandom(r *rand.Rand, db *core.Database) {
+	vals := []string{"a", "b", "c", "d"}
+	rels := []struct {
+		name  string
+		arity int
+	}{{"R", 2}, {"S", 1}, {"T", 2}, {"U", 1}, {"Junk", 2}}
+	switch r.Intn(6) {
+	case 0, 1, 2: // add a fact (weighted: adds drive most structure)
+		rel := rels[r.Intn(len(rels))]
+		if a := db.Arity(rel.name); a != 0 {
+			rel.arity = a
+		}
+		nulls := append([]core.NullID(nil), db.Nulls()...)
+		maxn := core.NullID(0)
+		for _, n := range nulls {
+			if n > maxn {
+				maxn = n
+			}
+		}
+		args := make([]core.Value, rel.arity)
+		for i := range args {
+			switch {
+			case len(nulls) > 0 && r.Intn(3) == 0:
+				args[i] = core.Null(nulls[r.Intn(len(nulls))])
+			case r.Intn(3) == 0: // fresh null
+				maxn++
+				if !db.Uniform() {
+					if err := db.ExtendDomain(maxn, vals[:1+r.Intn(2)]...); err != nil {
+						panic(err)
+					}
+				}
+				args[i] = core.Null(maxn)
+				nulls = append(nulls, maxn)
+			default:
+				args[i] = core.Const(vals[r.Intn(len(vals))])
+			}
+		}
+		db.MustAddFact(rel.name, args...)
+	case 3: // remove a random fact
+		facts := db.Facts()
+		if len(facts) == 0 {
+			return
+		}
+		f := facts[r.Intn(len(facts))]
+		db.RemoveFact(f.Rel, f.Args...)
+	case 4: // extend a domain
+		if db.Uniform() {
+			if err := db.ExtendUniformDomain(vals[r.Intn(len(vals))] + "u"); err != nil {
+				panic(err)
+			}
+			return
+		}
+		nulls := db.Nulls()
+		if len(nulls) == 0 {
+			return
+		}
+		if err := db.ExtendDomain(nulls[r.Intn(len(nulls))], vals[r.Intn(len(vals))]+"x"); err != nil {
+			panic(err)
+		}
+	case 5: // wholesale domain replacement
+		if db.Uniform() {
+			return
+		}
+		nulls := db.Nulls()
+		if len(nulls) == 0 {
+			return
+		}
+		if err := db.SetDomain(nulls[r.Intn(len(nulls))], vals[:1+r.Intn(3)]); err != nil {
+			panic(err)
+		}
+	}
+}
+
 // TestCursorMatchesReference sweeps random databases and checks every
 // cursor verdict and completion hash against Database.Apply + Query.Eval +
 // Instance.CanonicalKey.
