@@ -222,7 +222,8 @@ func CanonicalQuery(q Query) string {
 }
 
 // Fingerprint returns the cache key of (database, query, kind): a
-// SHA-256 over the canonical forms.
+// SHA-256 over the kind, the SHA-256 of the database's canonical form
+// and the query's canonical form.
 func Fingerprint(db *Database, q Query, kind FingerprintKind) string {
 	return fingerprint.Of(db, q, kind)
 }

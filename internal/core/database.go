@@ -26,6 +26,9 @@ type Database struct {
 	byRel    map[string][]Fact // per-relation view of facts, insertion order
 	arity    map[string]int
 	nullRefs map[NullID]int // occurrences per null (argument positions)
+	// shared counts the nulls with more than one occurrence: the table is
+	// a Codd table exactly when it is zero.
+	shared int
 
 	uniform bool
 	uniDom  []string            // shared domain when uniform
@@ -116,6 +119,9 @@ func (d *Database) AddFact(rel string, args ...Value) error {
 				d.nullsCache = nil
 			}
 			d.nullRefs[n]++
+			if d.nullRefs[n] == 2 {
+				d.shared++
+			}
 		}
 	}
 	d.record(Delta{Op: DeltaAddFact, Fact: f})
@@ -214,21 +220,9 @@ func (d *Database) Arity(rel string) int { return d.arity[rel] }
 
 // IsCodd reports whether the table is a Codd table, i.e. every null occurs
 // at most once (counting multiple positions within one fact as multiple
-// occurrences).
-func (d *Database) IsCodd() bool {
-	seen := make(map[NullID]bool)
-	for _, f := range d.facts {
-		for _, a := range f.Args {
-			if a.IsNull() {
-				if seen[a.NullID()] {
-					return false
-				}
-				seen[a.NullID()] = true
-			}
-		}
-	}
-	return true
-}
+// occurrences). AddFact and RemoveFact keep the count it reads, so the
+// call is O(1).
+func (d *Database) IsCodd() bool { return d.shared == 0 }
 
 // Validate checks that every null occurring in the table has a domain
 // (always true for uniform databases) and that no domain is empty while the

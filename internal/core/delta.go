@@ -144,6 +144,9 @@ func (d *Database) RemoveFact(rel string, args ...Value) bool {
 	for _, a := range removed.Args {
 		if a.IsNull() {
 			n := a.NullID()
+			if d.nullRefs[n] == 2 {
+				d.shared--
+			}
 			d.nullRefs[n]--
 			if d.nullRefs[n] <= 0 {
 				delete(d.nullRefs, n)

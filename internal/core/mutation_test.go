@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/big"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -91,6 +92,53 @@ func TestRemoveFactNullBookkeeping(t *testing.T) {
 	}
 	if n.Cmp(big.NewInt(3)) != 0 {
 		t.Fatalf("NumValuations after removals = %v, want 3", n)
+	}
+}
+
+// scanIsCodd is the full scan IsCodd used to run on every call: the
+// reference its maintained count is checked against.
+func scanIsCodd(d *Database) bool {
+	seen := make(map[NullID]bool)
+	for _, f := range d.Facts() {
+		for _, a := range f.Args {
+			if a.IsNull() {
+				if seen[a.NullID()] {
+					return false
+				}
+				seen[a.NullID()] = true
+			}
+		}
+	}
+	return true
+}
+
+// TestIsCoddMatchesScan replays random add/remove sequences, among them
+// facts that repeat a null inside one fact and duplicate or absent
+// facts, and checks IsCodd against a full scan after every step.
+func TestIsCoddMatchesScan(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	arg := func() Value {
+		if r.Intn(3) == 0 {
+			return Const(string(rune('a' + r.Intn(2))))
+		}
+		return Null(NullID(1 + r.Intn(4)))
+	}
+	for seq := 0; seq < 200; seq++ {
+		d := NewUniformDatabase([]string{"a", "b"})
+		for step := 0; step < 40; step++ {
+			rel, args := "R", []Value{arg(), arg()}
+			if r.Intn(3) == 0 {
+				rel, args = "S", []Value{arg()}
+			}
+			if r.Intn(2) == 0 {
+				d.MustAddFact(rel, args...)
+			} else {
+				d.RemoveFact(rel, args...)
+			}
+			if got, want := d.IsCodd(), scanIsCodd(d); got != want {
+				t.Fatalf("sequence %d step %d: IsCodd() = %v, scan says %v on\n%s", seq, step, got, want, d)
+			}
+		}
 	}
 }
 

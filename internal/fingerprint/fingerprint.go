@@ -70,24 +70,36 @@ const (
 )
 
 // Of returns the fingerprint of the triple (database, query, problem
-// kind): a hex-encoded SHA-256 of their canonical forms, suitable as a
-// cache key.
+// kind): a hex-encoded SHA-256 of the kind, the digest of the database's
+// canonical form and the query's canonical form, suitable as a cache key.
 func Of(db *core.Database, q cq.Query, kind Kind) string {
-	return OfCanonical(Database(db), Query(q), kind)
+	return OfDigest(DigestOf(Database(db)), Query(q), kind)
 }
 
-// OfCanonical is Of over already-computed canonical forms, so a session
-// that prepared a database once can fingerprint many queries against it
-// without re-canonicalizing the database each time. It produces exactly
-// the fingerprints Of produces.
-func OfCanonical(dbCanonical, queryCanonical string, kind Kind) string {
-	h := sha256.New()
-	h.Write([]byte(kind))
-	h.Write([]byte{0})
-	h.Write([]byte(dbCanonical))
-	h.Write([]byte{0})
-	h.Write([]byte(queryCanonical))
-	return hex.EncodeToString(h.Sum(nil))
+// A Digest is the SHA-256 of a database's canonical form. A fingerprint
+// hashes the digest in place of the form, so a session that computed it
+// once per database version fingerprints each query in time independent
+// of the database's size.
+type Digest [sha256.Size]byte
+
+// DigestOf returns the digest of a canonical database form (the result
+// of Database).
+func DigestOf(dbCanonical string) Digest {
+	return sha256.Sum256([]byte(dbCanonical))
+}
+
+// OfDigest is Of over the digest of an already-computed canonical
+// database form and a canonical query form. It produces exactly the
+// fingerprints Of produces.
+func OfDigest(db Digest, queryCanonical string, kind Kind) string {
+	var buf [128]byte
+	b := append(buf[:0], kind...)
+	b = append(b, 0)
+	b = append(b, db[:]...)
+	b = append(b, 0)
+	b = append(b, queryCanonical...)
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // Database returns the canonical form of db: nulls renamed to ?1, ?2, …

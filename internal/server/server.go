@@ -24,7 +24,9 @@
 // the same amortization is available to library users without the HTTP
 // layer. Each request is answered by preparing the submitted database
 // through the shared solver and executing the session call that matches
-// the endpoint.
+// the endpoint; a count, certain or possible request whose database text
+// the solver has prepared before is looked up in the cache by the hash
+// of that text, without parsing it again.
 //
 // The server also hosts one live mutable session: a database loaded with
 // POST /v1/db (or incdb serve -db) stays prepared across requests, and
@@ -552,29 +554,46 @@ func (s *Server) execClassify(req Request) (*Response, error) {
 // database is parsed and prepared (deduplicated by the solver's
 // canonical forms), an empty one routes to the live mutable session.
 func (s *Server) sessionFor(req Request) (*solver.PreparedDB, cq.Query, error) {
-	if req.Query == "" {
-		return nil, nil, badRequest("query is required")
-	}
-	q, err := cq.Parse(req.Query)
+	q, err := requestQuery(req)
 	if err != nil {
-		return nil, nil, badRequest("query: %v", err)
+		return nil, nil, err
 	}
-	if req.Database == "" {
-		pdb := s.Live()
-		if pdb == nil {
-			return nil, nil, badRequest("database is required (no live database loaded; POST /v1/db first)")
-		}
-		return pdb, q, nil
-	}
-	db, err := core.ParseDatabaseString(req.Database)
-	if err != nil {
-		return nil, nil, badRequest("database: %v", err)
-	}
-	pdb, err := s.solver.Prepare(db)
+	pdb, err := s.session(req.Database)
 	if err != nil {
 		return nil, nil, err
 	}
 	return pdb, q, nil
+}
+
+// requestQuery parses the request's query.
+func requestQuery(req Request) (cq.Query, error) {
+	if req.Query == "" {
+		return nil, badRequest("query is required")
+	}
+	q, err := cq.Parse(req.Query)
+	if err != nil {
+		return nil, badRequest("query: %v", err)
+	}
+	return q, nil
+}
+
+// session returns the live mutable session for an empty database text,
+// and otherwise parses and prepares the text through the solver, which
+// enters it in the text memo.
+func (s *Server) session(text string) (*solver.PreparedDB, error) {
+	if text == "" {
+		pdb := s.Live()
+		if pdb == nil {
+			return nil, badRequest("database is required (no live database loaded; POST /v1/db first)")
+		}
+		return pdb, nil
+	}
+	pdb, err := s.solver.PrepareText(text)
+	var pe *solver.ParseError
+	if errors.As(err, &pe) {
+		return nil, badRequest("database: %v", pe.Err)
+	}
+	return pdb, err
 }
 
 // requestOptions builds the per-call option overrides for one request:
@@ -621,17 +640,31 @@ func fingerprintKind(req Request) (fingerprint.Kind, string, error) {
 // regardless of the request's budget overrides (a budget bounds
 // computation, not lookup); everything else computes through the
 // solver's cache and single-flight group, under the request's own
-// planning options. Computations run under the server's
+// planning options. An inline database whose text the solver has
+// prepared before is looked up by the hash of its text, without being
+// parsed or prepared again. Computations run under the server's
 // root context (not the request's): a shared result must not die with
 // whichever of its waiters disconnects first.
 func (s *Server) execCached(req Request) (*Response, error) {
-	pdb, q, err := s.sessionFor(req)
+	q, err := requestQuery(req)
 	if err != nil {
 		return nil, err
 	}
-	fpKind, kind, err := fingerprintKind(req)
+	// Only a text that parsed and prepared enters the memo, so a memo hit
+	// skips no error but the kind's, which is checked first. Otherwise a
+	// database error is reported before a kind error.
+	fpKind, kind, kindErr := fingerprintKind(req)
+	if req.Database != "" && kindErr == nil {
+		if res, ok := s.solver.CachedText(req.Database, q, fpKind); ok {
+			return s.resultResponse(req.Op, q, kind, res), nil
+		}
+	}
+	pdb, err := s.session(req.Database)
 	if err != nil {
 		return nil, err
+	}
+	if kindErr != nil {
+		return nil, kindErr
 	}
 	if res, ok := pdb.Cached(q, fpKind); ok {
 		return s.resultResponse(req.Op, q, kind, res), nil
@@ -1034,10 +1067,10 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	return true
 }
 
+// writeJSON writes v as compact JSON: responses are read by programs,
+// and the incdb CLI re-indents what it prints.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }

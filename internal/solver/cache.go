@@ -7,11 +7,11 @@ import (
 	"github.com/incompletedb/incompletedb/internal/plan"
 )
 
-// lru is a concurrency-safe LRU keyed by string. It backs both caches of
+// lru is a concurrency-safe LRU keyed by string. It backs the caches of
 // the session layer: the solver-wide result cache (the cache that used
 // to live inside internal/server — moving it into the solver makes every
-// entry point share one amortization layer) and the per-session plan
-// cache. Values are treated as immutable once inserted; readers of
+// entry point share one amortization layer), the solver's text memo
+// (text.go) and the per-session plan cache. Values are treated as immutable once inserted; readers of
 // shared mutable values must copy before annotating.
 type lru[V any] struct {
 	mu    sync.Mutex

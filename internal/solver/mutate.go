@@ -96,7 +96,7 @@ func (p *PreparedDB) Epoch() uint64 {
 
 // rlock acquires the session read lock with the session synced to the
 // database's current version: callers between rlock and RUnlock see a
-// consistent (canonDB, total, plans, memo) snapshot no mutation can
+// consistent (canonDB, digest, total, plans, memo) snapshot no mutation can
 // change underneath them.
 func (p *PreparedDB) rlock() {
 	for {
@@ -137,11 +137,12 @@ func (p *PreparedDB) syncLocked() {
 	p.refreshGeometryLocked()
 }
 
-// refreshGeometryLocked re-derives the session's canonical form and
-// valuation-space size from the (already mutated) database and marks its
-// version applied.
+// refreshGeometryLocked re-derives the session's canonical form, its
+// digest and the valuation-space size from the (already mutated)
+// database and marks its version applied.
 func (p *PreparedDB) refreshGeometryLocked() {
 	p.canonDB = fingerprint.Database(p.db)
+	p.digest = fingerprint.DigestOf(p.canonDB)
 	if total, err := p.db.NumValuations(); err == nil {
 		p.total = total
 	} else {

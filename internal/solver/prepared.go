@@ -34,9 +34,10 @@ func planCacheKey(canonQ string, kind classify.CountingKind) string {
 }
 
 // PreparedDB is a counting session over one incomplete database: the
-// database's canonical form (the expensive half of every fingerprint),
-// its valuation-space geometry, and a per-(canonical query, kind) plan
-// cache — each compiled plan embeds its sweep engine, so the interner and
+// database's canonical form and its digest (the expensive half of every
+// fingerprint, computed once per database version), its valuation-space
+// geometry, and a per-(canonical query, kind) plan cache — each
+// compiled plan embeds its sweep engine, so the interner and
 // fact-arena compilation of internal/sweep also happen once per distinct
 // query instead of once per call. The plan cache is a bounded LRU
 // (engines are heavy); a session with endless distinct ad-hoc queries
@@ -66,6 +67,7 @@ type PreparedDB struct {
 	// version), every mutation and delta replay holds the write lock.
 	mu             sync.RWMutex
 	canonDB        string
+	digest         fingerprint.Digest
 	total          *big.Int
 	appliedVersion uint64
 	wasCodd        bool
@@ -87,10 +89,12 @@ func (s *Solver) Prepare(db *core.Database) (*PreparedDB, error) {
 	if err != nil {
 		return nil, err
 	}
+	canon := fingerprint.Database(db)
 	return &PreparedDB{
 		s:              s,
 		db:             db,
-		canonDB:        fingerprint.Database(db),
+		canonDB:        canon,
+		digest:         fingerprint.DigestOf(canon),
 		total:          total,
 		plans:          newPlanCache(),
 		appliedVersion: db.Version(),
@@ -122,12 +126,12 @@ func (p *PreparedDB) TotalValuations() *big.Int {
 }
 
 // Fingerprint returns the cache key of (database, query, kind) without
-// re-canonicalizing the database: identical to the package-level
-// fingerprint of the same triple.
+// re-canonicalizing or re-hashing the database: identical to the
+// package-level fingerprint of the same triple.
 func (p *PreparedDB) Fingerprint(q cq.Query, kind fingerprint.Kind) string {
 	p.rlock()
 	defer p.mu.RUnlock()
-	return fingerprint.OfCanonical(p.canonDB, fingerprint.Query(q), kind)
+	return fingerprint.OfDigest(p.digest, fingerprint.Query(q), kind)
 }
 
 // kindFingerprint maps a counting kind onto its fingerprint kind.
@@ -204,7 +208,7 @@ func (p *PreparedDB) CountWith(ctx context.Context, q cq.Query, kind classify.Co
 	rec := &factorRecorder{p: p, suffix: suffix}
 	eff.FactorMemo = rec
 	canonQ := fingerprint.Query(q)
-	fp := fingerprint.OfCanonical(p.canonDB, canonQ, kindFingerprint(kind))
+	fp := fingerprint.OfDigest(p.digest, canonQ, kindFingerprint(kind))
 	compute := func() (*Result, error) {
 		pl, err := p.planFor(canonQ, q, kind, po, suffix)
 		if err != nil {
@@ -302,16 +306,11 @@ func (p *PreparedDB) annotateHit(res *Result, eff *count.Options, start time.Tim
 func (p *PreparedDB) Cached(q cq.Query, kind fingerprint.Kind) (*Result, bool) {
 	p.rlock()
 	defer p.mu.RUnlock()
-	fp := fingerprint.OfCanonical(p.canonDB, fingerprint.Query(q), kind)
-	res, ok := p.s.cache.get(fp)
-	if !ok {
-		return nil, false
+	res, ok := p.s.peek(p.digest, fingerprint.Query(q), kind)
+	if ok {
+		res.Stats.Epoch = p.appliedVersion
 	}
-	p.s.hits.Add(1)
-	c := res.clone()
-	c.Stats.CacheHit = true
-	c.Stats.Epoch = p.appliedVersion
-	return c, true
+	return res, ok
 }
 
 // BruteCount bypasses every fast path and counts by the sharded
@@ -326,7 +325,7 @@ func (p *PreparedDB) BruteCount(ctx context.Context, q cq.Query, kind classify.C
 	defer p.mu.RUnlock()
 	eff := p.s.countOptions(ctx, opts)
 	po, suffix := p.s.planKey(eff)
-	fp := fingerprint.OfCanonical(p.canonDB, fingerprint.Query(q), kindFingerprint(kind))
+	fp := fingerprint.OfDigest(p.digest, fingerprint.Query(q), kindFingerprint(kind))
 	pl, err := plan.BruteOnly(p.db, q, kind, &po)
 	if err != nil {
 		return nil, err
@@ -370,7 +369,7 @@ func (p *PreparedDB) decide(ctx context.Context, q cq.Query, opts *count.Options
 	defer p.mu.RUnlock()
 	eff := p.s.countOptions(ctx, opts)
 	_, suffix := p.s.planKey(eff)
-	fp := fingerprint.OfCanonical(p.canonDB, fingerprint.Query(q), kind)
+	fp := fingerprint.OfDigest(p.digest, fingerprint.Query(q), kind)
 	compute := func() (*Result, error) {
 		ph := eff.Phases
 		if ph == nil {

@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 
 	"github.com/incompletedb/incompletedb/internal/count"
+	"github.com/incompletedb/incompletedb/internal/fingerprint"
 	"github.com/incompletedb/incompletedb/internal/plan"
 )
 
@@ -53,7 +54,8 @@ type Config struct {
 
 	// CacheSize is the number of results the fingerprint-keyed LRU
 	// retains; 0 means DefaultCacheSize, negative disables caching
-	// (concurrent identical calls still share one computation).
+	// (concurrent identical calls still share one computation). The text
+	// memo (see PrepareText) has the same bound.
 	CacheSize int
 }
 
@@ -86,6 +88,9 @@ type Solver struct {
 	planning plan.Options
 	cache    *resultCache
 	flight   *flightGroup
+	// texts is the text memo: the SHA-256 of a database text → the digest
+	// of its canonical form (text.go).
+	texts *lru[fingerprint.Digest]
 
 	hits, misses, computations, shared atomic.Int64
 
@@ -114,6 +119,7 @@ func NewSolverConfig(cfg Config) *Solver {
 		planning: count.PlanOptions(&count.Options{MaxValuations: cfg.MaxValuations, MaxCylinders: cfg.MaxCylinders}),
 		cache:    newResultCache(size),
 		flight:   newFlightGroup(),
+		texts:    newLRU[fingerprint.Digest](size),
 	}
 }
 
@@ -124,6 +130,9 @@ func (s *Solver) Config() Config { return s.cfg }
 type Metrics struct {
 	// CacheEntries is the number of results currently retained.
 	CacheEntries int
+	// TextEntries is the number of database texts whose canonical digest
+	// the text memo retains.
+	TextEntries int
 	// CacheHits and CacheMisses count result-cache lookups.
 	CacheHits, CacheMisses int64
 	// Computations counts actual evaluations — cache hits and
@@ -151,6 +160,7 @@ type Metrics struct {
 func (s *Solver) Metrics() Metrics {
 	return Metrics{
 		CacheEntries:     s.cache.len(),
+		TextEntries:      s.texts.len(),
 		CacheHits:        s.hits.Load(),
 		CacheMisses:      s.misses.Load(),
 		Computations:     s.computations.Load(),
