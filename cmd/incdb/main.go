@@ -106,7 +106,7 @@ commands:
   count -db FILE -q QUERY        count valuations/completions (-kind val|comp|all-comp,
                                  -workers N, -timeout D)
   explain -db FILE -q QUERY      compile and render the query plan without executing it
-                                 (-kind val|comp, -max N, -max-cylinders N, -timeout D)
+                                 (-kind val|comp, -max N, -timeout D)
   estimate -db FILE -q QUERY     Karp–Luby FPRAS for #Val (-eps, -delta, -seed, -timeout D)
   serve                          HTTP/JSON counting service (-addr, -cache, -max, -workers,
                                  -jobs, -db FILE preloads the live mutable session;
@@ -291,7 +291,6 @@ func cmdExplain(ctx context.Context, args []string) error {
 	qstr := fs.String("q", "", "Boolean query")
 	kind := fs.String("kind", "val", "what the plan counts: val | comp")
 	maxVals := fs.Int64("max", count.DefaultMaxValuations, "brute-force guard the plan is costed against")
-	maxCyl := fs.Int("max-cylinders", 0, "cylinder inclusion–exclusion cap (0 = default 18, negative disables)")
 	timeout := fs.Duration("timeout", 0, "abandon the command after this long, e.g. 30s (0 = no timeout)")
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON (the serve API's explain response)")
 	fs.Parse(args)
@@ -308,10 +307,10 @@ func cmdExplain(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		req := server.Request{Op: server.OpExplain, Database: string(raw), Query: *qstr, Kind: *kind, MaxValuations: *maxVals, MaxCylinders: *maxCyl}
-		// The embedded server's caps mirror the flags, so the request is
+		req := server.Request{Op: server.OpExplain, Database: string(raw), Query: *qstr, Kind: *kind, MaxValuations: *maxVals}
+		// The embedded server's budget mirrors the flag, so the request is
 		// never clamped below what text mode plans with.
-		return execJSON(ctx, server.Config{MaxValuations: *maxVals, MaxCylinders: *maxCyl}, req)
+		return execJSON(ctx, server.Config{MaxValuations: *maxVals}, req)
 	}
 	db, err := loadDB(*dbPath)
 	if err != nil {
@@ -325,7 +324,7 @@ func cmdExplain(ctx context.Context, args []string) error {
 	if *kind == "comp" {
 		ckind = incdb.Completions
 	}
-	s := incdb.NewSolver(incdb.WithMaxValuations(*maxVals), incdb.WithMaxCylinders(*maxCyl))
+	s := incdb.NewSolver(incdb.WithMaxValuations(*maxVals))
 	pdb, err := s.Prepare(db)
 	if err != nil {
 		return err
@@ -405,7 +404,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	dbPath := fs.String("db", "", "database file to preload as the live mutable session")
 	cacheSize := fs.Int("cache", server.DefaultCacheSize, "result-cache capacity in entries (negative disables caching)")
 	maxVals := fs.Int64("max", count.DefaultMaxValuations, "per-request valuation budget for brute-force sweeps")
-	maxCyl := fs.Int("max-cylinders", 0, "per-request cap on cylinder inclusion–exclusion (0 = default 18, negative disables)")
 	workers := fs.Int("workers", 0, "worker pool per sweep (0 = one per CPU)")
 	maxJobs := fs.Int("jobs", server.DefaultMaxJobs, "maximum retained (terminal) jobs")
 	jobDir := fs.String("jobdir", "", "directory persisting job records; killed/restarted servers resume checkpointed sweeps from it")
@@ -423,7 +421,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	cfg := server.Config{
 		CacheSize:          *cacheSize,
 		MaxValuations:      *maxVals,
-		MaxCylinders:       *maxCyl,
 		Workers:            *workers,
 		MaxJobs:            *maxJobs,
 		MaxConcurrentJobs:  *maxConcurrent,

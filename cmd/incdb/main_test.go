@@ -177,7 +177,7 @@ func TestCmdExplain(t *testing.T) {
 	// Planning never executes: a guard-sized instance still explains, and
 	// the sweep cost is flagged.
 	out, err = capture(t, func() error {
-		return cmdExplain(context.Background(), []string{"-db", db, "-q", "S(x, y) ∧ S(y, z)", "-max", "1", "-max-cylinders", "-1"})
+		return cmdExplain(context.Background(), []string{"-db", db, "-q", "S(x, y) ∧ S(y, z) ∧ x ≠ z", "-max", "1"})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,10 +224,10 @@ func TestCmdExplainJSON(t *testing.T) {
 		t.Errorf("method mismatch: %q vs %q", resp.Method, resp.Plan.Method)
 	}
 
-	// A raised -max-cylinders reaches the planner identically in both
-	// modes: the JSON path's embedded server must not clamp it back to
-	// the default.
-	args := []string{"-db", db, "-q", "S(x, y) ∧ S(y, z)", "-max-cylinders", "25"}
+	// -max reaches the planner identically in both modes: the JSON path's
+	// embedded server must not clamp the guard the sweep is costed
+	// against.
+	args := []string{"-db", db, "-q", "S(x, y) ∧ S(y, z) ∧ x ≠ z", "-max", "1"}
 	text, err = capture(t, func() error { return cmdExplain(context.Background(), args) })
 	if err != nil {
 		t.Fatal(err)
@@ -239,8 +239,8 @@ func TestCmdExplainJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &resp); err != nil {
 		t.Fatalf("bad JSON %q: %v", out, err)
 	}
-	if resp.Plan.Text != text {
-		t.Errorf("raised cap renders differently in JSON mode:\n--- json ---\n%s--- text ---\n%s", resp.Plan.Text, text)
+	if resp.Plan.Text != text || !strings.Contains(text, "EXCEEDS the guard of 1") {
+		t.Errorf("-max 1 renders differently in JSON mode:\n--- json ---\n%s--- text ---\n%s", resp.Plan.Text, text)
 	}
 }
 

@@ -4,12 +4,12 @@ import "fmt"
 
 // The mutation log of a Database: every effective mutation (a fact
 // actually added or removed, a domain actually extended or replaced)
-// bumps a monotone version counter and appends a Delta record. Consumers
-// that maintain derived state — the compiled sweep engines of
-// internal/sweep, the plan and factor caches of internal/solver — read
-// the records since the version they last saw (DeltasSince) and patch
-// themselves instead of rebuilding from scratch. The log is bounded; a
-// consumer that fell too far behind is told so and rebuilds.
+// bumps a monotone version counter and appends a Delta record. The one
+// consumer is the factor memo of internal/solver: it reads the records
+// since the version it last saw (DeltasSince) and drops only the
+// memoized components they touch; sweep engines and plans are rebuilt
+// at the new version instead. The log is bounded; a consumer that fell
+// too far behind is told so and drops everything.
 
 // DeltaOp identifies what kind of mutation a Delta records.
 type DeltaOp int

@@ -38,10 +38,6 @@ import (
 // DefaultMaxValuations is the default guard for brute-force enumeration.
 const DefaultMaxValuations = plan.DefaultMaxValuations
 
-// DefaultMaxCylinders is the default cap on the cylinder
-// inclusion–exclusion route of the dispatcher.
-const DefaultMaxCylinders = plan.DefaultMaxCylinders
-
 // Options configures the counting functions.
 type Options struct {
 	// MaxValuations bounds the number of valuations brute-force
@@ -50,12 +46,6 @@ type Options struct {
 	// relevant-null pruning, when it kicks in — so a query touching a
 	// small part of a huge database can still be counted exactly.
 	MaxValuations int64
-
-	// MaxCylinders caps the cylinder inclusion–exclusion route the
-	// dispatcher may plan (the 2^m subset enumeration): above this many
-	// cylinders the route is rejected in favor of the sweep. 0 means
-	// DefaultMaxCylinders; negative disables the route entirely.
-	MaxCylinders int
 
 	// Workers is the number of goroutines the brute-force counters shard
 	// the valuation space across; 0 means runtime.NumCPU(), 1 forces a
@@ -132,12 +122,12 @@ type FactorMemo interface {
 }
 
 // PlanOptions projects counting options onto the planner's, normalized:
-// the one place a call's guard, cylinder cap and engine variant become
-// the plan.Options its plans are built under.
+// the one place a call's guard and engine variant become the
+// plan.Options its plans are built under.
 func PlanOptions(o *Options) plan.Options {
 	po := plan.Options{Compile: o.compileOptions()}
 	if o != nil {
-		po.MaxValuations, po.MaxCylinders = o.MaxValuations, o.MaxCylinders
+		po.MaxValuations = o.MaxValuations
 	}
 	return po.Normalized()
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math/big"
 
-	"github.com/incompletedb/incompletedb/internal/classify"
 	"github.com/incompletedb/incompletedb/internal/core"
 	"github.com/incompletedb/incompletedb/internal/cq"
-	"github.com/incompletedb/incompletedb/internal/cylinder"
 	"github.com/incompletedb/incompletedb/internal/plan"
 )
 
@@ -108,39 +106,37 @@ func execNode(db *core.Database, n *plan.Node, opts *Options) (*big.Int, error) 
 		return CompletionsUniform(db, n.Query.(*cq.BCQ))
 
 	case plan.OpCylinderIE:
-		set := n.Cylinders
-		if set == nil {
-			// Stripped plans (what long-lived caches retain) drop the
-			// prebuilt payload; rebuild it from the plan's own database.
-			var err error
-			set, err = cylinder.Build(db, n.Query)
-			if err != nil {
-				return nil, err
-			}
+		if n.Cylinders == nil {
+			return nil, missingPayload(n)
 		}
-		return set.UnionCountParallel(opts.context(), opts.workers())
+		return n.Cylinders.UnionCountParallel(opts.context(), opts.workers())
 
 	case plan.OpSweep:
-		o := opts.withRejected(n.RejectedNotes())
+		if n.Engine == nil {
+			return nil, missingPayload(n)
+		}
 		// The planner compiled the engine to cost the node; reuse it so a
 		// planned sweep compiles the database exactly once. The guard is
 		// applied here (compileGuarded is bypassed), with the node's
 		// rejected decisions explaining what was already tried.
-		if eng := n.Engine; eng != nil {
-			if err := guardEngine(eng, o); err != nil {
-				return nil, err
-			}
-			res, _, err := sweepEngine(eng, o, false)
-			return res, err
+		o := opts.withRejected(n.RejectedNotes())
+		if err := guardEngine(n.Engine, o); err != nil {
+			return nil, err
 		}
-		if n.Kind == classify.Completions {
-			return BruteForceCompletions(db, n.Query, o)
-		}
-		return BruteForceValuations(db, n.Query, o)
+		res, _, err := sweepEngine(n.Engine, o, false)
+		return res, err
 
 	default:
 		return nil, fmt.Errorf("count: plan node %q is not executable here", n.Op)
 	}
+}
+
+// missingPayload is the error of a cylinder or sweep node that lacks its
+// prebuilt payload: a stripped plan (plan.StripPayloads) renders but
+// does not execute, and a sweep whose engine failed to compile says why
+// in its cost note.
+func missingPayload(n *plan.Node) error {
+	return fmt.Errorf("count: plan node %q has no execution payload (%s); rebuild the plan", n.Op, n.Cost.Note)
 }
 
 // execFactor combines the counts of independent sub-plans. Writing

@@ -141,17 +141,17 @@ func TestPlanExecuteMatchesLegacyDispatcher(t *testing.T) {
 // factorization node — the swept spaces add instead of multiplying.
 func TestFactorizationBeatsGuard(t *testing.T) {
 	db := core.NewUniformDatabase([]string{"0", "1"})
-	// Two 13-null cycles: R over ⊥1..⊥13, S over ⊥21..⊥33. Each R(x,x)
-	// component defeats the IE route (13 facts stay under the cap of 18,
-	// so shrink the cap below instead of growing the instance).
-	for i := 0; i < 13; i++ {
-		db.MustAddFact("R", core.Null(core.NullID(1+i)), core.Null(core.NullID(1+(i+1)%13)))
-		db.MustAddFact("S", core.Null(core.NullID(21+i)), core.Null(core.NullID(21+(i+1)%13)))
+	// Two 19-null cycles: R over ⊥1..⊥19, S over ⊥21..⊥39. Each
+	// component's 19 cylinders are one past the cap of inclusion–exclusion,
+	// so both components sweep.
+	for i := 0; i < 19; i++ {
+		db.MustAddFact("R", core.Null(core.NullID(1+i)), core.Null(core.NullID(1+(i+1)%19)))
+		db.MustAddFact("S", core.Null(core.NullID(21+i)), core.Null(core.NullID(21+(i+1)%19)))
 	}
 	q := cq.MustParseBCQ("R(x, x) ∧ S(y, y)")
-	// Guard of 2^20: the joint space 2^26 trips it, each component's 2^13
-	// does not.
-	opts := &Options{MaxValuations: 1 << 20, MaxCylinders: -1}
+	// Guard of 2^20: the joint space 2^38 trips it, each component's 2^19
+	// (2^20 for the even cycles below) does not.
+	opts := &Options{MaxValuations: 1 << 20}
 
 	if _, err := BruteForceValuations(db, q, opts.withRejected(nil)); err == nil {
 		t.Fatal("joint sweep unexpectedly fit the guard; the test instance is too small")
@@ -164,7 +164,7 @@ func TestFactorizationBeatsGuard(t *testing.T) {
 	if m != Method("factor(brute-force × brute-force)") {
 		t.Fatalf("method %q", m)
 	}
-	// An odd cycle of 13 nulls has no proper 2-coloring, so every
+	// An odd cycle of 19 nulls has no proper 2-coloring, so every
 	// assignment puts some equal adjacent pair on the cycle and satisfies
 	// R(x, x); with both components always satisfied, #Val is the whole
 	// space.
@@ -176,9 +176,9 @@ func TestFactorizationBeatsGuard(t *testing.T) {
 	// An even cycle leaves exactly the two alternating assignments
 	// unsatisfied per component, making the count non-trivial.
 	db2 := core.NewUniformDatabase([]string{"0", "1"})
-	for i := 0; i < 12; i++ {
-		db2.MustAddFact("R", core.Null(core.NullID(1+i)), core.Null(core.NullID(1+(i+1)%12)))
-		db2.MustAddFact("S", core.Null(core.NullID(21+i)), core.Null(core.NullID(21+(i+1)%12)))
+	for i := 0; i < 20; i++ {
+		db2.MustAddFact("R", core.Null(core.NullID(1+i)), core.Null(core.NullID(1+(i+1)%20)))
+		db2.MustAddFact("S", core.Null(core.NullID(21+i)), core.Null(core.NullID(21+(i+1)%20)))
 	}
 	n2, m2, err := CountValuations(db2, q, opts)
 	if err != nil {
@@ -187,7 +187,7 @@ func TestFactorizationBeatsGuard(t *testing.T) {
 	if m2 != Method("factor(brute-force × brute-force)") {
 		t.Fatalf("method %q", m2)
 	}
-	per := big.NewInt(1<<12 - 2)
+	per := big.NewInt(1<<20 - 2)
 	want := new(big.Int).Mul(per, per)
 	mustEqual(t, n2, want, "even-cycle factorized count")
 }
@@ -204,15 +204,14 @@ func TestFactorizationUnionExact(t *testing.T) {
 			db.MustAddFact("S", core.Null(core.NullID(11+r.Intn(4))), core.Null(core.NullID(11+r.Intn(4))))
 		}
 		q := cq.MustParse("R(x, x) | S(y, y)")
-		opts := &Options{MaxCylinders: -1}
-		p, err := Explain(db, q, classify.Valuations, opts)
+		p, err := Explain(db, q, classify.Valuations, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if p.Root.Op != plan.OpFactorUnion {
 			t.Fatalf("seed %d: union did not factor: %s", seed, p.Render())
 		}
-		got, err := ExecutePlan(db, p, opts)
+		got, err := ExecutePlan(db, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,40 +220,6 @@ func TestFactorizationUnionExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		mustEqual(t, got, want, fmt.Sprintf("union factorization seed %d", seed))
-	}
-}
-
-// TestDispatcherMaxCylinders: the Options.MaxCylinders knob reaches the
-// planner through the dispatchers.
-func TestDispatcherMaxCylinders(t *testing.T) {
-	db := core.NewDatabase()
-	for i := 1; i <= 20; i++ {
-		db.MustAddFact("R", core.Null(core.NullID(i)), core.Null(core.NullID(i)))
-		db.SetDomain(core.NullID(i), []string{"a", "b"})
-	}
-	q := cq.MustParseBCQ("R(x, x)")
-	// Default cap (18): 20 cylinders fall through to brute force.
-	_, m, err := CountValuations(db, q, nil)
-	if err != nil || m != MethodBruteForce {
-		t.Fatalf("default cap: method %s, err %v", m, err)
-	}
-	// Raised cap: inclusion–exclusion fires and agrees with brute force.
-	nIE, m, err := CountValuations(db, q, &Options{MaxCylinders: 25})
-	if err != nil || m != MethodCylinderIE {
-		t.Fatalf("raised cap: method %s, err %v", m, err)
-	}
-	nBrute, err := BruteForceValuations(db, q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqual(t, nIE, nBrute, "IE vs brute under raised cap")
-	// Disabled: even a tiny cylinder set is skipped.
-	small := core.NewDatabase()
-	small.MustAddFact("R", core.Null(1), core.Null(1))
-	small.SetDomain(1, []string{"a", "b"})
-	_, m, err = CountValuations(small, q, &Options{MaxCylinders: -1})
-	if err != nil || m != MethodBruteForce {
-		t.Fatalf("disabled IE: method %s, err %v", m, err)
 	}
 }
 
@@ -278,22 +243,49 @@ func TestExecutePlanRejectsForeignDatabase(t *testing.T) {
 	}
 }
 
+// TestStrippedPlanDoesNotExecute: a plan without its payloads renders
+// but does not execute. Its cylinder and sweep nodes are refused with an
+// error that carries the node's cost note, instead of being rebuilt from
+// the database.
+func TestStrippedPlanDoesNotExecute(t *testing.T) {
+	db := core.NewUniformDatabase([]string{"a", "b"})
+	db.MustAddFact("R", core.Null(1), core.Null(2))
+	db.MustAddFact("R", core.Null(2), core.Null(1))
+	for _, c := range []struct {
+		q  string
+		op plan.Op
+	}{{"R(x, x)", plan.OpCylinderIE}, {"R(x, y) ∧ x ≠ y", plan.OpSweep}} {
+		p, err := Explain(db, cq.MustParse(c.q), classify.Valuations, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Root.Op != c.op {
+			t.Fatalf("%s: op %q, want %q", c.q, p.Root.Op, c.op)
+		}
+		_, err = ExecutePlan(db, p.StripPayloads(), nil)
+		if err == nil || !strings.Contains(err.Error(), p.Root.Cost.Note) {
+			t.Errorf("%s: stripped plan executed (err %v), want an error carrying %q", c.q, err, p.Root.Cost.Note)
+		}
+	}
+}
+
 // TestMultiSweepProgressMonotone: a factorized plan running several
 // sweeps reports one normalized, forward-only progress stream — the
 // contract the job API's progress display depends on.
 func TestMultiSweepProgressMonotone(t *testing.T) {
 	db := core.NewUniformDatabase([]string{"0", "1"})
-	for i := 0; i < 6; i++ {
-		db.MustAddFact("R", core.Null(core.NullID(1+i)), core.Null(core.NullID(1+(i+1)%6)))
-		db.MustAddFact("S", core.Null(core.NullID(21+i)), core.Null(core.NullID(21+(i+1)%6)))
+	// Two 19-null cycles: 19 cylinders each, past the cap of
+	// inclusion–exclusion, so each component sweeps.
+	for i := 0; i < 19; i++ {
+		db.MustAddFact("R", core.Null(core.NullID(1+i)), core.Null(core.NullID(1+(i+1)%19)))
+		db.MustAddFact("S", core.Null(core.NullID(21+i)), core.Null(core.NullID(21+(i+1)%19)))
 	}
 	q := cq.MustParseBCQ("R(x, x) ∧ S(y, y)")
 	type tick struct{ done, total int }
 	var ticks []tick
 	opts := &Options{
-		Workers:      2, // explicit: forces sharding even on small spaces
-		MaxCylinders: -1,
-		Progress:     func(done, total int) { ticks = append(ticks, tick{done, total}) },
+		Workers:  2, // explicit: forces sharding even on small spaces
+		Progress: func(done, total int) { ticks = append(ticks, tick{done, total}) },
 	}
 	p, err := Explain(db, q, classify.Valuations, opts)
 	if err != nil {

@@ -63,9 +63,6 @@ type BCQ struct {
 	Atoms []Atom
 }
 
-// NewBCQ builds a BCQ from atoms.
-func NewBCQ(atoms ...Atom) *BCQ { return &BCQ{Atoms: atoms} }
-
 // String renders the query as "R(x, y) ∧ S(x)".
 func (q *BCQ) String() string {
 	parts := make([]string, len(q.Atoms))

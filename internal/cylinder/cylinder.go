@@ -104,10 +104,11 @@ type Set struct {
 	cum    []*big.Int    // cum[j] = Σ_{i ≤ j} weight(C_i) / free, for SampleIndex
 }
 
-// MaxCylinders bounds cylinder construction: the number of cylinders is the
-// product over atoms of the relation sizes (summed over disjuncts), which
-// is polynomial for a fixed query but can still be large.
-const MaxCylinders = 1 << 16
+// maxBuildCylinders bounds cylinder construction: the number of
+// cylinders is the product over atoms of the relation sizes (summed over
+// disjuncts), which is polynomial for a fixed query but can still be
+// large.
+const maxBuildCylinders = 1 << 16
 
 // Build constructs the cylinders of q over db. q must be a BCQ or a UCQ.
 // Its time and memory grow with the domain sizes of the nulls the query's
@@ -291,8 +292,8 @@ func (b *builder) addDisjunct(q *cq.BCQ) error {
 			chosen[i] = factsPerAtom[i][c]
 		}
 		if cyl := b.unify(len(varIdx), atomVars, chosen); cyl != nil {
-			if len(b.set.Cylinders) >= MaxCylinders {
-				return fmt.Errorf("cylinder: more than %d cylinders; query/database too large", MaxCylinders)
+			if len(b.set.Cylinders) >= maxBuildCylinders {
+				return fmt.Errorf("cylinder: more than %d cylinders; query/database too large", maxBuildCylinders)
 			}
 			b.set.Cylinders = append(b.set.Cylinders, cyl)
 		}

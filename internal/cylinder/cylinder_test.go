@@ -251,9 +251,11 @@ func TestSampleIndexProportional(t *testing.T) {
 	}
 }
 
+// TestUnionCountGuard: 19 cylinders, one past MaxUnionCylinders, are
+// refused.
 func TestUnionCountGuard(t *testing.T) {
 	db := core.NewUniformDatabase([]string{"a"})
-	for i := 1; i <= 31; i++ {
+	for i := 1; i <= 19; i++ {
 		db.MustAddFact("R", core.Const(fmt.Sprintf("k%d", i)))
 	}
 	set, err := cylinder.Build(db, cq.MustParseBCQ("R(x)"))
@@ -266,10 +268,10 @@ func TestUnionCountGuard(t *testing.T) {
 }
 
 func TestUnionCountCancellation(t *testing.T) {
-	// 22 cylinders → 4M subset terms: far too slow to finish instantly,
-	// but the subset loop must notice a cancelled context right away.
+	// 18 cylinders, the most the walk accepts: 2^18 subset terms, but
+	// the subset loop must notice a cancelled context right away.
 	db := core.NewUniformDatabase([]string{"a"})
-	for i := 1; i <= 22; i++ {
+	for i := 1; i <= cylinder.MaxUnionCylinders; i++ {
 		db.MustAddFact("R", core.Const(fmt.Sprintf("k%d", i)))
 	}
 	set, err := cylinder.Build(db, cq.MustParseBCQ("R(x)"))

@@ -11,14 +11,15 @@ import (
 	"sync/atomic"
 )
 
-// MaxUnionCylinders is the absolute limit of the inclusion–exclusion
-// counter. A subset term costs about 200 ns on a cycle of two-constant
-// domains (BenchmarkCylinderUnionCycle), so the 2^30 terms of 30
-// cylinders whose intersections are never empty take minutes: a caller raising the dispatcher's (configurable) cap can
-// choose to wait, with cancellation, but beyond this limit the walk could
-// not finish in practice. The planner clamps its configurable cap to
-// this value.
-const MaxUnionCylinders = 30
+// MaxUnionCylinders is the one bound on inclusion–exclusion: the planner
+// takes the cylinder route for 1 to MaxUnionCylinders cylinders and
+// sweeps above it, and UnionCountParallel refuses larger sets. The walk
+// is exponential in the number of cylinders: the 2^18 terms of an
+// 18-cycle whose intersections are never empty take about 27 ms on one
+// worker of a 2-core Xeon (BenchmarkCylinderUnionCycle/n=18), and each
+// further cylinder doubles both that time and the walk state a worker
+// holds.
+const MaxUnionCylinders = 18
 
 // cancelCheckMasks is the number of subset terms visited between polls of
 // the cancellation context.

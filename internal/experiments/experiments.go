@@ -20,7 +20,6 @@ import (
 	"github.com/incompletedb/incompletedb/internal/cq"
 	"github.com/incompletedb/incompletedb/internal/cylinder"
 	"github.com/incompletedb/incompletedb/internal/graphs"
-	"github.com/incompletedb/incompletedb/internal/plan"
 	"github.com/incompletedb/incompletedb/internal/reductions"
 )
 
@@ -680,7 +679,7 @@ func CylinderWitnessExperiment(cfg Config) Report {
 		if err != nil {
 			return failf("E-P5.2", "cylinder union", err)
 		}
-		if len(set.Cylinders) > plan.DefaultMaxCylinders {
+		if len(set.Cylinders) > cylinder.MaxUnionCylinders {
 			continue
 		}
 		union, err := set.UnionCount()

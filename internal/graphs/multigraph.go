@@ -148,13 +148,3 @@ func CountAvoidingAssignmentsGraph(g *Graph) (*big.Int, error) {
 	}
 	return m.CountAvoidingAssignments()
 }
-
-// CountNonAvoidingAssignmentsGraph counts non-avoiding assignments of a
-// simple graph.
-func CountNonAvoidingAssignmentsGraph(g *Graph) (*big.Int, error) {
-	m := NewMultigraph(g.N())
-	for _, e := range g.Edges() {
-		m.MustAddEdge(e[0], e[1])
-	}
-	return m.CountNonAvoidingAssignments()
-}

@@ -809,13 +809,6 @@ func (m *Manager) resubmit(rec *Record, run RunFunc) bool {
 	return true
 }
 
-// Draining reports whether Drain has been called.
-func (m *Manager) Draining() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.draining
-}
-
 // Metrics returns a snapshot of the manager's gauges and counters.
 func (m *Manager) Metrics() Metrics {
 	m.mu.Lock()

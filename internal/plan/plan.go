@@ -78,10 +78,6 @@ const (
 // enumerated space a sweep node may cost before execution refuses it.
 const DefaultMaxValuations = 1 << 22
 
-// DefaultMaxCylinders is the default cap on the cylinder
-// inclusion–exclusion route (2^m subset enumerations).
-const DefaultMaxCylinders = 18
-
 // Options configures planning. The zero value (and nil) applies the
 // defaults; Normalized spells them out.
 type Options struct {
@@ -89,13 +85,6 @@ type Options struct {
 	// to; 0 means DefaultMaxValuations. Planning never fails on it — the
 	// plan records that its sweep exceeds the guard — execution does.
 	MaxValuations int64
-
-	// MaxCylinders caps the cylinder inclusion–exclusion route: above
-	// this many cylinders the route is rejected. 0 means
-	// DefaultMaxCylinders; negative disables the route entirely. Values
-	// above the executor's absolute limit (cylinder.MaxUnionCylinders)
-	// are clamped to it, so a plan never promises an inexecutable route.
-	MaxCylinders int
 
 	// Compile is the engine variant the plan's sweep nodes compile. The
 	// zero value is the optimized engine; its escape hatches pin the
@@ -106,25 +95,15 @@ type Options struct {
 
 // Normalized returns o with every default applied, so options that plan
 // identically compare equal: the guard is DefaultMaxValuations unless
-// positive, and the cylinder cap is DefaultMaxCylinders when zero, −1
-// when negative (the route is disabled) and at most
-// cylinder.MaxUnionCylinders.
+// positive.
 func (o *Options) Normalized() Options {
-	n := Options{MaxValuations: DefaultMaxValuations, MaxCylinders: DefaultMaxCylinders}
+	n := Options{MaxValuations: DefaultMaxValuations}
 	if o == nil {
 		return n
 	}
 	n.Compile = o.Compile
 	if o.MaxValuations > 0 {
 		n.MaxValuations = o.MaxValuations
-	}
-	switch {
-	case o.MaxCylinders < 0:
-		n.MaxCylinders = -1
-	case o.MaxCylinders > cylinder.MaxUnionCylinders:
-		n.MaxCylinders = cylinder.MaxUnionCylinders
-	case o.MaxCylinders > 0:
-		n.MaxCylinders = o.MaxCylinders
 	}
 	return n
 }
@@ -198,7 +177,8 @@ type Node struct {
 	// Engine is the prebuilt payload of an OpSweep node: the compiled
 	// sweep engine whose size produced the node's cost, reused by the
 	// executor so a planned sweep compiles the database exactly once.
-	// Read-only after planning and safe for concurrent cursors.
+	// Read-only after planning and safe for concurrent cursors. Nil when
+	// the compile failed; Cost.Note then says why.
 	Engine *sweep.Engine
 }
 
@@ -231,13 +211,10 @@ func (p *Plan) Method() string { return p.Root.Method() }
 // which embed the database's interned fact arenas — and without its
 // reference to the database itself, which for a small query outweighs
 // the whole description. The copy renders and serializes identically
-// (Render/JSON/Method never read the payloads) and still executes
-// correctly against the database it was compiled from (the executor
-// recompiles engine-less sweep nodes), so it is what a long-lived cache
-// should retain: the explanation, not the compiled state or the data.
-// Database returns nil on the copy, so the executor can no longer tell
-// that database from another one; passing the right one is the caller's
-// job.
+// (Render/JSON/Method never read the payloads) but does not execute:
+// the executor refuses a cylinder or sweep node without its payload. It
+// is what a long-lived cache should retain: the explanation, not the
+// compiled state or the data.
 func (p *Plan) StripPayloads() *Plan {
 	var strip func(n *Node) *Node
 	strip = func(n *Node) *Node {
@@ -504,21 +481,15 @@ func (b *builder) planCylinderIE(n *Node, q cq.Query) bool {
 			"cylinder inclusion–exclusion needs a BCQ or a union of BCQs")
 		return false
 	}
-	maxCyl := b.opts.MaxCylinders
-	if maxCyl < 0 {
-		b.reject(n, OpCylinderIE, algorithm, reference,
-			"cylinder inclusion–exclusion is disabled (MaxCylinders < 0)")
-		return false
-	}
 	set, err := cylinder.Build(b.db, q)
 	if err != nil {
 		b.reject(n, OpCylinderIE, algorithm, reference,
 			"cylinder inclusion–exclusion failed: "+err.Error())
 		return false
 	}
-	if len(set.Cylinders) > maxCyl {
+	if len(set.Cylinders) > cylinder.MaxUnionCylinders {
 		b.reject(n, OpCylinderIE, algorithm, reference,
-			fmt.Sprintf("cylinder inclusion–exclusion is capped at %d cylinders, the query needs %d", maxCyl, len(set.Cylinders)))
+			fmt.Sprintf("cylinder inclusion–exclusion is capped at %d cylinders, the query needs %d", cylinder.MaxUnionCylinders, len(set.Cylinders)))
 		return false
 	}
 	b.accept(n, OpCylinderIE, algorithm, reference,

@@ -237,11 +237,11 @@ func TestSweepCostAndGuard(t *testing.T) {
 	}
 	db.MustAddFact("R", core.Null(1), core.Null(2))
 	db.MustAddFact("R", core.Null(2), core.Null(1))
-	q := cq.MustParseBCQ("R(x, x)")
-	p := mustBuild(t, db, q, classify.Valuations, &plan.Options{MaxCylinders: -1})
+	q := cq.MustParse("R(x, y) ∧ x ≠ y") // inequality: no cylinder route
+	p := mustBuild(t, db, q, classify.Valuations, nil)
 	n := p.Root
 	if n.Op != plan.OpSweep {
-		t.Fatalf("op %q (IE was disabled): %s", n.Op, p.Render())
+		t.Fatalf("op %q, want a sweep: %s", n.Op, p.Render())
 	}
 	if n.Cost.Space == nil || n.Cost.Space.Int64() != 4 {
 		t.Errorf("post-pruning space %v, want 4", n.Cost.Space)
@@ -253,48 +253,34 @@ func TestSweepCostAndGuard(t *testing.T) {
 		t.Errorf("4 valuations flagged as exceeding the guard")
 	}
 	// With a guard of 2, the same plan must flag the sweep.
-	p = mustBuild(t, db, q, classify.Valuations, &plan.Options{MaxCylinders: -1, MaxValuations: 2})
+	p = mustBuild(t, db, q, classify.Valuations, &plan.Options{MaxValuations: 2})
 	if !p.Root.Cost.ExceedsGuard {
 		t.Errorf("guard excess not flagged: %s", p.Render())
 	}
 }
 
-// TestMaxCylindersOption: the planner's IE cap is configurable and can be
-// disabled.
-func TestMaxCylindersOption(t *testing.T) {
-	db := core.NewUniformDatabase([]string{"a"})
-	for i := 1; i <= 20; i++ {
-		db.MustAddFact("R", core.Null(core.NullID(i)), core.Null(core.NullID(i)))
-	}
+// TestCylinderRouteCap pins the one bound on inclusion–exclusion,
+// cylinder.MaxUnionCylinders = 18: R(x, x) over a 16-cycle of nulls with
+// 2 chords has 18 cylinders and plans the cylinder route; with 3 chords
+// (the benchmark's sweep-val shape) it has 19 and plans the sweep.
+func TestCylinderRouteCap(t *testing.T) {
 	q := cq.MustParseBCQ("R(x, x)")
-	// 20 cylinders: above the default cap of 18.
-	p := mustBuild(t, db, q, classify.Valuations, nil)
-	if p.Root.Op != plan.OpSweep {
-		t.Fatalf("default cap: op %q", p.Root.Op)
-	}
-	// Raising the cap turns the plan into inclusion–exclusion.
-	p = mustBuild(t, db, q, classify.Valuations, &plan.Options{MaxCylinders: 25})
-	if p.Root.Op != plan.OpCylinderIE {
-		t.Fatalf("raised cap: op %q", p.Root.Op)
-	}
-	// Negative disables the route even for tiny cylinder sets.
-	small := core.NewUniformDatabase([]string{"a", "b"})
-	small.MustAddFact("R", core.Null(1), core.Null(1))
-	p = mustBuild(t, small, q, classify.Valuations, &plan.Options{MaxCylinders: -1})
-	if p.Root.Op != plan.OpSweep {
-		t.Fatalf("disabled IE: op %q", p.Root.Op)
-	}
-
-	// A cap beyond the executor's absolute limit (32 cylinders, cap 40)
-	// is clamped: the plan must NOT promise an IE route UnionCount would
-	// refuse.
-	wide := core.NewUniformDatabase([]string{"a"})
-	for i := 1; i <= 32; i++ {
-		wide.MustAddFact("R", core.Null(core.NullID(i)), core.Null(core.NullID(i)))
-	}
-	p = mustBuild(t, wide, q, classify.Valuations, &plan.Options{MaxCylinders: 40})
-	if p.Root.Op != plan.OpSweep {
-		t.Fatalf("over-limit cap not clamped: op %q", p.Root.Op)
+	chords := [][2]int{{0, 3}, {2, 7}, {5, 12}}
+	for _, c := range []struct {
+		chords int
+		want   plan.Op
+	}{{2, plan.OpCylinderIE}, {3, plan.OpSweep}} {
+		db := core.NewUniformDatabase([]string{"a", "b"})
+		for i := 0; i < 16; i++ {
+			db.MustAddFact("R", core.Null(core.NullID(1+i)), core.Null(core.NullID(1+(i+1)%16)))
+		}
+		for _, ch := range chords[:c.chords] {
+			db.MustAddFact("R", core.Null(core.NullID(1+ch[0])), core.Null(core.NullID(1+ch[1])))
+		}
+		p := mustBuild(t, db, q, classify.Valuations, nil)
+		if p.Root.Op != c.want {
+			t.Errorf("%d cylinders: op %q, want %q\n%s", 16+c.chords, p.Root.Op, c.want, p.Render())
+		}
 	}
 }
 

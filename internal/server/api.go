@@ -49,12 +49,6 @@ type Request struct {
 	// per-request budget; it can never raise it above the server's cap.
 	MaxValuations int64 `json:"max_valuations,omitempty"`
 
-	// MaxCylinders lowers the planner's cap on the cylinder
-	// inclusion–exclusion route below the server's (default 18), or
-	// disables the route with a negative value; like MaxValuations it
-	// can never raise the cap above the server's.
-	MaxCylinders int `json:"max_cylinders,omitempty"`
-
 	// Karp–Luby parameters for OpEstimate.
 	Eps   float64 `json:"eps,omitempty"`
 	Delta float64 `json:"delta,omitempty"`
@@ -112,11 +106,11 @@ type Response struct {
 	Fingerprint string `json:"fingerprint,omitempty"`
 
 	// Cached reports that the result was served from the result cache
-	// rather than recomputed. A request whose MaxValuations/MaxCylinders
-	// tighten the server's limits is still answered from the warm entry
-	// of a default request (a budget bounds computation, not lookup): the
-	// count is exact under any planning options, but such a response's
-	// Plan and Method describe the route the default computation took.
+	// rather than recomputed. A request whose MaxValuations tightens the
+	// server's budget is still answered from the warm entry of a default
+	// request (a budget bounds computation, not lookup): the count is
+	// exact under any guard, but such a response's Plan is the default
+	// computation's, costed against the server's guard.
 	Cached bool `json:"cached,omitempty"`
 
 	// Phases splits the brute-force sweep time behind a count response
@@ -132,27 +126,6 @@ type Response struct {
 	Error string `json:"error,omitempty"`
 }
 
-// clone returns a copy of r so cached responses can be annotated
-// per-request without mutating the cache's entry.
-func (r *Response) clone() *Response {
-	c := *r
-	if r.Classification != nil {
-		c.Classification = append([]ClassifyResult(nil), r.Classification...)
-	}
-	if r.Holds != nil {
-		h := *r.Holds
-		c.Holds = &h
-	}
-	if r.Estimate != nil {
-		e := *r.Estimate
-		c.Estimate = &e
-	}
-	return &c
-}
-
-// EstimateDetail is the sampling-diagnostics block of an estimate
-// response: everything the Karp–Luby estimator knows beyond the point
-// estimate.
 // PhaseDetail is the sampled per-phase time split of the brute-force
 // sweeps behind a count: advancing cursors (step), evaluating the query
 // (match) and deduplicating completions (dedup), in milliseconds of
@@ -164,6 +137,9 @@ type PhaseDetail struct {
 	DedupMS float64 `json:"dedup_ms"`
 }
 
+// EstimateDetail is the sampling-diagnostics block of an estimate
+// response: everything the Karp–Luby estimator knows beyond the point
+// estimate.
 type EstimateDetail struct {
 	// Eps and Delta are the guarantee parameters the estimator ran with:
 	// Pr(|estimate − #Val| ≤ ε·#Val) ≥ 1 − δ.

@@ -296,40 +296,35 @@ func TestServeDrainLeavesJobsResumable(t *testing.T) {
 	}
 }
 
-// TestLegacyHatchedJobRecordRecovers: a job stored before the engine
-// escape hatches left the wire still carries disable_bitsets and
-// syntactic_order in its request; recovery decodes it leniently and the
-// job finishes with the exact count.
+// TestLegacyHatchedJobRecordRecovers: jobs stored before the engine
+// escape hatches and the cylinder cap left the wire still carry
+// disable_bitsets, syntactic_order or max_cylinders in their requests;
+// recovery decodes them leniently and each job finishes with the exact
+// count.
 func TestLegacyHatchedJobRecordRecovers(t *testing.T) {
 	store := jobs.NewMemStore()
 	dbText := jobTestDB(10)
-	raw, err := json.Marshal(map[string]any{
-		"op": OpCount, "database": dbText, "query": "R(x, x)", "kind": KindVal,
-		"force_brute": true, "disable_bitsets": true, "syntactic_order": true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	legacy := map[string]map[string]any{
+		"legacy-1": {"force_brute": true, "disable_bitsets": true, "syntactic_order": true},
+		"legacy-2": {"max_cylinders": -1},
 	}
-	if err := store.Put(&jobs.Record{ID: "legacy-1", Status: jobs.StatusRunning, Request: raw, CreatedAt: time.Now()}); err != nil {
-		t.Fatal(err)
+	for id, fields := range legacy {
+		req := map[string]any{"op": OpCount, "database": dbText, "query": "R(x, x)", "kind": KindVal}
+		for k, v := range fields {
+			req[k] = v
+		}
+		raw, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Put(&jobs.Record{ID: id, Status: jobs.StatusRunning, Request: raw, CreatedAt: time.Now()}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	srv := New(Config{Workers: 2, JobStore: store})
 	defer srv.Close()
-	if resumed, err := srv.RecoverJobs(); err != nil || resumed != 1 {
-		t.Fatalf("RecoverJobs resumed %d (err %v), want 1", resumed, err)
-	}
-	j, ok := srv.jobs.Get("legacy-1")
-	if !ok {
-		t.Fatal("recovered server does not know the legacy job")
-	}
-	select {
-	case <-j.Done():
-	case <-time.After(30 * time.Second):
-		t.Fatalf("legacy job did not finish; state %+v", j.Snapshot())
-	}
-	rec := j.Snapshot()
-	if rec.Status != jobs.StatusDone {
-		t.Fatalf("legacy job ended as %s (error %q)", rec.Status, rec.Error)
+	if resumed, err := srv.RecoverJobs(); err != nil || resumed != len(legacy) {
+		t.Fatalf("RecoverJobs resumed %d (err %v), want %d", resumed, err, len(legacy))
 	}
 	db, err := core.ParseDatabaseString(dbText)
 	if err != nil {
@@ -339,7 +334,22 @@ func TestLegacyHatchedJobRecordRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final := jobFromRecord(rec); final.Result == nil || final.Result.Count != want.String() {
-		t.Fatalf("legacy job result %+v, want count %v", final.Result, want)
+	for id := range legacy {
+		j, ok := srv.jobs.Get(id)
+		if !ok {
+			t.Fatalf("recovered server does not know the legacy job %s", id)
+		}
+		select {
+		case <-j.Done():
+		case <-time.After(30 * time.Second):
+			t.Fatalf("legacy job %s did not finish; state %+v", id, j.Snapshot())
+		}
+		rec := j.Snapshot()
+		if rec.Status != jobs.StatusDone {
+			t.Fatalf("legacy job %s ended as %s (error %q)", id, rec.Status, rec.Error)
+		}
+		if final := jobFromRecord(rec); final.Result == nil || final.Result.Count != want.String() {
+			t.Fatalf("legacy job %s result %+v, want count %v", id, final.Result, want)
+		}
 	}
 }

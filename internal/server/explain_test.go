@@ -73,35 +73,6 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 }
 
-// TestMaxCylindersClamp: a request can lower the server's cylinder cap
-// or disable the route, but never raise it above the server's cap.
-func TestMaxCylindersClamp(t *testing.T) {
-	_, base := startServer(t, Config{})
-	// 20 diagonal R-facts → 20 cylinders for R(x, x): above the server's
-	// default cap of 18 no matter what the client asks for.
-	db := core.NewUniformDatabase([]string{"a", "b"})
-	for i := 1; i <= 20; i++ {
-		db.MustAddFact("R", core.Null(core.NullID(i)), core.Null(core.NullID(i)))
-	}
-	var resp Response
-	status := doJSON(t, http.MethodPost, base+"/v1/explain", Request{
-		Database: db.String(), Query: "R(x, x)", MaxCylinders: 30,
-	}, &resp)
-	if status != http.StatusOK {
-		t.Fatalf("status %d: %+v", status, resp)
-	}
-	if resp.Plan.Root.Op != "brute-force" {
-		t.Errorf("client raised the cylinder cap above the server's: plan op %q\n%s", resp.Plan.Root.Op, resp.Plan.Text)
-	}
-	// Disabling is allowed — it only lowers work.
-	status = doJSON(t, http.MethodPost, base+"/v1/explain", Request{
-		Database: explainTestDB, Query: "R(x, x)", MaxCylinders: -1,
-	}, &resp)
-	if status != http.StatusOK || resp.Plan.Root.Op != "brute-force" {
-		t.Errorf("disabling IE per request failed: op %q", resp.Plan.Root.Op)
-	}
-}
-
 // TestCountResponsesCarryPlans: every count response — synchronous,
 // cached, estimate, and job results — carries the plan that produced it,
 // and the cached copy's plan equals a fresh explain of the same input.

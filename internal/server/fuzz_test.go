@@ -25,7 +25,7 @@ func FuzzServerRequest(f *testing.F) {
 		`{"database": "uniform a b\nR(?1, ?2)\nR(?2, ?3)\nR(?3, ?1)\n", "query": "R(x, x)", "kind": "comp"}`,
 		`{"database": "dom ?1 a b\ndom ?2 b c\nR(?1, a)\nR(b, ?2)\n", "query": "R(x, y)"}`,
 		`{"database": "uniform a b\nR(?1, ?2)\nR(?3, ?4)\n", "query": "R(x, y) ∧ x ≠ y", "max_valuations": 4}`,
-		`{"database": "uniform a b c\nS(a, b)\nS(?1, a)\nS(a, ?2)\n", "query": "S(x, x) | S(x, a)", "max_cylinders": -1}`,
+		`{"database": "uniform a b c\nS(a, b)\nS(?1, a)\nS(a, ?2)\n", "query": "S(x, x) | S(x, a)"}`,
 		`{"database": "uniform a b\nR(?1)\nS(?1, ?2)\n", "query": "!(R(x) ∧ S(x, y))", "kind": "comp"}`,
 		`{"database": "dom ?1 a\nR(?1, ?2)\n", "query": "R(x, y)"}`,
 		`{"database": "uniform a\nR(?1,\n", "query": "R(x)"}`,
@@ -37,10 +37,10 @@ func FuzzServerRequest(f *testing.F) {
 	} {
 		f.Add([]byte(body))
 	}
-	const budget, cylinders = 1 << 12, 10
-	srv := New(Config{Workers: 1, MaxValuations: budget, MaxCylinders: cylinders})
+	const budget = 1 << 12
+	srv := New(Config{Workers: 1, MaxValuations: budget})
 	defer srv.Close()
-	ref := solver.NewSolver(solver.WithCacheSize(-1), solver.WithWorkers(1), solver.WithMaxValuations(budget), solver.WithMaxCylinders(cylinders))
+	ref := solver.NewSolver(solver.WithCacheSize(-1), solver.WithWorkers(1), solver.WithMaxValuations(budget))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if len(body) > 4096 {
 			return

@@ -130,6 +130,42 @@ func TestLiveSessionMutationFlow(t *testing.T) {
 	}
 }
 
+// TestFactsAddIsAllOrNothing: a fact the database would refuse — an
+// arity clash with the database or with an earlier fact of the request,
+// or a null without a domain on a non-uniform database — fails the whole
+// add before anything is applied: the database text and epoch are those
+// of before the request.
+func TestFactsAddIsAllOrNothing(t *testing.T) {
+	_, base := startServer(t, Config{})
+	for _, c := range []struct {
+		db    string
+		facts []string
+	}{
+		{"uniform a b\nR(?1, ?2)\n", []string{"R(a, b)", "R(c)"}},
+		{"uniform a b\nR(?1, ?2)\n", []string{"T(a)", "T(a, b)"}},
+		{"dom ?1 a b\nR(?1, a)\n", []string{"R(b, b)", "R(?2, a)"}},
+	} {
+		var before DatabaseState
+		if code := doJSON(t, "POST", base+"/v1/db", Request{Database: c.db}, &before); code != http.StatusOK {
+			t.Fatalf("POST /v1/db %q: status %d", c.db, code)
+		}
+		var eb struct {
+			Error string `json:"error"`
+		}
+		if code := doJSON(t, "POST", base+"/v1/facts", MutationRequest{Facts: c.facts}, &eb); code != http.StatusBadRequest {
+			t.Fatalf("add %q to %q: status %d, want 400", c.facts, c.db, code)
+		}
+		var after DatabaseState
+		if code := doJSON(t, "GET", base+"/v1/db", nil, &after); code != http.StatusOK {
+			t.Fatalf("GET /v1/db: status %d", code)
+		}
+		if after.Database != before.Database || after.Epoch != before.Epoch {
+			t.Errorf("rejected add %q (%s) mutated the database: epoch %d -> %d, text %q -> %q",
+				c.facts, eb.Error, before.Epoch, after.Epoch, before.Database, after.Database)
+		}
+	}
+}
+
 // TestLiveWriteCannotPoisonResultCache: a written fact whose relation
 // name holds a newline is rejected. Were it accepted, a live database
 // holding the one fact `uniform "a"` + "\n" + `R(x)` would share its

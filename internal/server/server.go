@@ -108,13 +108,6 @@ type Config struct {
 	// 0 means count.DefaultMaxValuations.
 	MaxValuations int64
 
-	// MaxCylinders is the per-request cap on the planner's cylinder
-	// inclusion–exclusion route (the 2^m subset loop). Requests may lower
-	// it (or disable the route with a negative value) but never raise it
-	// above this cap. 0 means count.DefaultMaxCylinders; negative
-	// disables the route for every request.
-	MaxCylinders int
-
 	// Workers is the worker-pool width for each brute-force sweep; 0
 	// means one worker per CPU.
 	Workers int
@@ -197,13 +190,6 @@ func (c Config) maxValuations() int64 {
 	return c.MaxValuations
 }
 
-func (c Config) maxCylinders() int {
-	if c.MaxCylinders == 0 {
-		return count.DefaultMaxCylinders
-	}
-	return c.MaxCylinders
-}
-
 func (c Config) maxJobs() int {
 	if c.MaxJobs <= 0 {
 		return DefaultMaxJobs
@@ -258,7 +244,6 @@ func New(cfg Config) *Server {
 		solver: solver.NewSolverConfig(solver.Config{
 			Workers:       cfg.Workers,
 			MaxValuations: cfg.MaxValuations,
-			MaxCylinders:  cfg.MaxCylinders,
 			CacheSize:     cfg.cacheSize(),
 		}),
 	}
@@ -597,20 +582,16 @@ func (s *Server) session(text string) (*solver.PreparedDB, error) {
 }
 
 // requestOptions builds the per-call option overrides for one request:
-// only the knobs the request actually tightens are set — everything left
-// zero inherits the solver's (= the server's) configuration, which keeps
-// default-budget requests on the solver's cached path. Budgets only ever
-// tighten: a request may lower the valuation budget or the cylinder cap
-// (or disable the route), never raise them above the server's (the 2^m
-// subset loop runs on the server's root context and would outlive a
+// the valuation budget is set only when the request tightens it —
+// otherwise it inherits the solver's (= the server's) configuration,
+// which keeps default-budget requests on the solver's cached path. A
+// request may lower the budget but never raise it above the server's
+// (the sweep runs on the server's root context and would outlive a
 // disconnecting client).
 func (s *Server) requestOptions(req Request, progress func(done, total int)) *count.Options {
 	o := &count.Options{Progress: progress}
 	if budget := s.cfg.maxValuations(); req.MaxValuations > 0 && req.MaxValuations < budget {
 		o.MaxValuations = req.MaxValuations
-	}
-	if maxCyl := s.cfg.maxCylinders(); req.MaxCylinders < 0 || (req.MaxCylinders > 0 && req.MaxCylinders < maxCyl) {
-		o.MaxCylinders = req.MaxCylinders
 	}
 	return o
 }
@@ -876,22 +857,51 @@ func parseFacts(texts []string) ([]core.Fact, error) {
 	return facts, nil
 }
 
+// checkFacts rejects, before any fact is applied, every fact AddFact
+// would refuse: a relation used with an arity other than the one the
+// database or an earlier fact of the request gives it, or a null without
+// a domain on a non-uniform database. With parseFacts it makes an add
+// all-or-nothing.
+func checkFacts(db *core.Database, facts []core.Fact) error {
+	arity := make(map[string]int)
+	for i, f := range facts {
+		want, seen := arity[f.Rel]
+		if !seen {
+			want = db.Arity(f.Rel)
+		}
+		if want != 0 && want != len(f.Args) {
+			return badRequest("facts[%d]: relation %s used with arities %d and %d", i, f.Rel, want, len(f.Args))
+		}
+		arity[f.Rel] = len(f.Args)
+		if db.Uniform() {
+			continue
+		}
+		for _, v := range f.Args {
+			if v.IsNull() && db.Domain(v.NullID()) == nil {
+				return badRequest("facts[%d]: null %s has no domain; extend it with POST /v1/domain first", i, v.NullID())
+			}
+		}
+	}
+	return nil
+}
+
 func (s *Server) handleFactsAdd(w http.ResponseWriter, r *http.Request) {
 	s.withLive(w, r, func(pdb *solver.PreparedDB, req *MutationRequest) (int, error) {
 		facts, err := parseFacts(req.Facts)
 		if err != nil {
 			return 0, err
 		}
-		applied := 0
+		if err := checkFacts(pdb.Database(), facts); err != nil {
+			return 0, err
+		}
 		before := pdb.Epoch()
 		for i, f := range facts {
 			if err := pdb.AddFact(f.Rel, f.Args...); err != nil {
-				return applied, badRequest("facts[%d]: %v", i, err)
+				return 0, badRequest("facts[%d]: %v", i, err)
 			}
 		}
 		// AddFact has set semantics: only effective adds advance the epoch.
-		applied = int(pdb.Epoch() - before)
-		return applied, nil
+		return int(pdb.Epoch() - before), nil
 	})
 }
 
@@ -980,16 +990,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	responses := make([]*Response, len(batch.Requests))
 	// Items run concurrently; identical items collapse in the
 	// single-flight group, so a batch of isomorphic requests costs one
-	// computation. The semaphore keeps a huge batch from spawning an
-	// unbounded number of concurrent sweeps (each sweep already uses the
-	// full worker pool).
+	// computation. The semaphore is taken before an item's goroutine
+	// starts, so a huge batch holds at most NumCPU item goroutines and
+	// concurrent sweeps (each sweep already uses the full worker pool).
 	sem := make(chan struct{}, max(1, runtime.NumCPU()))
 	var wg sync.WaitGroup
 	for i, req := range batch.Requests {
+		sem <- struct{}{}
 		wg.Add(1)
 		go func(i int, req Request) {
 			defer wg.Done()
-			sem <- struct{}{}
 			defer func() { <-sem }()
 			if req.Op == "" {
 				req.Op = OpCount

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -365,6 +366,48 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
+// TestBatchBoundsItemGoroutines: a batch holds at most NumCPU item
+// goroutines at once, however many items it carries: 200,000 empty
+// items, about 600 KB of body, must not start a goroutine each before
+// the semaphore admits it.
+func TestBatchBoundsItemGoroutines(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	defer srv.Close()
+	const items = 200_000
+	body := `{"requests": [{}` + strings.Repeat(`,{}`, items-1) + `]}`
+	before := runtime.NumGoroutine()
+	stop := make(chan struct{})
+	peak := make(chan int)
+	go func() {
+		most := 0
+		for {
+			most = max(most, runtime.NumGoroutine())
+			select {
+			case <-stop:
+				peak <- most
+				return
+			default:
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+	}()
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(body)))
+	close(stop)
+	most := <-peak
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch of %d items: HTTP %d", items, rec.Code)
+	}
+	// The sampler, NumCPU running items and as many finishing ones, plus
+	// slack: NumGoroutine reads the runtime's free lists without a lock,
+	// so it can overcount by a batch of up to 32 exited goroutines the
+	// runtime is moving between them. Without the bound a batch this
+	// size peaks at tens of thousands.
+	if limit := before + 1 + 2*runtime.NumCPU() + 64; most > limit {
+		t.Fatalf("a batch of %d items peaked at %d goroutines (%d before it), want at most %d", items, most, before, limit)
+	}
+}
+
 // TestSyncEndpointsAndErrors drives the remaining endpoints and the error
 // paths over the real listener.
 func TestSyncEndpointsAndErrors(t *testing.T) {
@@ -559,7 +602,7 @@ func ExampleServer_Execute() {
 // embedded Response.
 func TestCountResponseKernel(t *testing.T) {
 	_, base := startServer(t, Config{Workers: 2, MaxValuations: 1 << 20})
-	req := Request{Op: OpCount, Database: jobTestDB(6), Query: "R(x, x)", Kind: KindVal, MaxCylinders: -1}
+	req := Request{Op: OpCount, Database: jobTestDB(6), Query: "R(x, y) ∧ x ≠ y", Kind: KindVal}
 	var resp Response
 	if code := doJSON(t, http.MethodPost, base+"/v1/count", req, &resp); code != http.StatusOK {
 		t.Fatalf("count returned HTTP %d", code)
@@ -607,13 +650,14 @@ func TestBudgetOverrideServedFromWarmEntry(t *testing.T) {
 	}
 }
 
-// TestRemovedHatchFieldsRejected: the engine escape hatches are not part
-// of the wire API, and requests are decoded strictly, so a count request
-// carrying disable_bitsets or syntactic_order is a 400.
+// TestRemovedHatchFieldsRejected: the engine escape hatches and the
+// cylinder cap are not part of the wire API, and requests are decoded
+// strictly, so a count request carrying disable_bitsets, syntactic_order
+// or max_cylinders is a 400.
 func TestRemovedHatchFieldsRejected(t *testing.T) {
 	_, base := startServer(t, Config{Workers: 1})
-	for _, field := range []string{"disable_bitsets", "syntactic_order"} {
-		body := fmt.Sprintf(`{"database": "uniform a b\nR(?1, ?2)\n", "query": "R(x, x)", %q: true}`, field)
+	for _, field := range []string{`"disable_bitsets": true`, `"syntactic_order": true`, `"max_cylinders": -1`} {
+		body := fmt.Sprintf(`{"database": "uniform a b\nR(?1, ?2)\n", "query": "R(x, x)", %s}`, field)
 		resp, err := http.Post(base+"/v1/count", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -15,13 +15,13 @@ import (
 )
 
 // Tests of the one cache rule: every session cache keys by the call's
-// normalized planning options (guard, cylinder cap, engine variant), so a
-// call never reads or writes an entry another option set produced.
+// normalized planning options (guard, engine variant), so a call never
+// reads or writes an entry another option set produced.
 
 // variantDB is R(?1, ?2), R(?2, ?3), S(?3), S(a) over {a, b, c}: 27
-// valuations. Without the cylinder route every query below sweeps, and
-// variantQuery compiles to bitset membership in a cost-chosen atom order
-// unless an escape hatch pins the other variant.
+// valuations. variantQuery's inequality keeps it off the cylinder route,
+// so it sweeps, and it compiles to bitset membership in a cost-chosen
+// atom order unless an escape hatch pins the other variant.
 func variantDB() *core.Database {
 	db := core.NewDatabase()
 	for n := core.NullID(1); n <= 3; n++ {
@@ -36,7 +36,7 @@ func variantDB() *core.Database {
 	return db
 }
 
-var variantQuery = cq.MustParse("S(z) ∧ R(x, y) ∧ R(y, z)")
+var variantQuery = cq.MustParse("S(z) ∧ R(x, y) ∧ R(y, z) ∧ x ≠ z")
 
 // sweepNodes returns the plan's sweep nodes.
 func sweepNodes(pl *plan.Plan) []*plan.Node {
@@ -96,7 +96,7 @@ func TestBruteCountHonorsEngineVariant(t *testing.T) {
 // plans, which a delta rebuilds under that same guard.
 func TestVariantCallsCacheUnderOwnKey(t *testing.T) {
 	ctx := context.Background()
-	s := NewSolver(WithMaxCylinders(-1), WithWorkers(1))
+	s := NewSolver(WithWorkers(1))
 	pdb, err := s.Prepare(variantDB())
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestConcurrentVariantCallsKeepTheirGuards(t *testing.T) {
 	for i := 1; i <= 12; i++ {
 		db.MustAddFact("R", core.Null(core.NullID(i)), core.Null(core.NullID(i%12+1)))
 	}
-	pdb, err := NewSolver(WithCacheSize(-1), WithMaxCylinders(-1), WithWorkers(1)).Prepare(db)
+	pdb, err := NewSolver(WithCacheSize(-1), WithWorkers(1)).Prepare(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,42 +203,44 @@ func TestConcurrentVariantCallsKeepTheirGuards(t *testing.T) {
 }
 
 // fuzzQueries are the queries FuzzCachedMatchesFresh asks: an
-// inequality, variantQuery and a union.
+// inequality and variantQuery, which sweep; a union, which takes the
+// cylinder route; and a union whose five-atom R chain has 2^5 = 32
+// cylinders over variantDB, past the cap of inclusion–exclusion: it
+// sweeps, as a factor of its own once S(?3) is removed.
 var fuzzQueries = []cq.Query{
 	cq.MustParse("R(x, y) ∧ x ≠ y"),
 	variantQuery,
 	cq.MustParse("R(x, x) | S(x)"),
+	cq.MustParse("R(x, y) ∧ R(y, z) ∧ R(z, u) ∧ R(u, v) ∧ R(v, w) | S(x)"),
 }
 
 // FuzzCachedMatchesFresh drives one shared session through a sequence of
 // counts, forced sweeps, certainty checks and fact deltas, each under
 // random per-call overrides of the guard (below, at or above the
-// solver's), the cylinder cap and the engine variant. Every answer must
-// equal the same call on a fresh, uncached session over the current
-// database: the same count or verdict, and an error exactly when the
-// reference errors. A plan under an escape hatch must record that
-// variant.
+// solver's) and the engine variant. Every answer must equal the same
+// call on a fresh, uncached session over the current database: the same
+// count or verdict, and an error exactly when the reference errors. A
+// plan under an escape hatch must record that variant.
 //
-// cfg selects the solver's guard and cylinder cap; each pair of ops
-// bytes is one call (what, on which query or fact) and its overrides.
+// cfg selects the solver's guard; each pair of ops bytes is one call
+// (what, on which query or fact) and its overrides.
 func FuzzCachedMatchesFresh(f *testing.F) {
 	// A loosened-guard BruteCount must not answer a default count that
 	// fails the solver's guard of 2.
 	f.Add(byte(3), []byte{2, 3, 0, 0})
 	// A hatched BruteCount must compile the variant it asked for.
-	f.Add(byte(2), []byte{10, 36})
+	f.Add(byte(2), []byte{10, 12})
 	// A loosened-guard count's memoized factors must not answer a default
-	// count (remove S(?3), so R(x, x) | S(x) factorizes, then count it
-	// loosened and by default).
-	f.Add(byte(12), []byte{86, 48, 88, 55, 88, 48})
+	// count (remove S(?3), so the chain union factorizes into a swept
+	// chain and S(x), then count it loosened and by default).
+	f.Add(byte(12), []byte{86, 48, 88, 3, 88, 48})
 	f.Add(byte(5), []byte{0, 36, 8, 5, 5, 0, 0, 36, 4, 1, 6, 0, 3, 14, 17, 23})
 	f.Fuzz(func(t *testing.T, cfg byte, ops []byte) {
 		if len(ops) > 32 {
 			ops = ops[:32]
 		}
 		guard := []int64{2, 64, 0}[cfg%3]
-		cyl := []int{0, -1, 1}[(cfg/3)%3]
-		config := []Option{WithMaxValuations(guard), WithMaxCylinders(cyl), WithWorkers(1)}
+		config := []Option{WithMaxValuations(guard), WithWorkers(1)}
 		pdb, err := NewSolver(config...).Prepare(variantDB())
 		if err != nil {
 			t.Fatal(err)
@@ -253,9 +255,8 @@ func FuzzCachedMatchesFresh(f *testing.F) {
 			op, arg := ops[i], ops[i+1]
 			opts := &count.Options{
 				MaxValuations:  []int64{0, max(1, solverGuard/2), solverGuard, solverGuard * 64}[arg%4],
-				MaxCylinders:   []int{0, -1, 1}[(arg/4)%3],
-				DisableBitsets: (arg/12)&1 != 0,
-				SyntacticOrder: (arg/12)&2 != 0,
+				DisableBitsets: (arg/4)&1 != 0,
+				SyntacticOrder: (arg/4)&2 != 0,
 			}
 			q := fuzzQueries[int(op/8)%len(fuzzQueries)]
 			switch op % 8 {
@@ -297,8 +298,8 @@ func FuzzCachedMatchesFresh(f *testing.F) {
 			got, gerr := call(pdb)
 			want, werr := call(ref)
 			where := func() string {
-				return fmt.Sprintf("op %d on %v (guard %d, cylinders %d, no bitsets %v, syntactic %v) over\n%s",
-					op%8, q, opts.MaxValuations, opts.MaxCylinders, opts.DisableBitsets, opts.SyntacticOrder, db)
+				return fmt.Sprintf("op %d on %v (guard %d, no bitsets %v, syntactic %v) over\n%s",
+					op%8, q, opts.MaxValuations, opts.DisableBitsets, opts.SyntacticOrder, db)
 			}
 			switch {
 			case (gerr != nil) != (werr != nil):

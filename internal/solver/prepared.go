@@ -194,10 +194,10 @@ func (p *PreparedDB) Count(ctx context.Context, q cq.Query, kind classify.Counti
 // CountWith is Count with per-call runtime options (the escape hatch the
 // service's request overrides and job runner use): zero fields of opts
 // inherit the solver's configuration. A call whose planning options
-// (guard, cylinder cap, engine variant) differ from the solver's uses
-// cache entries of its own (see Solver.planKey), so it sees exactly the
-// guard it asked for: a tightened guard is not answered from an earlier,
-// looser computation, and a loosened guard's success never reaches a
+// (guard, engine variant) differ from the solver's uses cache entries of
+// its own (see Solver.planKey), so it sees exactly the guard it asked
+// for: a tightened guard is not answered from an earlier, looser
+// computation, and a loosened guard's success never reaches a
 // default-knob call.
 func (p *PreparedDB) CountWith(ctx context.Context, q cq.Query, kind classify.CountingKind, opts *count.Options) (*Result, error) {
 	start := time.Now()

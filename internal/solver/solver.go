@@ -47,11 +47,6 @@ type Config struct {
 	// count.DefaultMaxValuations.
 	MaxValuations int64
 
-	// MaxCylinders caps the planner's cylinder inclusion–exclusion route
-	// (the 2^m subset loop). 0 means count.DefaultMaxCylinders; negative
-	// disables the route.
-	MaxCylinders int
-
 	// CacheSize is the number of results the fingerprint-keyed LRU
 	// retains; 0 means DefaultCacheSize, negative disables caching
 	// (concurrent identical calls still share one computation). The text
@@ -69,10 +64,6 @@ func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
 // WithMaxValuations sets the brute-force guard: the largest (post-pruning)
 // valuation space a sweep may enumerate.
 func WithMaxValuations(n int64) Option { return func(c *Config) { c.MaxValuations = n } }
-
-// WithMaxCylinders caps the cylinder inclusion–exclusion route (negative
-// disables it).
-func WithMaxCylinders(n int) Option { return func(c *Config) { c.MaxCylinders = n } }
 
 // WithCacheSize sets the capacity of the solver's fingerprint-keyed
 // result cache (negative disables caching).
@@ -116,7 +107,7 @@ func NewSolverConfig(cfg Config) *Solver {
 	}
 	return &Solver{
 		cfg:      cfg,
-		planning: count.PlanOptions(&count.Options{MaxValuations: cfg.MaxValuations, MaxCylinders: cfg.MaxCylinders}),
+		planning: count.PlanOptions(&count.Options{MaxValuations: cfg.MaxValuations}),
 		cache:    newResultCache(size),
 		flight:   newFlightGroup(),
 		texts:    newLRU[fingerprint.Digest](size),
@@ -177,16 +168,12 @@ func (s *Solver) Metrics() Metrics {
 func (s *Solver) countOptions(ctx context.Context, opts *count.Options) *count.Options {
 	eff := &count.Options{
 		MaxValuations: s.cfg.MaxValuations,
-		MaxCylinders:  s.cfg.MaxCylinders,
 		Workers:       s.cfg.Workers,
 		Context:       ctx,
 	}
 	if opts != nil {
 		if opts.MaxValuations != 0 {
 			eff.MaxValuations = opts.MaxValuations
-		}
-		if opts.MaxCylinders != 0 {
-			eff.MaxCylinders = opts.MaxCylinders
 		}
 		if opts.Workers != 0 {
 			eff.Workers = opts.Workers

@@ -18,21 +18,15 @@ func WithWorkers(n int) Option { return solver.WithWorkers(n) }
 // suggests an estimator. 0 means the package default.
 func WithMaxValuations(n int64) Option { return solver.WithMaxValuations(n) }
 
-// WithMaxCylinders caps the planner's cylinder inclusion–exclusion route
-// (the 2^m subset loop); negative disables the route, 0 means the package
-// default.
-func WithMaxCylinders(n int) Option { return solver.WithMaxCylinders(n) }
-
 // WithCacheSize sets the capacity of the solver's fingerprint-keyed
 // result cache; negative disables caching, 0 means the package default.
 func WithCacheSize(n int) Option { return solver.WithCacheSize(n) }
 
 // CountOptions configures a single counting call through the *With
 // methods of PreparedDB (and Solver.Mu): the brute-force guard
-// (MaxValuations), the cylinder inclusion–exclusion cap (MaxCylinders),
-// the worker-pool width (Workers; 0 means one worker per CPU), an
-// optional cancellation Context, and an optional Progress hook.
-// Zero fields inherit the solver's configuration. A call whose guard,
-// cylinder cap or engine variant differs from the solver's reads and
-// writes the session caches under keys of its own.
+// (MaxValuations), the worker-pool width (Workers; 0 means one worker
+// per CPU), an optional cancellation Context, and an optional Progress
+// hook. Zero fields inherit the solver's configuration. A call whose
+// guard or engine variant differs from the solver's reads and writes
+// the session caches under keys of its own.
 type CountOptions = count.Options
