@@ -53,9 +53,9 @@ func ExampleSolver() {
 }
 
 // ExamplePreparedDB_mutation mutates a live session in place: each
-// write replays through the session's delta path (emptying the cached
-// plans, keeping the factors it did not touch), and the next count
-// reflects it immediately — no re-Prepare.
+// write empties the session's cached plans (the factor memo still serves
+// the components it did not change), and the next count reflects it
+// immediately — no re-Prepare.
 func ExamplePreparedDB_mutation() {
 	db := incdb.NewDatabase()
 	db.MustAddFact("S", incdb.Const("a"), incdb.Const("b"))

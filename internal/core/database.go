@@ -16,8 +16,9 @@ import (
 // A Database is mutable: facts can be added (AddFact) and removed
 // (RemoveFact), and domains can be extended (ExtendDomain,
 // ExtendUniformDomain). Every effective mutation bumps the monotone
-// Version counter and appends a Delta record (see delta.go), so derived
-// state elsewhere can be maintained incrementally.
+// Version counter (see delta.go); that is all a mutation records, so
+// state derived elsewhere is either rebuilt at the new version or keyed
+// by the content it was computed from.
 //
 // The zero value is not usable; use NewDatabase or NewUniformDatabase.
 type Database struct {
@@ -36,9 +37,7 @@ type Database struct {
 
 	nullsCache []NullID // sorted; nil when dirty
 
-	version uint64  // monotone mutation counter
-	log     []Delta // bounded mutation log; log[i].Version == logBase+1+i
-	logBase uint64  // version just before the first retained delta
+	version uint64 // monotone mutation counter
 }
 
 // NewDatabase returns an empty non-uniform incomplete database. Every null
@@ -124,7 +123,7 @@ func (d *Database) AddFact(rel string, args ...Value) error {
 			}
 		}
 	}
-	d.record(Delta{Op: DeltaAddFact, Fact: f})
+	d.version++
 	return nil
 }
 
@@ -151,9 +150,7 @@ func (d *Database) SetDomain(n NullID, dom []string) error {
 		return nil
 	}
 	d.doms[n] = next
-	// A wholesale replacement is not incrementally maintainable (values
-	// may disappear or reorder); the record tells consumers to rebuild.
-	d.record(Delta{Op: DeltaSetDomain, Null: n})
+	d.version++
 	return nil
 }
 

@@ -98,10 +98,10 @@ type Options struct {
 	// components of factorized plans (OpFactor/OpFactorUnion children)
 	// across plan executions: the executor consults it before computing a
 	// component and stores the raw component count afterwards. This is how
-	// an incremental recount after a database delta re-sweeps only the
-	// touched component — the memo (maintained by internal/solver)
-	// invalidates exactly the components whose relations or nulls the
-	// delta touched and serves the rest from cache.
+	// an incremental recount after a database write re-sweeps only the
+	// changed component — the memo of internal/solver keys each count by
+	// the facts and domains it was computed from, so a changed component
+	// misses and the rest are served from cache.
 	FactorMemo FactorMemo
 
 	// rejectedPaths records, when set by the plan executor, why each fast
@@ -112,10 +112,11 @@ type Options struct {
 }
 
 // FactorMemo caches per-component counts of factorized plans. Lookup
-// returns the cached count of component query q under the counting kind;
-// Store records a freshly computed one. The returned big.Int must not be
-// mutated by either side. Implementations decide validity: a stale entry
-// must be dropped by the maintainer before the next execution.
+// returns the cached count of component query q under the counting kind
+// over the database being executed; Store records a freshly computed
+// one. The returned big.Int must not be mutated by either side. Validity
+// is the key's job: an implementation must key a count by everything it
+// depends on, so that Lookup never finds a count of other content.
 type FactorMemo interface {
 	LookupFactor(q cq.Query, kind classify.CountingKind) (*big.Int, bool)
 	StoreFactor(q cq.Query, kind classify.CountingKind, count *big.Int)

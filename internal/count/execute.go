@@ -161,9 +161,9 @@ func execFactor(db *core.Database, n *plan.Node, opts *Options, union bool) (*bi
 	product := big.NewInt(1)
 	for _, c := range n.Children {
 		// The factor memo serves a component's count from a previous
-		// execution when the maintainer (internal/solver) knows it is still
-		// valid — this is what makes a recount after a single-component
-		// delta re-sweep only that component. Raw component counts are
+		// execution over the same facts and domains (its key says which)
+		// — this is what makes a recount after a write to one component
+		// re-sweep only that component. Raw component counts are
 		// memoized; the union transform below is applied on top.
 		var v *big.Int
 		if opts != nil && opts.FactorMemo != nil {

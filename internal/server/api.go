@@ -295,7 +295,7 @@ type Stats struct {
 	// in-flight computation instead of starting their own.
 	FlightShared int64 `json:"flight_shared"`
 
-	// Mutations counts database deltas absorbed by live sessions;
+	// Mutations counts database mutations absorbed by live sessions;
 	// PlansInvalidated counts the cached plans those writes dropped, and
 	// FactorsReused counts independent-component counts served from the
 	// factor memo instead of re-swept. Together they make the

@@ -100,3 +100,62 @@ func FuzzServerRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBatchRequest sends arbitrary /v1/batch bodies through the
+// service's handler. No body may panic the handler or get a 5xx answer,
+// and a 200 must carry one response per item of the body, as
+// encoding/json decodes it, and at most maxBatchItems of them.
+func FuzzBatchRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"requests": [{"op": "count", "database": "uniform a b\nR(?1, ?2)\n", "query": "R(x, x)"}, {"op": "classify", "query": "R(x, y) ∧ S(x)"}]}`,
+		`{"requests": [{"op": "certain", "database": "dom ?1 a b\nR(?1, a)\n", "query": "R(x, x)"}, {"op": "possible", "database": "dom ?1 a b\nR(?1, a)\n", "query": "R(x, x)"}]}`,
+		`{"requests": [{"op": "estimate", "database": "uniform a b\nR(?1, ?2)\n", "query": "R(x, x)"}, {"op": "explain", "query": "R(x)", "database": "uniform a\nR(?1)\n"}]}`,
+		`{"REQUESTS": [{}], "requests": [{}, {}]}`,
+		`{"requests": [{}, {"bogus": 1}]}`,
+		`{"requests": [{}], "extra": true}`,
+		`{"requests": null}`,
+		`{"requests": [1, {}]}`,
+		`{"requests": [{}]} trailing`,
+		`null`,
+		`[]`,
+		`not json`,
+	} {
+		f.Add([]byte(body))
+	}
+	srv := New(Config{Workers: 1, MaxValuations: 1 << 12})
+	defer srv.Close()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) > 4096 {
+			return
+		}
+		var batch BatchRequest
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		stdErr := dec.Decode(&batch)
+		for _, req := range batch.Requests {
+			// An estimate's sample count grows as 1/ε²: only the default
+			// guarantee keeps one item cheap.
+			if req.Op == OpEstimate && (req.Eps != 0 || req.Delta != 0) {
+				return
+			}
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Fatalf("HTTP %d for %q: %s", rec.Code, body, rec.Body.Bytes())
+		}
+		if rec.Code != http.StatusOK {
+			return
+		}
+		if stdErr != nil {
+			t.Fatalf("200 for %q, which encoding/json refuses: %v", body, stdErr)
+		}
+		var out BatchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatalf("undecodable 200 for %q: %v: %s", body, err, rec.Body.Bytes())
+		}
+		if n := len(out.Responses); n != len(batch.Requests) || n > maxBatchItems {
+			t.Fatalf("%q: %d responses for %d items (cap %d)", body, n, len(batch.Requests), maxBatchItems)
+		}
+	})
+}

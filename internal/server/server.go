@@ -30,8 +30,8 @@
 //
 // The server also hosts one live mutable session: a database loaded with
 // POST /v1/db (or incdb serve -db) stays prepared across requests, and
-// the write endpoints mutate it through the solver session's delta path —
-// a write empties the session's plan cache, untouched independent
+// the write endpoints mutate it through the solver session's write
+// methods — a write empties the session's plan cache, untouched independent
 // components are served from the factor memo, and interleaved count
 // traffic (any read request with an empty database field) sees each
 // write immediately.
@@ -47,7 +47,7 @@
 //	POST   /v1/estimate        Karp–Luby FPRAS for #Val (uncached)
 //	POST   /v1/explain         compile and render the plan of a count
 //	                           request without executing it
-//	POST   /v1/batch           many requests in one call, run concurrently
+//	POST   /v1/batch           up to 1024 requests in one call, run concurrently
 //	POST   /v1/jobs            start an async (brute-force) counting job
 //	GET    /v1/jobs            list jobs
 //	GET    /v1/jobs/{id}       job status, progress, result
@@ -69,6 +69,7 @@ import (
 	"net/http"
 	netpprof "net/http/pprof"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -95,6 +96,10 @@ const (
 	// maxRequestBody bounds request bodies (databases are text; 8 MiB is
 	// far beyond any instance the brute-force guard would accept).
 	maxRequestBody = 8 << 20
+	// maxBatchItems bounds the items of one /v1/batch request. Within the
+	// body cap a batch of empty items could otherwise hold millions, each
+	// decoded, run and answered before the response is written.
+	maxBatchItems = 1024
 )
 
 // Config configures a Server.
@@ -979,15 +984,21 @@ func (s *Server) handleOp(op string) http.HandlerFunc {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var batch BatchRequest
-	if !decodeJSON(w, r, &batch) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	dec.DisallowUnknownFields()
+	reqs, err := decodeBatch(dec)
+	switch {
+	case errors.Is(err, errBatchTooLarge):
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
-	}
-	if len(batch.Requests) == 0 {
+	case err != nil:
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid JSON: " + err.Error()})
+		return
+	case len(reqs) == 0:
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "batch: requests is empty"})
 		return
 	}
-	responses := make([]*Response, len(batch.Requests))
+	responses := make([]*Response, len(reqs))
 	// Items run concurrently; identical items collapse in the
 	// single-flight group, so a batch of isomorphic requests costs one
 	// computation. The semaphore is taken before an item's goroutine
@@ -995,7 +1006,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// concurrent sweeps (each sweep already uses the full worker pool).
 	sem := make(chan struct{}, max(1, runtime.NumCPU()))
 	var wg sync.WaitGroup
-	for i, req := range batch.Requests {
+	for i, req := range reqs {
 		sem <- struct{}{}
 		wg.Add(1)
 		go func(i int, req Request) {
@@ -1009,6 +1020,66 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	writeJSON(w, http.StatusOK, BatchResponse{Responses: responses})
+}
+
+// errBatchTooLarge refuses a batch of more than maxBatchItems items.
+var errBatchTooLarge = fmt.Errorf("batch: more than %d requests", maxBatchItems)
+
+// decodeBatch reads a BatchRequest one item at a time, as strictly as
+// decodeJSON reads a whole body (unknown fields are refused at either
+// level), and stops with errBatchTooLarge as soon as the batch starts
+// item maxBatchItems+1, before any item has run.
+func decodeBatch(dec *json.Decoder) ([]Request, error) {
+	if open, err := openValue(dec, '{'); !open {
+		return nil, err
+	}
+	var reqs []Request
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return nil, err
+		}
+		// encoding/json matches field names case-insensitively, and the
+		// last of duplicate fields wins.
+		if key, _ := tok.(string); !strings.EqualFold(key, "requests") {
+			return nil, fmt.Errorf("json: unknown field %q", key)
+		}
+		reqs = nil
+		open, err := openValue(dec, '[')
+		if err != nil {
+			return nil, err
+		}
+		for open && dec.More() {
+			if len(reqs) == maxBatchItems {
+				return nil, errBatchTooLarge
+			}
+			var req Request
+			if err := dec.Decode(&req); err != nil {
+				return nil, err
+			}
+			reqs = append(reqs, req)
+		}
+		if open {
+			if _, err := dec.Token(); err != nil { // ]
+				return nil, err
+			}
+		}
+	}
+	_, err := dec.Token() // }
+	return reqs, err
+}
+
+// openValue reads the token that opens the next value, which must be an
+// object or array opened by want, or null, for which it reports false.
+func openValue(dec *json.Decoder, want json.Delim) (bool, error) {
+	tok, err := dec.Token()
+	switch {
+	case err != nil || tok == nil:
+		return false, err
+	case tok != want:
+		return false, fmt.Errorf("json: unexpected %v, want %v or null", tok, want)
+	}
+	return true, nil
 }
 
 func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {

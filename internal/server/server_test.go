@@ -367,14 +367,15 @@ func TestBatchEndpoint(t *testing.T) {
 }
 
 // TestBatchBoundsItemGoroutines: a batch holds at most NumCPU item
-// goroutines at once, however many items it carries: 200,000 empty
-// items, about 600 KB of body, must not start a goroutine each before
-// the semaphore admits it.
+// goroutines at once, however many items it carries: the most a batch
+// may carry, maxBatchItems empty items, must not start a goroutine each
+// before the semaphore admits it. The bound below is exceeded by one
+// goroutine per item on any host with fewer than 479 CPUs.
 func TestBatchBoundsItemGoroutines(t *testing.T) {
 	srv := New(Config{Workers: 1})
 	defer srv.Close()
-	const items = 200_000
-	body := `{"requests": [{}` + strings.Repeat(`,{}`, items-1) + `]}`
+	const items = maxBatchItems
+	body := emptyItems(items)
 	before := runtime.NumGoroutine()
 	stop := make(chan struct{})
 	peak := make(chan int)
@@ -402,9 +403,71 @@ func TestBatchBoundsItemGoroutines(t *testing.T) {
 	// slack: NumGoroutine reads the runtime's free lists without a lock,
 	// so it can overcount by a batch of up to 32 exited goroutines the
 	// runtime is moving between them. Without the bound a batch this
-	// size peaks at tens of thousands.
+	// size peaks near its item count.
 	if limit := before + 1 + 2*runtime.NumCPU() + 64; most > limit {
 		t.Fatalf("a batch of %d items peaked at %d goroutines (%d before it), want at most %d", items, most, before, limit)
+	}
+}
+
+// postBatch sends body to /v1/batch through the handler.
+func postBatch(srv *Server, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(body)))
+	return rec
+}
+
+// emptyItems renders a batch body of n empty items.
+func emptyItems(n int) string {
+	return `{"requests": [{}` + strings.Repeat(`,{}`, n-1) + `]}`
+}
+
+// TestBatchItemCap: a batch carries at most maxBatchItems items, and its
+// decoding stays strict at both levels.
+func TestBatchItemCap(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	defer srv.Close()
+	rec := postBatch(srv, emptyItems(maxBatchItems))
+	var out BatchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("%d items: HTTP %d (%v)", maxBatchItems, rec.Code, err)
+	}
+	if len(out.Responses) != maxBatchItems {
+		t.Fatalf("%d items answered with %d responses", maxBatchItems, len(out.Responses))
+	}
+	for _, body := range []string{
+		emptyItems(maxBatchItems + 1),
+		`{"requests": [{}], "extra": 1}`,
+		`{"requests": [{"bogus": 1}]}`,
+		`{"requests": {}}`,
+		`{"requests": [{}]`,
+		`{"requests": []}`,
+		`{}`,
+	} {
+		if rec := postBatch(srv, body); rec.Code != http.StatusBadRequest {
+			t.Errorf("%.60s: HTTP %d, want 400: %.200s", body, rec.Code, rec.Body.Bytes())
+		}
+	}
+	if got := srv.Stats(); got.Computations != 0 {
+		t.Errorf("refused batches ran %d computations", got.Computations)
+	}
+}
+
+// TestBatchOversizedIsCheap: a body just under the body cap packed with
+// empty items, millions of them, is refused before it costs more than
+// reading its first items.
+func TestBatchOversizedIsCheap(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	defer srv.Close()
+	body := emptyItems((maxRequestBody - 64) / 3)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := postBatch(srv, body)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "more than") {
+		t.Fatalf("a %d-byte batch: HTTP %d: %.200s", len(body), rec.Code, rec.Body.Bytes())
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+		t.Fatalf("refusing a %d-byte batch allocated %d bytes, want under 64 MiB", len(body), alloc)
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 // the session layer: the solver-wide result cache (the cache that used
 // to live inside internal/server — moving it into the solver makes every
 // entry point share one amortization layer), the solver's text memo
-// (text.go) and the per-session plan cache. Values are treated as immutable once inserted; readers of
+// (text.go), the per-session plan cache and the per-session factor memo
+// (mutate.go). Values are treated as immutable once inserted; readers of
 // shared mutable values must copy before annotating.
 type lru[V any] struct {
 	mu    sync.Mutex

@@ -1,9 +1,11 @@
 package solver
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math/big"
-	"sync"
+	"slices"
 
 	"github.com/incompletedb/incompletedb/internal/classify"
 	"github.com/incompletedb/incompletedb/internal/core"
@@ -11,24 +13,25 @@ import (
 	"github.com/incompletedb/incompletedb/internal/fingerprint"
 )
 
-// This file is the delta-maintenance half of a PreparedDB: the mutation
-// surface (AddFact/RemoveFact/ExtendDomain), the version-sync machinery
-// that brings the session up to the database's version, and the factor
-// memo that lets a recount after a single-component delta re-sweep only
-// that component. A cached plan serves only the version it was built at,
-// so every sync that advances the version empties the plan cache; the
-// factor memo replays the deltas and drops exactly the components they
-// touched.
+// This file is the write half of a PreparedDB: the mutation surface
+// (AddFact/RemoveFact/ExtendDomain), the version sync that brings the
+// session up to the database's version, and the factor memo that lets a
+// recount after a write confined to one component re-sweep only that
+// component. A cached plan serves only the version it was built at, so
+// every sync that advances the version empties the plan cache. The
+// factor memo is keyed by the content each entry was computed from, so a
+// sync leaves it alone: an entry whose content changed is never found
+// again and ages out of the bounded LRU.
 //
 // The locking discipline: every read entry point holds p.mu.RLock for its
 // whole execution, and rlock() first brings the session up to date with
 // the database's version under the write lock. Mutations through the
 // session methods sync eagerly; mutating the database directly is also
-// supported — the next call on the session replays the missed deltas.
+// supported — the next call on the session notices the new version.
 
 // AddFact adds rel(args...) to the prepared database and updates the
 // session: every cached plan is dropped and rebuilt on next use, while
-// the factorized components that do not touch rel are still served from
+// the factorized components that do not read rel are still served from
 // the factor memo. In a non-uniform database every null argument must
 // already have a domain (set one with ExtendDomain first); a duplicate
 // fact is a no-op.
@@ -61,7 +64,7 @@ func (p *PreparedDB) RemoveFact(rel string, args ...core.Value) bool {
 
 // ExtendDomain appends values to the domain of null n (creating the
 // domain if n had none) and updates the session like AddFact; the factor
-// memo keeps the components whose facts do not hold n.
+// memo still serves the components whose facts do not hold n.
 func (p *PreparedDB) ExtendDomain(n core.NullID, values ...string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -74,7 +77,7 @@ func (p *PreparedDB) ExtendDomain(n core.NullID, values ...string) error {
 
 // ExtendUniformDomain appends values to the shared domain of a uniform
 // prepared database and updates the session; the extension reaches every
-// null, so the factor memo is emptied too.
+// null, so no factor memo entry matches afterwards.
 func (p *PreparedDB) ExtendUniformDomain(values ...string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -111,9 +114,11 @@ func (p *PreparedDB) rlock() {
 	}
 }
 
-// syncLocked brings the session up to the database's version: it empties
-// the plan cache, replays the deltas it has not applied into the factor
-// memo, and recomputes the session geometry. Callers hold the write lock.
+// syncLocked brings the session up to the database's version: it counts
+// the mutations, empties the plan cache and recomputes the session
+// geometry. The factor memo needs nothing: its keys name the content
+// each entry was computed from (factorKey), so a changed component
+// simply misses. Callers hold the write lock.
 func (p *PreparedDB) syncLocked() {
 	ver := p.db.Version()
 	if ver == p.appliedVersion {
@@ -121,19 +126,6 @@ func (p *PreparedDB) syncLocked() {
 	}
 	p.s.mutations.Add(int64(ver - p.appliedVersion))
 	p.s.plansInvalidated.Add(int64(p.plans.purge()))
-	deltas, ok := p.db.DeltasSince(p.appliedVersion)
-	// The factor memo is emptied wholesale when the deltas are gone (the
-	// log was trimmed past our version, or the version moved backwards),
-	// or when the batch flipped the database's Codd-ness: a property of
-	// the whole fact set that drives plan selection (Theorem 3.7), checked
-	// once per batch against the final state.
-	if !ok || p.db.IsCodd() != p.wasCodd {
-		p.factors.dropAll()
-	} else {
-		for _, d := range deltas {
-			p.factors.apply(d)
-		}
-	}
 	p.refreshGeometryLocked()
 }
 
@@ -148,153 +140,165 @@ func (p *PreparedDB) refreshGeometryLocked() {
 	} else {
 		// The database was mutated into an invalid state (e.g. a null
 		// without a domain added directly, bypassing the session methods).
-		// Counting calls will surface the validation error; the memo cannot
-		// scale ratios against an undefined total, so it is cleared.
+		// Counting calls will surface the validation error; the memo
+		// cannot scale ratios against an undefined total and is skipped
+		// while it is zero.
 		p.total = big.NewInt(0)
-		p.factors.dropAll()
 	}
 	p.appliedVersion = p.db.Version()
-	p.wasCodd = p.db.IsCodd()
 }
 
 // factorMemo caches, per session, the counts of the independent
-// components of factorized plans as fractions of the valuation-space
-// total. Storing the *ratio* count/total rather than the count makes an
-// entry survive deltas that only rescale the space (a fresh null or a
-// domain extension elsewhere): the component's count at the current epoch
-// is ratio × current total, exactly.
-type factorMemo struct {
-	mu      sync.Mutex
-	entries map[string]*factorEntry
-}
+// components of factorized plans as fractions count/total of the
+// valuation-space total. A component's fraction depends only on the
+// facts of its query's relations and the domains of their nulls, so an
+// entry keyed by exactly that content (factorKey) is valid whenever its
+// key is found: a write elsewhere, or one that is later undone, leaves
+// it usable, and a write that changes the content makes a new key. The
+// count at the current total is ratio × total, exactly.
+type factorMemo = lru[*big.Rat]
 
-type factorEntry struct {
-	// ratio is count / total-valuations at store time.
-	ratio *big.Rat
-	// sig is the component query's relation signature; a fact delta on any
-	// of these relations drops the entry.
-	sig map[string]bool
-	// nulls are the nulls occurring in facts of sig relations at store
-	// time; extending one of their domains drops the entry.
-	nulls map[core.NullID]bool
-}
+// factorMemoSize bounds a session's factor memo; the least recently used
+// fraction is dropped and simply recomputed if asked for again. It is a
+// constant, independent of the result cache's size, so a session whose
+// result cache is disabled still recounts incrementally.
+const factorMemoSize = 1024
 
-func newFactorMemo() *factorMemo {
-	return &factorMemo{entries: make(map[string]*factorEntry)}
-}
-
-// apply drops exactly the entries one delta could have changed.
-func (m *factorMemo) apply(d core.Delta) {
-	switch d.Op {
-	case core.DeltaSetDomain, core.DeltaExtendUniform:
-		// A wholesale domain replacement, or the shared domain extension,
-		// which reaches every null, including every memoized component's.
-		m.dropAll()
-	case core.DeltaExtendDomain:
-		m.dropNull(d.Null)
-	case core.DeltaAddFact, core.DeltaRemoveFact:
-		m.dropRel(d.Fact.Rel)
-	}
-}
-
-// lookup scales the memoized ratio back to a count at the current total.
-// A non-exact division means an invalidation invariant was breached; the
-// entry is dropped and the lookup misses (the component is re-swept).
-func (m *factorMemo) lookup(key string, total *big.Int) (*big.Int, bool) {
-	if total == nil || total.Sign() == 0 {
-		return nil, false
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.entries[key]
-	if !ok {
-		return nil, false
-	}
-	num := new(big.Int).Mul(e.ratio.Num(), total)
-	quo, rem := new(big.Int).QuoRem(num, e.ratio.Denom(), new(big.Int))
-	if rem.Sign() != 0 {
-		delete(m.entries, key)
-		return nil, false
-	}
-	return quo, true
-}
-
-// store memoizes a freshly computed component count against the current
-// total, recording the signature and null set its validity depends on.
-// Opaque components (no syntactic signature) are never memoized.
-func (m *factorMemo) store(key string, q cq.Query, count, total *big.Int, db *core.Database) {
-	if total == nil || total.Sign() == 0 {
-		return
-	}
-	sig, ok := cq.Signature(q)
-	if !ok {
-		return
-	}
-	nulls := make(map[core.NullID]bool)
-	for _, f := range db.Facts() {
-		if !sig[f.Rel] {
-			continue
-		}
-		for _, n := range f.Nulls() {
-			nulls[n] = true
-		}
-	}
-	e := &factorEntry{ratio: new(big.Rat).SetFrac(count, total), sig: sig, nulls: nulls}
-	m.mu.Lock()
-	m.entries[key] = e
-	m.mu.Unlock()
-}
-
-func (m *factorMemo) dropRel(rel string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for k, e := range m.entries {
-		if e.sig[rel] {
-			delete(m.entries, k)
-		}
-	}
-}
-
-func (m *factorMemo) dropNull(n core.NullID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for k, e := range m.entries {
-		if e.nulls[n] {
-			delete(m.entries, k)
-		}
-	}
-}
-
-func (m *factorMemo) dropAll() {
-	m.mu.Lock()
-	m.entries = make(map[string]*factorEntry)
-	m.mu.Unlock()
-}
+func newFactorMemo() *factorMemo { return newLRU[*big.Rat](factorMemoSize) }
 
 // factorRecorder adapts the session memo to count.FactorMemo for one
 // call, counting the hits that end up in Result.Stats.FactorsReused. Its
 // keys carry the call's planning-options suffix (see Solver.planKey).
+// The scratch buffers make a key cost one allocation-light pass; a
+// recorder serves one call, and execFactor consults it sequentially.
 type factorRecorder struct {
 	p      *PreparedDB
 	suffix string
 	hits   int
+
+	buf   []byte
+	rels  []string
+	nulls []core.NullID
 }
 
-func factorKey(q cq.Query, kind classify.CountingKind) string {
-	return planCacheKey(fingerprint.Query(q), kind)
-}
-
-// LookupFactor implements count.FactorMemo.
-func (r *factorRecorder) LookupFactor(q cq.Query, kind classify.CountingKind) (*big.Int, bool) {
-	v, ok := r.p.factors.lookup(factorKey(q, kind)+r.suffix, r.p.total)
-	if ok {
-		r.hits++
-		r.p.s.factorsReused.Add(1)
+// factorKey returns the factor memo key of component q under kind: the
+// SHA-256 of a length-prefixed encoding of
+//
+//   - the kind and canonical query (planCacheKey) and the call's
+//     planning suffix;
+//   - whether the table is a Codd table: the flag routes a component
+//     (Theorem 3.7), and so decides whether the guard admits it;
+//   - the facts of each relation of sig(q), in sorted relation order and
+//     FactsOf order (a reordered table is only a miss);
+//   - the shared domain of a uniform database, or else the domain of
+//     every null those facts hold.
+//
+// ok is false for an opaque query, whose relations are unknown: it is
+// never memoized.
+func (r *factorRecorder) factorKey(q cq.Query, kind classify.CountingKind) (key string, ok bool) {
+	sig, ok := cq.Signature(q)
+	if !ok {
+		return "", false
 	}
-	return v, ok
+	db := r.p.db
+	rels := r.rels[:0]
+	for rel := range sig {
+		rels = append(rels, rel)
+	}
+	slices.Sort(rels)
+	b := appendField(r.buf[:0], planCacheKey(fingerprint.Query(q), kind))
+	b = appendField(b, r.suffix)
+	if db.IsCodd() {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	nulls := r.nulls[:0]
+	for _, rel := range rels {
+		facts := db.FactsOf(rel)
+		b = appendField(b, rel)
+		b = binary.AppendUvarint(b, uint64(db.Arity(rel)))
+		b = binary.AppendUvarint(b, uint64(len(facts)))
+		for _, f := range facts {
+			for _, a := range f.Args {
+				if a.IsNull() {
+					b = append(b, 1)
+					b = binary.AppendUvarint(b, uint64(a.NullID()))
+					nulls = append(nulls, a.NullID())
+				} else {
+					b = append(b, 0)
+					b = appendField(b, a.Constant())
+				}
+			}
+		}
+	}
+	if db.Uniform() {
+		b = append(b, 'u')
+		b = appendDomain(b, db.UniformDomain())
+	} else {
+		b = append(b, 'n')
+		slices.Sort(nulls)
+		nulls = slices.Compact(nulls)
+		for _, n := range nulls {
+			b = binary.AppendUvarint(b, uint64(n))
+			b = appendDomain(b, db.Domain(n))
+		}
+	}
+	sum := sha256.Sum256(b)
+	r.buf, r.rels, r.nulls = b, rels, nulls
+	return string(sum[:]), true
 }
 
-// StoreFactor implements count.FactorMemo.
+// appendField appends s with its length in front.
+func appendField(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// appendDomain appends a domain: its size, then each value as a field.
+func appendDomain(b []byte, dom []string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(dom)))
+	for _, v := range dom {
+		b = appendField(b, v)
+	}
+	return b
+}
+
+// LookupFactor implements count.FactorMemo: it scales the memoized
+// fraction back to a count at the current total. The division is exact
+// for a valid entry; a remainder would mean the key missed a dependency,
+// so the lookup then misses and the component is recomputed.
+func (r *factorRecorder) LookupFactor(q cq.Query, kind classify.CountingKind) (*big.Int, bool) {
+	total := r.p.total
+	if total.Sign() == 0 {
+		return nil, false
+	}
+	key, ok := r.factorKey(q, kind)
+	if !ok {
+		return nil, false
+	}
+	ratio, ok := r.p.factors.get(key)
+	if !ok {
+		return nil, false
+	}
+	num := new(big.Int).Mul(ratio.Num(), total)
+	quo, rem := num.QuoRem(num, ratio.Denom(), new(big.Int))
+	if rem.Sign() != 0 {
+		return nil, false
+	}
+	r.hits++
+	r.p.s.factorsReused.Add(1)
+	return quo, true
+}
+
+// StoreFactor implements count.FactorMemo: it memoizes a freshly
+// computed component count as a fraction of the current total.
 func (r *factorRecorder) StoreFactor(q cq.Query, kind classify.CountingKind, count *big.Int) {
-	r.p.factors.store(factorKey(q, kind)+r.suffix, q, count, r.p.total, r.p.db)
+	total := r.p.total
+	if total.Sign() == 0 {
+		return
+	}
+	if key, ok := r.factorKey(q, kind); ok {
+		r.p.factors.add(key, new(big.Rat).SetFrac(count, total))
+	}
 }

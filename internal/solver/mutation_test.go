@@ -17,8 +17,9 @@ import (
 // interleaving of AddFact / RemoveFact / ExtendDomain deltas, answers
 // every counting and decision question bit-identically to a session
 // prepared from scratch on the mutated database. This pins the whole
-// delta path — plan-cache purges, factor-memo reuse, Codd-flip resets —
-// against the rebuild baseline.
+// write path — plan-cache purges, content-keyed factor-memo reuse
+// across Codd flips and direct database writes — against the rebuild
+// baseline.
 
 // mutationQueries spans the query classes of the acceptance checklist:
 // BCQ, UCQ, negation and inequality.
@@ -231,11 +232,40 @@ func FuzzMutationMatchesRebuild(f *testing.F) {
 }
 
 // TestFactorMemoReuse pins the incremental-recount contract on a
-// factorized database: after a delta touching one independent component,
-// a recount re-sweeps only that component and serves the others from the
-// factor memo, reported through Result.Stats.FactorsReused.
+// factorized database: a recount re-sweeps only the components whose
+// facts or domains changed and serves the others from the factor memo,
+// reported through Result.Stats.FactorsReused. The result cache is
+// disabled, so every count below runs its plan, and each one must equal
+// a count on a session prepared from scratch.
 func TestFactorMemoReuse(t *testing.T) {
 	ctx := context.Background()
+	s := NewSolver(WithCacheSize(-1))
+	recount := func(t *testing.T, p *PreparedDB, q cq.Query, step string, wantReused int) *Result {
+		t.Helper()
+		res, err := p.Count(ctx, q, classify.Valuations)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if res.Stats.CacheHit {
+			t.Fatalf("%s: served from the result cache", step)
+		}
+		if res.Stats.FactorsReused != wantReused {
+			t.Fatalf("%s: recount reused %d factors, want %d (method %s)", step, res.Stats.FactorsReused, wantReused, res.Method)
+		}
+		ref, err := NewSolver(WithCacheSize(-1)).Prepare(p.Database().Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Count(ctx, q, classify.Valuations)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Count.Cmp(want.Count) != 0 {
+			t.Fatalf("%s: incremental recount %v, rebuild %v", step, res.Count, want.Count)
+		}
+		return res
+	}
+
 	db := core.NewDatabase()
 	for n := core.NullID(1); n <= 6; n++ {
 		if err := db.SetDomain(n, []string{"a", "b", "c"}); err != nil {
@@ -248,55 +278,98 @@ func TestFactorMemoReuse(t *testing.T) {
 	db.MustAddFact("B", core.Null(3), core.Null(4))
 	db.MustAddFact("B", core.Const("b"), core.Null(4))
 	db.MustAddFact("C", core.Null(5), core.Null(6))
-
-	s := NewSolver()
 	p, err := s.Prepare(db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := cq.MustParse("A(x, x) ∧ B(y, y) ∧ C(z, z)")
 
-	first, err := p.Count(ctx, q, classify.Valuations)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Stats.FactorsReused != 0 {
-		t.Fatalf("first count reused %d factors; want 0", first.Stats.FactorsReused)
-	}
-
+	first := recount(t, p, q, "first count", 0)
 	// Touch only component A: a constant fact keeps the space unchanged
 	// but changes A's satisfying set.
 	if err := p.AddFact("A", core.Const("a"), core.Const("a")); err != nil {
 		t.Fatal(err)
 	}
-	second, err := p.Count(ctx, q, classify.Valuations)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Stats.CacheHit {
-		t.Fatal("recount after a delta must not be served from the result cache")
-	}
-	if second.Stats.FactorsReused < 2 {
-		t.Fatalf("recount reused %d factors; want at least the two untouched components", second.Stats.FactorsReused)
-	}
+	second := recount(t, p, q, "after AddFact on A", 2)
 	if second.Stats.Epoch <= first.Stats.Epoch {
 		t.Fatalf("epoch did not advance: %d -> %d", first.Stats.Epoch, second.Stats.Epoch)
 	}
-
-	// The reused-factor result must equal a from-scratch rebuild.
-	ref, err := NewSolver().Prepare(db.Clone())
-	if err != nil {
+	// Undoing the write restores A's content, and with it A's entry.
+	p.RemoveFact("A", core.Const("a"), core.Const("a"))
+	recount(t, p, q, "after AddFact then RemoveFact on A", 3)
+	// A domain extension on a null only B holds changes only B.
+	if err := p.ExtendDomain(3, "d"); err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Count(ctx, q, classify.Valuations)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Count.Cmp(want.Count) != 0 {
-		t.Fatalf("incremental recount %v, rebuild %v", second.Count, want.Count)
-	}
+	recount(t, p, q, "after ExtendDomain on a null of B", 2)
+	// A write straight to the database, past the session's methods.
+	db.MustAddFact("C", core.Const("c"), core.Null(5))
+	recount(t, p, q, "after a direct write to C", 2)
 	if s.Metrics().FactorsReused == 0 {
 		t.Fatal("solver metrics did not record factor reuse")
+	}
+
+	// On a Codd table the single-atom components route by Theorem 3.7;
+	// the self-join keeps the whole query off that route, so it factors.
+	codd := core.NewDatabase()
+	for n := core.NullID(1); n <= 7; n++ {
+		if err := codd.SetDomain(n, []string{"a", "b", "c"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	codd.MustAddFact("A", core.Null(1), core.Null(2))
+	codd.MustAddFact("A", core.Const("c"), core.Const("a"))
+	codd.MustAddFact("B", core.Null(3), core.Null(4))
+	codd.MustAddFact("C", core.Null(5), core.Null(6))
+	p, err = s.Prepare(codd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q = cq.MustParse("A(x, y) ∧ A(y, x) ∧ B(z, z) ∧ C(w, w)")
+	recount(t, p, q, "first count on the Codd table", 0)
+	if err := p.AddFact("D", core.Null(7)); err != nil {
+		t.Fatal(err)
+	}
+	recount(t, p, q, "after a write that keeps the table Codd", 3)
+	// A second occurrence of ?7 flips the table to non-Codd, which
+	// reroutes every component: no entry made on the Codd table may answer.
+	if err := p.AddFact("E", core.Null(7)); err != nil {
+		t.Fatal(err)
+	}
+	if p.Database().IsCodd() {
+		t.Fatal("the table is still Codd")
+	}
+	recount(t, p, q, "after a write that makes the table non-Codd", 0)
+}
+
+// TestFactorMemoIsBounded: a read-only session answering endless distinct
+// factorized queries keeps at most factorMemoSize fractions.
+func TestFactorMemoIsBounded(t *testing.T) {
+	ctx := context.Background()
+	const queries = factorMemoSize + 1
+	db := core.NewUniformDatabase([]string{"a", "b"})
+	db.MustAddFact("Anchor", core.Null(1), core.Null(2))
+	for i := 0; i < queries; i++ {
+		db.MustAddFact(fmt.Sprintf("R%d", i), core.Null(3), core.Const("a"))
+	}
+	p, err := NewSolver().Prepare(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < queries; i++ {
+		q := cq.MustParse(fmt.Sprintf("Anchor(x, x) ∧ R%d(y, y)", i))
+		res, err := p.Count(ctx, q, classify.Valuations)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Half the valuations satisfy each component: 2 of 4 and 1 of 2.
+		if res.Count.Int64() != 2 || (i > 0 && res.Stats.FactorsReused != 1) {
+			t.Fatalf("query %d: count %v, %d factors reused, method %s; want 2, the anchor reused",
+				i, res.Count, res.Stats.FactorsReused, res.Method)
+		}
+	}
+	if n := p.factors.len(); n > factorMemoSize {
+		t.Fatalf("%d distinct factorized queries left %d memo entries, want at most %d", queries, n, factorMemoSize)
 	}
 }
 

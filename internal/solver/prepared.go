@@ -46,11 +46,12 @@ func planCacheKey(canonQ string, kind classify.CountingKind) string {
 // A PreparedDB is a *live* session: the database may be mutated after
 // Prepare — through the session's AddFact/RemoveFact/ExtendDomain
 // methods, or directly on the database between calls — and the session
-// resynchronizes by replaying the database's delta log. A cached plan
+// resynchronizes when the database's version moves. A cached plan
 // serves only the database version it was built at, so a write empties
 // the plan cache; factorized counts are re-derived by re-sweeping only
-// the affected independent component while the others' counts are
-// reused from the session's factor memo (see mutate.go).
+// the independent components whose facts or domains changed, while the
+// others' counts come from the session's factor memo, which is keyed by
+// that content and bounded (see mutate.go).
 //
 // A PreparedDB is safe for concurrent use, including concurrent
 // mutations through its own methods; mutating the database directly must
@@ -64,13 +65,12 @@ type PreparedDB struct {
 
 	// mu orders mutations against reads: every read entry point holds the
 	// read lock for its whole execution (after syncing to the database's
-	// version), every mutation and delta replay holds the write lock.
+	// version), every mutation and sync holds the write lock.
 	mu             sync.RWMutex
 	canonDB        string
 	digest         fingerprint.Digest
 	total          *big.Int
 	appliedVersion uint64
-	wasCodd        bool
 	factors        *factorMemo
 }
 
@@ -98,7 +98,6 @@ func (s *Solver) Prepare(db *core.Database) (*PreparedDB, error) {
 		total:          total,
 		plans:          newPlanCache(),
 		appliedVersion: db.Version(),
-		wasCodd:        db.IsCodd(),
 		factors:        newFactorMemo(),
 	}, nil
 }

@@ -75,7 +75,7 @@ type Stats struct {
 
 	// FactorsReused is how many independent components of a factorized
 	// plan were served from the session's factor memo instead of being
-	// re-swept — the incremental-recount dividend: after a delta touching
+	// re-swept — the incremental-recount dividend: after a write touching
 	// one component, the other components' counts are reused.
 	FactorsReused int
 

@@ -85,7 +85,7 @@ type Solver struct {
 
 	hits, misses, computations, shared atomic.Int64
 
-	// Delta-maintenance counters (the incremental-recount path).
+	// Write counters (the incremental-recount path).
 	mutations, plansInvalidated, factorsReused atomic.Int64
 }
 
@@ -132,8 +132,8 @@ type Metrics struct {
 	// FlightShared counts calls that attached to an identical in-flight
 	// computation instead of starting their own.
 	FlightShared int64
-	// Mutations counts database deltas applied through prepared sessions
-	// (facts added or removed, domains extended).
+	// Mutations counts the database mutations prepared sessions have
+	// caught up with (facts added or removed, domains extended).
 	Mutations int64
 	// PlansInvalidated counts cached plans dropped because the database
 	// version advanced: a write empties its session's plan cache.

@@ -131,9 +131,12 @@ type eqKey struct {
 }
 
 // buildBitsets compiles the engine's bitset plan, leaving it nil when no
-// atom carries a mask or when the word budget is exceeded.
+// atom carries a mask or when the word budget is exceeded. Only #Val
+// engines get one: a #Comp sweep matches the query about once per
+// distinct completion, so keeping bitmaps current on every step would
+// cost more than the scalar matches it saves.
 func (e *Engine) buildBitsets() {
-	if e.mode == ModeSample || e.prog.opaque != nil || len(e.prog.disjuncts) == 0 {
+	if e.mode != ModeValuations || e.prog.opaque != nil || len(e.prog.disjuncts) == 0 {
 		return
 	}
 	bp := &bitsetPlan{atoms: make([][]atomBits, len(e.prog.disjuncts))}
@@ -375,72 +378,6 @@ func (c *Cursor) rebuildBits() {
 			if c.args[off+blk.p1] == c.args[off+blk.p2] {
 				c.eqBits[blk.off+(o>>6)] |= 1 << uint(o&63)
 			}
-		}
-	}
-}
-
-// pendingBit is one deferred bitmap maintenance op of a completions
-// cursor: slot u's fact's argument changed old → new, not yet applied
-// to the bitmaps.
-type pendingBit struct {
-	u        *slotUpd
-	old, new uint32
-}
-
-// maxPendingBits bounds the deferred-maintenance buffer; beyond it the
-// cursor falls back to one full bitmap rebuild at the next match.
-const maxPendingBits = 64
-
-// deferSlotBits queues a bitmap maintenance op instead of applying it:
-// in ModeCompletions the query is matched only once per distinct
-// completion, so per-step maintenance is wasted on the duplicate-heavy
-// steps in between. The queue is replayed by syncBits when a match
-// actually needs the bitmaps; past maxPendingBits a full rebuild is
-// cheaper than the replay.
-func (c *Cursor) deferSlotBits(u *slotUpd, old, v uint32) {
-	if c.bitsRebuild {
-		return
-	}
-	if len(c.bitsPending) >= maxPendingBits {
-		c.bitsRebuild = true
-		c.bitsPending = c.bitsPending[:0]
-		return
-	}
-	c.bitsPending = append(c.bitsPending, pendingBit{u: u, old: old, new: v})
-}
-
-// syncBits brings the bitmaps up to date with the arena before an
-// evaluation reads them.
-func (c *Cursor) syncBits() {
-	if c.bits == nil || (len(c.bitsPending) == 0 && !c.bitsRebuild) {
-		return
-	}
-	if c.bitsRebuild {
-		c.rebuildBits()
-		c.bitsRebuild = false
-		return
-	}
-	for i := range c.bitsPending {
-		p := &c.bitsPending[i]
-		c.updateSlotBits(p.u, p.old, p.new)
-	}
-	c.bitsPending = c.bitsPending[:0]
-}
-
-// updateSlotBits moves the slot's fact's bit after its patched argument
-// changed from old to v.
-func (c *Cursor) updateSlotBits(u *slotUpd, old, v uint32) {
-	w := int(u.word)
-	if u.posOff >= 0 {
-		c.posBits[u.posOff+int(old)*u.posWords+w] &^= u.bit
-		c.posBits[u.posOff+int(v)*u.posWords+w] |= u.bit
-	}
-	for i := range u.eqs {
-		eq := &u.eqs[i]
-		if v == c.args[eq.otherArg] {
-			c.eqBits[eq.off+w] |= u.bit
-		} else {
-			c.eqBits[eq.off+w] &^= u.bit
 		}
 	}
 }

@@ -143,6 +143,30 @@ func TestBitsetSampleModeOff(t *testing.T) {
 	}
 }
 
+// TestBitsetCompletionsOff pins that only #Val engines carry a bitmap
+// plan: the #Comp engine of a query whose #Val engine compiles one
+// matches by the scalar path.
+func TestBitsetCompletionsOff(t *testing.T) {
+	db := core.NewUniformDatabase([]string{"a", "b"})
+	db.MustAddFact("R", core.Null(1), core.Null(2))
+	db.MustAddFact("R", core.Null(2), core.Const("a"))
+	q := cq.MustParseBCQ("R(x, x)")
+	val, err := Compile(db, q, ModeValuations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !val.Bitset() {
+		t.Fatal("the #Val engine compiled no bitset plan; the test pins nothing")
+	}
+	comp, err := Compile(db, q, ModeCompletions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if comp.Bitset() {
+		t.Fatal("the #Comp engine compiled a bitset plan")
+	}
+}
+
 // variantOpts spans the four escape-hatch combinations of CompileWith.
 // The last entry — scalar evaluation in the query's own atom order — is
 // the reference shape every optimized variant must agree with.
@@ -274,7 +298,8 @@ func compareVariantsLockstep(t *testing.T, seed int64, step int, engs []*Engine)
 // variant — bitset/scalar × cost/syntactic order — must produce
 // bit-identical verdict sequences, completion hashes and deduplicated
 // completion sets, in both modes, recompiled after each batch of random
-// mutations.
+// mutations. Completions engines never compile a bitset plan, so their
+// half compares atom orders on scalar engines.
 func TestVariantsLockstep(t *testing.T) {
 	for _, mode := range []Mode{ModeValuations, ModeCompletions} {
 		name := "valuations"
@@ -325,7 +350,8 @@ func TestVariantsLockstep(t *testing.T) {
 // FuzzBitsetMatches drives randomized (database, query, mode, index)
 // tuples through all four compile variants and requires identical
 // verdicts — and, in completions mode, identical completion hashes —
-// against the scalar syntactic-order reference.
+// against the scalar syntactic-order reference. Completions engines are
+// all scalar, so in that mode the variants differ in atom order only.
 func FuzzBitsetMatches(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint16(0))
 	f.Add(int64(7), uint8(3), uint8(1), uint16(911))

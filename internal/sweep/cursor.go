@@ -46,15 +46,11 @@ type Cursor struct {
 
 	// Bitset-compiled membership state (see bitset.go): the engine's plan
 	// pinned at cursor creation and the cursor-local bitmap words it
-	// indexes. Nil when the engine compiled no plan. In ModeCompletions
-	// the bitmaps are maintained lazily — matches are rare there (once
-	// per distinct completion), so per-step maintenance is deferred into
-	// bitsPending and replayed (or the bitmaps rebuilt) on demand.
-	bits        *bitsetPlan
-	posBits     []uint64
-	eqBits      []uint64
-	bitsPending []pendingBit
-	bitsRebuild bool
+	// indexes, kept current on every step. Nil when the engine compiled
+	// no plan, as in every mode but ModeValuations.
+	bits    *bitsetPlan
+	posBits []uint64
+	eqBits  []uint64
 
 	// Scratch buffers.
 	strArgs     []string
@@ -101,11 +97,6 @@ func (e *Engine) NewCursor() *Cursor {
 		c.bits = e.bits
 		c.posBits = make([]uint64, e.bits.posWords)
 		c.eqBits = make([]uint64, e.bits.eqWords)
-		if e.mode == ModeCompletions {
-			// Completion steps queue their bitmap updates (see
-			// deferSlotBits), up to maxPendingBits between matches.
-			c.bitsPending = make([]pendingBit, 0, maxPendingBits)
-		}
 	}
 	return c
 }
@@ -171,8 +162,6 @@ func (c *Cursor) rebuild() {
 	}
 	if c.bits != nil {
 		c.rebuildBits()
-		c.bitsPending = c.bitsPending[:0]
-		c.bitsRebuild = false
 	}
 	c.verdictValid = false
 }
@@ -280,9 +269,6 @@ func (c *Cursor) applyDigit(d int) {
 			ai := e.factOff[s.fact] + s.pos
 			oldArg := c.args[ai]
 			c.args[ai] = v
-			if upd != nil && oldArg != v {
-				c.deferSlotBits(&upd[si], oldArg, v)
-			}
 			var h Hash128
 			if dg.slotHash != nil && dg.slotHash[si] != nil {
 				h = dg.slotHash[si][vi]
@@ -302,8 +288,8 @@ func (c *Cursor) applyDigit(d int) {
 			}
 		}
 	case upd != nil:
-		// updateSlotBits, hand-inlined: this is the hottest loop of a
-		// counting sweep with an active bitset plan.
+		// Each slot's fact moves its bits with its patched argument: this
+		// is the hottest loop of a counting sweep with a bitset plan.
 		for si := range upd {
 			u := &upd[si]
 			old := c.args[u.arg]
@@ -357,9 +343,6 @@ func (c *Cursor) Matches() bool {
 
 // evaluate recomputes the cached verdict and, on a hit, the witness depth.
 func (c *Cursor) evaluate() {
-	if c.bitsPending != nil || c.bitsRebuild {
-		c.syncBits()
-	}
 	if c.bits != nil && c.bits.flat != nil {
 		c.verdict = c.evalFlat()
 	} else {
