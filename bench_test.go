@@ -14,6 +14,7 @@ package incompletedb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -27,6 +28,7 @@ import (
 	"github.com/incompletedb/incompletedb/internal/cq"
 	"github.com/incompletedb/incompletedb/internal/cylinder"
 	"github.com/incompletedb/incompletedb/internal/graphs"
+	"github.com/incompletedb/incompletedb/internal/plan"
 	"github.com/incompletedb/incompletedb/internal/reductions"
 )
 
@@ -349,6 +351,25 @@ func BenchmarkKarpLuby(b *testing.B) {
 			}
 		})
 	}
+	// serve-cold's estimate op: R(x, x) over a 10-cycle of nulls over
+	// {a, b} at ε = δ = 0.3, ten cylinders and 632 samples.
+	cycle := core.NewUniformDatabase([]string{"a", "b"})
+	for i := 1; i <= 10; i++ {
+		cycle.MustAddFact("R", core.Null(core.NullID(i)), core.Null(core.NullID(i%10+1)))
+	}
+	b.Run("cycle=10,eps=0.3", func(b *testing.B) {
+		r := rand.New(rand.NewSource(1))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pdb, err := s.Prepare(cycle)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := pdb.Estimate(ctx, q, 0.3, 0.3, r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkMonteCarlo(b *testing.B) {
@@ -430,11 +451,10 @@ func BenchmarkCylinderUnionCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkCylinderBuild is cylinder construction alone, on serve-cold's
-// join op: R(x, y) ∧ S(y, z) over 100 ground pairs R(a_i, b_i), S(b_i, a_i)
-// plus R(?1, ?2), so 101×100 fact pairs are unified.
-func BenchmarkCylinderBuild(b *testing.B) {
-	const pairs = 100
+// joinBenchDB is serve-cold's join database at a given size: ground pairs
+// R(a_i, b_i), S(b_i, a_i), then R(?1, ?2) over {a_0, b_0}. The join
+// R(x, y) ∧ S(y, z) has pairs+1 cylinders.
+func joinBenchDB(pairs int) *core.Database {
 	db := core.NewDatabase()
 	db.SetDomain(1, []string{"a_0", "b_0"})
 	db.SetDomain(2, []string{"a_0", "b_0"})
@@ -444,15 +464,71 @@ func BenchmarkCylinderBuild(b *testing.B) {
 		db.MustAddFact("S", c, a)
 	}
 	db.MustAddFact("R", core.Null(1), core.Null(2))
+	return db
+}
+
+// chainBenchDB is a chain of facts R(?1, ?2), …, R(?n, ?n+1) over {a, b}:
+// R(x, y) ∧ R(y, z) unifies every pair of its facts, n² cylinders.
+func chainBenchDB(n int) *core.Database {
+	db := core.NewUniformDatabase([]string{"a", "b"})
+	for i := 1; i <= n; i++ {
+		db.MustAddFact("R", core.Null(core.NullID(i)), core.Null(core.NullID(i+1)))
+	}
+	return db
+}
+
+// BenchmarkCylinderBuild is cylinder construction alone, on serve-cold's
+// join op R(x, y) ∧ S(y, z): join=k builds all k+1 cylinders over k
+// ground pairs, and cap=100 stops at cylinder MaxUnionCylinders+1 of the
+// 100-pair join, as the planner does.
+func BenchmarkCylinderBuild(b *testing.B) {
 	q := cq.MustParseBCQ("R(x, y) ∧ S(y, z)")
-	b.Run(fmt.Sprintf("join=%d", pairs), func(b *testing.B) {
+	for _, pairs := range []int{100, 1600} {
+		db := joinBenchDB(pairs)
+		b.Run(fmt.Sprintf("join=%d", pairs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := cylinder.Build(db, q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	db := joinBenchDB(100)
+	b.Run("cap=100", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := cylinder.Build(db, q); err != nil {
-				b.Fatal(err)
+			if _, err := cylinder.BuildAtMost(db, q, cylinder.MaxUnionCylinders); !errors.Is(err, cylinder.ErrTooManyCylinders) {
+				b.Fatalf("capped build: %v, want ErrTooManyCylinders", err)
 			}
 		}
 	})
+}
+
+// BenchmarkPlanBuild is plan.Build alone on #Val of queries past the
+// inclusion–exclusion cap: the join of serve-cold at 100 and 3200 pairs,
+// and R(x, y) ∧ R(y, z) over a 250-fact chain (62,500 cylinders). Each
+// rejects the cylinder route and plans a sweep.
+func BenchmarkPlanBuild(b *testing.B) {
+	join := cq.MustParseBCQ("R(x, y) ∧ S(y, z)")
+	for _, c := range []struct {
+		name string
+		db   *core.Database
+		q    cq.Query
+	}{
+		{"join=100", joinBenchDB(100), join},
+		{"join=3200", joinBenchDB(3200), join},
+		{"chain=250", chainBenchDB(250), cq.MustParseBCQ("R(x, y) ∧ R(y, z)")},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := plan.Build(c.db, c.q, classify.Valuations, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // --- Reduction benchmarks (E-P3.4, E-P3.11, E-P4.2, E-P5.6, E-T6.3, E-T6.4) --

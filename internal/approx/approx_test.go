@@ -2,8 +2,10 @@ package approx
 
 import (
 	"fmt"
+	"maps"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/incompletedb/incompletedb/internal/core"
@@ -95,7 +97,8 @@ func TestKarpLubyAccuracy(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			db := core.NewUniformDatabase([]string{"a", "b", "c"})
 			nNulls := 1 + r.Intn(4)
-			for rel, arity := range schema {
+			for _, rel := range slices.Sorted(maps.Keys(schema)) {
+				arity := schema[rel]
 				nf := 1 + r.Intn(2)
 				for i := 0; i < nf; i++ {
 					args := make([]core.Value, arity)

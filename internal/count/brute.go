@@ -113,13 +113,16 @@ type Options struct {
 
 // FactorMemo caches per-component counts of factorized plans. Lookup
 // returns the cached count of component query q under the counting kind
-// over the database being executed; Store records a freshly computed
-// one. The returned big.Int must not be mutated by either side. Validity
-// is the key's job: an implementation must key a count by everything it
-// depends on, so that Lookup never finds a count of other content.
+// over the database being executed, and the key it was looked up under;
+// Store records a freshly computed count under the key its lookup
+// returned, so a missing component is keyed once. An empty key means the
+// component is not memoizable. The returned big.Int must not be mutated
+// by either side. Validity is the key's job: an implementation must key a
+// count by everything it depends on, so that Lookup never finds a count
+// of other content.
 type FactorMemo interface {
-	LookupFactor(q cq.Query, kind classify.CountingKind) (*big.Int, bool)
-	StoreFactor(q cq.Query, kind classify.CountingKind, count *big.Int)
+	LookupFactor(q cq.Query, kind classify.CountingKind) (count *big.Int, key string, ok bool)
+	StoreFactor(key string, count *big.Int)
 }
 
 // PlanOptions projects counting options onto the planner's, normalized:

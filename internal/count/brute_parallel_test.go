@@ -3,8 +3,10 @@ package count
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/big"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -30,7 +32,8 @@ func randomNaiveDB(r *rand.Rand, schema map[string]int, maxFactsPerRel, nNulls, 
 		}
 		db.SetDomain(core.NullID(n), dom)
 	}
-	for rel, arity := range schema {
+	for _, rel := range slices.Sorted(maps.Keys(schema)) {
+		arity := schema[rel]
 		nf := 1 + r.Intn(maxFactsPerRel)
 		for f := 0; f < nf; f++ {
 			args := make([]core.Value, arity)

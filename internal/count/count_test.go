@@ -2,8 +2,10 @@ package count
 
 import (
 	"fmt"
+	"maps"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/incompletedb/incompletedb/internal/core"
@@ -24,7 +26,8 @@ func randomUniformDB(r *rand.Rand, schema map[string]int, maxFactsPerRel, nNulls
 	pool := []string{}
 	pool = append(pool, dom...)
 	pool = append(pool, "x_out1", "x_out2") // constants outside dom
-	for rel, arity := range schema {
+	for _, rel := range slices.Sorted(maps.Keys(schema)) {
+		arity := schema[rel]
 		nf := 1 + r.Intn(maxFactsPerRel)
 		for i := 0; i < nf; i++ {
 			args := make([]core.Value, arity)
@@ -47,7 +50,8 @@ func randomCoddDB(r *rand.Rand, schema map[string]int, maxFactsPerRel, maxDomSiz
 	db := core.NewDatabase()
 	universe := []string{"a", "b", "c", "d", "e"}
 	next := core.NullID(1)
-	for rel, arity := range schema {
+	for _, rel := range slices.Sorted(maps.Keys(schema)) {
+		arity := schema[rel]
 		nf := 1 + r.Intn(maxFactsPerRel)
 		for i := 0; i < nf; i++ {
 			args := make([]core.Value, arity)

@@ -89,7 +89,11 @@ func propertyDB(r *rand.Rand, kind int) *core.Database {
 		db = core.NewDatabase()
 	}
 	nextNull := 1
-	for rel, arity := range map[string]int{"R": 2, "S": 1, "T": 2} {
+	for _, s := range []struct {
+		rel   string
+		arity int
+	}{{"R", 2}, {"S", 1}, {"T", 2}} {
+		rel, arity := s.rel, s.arity
 		for i, nf := 0, r.Intn(3); i < nf; i++ {
 			args := make([]core.Value, arity)
 			for j := range args {

@@ -166,19 +166,19 @@ func execFactor(db *core.Database, n *plan.Node, opts *Options, union bool) (*bi
 		// re-sweep only that component. Raw component counts are
 		// memoized; the union transform below is applied on top.
 		var v *big.Int
+		var key string
+		hit := false
 		if opts != nil && opts.FactorMemo != nil {
-			if hit, ok := opts.FactorMemo.LookupFactor(c.Query, c.Kind); ok {
-				v = hit
-			}
+			v, key, hit = opts.FactorMemo.LookupFactor(c.Query, c.Kind)
 		}
-		if v == nil {
+		if !hit {
 			var err error
 			v, err = execNode(db, c, opts)
 			if err != nil {
 				return nil, err
 			}
-			if opts != nil && opts.FactorMemo != nil {
-				opts.FactorMemo.StoreFactor(c.Query, c.Kind, v)
+			if key != "" {
+				opts.FactorMemo.StoreFactor(key, v)
 			}
 		}
 		if union {

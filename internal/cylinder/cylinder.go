@@ -23,14 +23,27 @@
 // sizes of the nulls no cylinder constrains. Sampling draws from the
 // lists; inclusion–exclusion compiles them further into bitmasks over
 // the few constants its intersections can keep (see UnionCountParallel).
+//
+// Construction is output-sensitive. It enumerates fact choices as a join
+// in atom order: an atom whose variable an earlier atom pins to a
+// constant only tries the facts holding that constant (or a null) there.
+// The cylinders still come out in the order of an odometer over every
+// choice, the last atom fastest, so cylinder indices, and with them
+// seeded estimates, do not depend on the index. BuildAtMost refuses a
+// query as soon as it finds one cylinder past its limit, so a caller
+// that only wants a few pays for a few. Weights and their running sums
+// are derived on first use, by Weight, TotalWeight or SampleIndex; the
+// inclusion–exclusion walk never needs them.
 package cylinder
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math/big"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"github.com/incompletedb/incompletedb/internal/core"
 	"github.com/incompletedb/incompletedb/internal/cq"
@@ -57,12 +70,17 @@ func (c *Class) constrains(s *Set) bool {
 // class picks one allowed value, every other null is free over its domain.
 type Cylinder struct {
 	Classes []Class
-	weight  *big.Int
+
+	set    *Set
+	weight *big.Int // set by Set.weigh
 }
 
 // Weight returns the number of valuations in the cylinder, given the
 // database the cylinder was built from.
-func (c *Cylinder) Weight() *big.Int { return new(big.Int).Set(c.weight) }
+func (c *Cylinder) Weight() *big.Int {
+	c.set.weigh()
+	return new(big.Int).Set(c.weight)
+}
 
 // Contains reports whether the valuation lies in the cylinder.
 func (c *Cylinder) Contains(v core.Valuation) bool {
@@ -91,8 +109,9 @@ func (c *Cylinder) Contains(v core.Valuation) bool {
 }
 
 // Set holds the cylinders of a query over a database, compiled for
-// inclusion–exclusion and sampling. It is read-only after Build and safe
-// for concurrent use.
+// inclusion–exclusion and sampling. It is read-only after Build, except
+// for the weights it derives once on first use, and safe for concurrent
+// use.
 type Set struct {
 	Cylinders []*Cylinder
 
@@ -100,20 +119,58 @@ type Set struct {
 	consts []string      // constant index → constant
 	doms   [][]int32     // slot → its domain as constant indices, ascending
 	free   *big.Int      // Π |dom| over the database's nulls in no slot
-	total  *big.Int      // Σ_j weight(C_j)
-	cum    []*big.Int    // cum[j] = Σ_{i ≤ j} weight(C_i) / free, for SampleIndex
+
+	// Derived by weigh on first use. The running sums cum[j] =
+	// Σ_{i ≤ j} weight(C_i) / free, which SampleIndex searches, are held
+	// in cumWords when the last fits a machine word, else in cum.
+	weighed  sync.Once
+	total    *big.Int // Σ_j weight(C_j)
+	cum      []*big.Int
+	cumWords []uint64
 }
 
 // maxBuildCylinders bounds cylinder construction: the number of
-// cylinders is the product over atoms of the relation sizes (summed over
-// disjuncts), which is polynomial for a fixed query but can still be
-// large.
+// cylinders is at most the product over atoms of the relation sizes
+// (summed over disjuncts), which is polynomial for a fixed query but can
+// still be large.
 const maxBuildCylinders = 1 << 16
 
+// ErrTooManyCylinders is wrapped by the error of a build that finds more
+// cylinders than its limit.
+var ErrTooManyCylinders = errors.New("cylinder: too many cylinders")
+
 // Build constructs the cylinders of q over db. q must be a BCQ or a UCQ.
-// Its time and memory grow with the domain sizes of the nulls the query's
-// atoms can match, not with their number times the number of constants.
+// It is BuildAtMost with the package's construction bound of 65,536
+// cylinders.
 func Build(db *core.Database, q cq.Query) (*Set, error) {
+	return BuildAtMost(db, q, maxBuildCylinders)
+}
+
+// BuildAtMost constructs the cylinders of q over db, or refuses with an
+// error wrapping ErrTooManyCylinders as soon as it finds cylinder
+// limit+1: a limit is a refusal, never a truncation. q must be a BCQ or
+// a UCQ. The cylinders come in disjunct order, and within a disjunct in
+// the lexicographic order of their fact choices, atom by atom. Time
+// grows with the choices that survive the constant indexes, not with
+// every choice of facts; memory grows with the domain sizes of the nulls
+// the query's atoms can match, not with their number times the number of
+// constants.
+func BuildAtMost(db *core.Database, q cq.Query, limit int) (*Set, error) {
+	disjuncts, err := validDisjuncts(db, q)
+	if err != nil {
+		return nil, err
+	}
+	b := newBuilder(db, disjuncts)
+	for _, d := range disjuncts {
+		if err := b.addDisjunct(d, limit); err != nil {
+			return nil, err
+		}
+	}
+	return b.finish(), nil
+}
+
+// validDisjuncts validates db and q and returns q's disjuncts.
+func validDisjuncts(db *core.Database, q cq.Query) ([]*cq.BCQ, error) {
 	if err := db.Validate(); err != nil {
 		return nil, err
 	}
@@ -131,13 +188,7 @@ func Build(db *core.Database, q cq.Query) (*Set, error) {
 			return nil, err
 		}
 	}
-	b := newBuilder(db, disjuncts)
-	for _, d := range disjuncts {
-		if err := b.addDisjunct(d); err != nil {
-			return nil, err
-		}
-	}
-	return b.finish(), nil
+	return disjuncts, nil
 }
 
 // builder is the state of one Build.
@@ -183,6 +234,7 @@ func newBuilder(db *core.Database, disjuncts []*cq.BCQ) *builder {
 	b := &builder{db: db, set: &Set{}, facts: make(map[string][][]int32)}
 	var rels []string
 	candOf := make(map[core.NullID]int32)
+	grounds := 0 // constant arguments of the matched facts
 	for _, d := range disjuncts {
 		if !eligible(db, d) {
 			continue
@@ -196,6 +248,8 @@ func newBuilder(db *core.Database, disjuncts []*cq.BCQ) *builder {
 				for _, v := range f.Args {
 					if v.IsNull() {
 						candOf[v.NullID()] = 0
+					} else {
+						grounds++
 					}
 				}
 			}
@@ -205,9 +259,10 @@ func newBuilder(db *core.Database, disjuncts []*cq.BCQ) *builder {
 		b.cands = append(b.cands, n)
 	}
 	slices.Sort(b.cands)
-	// Size the constant table for the domains, which hold most constants.
-	// A uniform database's nulls share one encoded domain.
-	size := 0
+	// Size the constant table for the domains and the facts' constants,
+	// which hold every constant it gets. A uniform database's nulls share
+	// one encoded domain.
+	size := grounds
 	for _, n := range b.cands {
 		if size += len(db.Domain(n)); db.Uniform() {
 			break
@@ -231,8 +286,13 @@ func newBuilder(db *core.Database, disjuncts []*cq.BCQ) *builder {
 	for _, rel := range rels {
 		fs := db.FactsOf(rel)
 		enc := make([][]int32, len(fs))
+		n := 0
+		for _, f := range fs {
+			n += len(f.Args)
+		}
+		args := make([]int32, n)
 		for i, f := range fs {
-			enc[i] = make([]int32, len(f.Args))
+			enc[i], args = args[:len(f.Args):len(f.Args)], args[len(f.Args):]
 			for p, v := range f.Args {
 				if v.IsNull() {
 					enc[i][p] = -candOf[v.NullID()] - 1
@@ -266,50 +326,178 @@ func (b *builder) encode(dom []string) []int32 {
 	return slices.Compact(enc)
 }
 
-func (b *builder) addDisjunct(q *cq.BCQ) error {
+// posIndex indexes a relation's encoded facts by the constant at one
+// position: ground lists the facts with a constant there, by constant
+// and then fact; wild lists the facts with a null there, ascending.
+type posIndex struct {
+	ground []keyed
+	wild   []int32
+}
+
+// keyed is fact f with constant k at the indexed position.
+type keyed struct{ k, f int32 }
+
+func newPosIndex(facts [][]int32, pos int) *posIndex {
+	n := 0
+	for _, f := range facts {
+		if f[pos] >= 0 {
+			n++
+		}
+	}
+	ix := &posIndex{ground: make([]keyed, 0, n), wild: make([]int32, 0, len(facts)-n)}
+	for i, f := range facts {
+		if f[pos] >= 0 {
+			ix.ground = append(ix.ground, keyed{f[pos], int32(i)})
+		} else {
+			ix.wild = append(ix.wild, int32(i))
+		}
+	}
+	slices.SortFunc(ix.ground, func(x, y keyed) int {
+		return cmp.Or(cmp.Compare(x.k, y.k), cmp.Compare(x.f, y.f))
+	})
+	return ix
+}
+
+// bucket returns the facts with constant k at the indexed position.
+func (ix *posIndex) bucket(k int32) []keyed {
+	byKey := func(e keyed, k int32) int { return cmp.Compare(e.k, k) }
+	lo, _ := slices.BinarySearchFunc(ix.ground, k, byKey)
+	hi, _ := slices.BinarySearchFunc(ix.ground[lo:], k+1, byKey)
+	return ix.ground[lo : lo+hi]
+}
+
+// step is one atom of a disjunct in the enumeration.
+type step struct {
+	facts [][]int32 // the atom's relation, encoded
+	keys  []key     // the positions whose variable an earlier atom binds
+}
+
+// key is an indexed position of a step.
+type key struct {
+	x  int32 // its variable
+	ix *posIndex
+}
+
+// enum is the depth-first enumeration of one disjunct's fact choices.
+type enum struct {
+	b      *builder
+	steps  []step
+	atoms  [][]int32 // atoms[i]: the variable at each position of atom i
+	vars   int       // the disjunct's variables
+	limit  int       // refuse at cylinder limit+1
+	pins   [][]int32 // pins[i]: variable → the constant the first i facts pin it to, or −1
+	chosen [][]int32 // chosen[i]: the fact chosen for atom i
+}
+
+// addDisjunct appends the cylinders of q in the odometer's order. It walks
+// the atoms in syntactic order and, on every level, the candidate facts
+// in ascending order, so a choice comes before every choice that is
+// lexicographically larger. A partial choice keeps the constants its
+// ground positions pin, and an atom position whose variable an earlier
+// atom binds is indexed: a pinned choice extends only with the facts of
+// the pin's bucket merged with the facts holding a null there. That
+// prunes only choices whose pins conflict, which unify would reject;
+// unify still judges every full choice.
+func (b *builder) addDisjunct(q *cq.BCQ, limit int) error {
 	if !eligible(b.db, q) {
 		return nil
 	}
+	m := len(q.Atoms)
+	e := &enum{b: b, steps: make([]step, m), atoms: make([][]int32, m), limit: limit, chosen: make([][]int32, m)}
 	varIdx := make(map[string]int32)
-	atomVars := make([][]int32, len(q.Atoms))
-	factsPerAtom := make([][][]int32, len(q.Atoms))
 	for i, a := range q.Atoms {
-		atomVars[i] = make([]int32, len(a.Vars))
+		st := &e.steps[i]
+		st.facts = b.facts[a.Rel]
+		e.atoms[i] = make([]int32, len(a.Vars))
+		bound := len(varIdx)
 		for p, v := range a.Vars {
 			x, ok := varIdx[v]
 			if !ok {
 				x = int32(len(varIdx))
 				varIdx[v] = x
 			}
-			atomVars[i][p] = x
+			e.atoms[i][p] = x
+			if x < int32(bound) {
+				st.keys = append(st.keys, key{x: x, ix: newPosIndex(st.facts, p)})
+			}
 		}
-		factsPerAtom[i] = b.facts[a.Rel]
 	}
-	choice := make([]int, len(q.Atoms))
-	chosen := make([][]int32, len(q.Atoms))
-	for {
-		for i, c := range choice {
-			chosen[i] = factsPerAtom[i][c]
-		}
-		if cyl := b.unify(len(varIdx), atomVars, chosen); cyl != nil {
-			if len(b.set.Cylinders) >= maxBuildCylinders {
-				return fmt.Errorf("cylinder: more than %d cylinders; query/database too large", maxBuildCylinders)
-			}
-			b.set.Cylinders = append(b.set.Cylinders, cyl)
-		}
-		// Odometer.
-		i := len(choice) - 1
-		for ; i >= 0; i-- {
-			choice[i]++
-			if choice[i] < len(factsPerAtom[i]) {
-				break
-			}
-			choice[i] = 0
-		}
-		if i < 0 {
+	e.vars = len(varIdx)
+	pins := make([]int32, (m+1)*e.vars)
+	e.pins = make([][]int32, m+1)
+	for i := range e.pins {
+		e.pins[i] = pins[i*e.vars : (i+1)*e.vars]
+	}
+	for x := range e.pins[0] {
+		e.pins[0][x] = -1
+	}
+	return e.visit(0)
+}
+
+// visit extends the choice of the first i facts in every way, in
+// ascending fact order, and unifies each full choice.
+func (e *enum) visit(i int) error {
+	if i == len(e.steps) {
+		cyl := e.b.unify(e.vars, e.atoms, e.chosen)
+		if cyl == nil {
 			return nil
 		}
+		if len(e.b.set.Cylinders) >= e.limit {
+			return fmt.Errorf("%w: the query has more than %d", ErrTooManyCylinders, e.limit)
+		}
+		e.b.set.Cylinders = append(e.b.set.Cylinders, cyl)
+		return nil
 	}
+	st := &e.steps[i]
+	// Take the candidates from the smallest index bucket a pin selects,
+	// merged with that position's wildcards; without a pin, every fact.
+	var bucket []keyed
+	var wild []int32
+	best := len(st.facts)
+	for _, k := range st.keys {
+		if c := e.pins[i][k.x]; c >= 0 {
+			if bk := k.ix.bucket(c); len(bk)+len(k.ix.wild) < best {
+				bucket, wild, best = bk, k.ix.wild, len(bk)+len(k.ix.wild)
+			}
+		}
+	}
+	if best == len(st.facts) {
+		for f := range st.facts {
+			if err := e.extend(i, int32(f)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for len(bucket) > 0 || len(wild) > 0 {
+		var f int32
+		if len(wild) == 0 || len(bucket) > 0 && bucket[0].f < wild[0] {
+			f, bucket = bucket[0].f, bucket[1:]
+		} else {
+			f, wild = wild[0], wild[1:]
+		}
+		if err := e.extend(i, f); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// extend chooses fact f for atom i and visits the choices it starts,
+// unless a ground position of f pins a variable to a second constant.
+func (e *enum) extend(i int, f int32) error {
+	fact, pins := e.steps[i].facts[f], e.pins[i+1]
+	copy(pins, e.pins[i])
+	for p, x := range e.atoms[i] {
+		if a := fact[p]; a >= 0 {
+			if pins[x] >= 0 && pins[x] != a {
+				return nil
+			}
+			pins[x] = a
+		}
+	}
+	e.chosen[i] = fact
+	return e.visit(i + 1)
 }
 
 // union merges the classes of items x and y, carrying their pins; it
@@ -373,13 +561,16 @@ func (b *builder) unify(vars int, atomVars [][]int32, chosen [][]int32) *Cylinde
 	// null. Classes of variables alone are constant checks the pins have
 	// already passed. A class's allowed list is its first null's domain,
 	// intersected with the others' by merging.
+	// A choice holds few nulls, so they are sorted by insertion.
 	b.order = b.order[:0]
-	for t := range b.items {
+	for t, c := range b.items {
+		j := len(b.order)
 		b.order = append(b.order, int32(vars+t))
+		for ; j > 0 && b.items[int(b.order[j-1])-vars] > c; j-- {
+			b.order[j] = b.order[j-1]
+		}
+		b.order[j] = int32(vars + t)
 	}
-	slices.SortFunc(b.order, func(x, y int32) int {
-		return cmp.Compare(b.items[int(x)-vars], b.items[int(y)-vars])
-	})
 	b.classAt = b.classAt[:0]
 	for range b.parent {
 		b.classAt = append(b.classAt, -1)
@@ -417,7 +608,7 @@ func (b *builder) unify(vars int, atomVars [][]int32, chosen [][]int32) *Cylinde
 	// Satisfiable: materialize the classes. Their slots hold candidate
 	// indices until finish renumbers them. A class that allows its one
 	// null's whole domain shares the candidate's list.
-	cyl := &Cylinder{Classes: make([]Class, len(b.allowed))}
+	cyl := &Cylinder{Classes: make([]Class, len(b.allowed)), set: b.set}
 	for _, it := range b.order {
 		cand := b.items[int(it)-vars]
 		c := &cyl.Classes[b.classAt[find(b.parent, it)]]
@@ -458,7 +649,7 @@ func intersect(dst, x, y []int32) []int32 {
 }
 
 // finish renumbers the constrained candidates as slots and derives the
-// weights.
+// free factor.
 func (b *builder) finish() *Set {
 	s := b.set
 	used := make([]bool, len(b.cands))
@@ -497,38 +688,61 @@ func (b *builder) finish() *Set {
 		free.mul(uint64(len(b.db.Domain(n))))
 	}
 	s.free = free.int()
-
-	// Weights: free × Π |allowed| × Π |dom| over the slots the cylinder
-	// leaves uncovered. SampleIndex draws from the running sums of the
-	// weights divided by free.
-	covered := make([]int, len(s.nulls))
-	sum := new(big.Int)
-	s.cum = make([]*big.Int, len(s.Cylinders))
-	for j, cyl := range s.Cylinders {
-		rel := newProduct()
-		for _, c := range cyl.Classes {
-			rel.mul(uint64(len(c.allowed)))
-			for _, sl := range c.slots {
-				covered[sl] = j + 1
-			}
-		}
-		for sl, dom := range s.doms {
-			if covered[sl] != j+1 {
-				rel.mul(uint64(len(dom)))
-			}
-		}
-		r := rel.int()
-		sum.Add(sum, r)
-		s.cum[j] = new(big.Int).Set(sum)
-		cyl.weight = r.Mul(r, s.free)
-	}
-	s.total = sum.Mul(sum, s.free)
 	return s
+}
+
+// weigh derives, once, the weights and their running sums: a cylinder's
+// weight is free × Π |allowed| × Π |dom| over the slots it leaves
+// uncovered, and SampleIndex draws from the running sums of the weights
+// divided by free.
+func (s *Set) weigh() {
+	s.weighed.Do(func() {
+		covered := make([]int, len(s.nulls))
+		rels := make([]*big.Int, len(s.Cylinders))
+		sum := new(big.Int)
+		for j, cyl := range s.Cylinders {
+			rel := newProduct()
+			for _, c := range cyl.Classes {
+				rel.mul(uint64(len(c.allowed)))
+				for _, sl := range c.slots {
+					covered[sl] = j + 1
+				}
+			}
+			for sl, dom := range s.doms {
+				if covered[sl] != j+1 {
+					rel.mul(uint64(len(dom)))
+				}
+			}
+			rels[j] = rel.int()
+			sum.Add(sum, rels[j])
+			cyl.weight = new(big.Int).Mul(rels[j], s.free)
+		}
+		s.total = new(big.Int).Mul(sum, s.free)
+		// Word-sized draws reproduce big.Int.Rand only where a big.Word
+		// has 64 bits.
+		if bits.UintSize == 64 && sum.IsUint64() {
+			s.cumWords = make([]uint64, len(rels))
+			var acc uint64
+			for j, r := range rels {
+				acc += r.Uint64()
+				s.cumWords[j] = acc
+			}
+			return
+		}
+		s.cum = make([]*big.Int, len(rels))
+		acc := new(big.Int)
+		for j, r := range rels {
+			s.cum[j] = new(big.Int).Set(acc.Add(acc, r))
+		}
+	})
 }
 
 // TotalWeight returns Σ_j weight(C_j) (with multiplicity; cylinders
 // overlap, so this is an upper bound on the union size).
-func (s *Set) TotalWeight() *big.Int { return new(big.Int).Set(s.total) }
+func (s *Set) TotalWeight() *big.Int {
+	s.weigh()
+	return new(big.Int).Set(s.total)
+}
 
 // product multiplies machine-word factors: in a uint64 while the product
 // fits, folding the word into a big.Int whenever a factor overflows it.

@@ -3,6 +3,7 @@ package cylinder_test
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/big"
 	"math/rand"
 	"runtime"
@@ -36,7 +37,8 @@ func randomDB(r *rand.Rand, schema map[string]int, uniform bool) *core.Database 
 			db.SetDomain(core.NullID(i), dom)
 		}
 	}
-	for rel, arity := range schema {
+	for _, rel := range slices.Sorted(maps.Keys(schema)) {
+		arity := schema[rel]
 		nf := 1 + r.Intn(3)
 		for i := 0; i < nf; i++ {
 			args := make([]core.Value, arity)
@@ -145,20 +147,7 @@ func TestUnionCountAgainstBrute(t *testing.T) {
 		cq.MustParse("R(x, x) | S(y)"),
 	}
 	for _, q := range queries {
-		schema := map[string]int{}
-		addAtoms := func(b *cq.BCQ) {
-			for _, a := range b.Atoms {
-				schema[a.Rel] = len(a.Vars)
-			}
-		}
-		switch tq := q.(type) {
-		case *cq.BCQ:
-			addAtoms(tq)
-		case *cq.UCQ:
-			for _, d := range tq.Disjuncts {
-				addAtoms(d)
-			}
-		}
+		schema := schemaOf(q)
 		for seed := int64(0); seed < 25; seed++ {
 			for _, uniform := range []bool{true, false} {
 				r := rand.New(rand.NewSource(seed))

@@ -2,6 +2,7 @@ package cylinder
 
 import (
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -12,10 +13,32 @@ import (
 func (s *Set) Slots() int { return len(s.nulls) }
 
 // SampleIndex draws a cylinder index with probability proportional to its
-// weight. The total weight must be positive.
+// weight. The total weight must be positive. It draws from r what
+// big.Int.Rand draws below the total, so an index stream depends only on
+// the seed, whether or not the running sums fit machine words.
 func (s *Set) SampleIndex(r *rand.Rand) int {
+	s.weigh()
+	if s.cumWords != nil {
+		i, _ := slices.BinarySearch(s.cumWords, randBelow(r, s.cumWords[len(s.cumWords)-1])+1)
+		return i
+	}
 	x := new(big.Int).Rand(r, s.cum[len(s.cum)-1])
 	return sort.Search(len(s.cum), func(i int) bool { return s.cum[i].Cmp(x) > 0 })
+}
+
+// randBelow draws from [0, n) as new(big.Int).Rand does for an n of one
+// 64-bit word: two Uint32 per try, the low half first, masked to n's bit
+// length, until one is below n.
+func randBelow(r *rand.Rand, n uint64) uint64 {
+	if n == 0 {
+		return 0
+	}
+	mask := uint64(1)<<bits.Len64(n) - 1
+	for {
+		if x := (uint64(r.Uint32()) | uint64(r.Uint32())<<32) & mask; x < n {
+			return x
+		}
+	}
 }
 
 // SampleValuation draws a uniform valuation from cylinder i, restricted to

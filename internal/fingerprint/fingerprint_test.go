@@ -25,8 +25,11 @@ func randomDB(r *rand.Rand) *core.Database {
 		}
 		db.SetDomain(core.NullID(n), dom)
 	}
-	schema := map[string]int{"R": 2, "S": 1, "T": 3}
-	for rel, arity := range schema {
+	for _, s := range []struct {
+		rel   string
+		arity int
+	}{{"R", 2}, {"S", 1}, {"T", 3}} {
+		rel, arity := s.rel, s.arity
 		nf := r.Intn(4)
 		for f := 0; f < nf; f++ {
 			args := make([]core.Value, arity)

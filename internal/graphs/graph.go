@@ -129,34 +129,6 @@ func (g *Graph) InducedSubgraph(s []int) (*Graph, []int) {
 	return sub, nodes
 }
 
-// ConnectedComponents returns the node sets of the connected components.
-func (g *Graph) ConnectedComponents() [][]int {
-	seen := make([]bool, g.n)
-	var comps [][]int
-	for v := 0; v < g.n; v++ {
-		if seen[v] {
-			continue
-		}
-		var comp []int
-		stack := []int{v}
-		seen[v] = true
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, x)
-			for u := range g.adj[x] {
-				if !seen[u] {
-					seen[u] = true
-					stack = append(stack, u)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
 // Path returns the path graph on n nodes (0-1-2-…).
 func Path(n int) *Graph {
 	g := NewGraph(n)

@@ -141,80 +141,6 @@ func (b *Bipartite) Merge() (*Multigraph, error) {
 	return m, nil
 }
 
-// CountMatchings returns the number of matchings (edge subsets with all
-// degrees ≤ 1, including the empty one) of a bipartite graph.
-func CountMatchings(b *Bipartite) (*big.Int, error) {
-	return countDegreeConstrained(b, func(dl, dr []int) bool {
-		return maxInt(dl) <= 1 && maxInt(dr) <= 1
-	})
-}
-
-// CountPerfectMatchings returns the number of perfect matchings (all
-// degrees exactly 1).
-func CountPerfectMatchings(b *Bipartite) (*big.Int, error) {
-	return countDegreeConstrained(b, func(dl, dr []int) bool {
-		return minInt(dl) == 1 && maxInt(dl) == 1 && minInt(dr) == 1 && maxInt(dr) == 1
-	})
-}
-
-// CountEdgeCovers returns the number of edge covers (all degrees ≥ 1).
-func CountEdgeCovers(b *Bipartite) (*big.Int, error) {
-	return countDegreeConstrained(b, func(dl, dr []int) bool {
-		return minInt(dl) >= 1 && minInt(dr) >= 1
-	})
-}
-
-func countDegreeConstrained(b *Bipartite, ok func(dl, dr []int) bool) (*big.Int, error) {
-	m := len(b.edges)
-	if m > 24 {
-		return nil, fmt.Errorf("graphs: %d edges exceed the brute-force bound", m)
-	}
-	count := int64(0)
-	dl := make([]int, b.NL)
-	dr := make([]int, b.NR)
-	for mask := 0; mask < 1<<uint(m); mask++ {
-		for i := range dl {
-			dl[i] = 0
-		}
-		for i := range dr {
-			dr[i] = 0
-		}
-		for e := 0; e < m; e++ {
-			if mask&(1<<uint(e)) != 0 {
-				dl[b.edges[e][0]]++
-				dr[b.edges[e][1]]++
-			}
-		}
-		if ok(dl, dr) {
-			count++
-		}
-	}
-	return big.NewInt(count), nil
-}
-
-func maxInt(xs []int) int {
-	m := 0
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-func minInt(xs []int) int {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // RandomTwoThreeRegularBipartite builds a random 2-3-regular bipartite
 // GRAPH (no parallel edges) with 3k left and 2k right nodes using a
 // configuration-model retry loop.

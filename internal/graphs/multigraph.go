@@ -52,42 +52,12 @@ func (m *Multigraph) IncidentEdges(v int) []int {
 	return out
 }
 
-// IsRegular reports whether every node has degree d.
-func (m *Multigraph) IsRegular(d int) bool {
-	deg := make([]int, m.N)
-	for _, e := range m.Edges {
-		deg[e[0]]++
-		deg[e[1]]++
-	}
-	for _, x := range deg {
-		if x != d {
-			return false
-		}
-	}
-	return true
-}
-
 // CountAvoidingAssignments returns the number of avoiding assignments of m:
 // maps μ assigning to each node an incident edge such that no two nodes are
 // assigned the same edge (Definition A.1). Nodes of degree zero make the
 // count zero, as they admit no assignment at all.
 func (m *Multigraph) CountAvoidingAssignments() (*big.Int, error) {
 	return m.countAssignments(true)
-}
-
-// CountNonAvoidingAssignments returns the number of assignments that are
-// NOT avoiding; the reduction of Proposition 3.5 produces exactly this
-// quantity as #ValCd(R(x) ∧ S(x)).
-func (m *Multigraph) CountNonAvoidingAssignments() (*big.Int, error) {
-	all, err := m.countAssignments(false)
-	if err != nil {
-		return nil, err
-	}
-	av, err := m.countAssignments(true)
-	if err != nil {
-		return nil, err
-	}
-	return all.Sub(all, av), nil
 }
 
 func (m *Multigraph) countAssignments(avoidingOnly bool) (*big.Int, error) {

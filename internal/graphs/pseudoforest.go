@@ -157,46 +157,6 @@ func Stretch(g *Graph, k int) (*Graph, error) {
 	return out, nil
 }
 
-// HasOrientationMaxOutdegreeOne reports whether g admits an orientation in
-// which every node has outdegree at most one, by brute force over all 2^m
-// orientations. By Lemma B.4 this holds iff g is a pseudoforest; the
-// equivalence is exercised in the tests.
-func HasOrientationMaxOutdegreeOne(g *Graph) (bool, error) {
-	m := g.M()
-	if m > 20 {
-		return false, fmt.Errorf("graphs: orientation search on %d edges too large", m)
-	}
-	edges := g.Edges()
-	outdeg := make([]int, g.n)
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == m {
-			return true
-		}
-		for _, from := range []int{0, 1} {
-			src := edges[i][from]
-			if outdeg[src] == 0 {
-				outdeg[src]++
-				if rec(i + 1) {
-					return true
-				}
-				outdeg[src]--
-			}
-		}
-		return false
-	}
-	return rec(0), nil
-}
-
-// AllEdgeIndices returns [0, 1, ..., M-1], the full edge subset.
-func AllEdgeIndices(g *Graph) []int {
-	out := make([]int, g.M())
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
 // RandomThreeRegularMultigraph returns a random 3-regular multigraph on n
 // nodes (n even) built from a random perfect matching union of three
 // matchings; it may contain parallel edges but no self-loops. Used to

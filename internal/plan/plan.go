@@ -26,6 +26,7 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 	"strings"
@@ -470,7 +471,8 @@ func (b *builder) buildComp(q cq.Query) *Node {
 
 // planCylinderIE tries the cylinder inclusion–exclusion route on n,
 // returning whether it was accepted. The built cylinder set becomes the
-// node's execution payload.
+// node's execution payload. The build stops at the cap: a query past it
+// costs the planner MaxUnionCylinders+1 cylinders, however many it has.
 func (b *builder) planCylinderIE(n *Node, q cq.Query) bool {
 	const algorithm = "cylinder inclusion–exclusion"
 	const reference = "Proposition 5.2 (SpanL witness semantics)"
@@ -481,15 +483,15 @@ func (b *builder) planCylinderIE(n *Node, q cq.Query) bool {
 			"cylinder inclusion–exclusion needs a BCQ or a union of BCQs")
 		return false
 	}
-	set, err := cylinder.Build(b.db, q)
+	set, err := cylinder.BuildAtMost(b.db, q, cylinder.MaxUnionCylinders)
+	if errors.Is(err, cylinder.ErrTooManyCylinders) {
+		b.reject(n, OpCylinderIE, algorithm, reference,
+			fmt.Sprintf("cylinder inclusion–exclusion is capped at %d cylinders, the query has more", cylinder.MaxUnionCylinders))
+		return false
+	}
 	if err != nil {
 		b.reject(n, OpCylinderIE, algorithm, reference,
 			"cylinder inclusion–exclusion failed: "+err.Error())
-		return false
-	}
-	if len(set.Cylinders) > cylinder.MaxUnionCylinders {
-		b.reject(n, OpCylinderIE, algorithm, reference,
-			fmt.Sprintf("cylinder inclusion–exclusion is capped at %d cylinders, the query needs %d", cylinder.MaxUnionCylinders, len(set.Cylinders)))
 		return false
 	}
 	b.accept(n, OpCylinderIE, algorithm, reference,

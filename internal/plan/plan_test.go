@@ -284,6 +284,51 @@ func TestCylinderRouteCap(t *testing.T) {
 	}
 }
 
+// TestCylinderRouteStopsAtCap: a query past the inclusion–exclusion cap
+// costs the planner the cap's worth of cylinders, not all of them.
+// R(x, y) ∧ R(y, z) over a chain of 250 facts R(?i, ?i+1) has 62,500
+// cylinders, and the benchmark's join R(x, y) ∧ S(y, z) over 3200 ground
+// pairs plus R(?1, ?2) has 3201. Both plan a sweep, and the rejection
+// says the query has more cylinders than the cap without counting them.
+func TestCylinderRouteStopsAtCap(t *testing.T) {
+	chain := core.NewUniformDatabase([]string{"a", "b"})
+	for i := 1; i <= 250; i++ {
+		chain.MustAddFact("R", core.Null(core.NullID(i)), core.Null(core.NullID(i+1)))
+	}
+	join := core.NewDatabase()
+	join.SetDomain(1, []string{"a_0", "b_0"})
+	join.SetDomain(2, []string{"a_0", "b_0"})
+	for i := 0; i < 3200; i++ {
+		a, b := core.Const(fmt.Sprintf("a_%d", i)), core.Const(fmt.Sprintf("b_%d", i))
+		join.MustAddFact("R", a, b)
+		join.MustAddFact("S", b, a)
+	}
+	join.MustAddFact("R", core.Null(1), core.Null(2))
+	chainQ := cq.MustParseBCQ("R(x, y) ∧ R(y, z)")
+	for _, c := range []struct {
+		name string
+		db   *core.Database
+		q    cq.Query
+	}{{"chain", chain, chainQ}, {"join", join, cq.MustParseBCQ("R(x, y) ∧ S(y, z)")}} {
+		p := mustBuild(t, c.db, c.q, classify.Valuations, nil)
+		if p.Root.Op != plan.OpSweep {
+			t.Errorf("%s: op %q, want %q\n%s", c.name, p.Root.Op, plan.OpSweep, p.Render())
+		}
+		if !strings.Contains(p.Render(), "cylinder inclusion–exclusion is capped at 18 cylinders, the query has more") {
+			t.Errorf("%s: no cap rejection in\n%s", c.name, p.Render())
+		}
+	}
+	// The parent's full build allocated about 1.81M times here.
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := plan.Build(chain, chainQ, classify.Valuations, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 10000 {
+		t.Errorf("plan.Build of the chain allocated %.0f times, want at most 10000", allocs)
+	}
+}
+
 // TestBruteOnlyAndEstimatePlans: the auxiliary plan constructors for
 // forced jobs and estimate responses.
 func TestBruteOnlyAndEstimatePlans(t *testing.T) {

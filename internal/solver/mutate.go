@@ -267,38 +267,37 @@ func appendDomain(b []byte, dom []string) []byte {
 // LookupFactor implements count.FactorMemo: it scales the memoized
 // fraction back to a count at the current total. The division is exact
 // for a valid entry; a remainder would mean the key missed a dependency,
-// so the lookup then misses and the component is recomputed.
-func (r *factorRecorder) LookupFactor(q cq.Query, kind classify.CountingKind) (*big.Int, bool) {
+// so the lookup then misses and the component is recomputed. With no
+// valuations there is no fraction to keep, and the key is empty.
+func (r *factorRecorder) LookupFactor(q cq.Query, kind classify.CountingKind) (*big.Int, string, bool) {
 	total := r.p.total
 	if total.Sign() == 0 {
-		return nil, false
+		return nil, "", false
 	}
 	key, ok := r.factorKey(q, kind)
 	if !ok {
-		return nil, false
+		return nil, "", false
 	}
 	ratio, ok := r.p.factors.get(key)
 	if !ok {
-		return nil, false
+		return nil, key, false
 	}
 	num := new(big.Int).Mul(ratio.Num(), total)
 	quo, rem := num.QuoRem(num, ratio.Denom(), new(big.Int))
 	if rem.Sign() != 0 {
-		return nil, false
+		return nil, key, false
 	}
 	r.hits++
 	r.p.s.factorsReused.Add(1)
-	return quo, true
+	return quo, key, true
 }
 
 // StoreFactor implements count.FactorMemo: it memoizes a freshly
-// computed component count as a fraction of the current total.
-func (r *factorRecorder) StoreFactor(q cq.Query, kind classify.CountingKind, count *big.Int) {
-	total := r.p.total
-	if total.Sign() == 0 {
-		return
-	}
-	if key, ok := r.factorKey(q, kind); ok {
-		r.p.factors.add(key, new(big.Rat).SetFrac(count, total))
+// computed component count as a fraction of the current total, under the
+// key LookupFactor returned for it. That key is empty for an opaque query
+// or a zero total, and an empty key stores nothing.
+func (r *factorRecorder) StoreFactor(key string, count *big.Int) {
+	if key != "" {
+		r.p.factors.add(key, new(big.Rat).SetFrac(count, r.p.total))
 	}
 }

@@ -58,8 +58,11 @@ func randDB(r *rand.Rand, kind int) *core.Database {
 		db = core.NewDatabase()
 	}
 	nextNull := 1
-	schema := map[string]int{"R": 2, "S": 1, "T": 2}
-	for rel, arity := range schema {
+	for _, s := range []struct {
+		rel   string
+		arity int
+	}{{"R", 2}, {"S", 1}, {"T", 2}} {
+		rel, arity := s.rel, s.arity
 		for i, nf := 0, r.Intn(3); i < nf; i++ {
 			args := make([]core.Value, arity)
 			for j := range args {
