@@ -523,7 +523,7 @@ func BenchmarkPlanBuild(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := plan.Build(c.db, c.q, classify.Valuations, nil); err != nil {
+				if _, err := plan.Build(c.db, c.q, classify.Valuations, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,8 +2,8 @@
 // prepared session absorbs fact and domain deltas in place, and the
 // next count re-derives only what the delta could have changed — a
 // write empties the session's plan cache, and on factorized queries the
-// untouched independent components are served from the session's
-// factor memo instead of being re-swept.
+// untouched independent components take their plan and their count from
+// the session's factor memo instead of being replanned and re-swept.
 //
 // The same delta surface is exposed over HTTP (POST/DELETE /v1/facts,
 // POST /v1/domain on the live session of `incdb serve -db`) and from
@@ -59,8 +59,8 @@ func main() {
 	count("initial")
 
 	// A ground fact lands on C0 only. The session drops its cached
-	// plans, and the recount rebuilds the plan but serves C1–C3 from the
-	// factor memo.
+	// plans, and the recount rebuilds the plan, taking C1–C3 from the
+	// factor memo: only C0 is planned and counted again.
 	if err := pdb.AddFact("C0", incdb.Const("a"), incdb.Const("a")); err != nil {
 		log.Fatal(err)
 	}

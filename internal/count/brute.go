@@ -28,7 +28,6 @@ import (
 	"runtime"
 	"strings"
 
-	"github.com/incompletedb/incompletedb/internal/classify"
 	"github.com/incompletedb/incompletedb/internal/core"
 	"github.com/incompletedb/incompletedb/internal/cq"
 	"github.com/incompletedb/incompletedb/internal/plan"
@@ -94,14 +93,12 @@ type Options struct {
 	// these options. See PhaseTimes.
 	Phases *PhaseTimes
 
-	// FactorMemo, when non-nil, caches the counts of the independent
-	// components of factorized plans (OpFactor/OpFactorUnion children)
-	// across plan executions: the executor consults it before computing a
-	// component and stores the raw component count afterwards. This is how
-	// an incremental recount after a database write re-sweeps only the
-	// changed component — the memo of internal/solver keys each count by
-	// the facts and domains it was computed from, so a changed component
-	// misses and the rest are served from cache.
+	// FactorMemo, when non-nil, receives the count of every part of a
+	// factorized plan (OpFactor/OpFactorUnion children) that the executor
+	// computes and whose node carries a memo key. The planner asked the
+	// same memo about each part (plan.Memo), so a later plan over the
+	// same content takes the part's count and description from it
+	// instead of planning and running the part again.
 	FactorMemo FactorMemo
 
 	// rejectedPaths records, when set by the plan executor, why each fast
@@ -111,18 +108,17 @@ type Options struct {
 	rejectedPaths []string
 }
 
-// FactorMemo caches per-component counts of factorized plans. Lookup
-// returns the cached count of component query q under the counting kind
-// over the database being executed, and the key it was looked up under;
-// Store records a freshly computed count under the key its lookup
-// returned, so a missing component is keyed once. An empty key means the
-// component is not memoizable. The returned big.Int must not be mutated
-// by either side. Validity is the key's job: an implementation must key a
-// count by everything it depends on, so that Lookup never finds a count
-// of other content.
+// FactorMemo is the storing half of a factor memo; plan.Memo is the
+// half the planner looks parts up in. StoreFactor records the #Val count
+// of factorization part n, just computed over the database being
+// executed, under the key the planner's lookup computed for it
+// (n.MemoKey), so a part that missed is keyed once. n is the part's plan
+// node with its payloads; an implementation keeps only n.Description().
+// count must not be mutated by either side. Validity is the key's job: a
+// key names everything a part's count and description depend on, so a
+// lookup never finds those of other content.
 type FactorMemo interface {
-	LookupFactor(q cq.Query, kind classify.CountingKind) (count *big.Int, key string, ok bool)
-	StoreFactor(key string, count *big.Int)
+	StoreFactor(key string, n *plan.Node, count *big.Int)
 }
 
 // PlanOptions projects counting options onto the planner's, normalized:

@@ -30,7 +30,7 @@ const (
 // Table 1 classification where it applies, and the estimated cost.
 func Explain(db *core.Database, q cq.Query, kind classify.CountingKind, opts *Options) (*plan.Plan, error) {
 	po := PlanOptions(opts)
-	return plan.Build(db, q, kind, &po)
+	return plan.Build(db, q, kind, &po, nil)
 }
 
 // CountValuations computes #Val(q)(db) by compiling a plan and executing

@@ -36,8 +36,12 @@ func ExecutePlan(db *core.Database, p *plan.Plan, opts *Options) (*big.Int, erro
 	return execNode(db, p.Root, opts)
 }
 
-// countSweepNodes counts the OpSweep nodes of the subtree.
+// countSweepNodes counts the OpSweep nodes of the subtree that run: a
+// part whose count the plan reused runs nothing.
 func countSweepNodes(n *plan.Node) int {
+	if n.Reused != nil {
+		return 0
+	}
 	s := 0
 	if n.Op == plan.OpSweep {
 		s++
@@ -149,6 +153,13 @@ func missingPayload(n *plan.Node) error {
 // Both divisions are exact; a failed exactness check would mean the
 // planner factored a dependent query and is reported as an internal
 // error rather than silently rounded.
+//
+// A part the planner took from a factor memo carries its count
+// (plan.Node.Reused), which is used as it is: this is what makes a
+// recount after a write to one part run only that part. Every other part
+// runs, and when its node carries a memo key and opts a FactorMemo, its
+// raw count is stored under that key; the union transform is applied on
+// top.
 func execFactor(db *core.Database, n *plan.Node, opts *Options, union bool) (*big.Int, error) {
 	total, err := db.NumValuations()
 	if err != nil {
@@ -160,25 +171,14 @@ func execFactor(db *core.Database, n *plan.Node, opts *Options, union bool) (*bi
 	}
 	product := big.NewInt(1)
 	for _, c := range n.Children {
-		// The factor memo serves a component's count from a previous
-		// execution over the same facts and domains (its key says which)
-		// — this is what makes a recount after a write to one component
-		// re-sweep only that component. Raw component counts are
-		// memoized; the union transform below is applied on top.
-		var v *big.Int
-		var key string
-		hit := false
-		if opts != nil && opts.FactorMemo != nil {
-			v, key, hit = opts.FactorMemo.LookupFactor(c.Query, c.Kind)
-		}
-		if !hit {
+		v := c.Reused
+		if v == nil {
 			var err error
-			v, err = execNode(db, c, opts)
-			if err != nil {
+			if v, err = execNode(db, c, opts); err != nil {
 				return nil, err
 			}
-			if key != "" {
-				opts.FactorMemo.StoreFactor(key, v)
+			if c.MemoKey != "" && opts != nil && opts.FactorMemo != nil {
+				opts.FactorMemo.StoreFactor(c.MemoKey, c, v)
 			}
 		}
 		if union {

@@ -229,7 +229,15 @@ func (p *Partition) sweep(eng *sweep.Engine, ctx context.Context, workers int, p
 }
 
 // sweepRange sweeps range i and reports it done when it finishes cleanly.
-func (p *Partition) sweepRange(eng *sweep.Engine, ctx context.Context, i int, phases *PhaseTimes, stride int64, pub func(int, ShardCheckpoint) error, tracker *progressTracker) error {
+// It is a panic boundary: a panic in the range (an opaque query's Eval,
+// say) becomes the range's error, so it fails the sweep instead of
+// taking down the process from a worker goroutine.
+func (p *Partition) sweepRange(eng *sweep.Engine, ctx context.Context, i int, phases *PhaseTimes, stride int64, pub func(int, ShardCheckpoint) error, tracker *progressTracker) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("count: sweep range %d panicked: %v", i, v)
+		}
+	}()
 	var rpub func(ShardCheckpoint) error
 	if pub != nil {
 		rpub = func(sc ShardCheckpoint) error { return pub(i, sc) }

@@ -531,9 +531,22 @@ func (m *Manager) newJobLocked(req json.RawMessage, run RunFunc) *Job {
 // start launches the job's RunFunc (the job is already StatusRunning).
 func (m *Manager) start(j *Job) {
 	go func() {
-		res, err := j.run(j.ctx, j)
+		res, err := runGuarded(j)
 		m.finish(j, res, err)
 	}()
+}
+
+// runGuarded runs the job's RunFunc behind a panic boundary: a panic
+// fails this job with an error naming the panic value, and the manager
+// goes on to free its slot and start the next queued job, instead of the
+// process and every job in it going down.
+func runGuarded(j *Job) (res json.RawMessage, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			res, err = nil, fmt.Errorf("jobs: job panicked: %v", v)
+		}
+	}()
+	return j.run(j.ctx, j)
 }
 
 // finish settles a job whose RunFunc returned, persists its final

@@ -431,3 +431,36 @@ func TestSubmitDone(t *testing.T) {
 		t.Fatal("SubmitDone job not done")
 	}
 }
+
+// TestPanickingJobFails: a RunFunc that panics fails its job with an
+// error naming the panic value; the manager frees the slot and starts
+// the next queued job.
+func TestPanickingJobFails(t *testing.T) {
+	m := New(Config{MaxConcurrent: 1, MaxQueue: 2})
+	defer m.Close()
+	start := make(chan struct{})
+	j1, err := m.Submit(nil, func(ctx context.Context, j *Job) (json.RawMessage, error) {
+		<-start
+		panic("boom in the sweep")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2, err := m.Submit(nil, func(ctx context.Context, j *Job) (json.RawMessage, error) {
+		return json.RawMessage(`"next"`), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := j2.Snapshot().Status; st != StatusQueued {
+		t.Fatalf("second job %q, want queued behind the first", st)
+	}
+	close(start)
+	rec := waitStatus(t, m, j1.ID(), StatusFailed)
+	if rec.Error != "jobs: job panicked: boom in the sweep" {
+		t.Fatalf("panicked job error %q", rec.Error)
+	}
+	if rec := waitStatus(t, m, j2.ID(), StatusDone); string(rec.Result) != `"next"` {
+		t.Fatalf("queued job result %s", rec.Result)
+	}
+}

@@ -20,15 +20,20 @@
 // Plans are pure descriptions plus prebuilt read-only payloads (the
 // cylinder set of an inclusion–exclusion node, the engine of a sweep);
 // once Build returns, nothing writes to a plan, so any number of
-// goroutines may execute and render it. Execution lives in
-// internal/count, which walks the DAG. The same rendered plan backs
-// `incdb explain`, POST /v1/explain and the root Explain API.
+// goroutines may execute and render it. A plan built with a Memo may
+// also carry, on a part of a factorization, that part's count taken from
+// the memo (Node.Reused): it is fixed when Build returns like everything
+// else, and the plan renders exactly as one built without the memo.
+// Execution lives in internal/count, which walks the DAG. The same
+// rendered plan backs `incdb explain`, POST /v1/explain and the root
+// Explain API.
 package plan
 
 import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"strings"
 
 	"github.com/incompletedb/incompletedb/internal/classify"
@@ -181,6 +186,18 @@ type Node struct {
 	// Read-only after planning and safe for concurrent cursors. Nil when
 	// the compile failed; Cost.Note then says why.
 	Engine *sweep.Engine
+
+	// MemoKey is set on each part of a factorization planned with a
+	// Memo: the key the memo looked the part up under. The executor
+	// stores the count of a part it computes under this key.
+	MemoKey string
+
+	// Reused is the count of a factorization part that the Memo served
+	// at planning, at the valuation total of the plan's database: the
+	// executor returns it instead of running the node, which then holds
+	// no payloads. Nil elsewhere. Render, JSON and Method never read it
+	// (nor MemoKey), and StripPayloads drops both.
+	Reused *big.Int
 }
 
 // Plan is a compiled counting problem: the root node answers the original
@@ -217,23 +234,62 @@ func (p *Plan) Method() string { return p.Root.Method() }
 // is what a long-lived cache should retain: the explanation, not the
 // compiled state or the data.
 func (p *Plan) StripPayloads() *Plan {
-	var strip func(n *Node) *Node
-	strip = func(n *Node) *Node {
-		if n == nil {
-			return nil
-		}
-		c := *n
-		c.Engine = nil
-		c.Cylinders = nil
-		if len(n.Children) > 0 {
-			c.Children = make([]*Node, len(n.Children))
-			for i, ch := range n.Children {
-				c.Children[i] = strip(ch)
-			}
-		}
-		return &c
+	return &Plan{Kind: p.Kind, Query: p.Query, Root: p.Root.stripped()}
+}
+
+// stripped returns n's subtree without payloads, memo keys or reused
+// counts. Nodes are immutable, so a subtree that holds none of them is
+// shared rather than copied: the stripped plans of many factorizations
+// share the descriptions their parts took from a memo.
+func (n *Node) stripped() *Node {
+	if n == nil {
+		return nil
 	}
-	return &Plan{Kind: p.Kind, Query: p.Query, Root: strip(p.Root)}
+	var kids []*Node
+	for i, ch := range n.Children {
+		s := ch.stripped()
+		if s != ch && kids == nil {
+			kids = slices.Clone(n.Children)
+		}
+		if kids != nil {
+			kids[i] = s
+		}
+	}
+	if kids == nil && n.Engine == nil && n.Cylinders == nil && n.MemoKey == "" && n.Reused == nil {
+		return n
+	}
+	c := *n
+	c.Engine, c.Cylinders, c.MemoKey, c.Reused = nil, nil, "", nil
+	if kids != nil {
+		c.Children = kids
+	}
+	return &c
+}
+
+// Description returns what a Memo may keep of factorization part n for a
+// later plan over the same content: n's subtree without payloads, or nil
+// when it holds a sweep node. A sweep's cost block and membership choice
+// read the whole database (its total space, the nulls it prunes, its
+// constants), not only the part's facts and domains, so a swept part is
+// planned afresh and only its count is reused.
+func (n *Node) Description() *Node {
+	if n.sweeps() {
+		return nil
+	}
+	return n.stripped()
+}
+
+// sweeps reports whether n's subtree holds a sweep node.
+func (n *Node) sweeps() bool {
+	if n.Op == OpSweep {
+		return true
+	}
+	for _, c := range n.Children {
+		if c.sweeps() {
+			return true
+		}
+	}
+	return false
 }
 
 // Method renders the node's operator subtree as a compact signature.
@@ -268,14 +324,35 @@ func (n *Node) RejectedNotes() []string {
 	return notes
 }
 
+// Memo serves the parts of #Val factorizations from earlier plans over
+// the same content. Its keys must name everything a part's plan and
+// count depend on: the part as written, the planning options, whether
+// the table is Codd, the facts of the part's relations and the domains
+// of their nulls. Then a part a write left untouched costs one key and
+// one lookup instead of a cylinder build, a classification and a
+// factorization analysis.
+type Memo interface {
+	// Component looks up part q of a factorization of the database being
+	// planned. key names q's content, "" when q cannot be memoized; the
+	// executor stores q's count under it. count, when non-nil, is q's
+	// #Val at the database's current valuation total. desc, when
+	// non-nil, is the stored Description of q's plan, and count is then
+	// non-nil too.
+	Component(q cq.Query) (key string, desc *Node, count *big.Int)
+}
+
 // Build compiles (db, q, kind) into a plan under opts. It fails only on
 // an invalid database; an inexecutable problem (e.g. a sweep beyond the
 // guard) still plans, with the failure recorded in the node's cost.
-func Build(db *core.Database, q cq.Query, kind classify.CountingKind, opts *Options) (*Plan, error) {
+// memo, when non-nil, serves the parts of a #Val factorization: a part
+// it holds a description and count for is that description with the
+// count as Node.Reused; a part it holds only a count for is planned and
+// takes the count; any other part is planned and carries its MemoKey.
+func Build(db *core.Database, q cq.Query, kind classify.CountingKind, opts *Options, memo Memo) (*Plan, error) {
 	if err := db.Validate(); err != nil {
 		return nil, err
 	}
-	b := &builder{db: db, opts: opts.Normalized()}
+	b := &builder{db: db, opts: opts.Normalized(), memo: memo}
 	var root *Node
 	if kind == classify.Valuations {
 		root = b.buildVal(q)
@@ -309,6 +386,7 @@ func BruteOnly(db *core.Database, q cq.Query, kind classify.CountingKind, opts *
 type builder struct {
 	db   *core.Database
 	opts Options // normalized
+	memo Memo    // nil: plan every part
 	// relNulls memoizes the per-relation null sets of the factorization
 	// analysis.
 	relNulls map[string]map[core.NullID]bool
@@ -410,7 +488,7 @@ func (b *builder) buildVal(q cq.Query) *Node {
 		reference := "independence rewrite (cf. Kenig–Suciu UCQ factorization)"
 		b.accept(n, op, algorithm, reference, reason)
 		for _, sub := range parts {
-			n.Children = append(n.Children, b.buildVal(sub))
+			n.Children = append(n.Children, b.component(sub))
 		}
 		if op == OpFactor {
 			n.Cost.Note = fmt.Sprintf("%d independent components: relative counts multiply, swept spaces add", len(parts))
@@ -428,6 +506,34 @@ func (b *builder) buildVal(q cq.Query) *Node {
 	}
 
 	b.finishSweep(n, q)
+	return n
+}
+
+// component plans part q of a factorization, from the memo when it
+// holds q's content.
+func (b *builder) component(q cq.Query) *Node {
+	if b.memo == nil {
+		return b.buildVal(q)
+	}
+	key, desc, count := b.memo.Component(q)
+	if desc != nil {
+		n := *desc
+		n.Reused = count
+		return &n
+	}
+	if count == nil {
+		n := b.buildVal(q)
+		n.MemoKey = key
+		return n
+	}
+	// A count without a description is a part that sweeps: plan it
+	// afresh, without the memo (its count covers every part below it),
+	// and drop the payloads the count makes unnecessary.
+	memo := b.memo
+	b.memo = nil
+	n := b.buildVal(q).stripped()
+	b.memo = memo
+	n.Reused = count
 	return n
 }
 

@@ -41,7 +41,7 @@ func factorDB(t *testing.T) *core.Database {
 
 func mustBuild(t *testing.T, db *core.Database, q cq.Query, kind classify.CountingKind, opts *plan.Options) *plan.Plan {
 	t.Helper()
-	p, err := plan.Build(db, q, kind, opts)
+	p, err := plan.Build(db, q, kind, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestRenderDeterministic(t *testing.T) {
 		db.MustAddFact("S", core.Null(4))
 		db.MustAddFact("T", core.Null(5), core.Null(5))
 		q := cq.MustParse("R(x, y) ∧ T(z, z) | S(u)")
-		p, err := plan.Build(db, q, classify.Valuations, nil)
+		p, err := plan.Build(db, q, classify.Valuations, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +320,7 @@ func TestCylinderRouteStopsAtCap(t *testing.T) {
 	}
 	// The parent's full build allocated about 1.81M times here.
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := plan.Build(chain, chainQ, classify.Valuations, nil); err != nil {
+		if _, err := plan.Build(chain, chainQ, classify.Valuations, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -297,8 +297,8 @@ type Stats struct {
 
 	// Mutations counts database mutations absorbed by live sessions;
 	// PlansInvalidated counts the cached plans those writes dropped, and
-	// FactorsReused counts independent-component counts served from the
-	// factor memo instead of re-swept. Together they make the
+	// FactorsReused counts independent components planned and counted
+	// from the factor memo instead of again. Together they make the
 	// incremental-recount path observable.
 	Mutations        int64 `json:"mutations,omitempty"`
 	PlansInvalidated int64 `json:"plans_invalidated,omitempty"`

@@ -32,7 +32,7 @@
 // POST /v1/db (or incdb serve -db) stays prepared across requests, and
 // the write endpoints mutate it through the solver session's write
 // methods — a write empties the session's plan cache, untouched independent
-// components are served from the factor memo, and interleaved count
+// components are planned and counted from the factor memo, and interleaved count
 // traffic (any read request with an empty database field) sees each
 // write immediately.
 //

@@ -7,19 +7,21 @@ import (
 	"math/big"
 	"slices"
 
-	"github.com/incompletedb/incompletedb/internal/classify"
 	"github.com/incompletedb/incompletedb/internal/core"
 	"github.com/incompletedb/incompletedb/internal/cq"
 	"github.com/incompletedb/incompletedb/internal/fingerprint"
+	"github.com/incompletedb/incompletedb/internal/plan"
 )
 
 // This file is the write half of a PreparedDB: the mutation surface
 // (AddFact/RemoveFact/ExtendDomain), the version sync that brings the
 // session up to the database's version, and the factor memo that lets a
-// recount after a write confined to one component re-sweep only that
-// component. A cached plan serves only the version it was built at, so
-// every sync that advances the version empties the plan cache. The
-// factor memo is keyed by the content each entry was computed from, so a
+// recount after a write confined to one component replan and recount
+// only that component. A cached plan serves only the version it was
+// built at, so every sync that advances the version empties the plan
+// cache. The next plan of a factorized query takes each component the
+// write left untouched — its description and its count — from the factor
+// memo, which is keyed by the content each entry was computed from, so a
 // sync leaves it alone: an entry whose content changed is never found
 // again and ages out of the bounded LRU.
 //
@@ -31,10 +33,10 @@ import (
 
 // AddFact adds rel(args...) to the prepared database and updates the
 // session: every cached plan is dropped and rebuilt on next use, while
-// the factorized components that do not read rel are still served from
-// the factor memo. In a non-uniform database every null argument must
-// already have a domain (set one with ExtendDomain first); a duplicate
-// fact is a no-op.
+// the factorized components that do not read rel are still planned and
+// counted from the factor memo. In a non-uniform database every null
+// argument must already have a domain (set one with ExtendDomain
+// first); a duplicate fact is a no-op.
 func (p *PreparedDB) AddFact(rel string, args ...core.Value) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -148,65 +150,74 @@ func (p *PreparedDB) refreshGeometryLocked() {
 	p.appliedVersion = p.db.Version()
 }
 
-// factorMemo caches, per session, the counts of the independent
-// components of factorized plans as fractions count/total of the
-// valuation-space total. A component's fraction depends only on the
-// facts of its query's relations and the domains of their nulls, so an
-// entry keyed by exactly that content (factorKey) is valid whenever its
-// key is found: a write elsewhere, or one that is later undone, leaves
-// it usable, and a write that changes the content makes a new key. The
-// count at the current total is ratio × total, exactly.
-type factorMemo = lru[*big.Rat]
+// factorMemo caches, per session, the parts of factorized #Val plans:
+// for each part, its count as a fraction count/total of the
+// valuation-space total and, unless the part sweeps, its payload-free
+// description (plan.Node.Description). A part's plan and fraction depend
+// only on the part as written, the facts of its relations, the domains
+// of their nulls, whether the table is Codd and the planning options, so
+// an entry keyed by exactly that content (factorKey) is valid whenever
+// its key is found: a write elsewhere, or one that is later undone,
+// leaves it usable, and a write that changes the content makes a new
+// key. The planner looks each part up (plan.Memo) and the executor
+// stores the parts it computed (count.FactorMemo); the count at the
+// current total is ratio × total, exactly.
+type factorMemo = lru[factorEntry]
+
+// factorEntry is one factor memo entry. It holds no engine, cylinder set
+// or database: desc is stripped of payloads, and nil for a part that
+// sweeps, which is planned afresh.
+type factorEntry struct {
+	desc  *plan.Node
+	ratio *big.Rat
+}
 
 // factorMemoSize bounds a session's factor memo; the least recently used
-// fraction is dropped and simply recomputed if asked for again. It is a
+// entry is dropped and simply recomputed if asked for again. It is a
 // constant, independent of the result cache's size, so a session whose
 // result cache is disabled still recounts incrementally.
 const factorMemoSize = 1024
 
-func newFactorMemo() *factorMemo { return newLRU[*big.Rat](factorMemoSize) }
+func newFactorMemo() *factorMemo { return newLRU[factorEntry](factorMemoSize) }
 
-// factorRecorder adapts the session memo to count.FactorMemo for one
-// call, counting the hits that end up in Result.Stats.FactorsReused. Its
-// keys carry the call's planning-options suffix (see Solver.planKey).
-// The scratch buffers make a key cost one allocation-light pass; a
-// recorder serves one call, and execFactor consults it sequentially.
+// factorRecorder adapts the session memo to plan.Memo for the plan build
+// of one call and to count.FactorMemo for its execution. Its keys carry
+// the call's planning-options suffix (see Solver.planKey). The scratch
+// buffers make a key cost one allocation-light pass; a build looks its
+// parts up one after another.
 type factorRecorder struct {
 	p      *PreparedDB
 	suffix string
-	hits   int
 
 	buf   []byte
 	rels  []string
 	nulls []core.NullID
 }
 
-// factorKey returns the factor memo key of component q under kind: the
-// SHA-256 of a length-prefixed encoding of
+// factorKey returns the factor memo key of part q: the SHA-256 of a
+// length-prefixed encoding of
 //
-//   - the kind and canonical query (planCacheKey) and the call's
-//     planning suffix;
-//   - whether the table is a Codd table: the flag routes a component
-//     (Theorem 3.7), and so decides whether the guard admits it;
-//   - the facts of each relation of sig(q), in sorted relation order and
+//   - q as written (appendQuery), so a part whose variables are renamed
+//     or whose atoms are reordered misses, and a stored description
+//     renders exactly as the part would;
+//   - the call's planning suffix;
+//   - whether the table is a Codd table: the flag routes a part
+//     (Theorem 3.7) and enters its Table 1 class;
+//   - the facts of each relation q mentions, in sorted relation order and
 //     FactsOf order (a reordered table is only a miss);
 //   - the shared domain of a uniform database, or else the domain of
 //     every null those facts hold.
 //
-// ok is false for an opaque query, whose relations are unknown: it is
-// never memoized.
-func (r *factorRecorder) factorKey(q cq.Query, kind classify.CountingKind) (key string, ok bool) {
-	sig, ok := cq.Signature(q)
+// ok is false for a query outside BCQs, UCQs and BCQs with
+// inequalities: it is never memoized.
+func (r *factorRecorder) factorKey(q cq.Query) (key string, ok bool) {
+	b, rels, ok := appendQuery(r.buf[:0], r.rels[:0], q)
 	if !ok {
 		return "", false
 	}
 	db := r.p.db
-	rels := r.rels[:0]
-	for rel := range sig {
-		rels = append(rels, rel)
-	}
 	slices.Sort(rels)
-	b := appendField(r.buf[:0], planCacheKey(fingerprint.Query(q), kind))
+	rels = slices.Compact(rels)
 	b = appendField(b, r.suffix)
 	if db.IsCodd() {
 		b = append(b, 1)
@@ -249,6 +260,45 @@ func (r *factorRecorder) factorKey(q cq.Query, kind classify.CountingKind) (key 
 	return string(sum[:]), true
 }
 
+// appendQuery appends an injective encoding of q as written — a tag,
+// then every atom's relation and variables, every disjunct and every
+// inequality, each list and string length-prefixed — and appends the
+// relation of every atom to rels. ok is false for any other query.
+func appendQuery(b []byte, rels []string, q cq.Query) ([]byte, []string, bool) {
+	switch t := q.(type) {
+	case *cq.BCQ:
+		b, rels = appendBCQ(append(b, 'c'), rels, t)
+	case *cq.UCQ:
+		b = binary.AppendUvarint(append(b, 'u'), uint64(len(t.Disjuncts)))
+		for _, d := range t.Disjuncts {
+			b, rels = appendBCQ(b, rels, d)
+		}
+	case *cq.BCQNeq:
+		b, rels = appendBCQ(append(b, 'i'), rels, t.Base)
+		b = binary.AppendUvarint(b, uint64(len(t.Diffs)))
+		for _, d := range t.Diffs {
+			b = appendField(appendField(b, d[0]), d[1])
+		}
+	default:
+		return b, rels, false
+	}
+	return b, rels, true
+}
+
+// appendBCQ appends the atoms of q for appendQuery.
+func appendBCQ(b []byte, rels []string, q *cq.BCQ) ([]byte, []string) {
+	b = binary.AppendUvarint(b, uint64(len(q.Atoms)))
+	for _, a := range q.Atoms {
+		b = appendField(b, a.Rel)
+		b = binary.AppendUvarint(b, uint64(len(a.Vars)))
+		for _, v := range a.Vars {
+			b = appendField(b, v)
+		}
+		rels = append(rels, a.Rel)
+	}
+	return b, rels
+}
+
 // appendField appends s with its length in front.
 func appendField(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
@@ -264,40 +314,37 @@ func appendDomain(b []byte, dom []string) []byte {
 	return b
 }
 
-// LookupFactor implements count.FactorMemo: it scales the memoized
+// Component implements plan.Memo: it keys part q and scales a memoized
 // fraction back to a count at the current total. The division is exact
 // for a valid entry; a remainder would mean the key missed a dependency,
-// so the lookup then misses and the component is recomputed. With no
-// valuations there is no fraction to keep, and the key is empty.
-func (r *factorRecorder) LookupFactor(q cq.Query, kind classify.CountingKind) (*big.Int, string, bool) {
+// so the lookup then misses and the part is planned and computed. With
+// no valuations there is no fraction to keep, and the key is empty.
+func (r *factorRecorder) Component(q cq.Query) (string, *plan.Node, *big.Int) {
 	total := r.p.total
 	if total.Sign() == 0 {
-		return nil, "", false
+		return "", nil, nil
 	}
-	key, ok := r.factorKey(q, kind)
+	key, ok := r.factorKey(q)
 	if !ok {
-		return nil, "", false
+		return "", nil, nil
 	}
-	ratio, ok := r.p.factors.get(key)
+	e, ok := r.p.factors.get(key)
 	if !ok {
-		return nil, key, false
+		return key, nil, nil
 	}
-	num := new(big.Int).Mul(ratio.Num(), total)
-	quo, rem := num.QuoRem(num, ratio.Denom(), new(big.Int))
+	num := new(big.Int).Mul(e.ratio.Num(), total)
+	quo, rem := num.QuoRem(num, e.ratio.Denom(), new(big.Int))
 	if rem.Sign() != 0 {
-		return nil, key, false
+		return key, nil, nil
 	}
-	r.hits++
-	r.p.s.factorsReused.Add(1)
-	return quo, key, true
+	return key, e.desc, quo
 }
 
 // StoreFactor implements count.FactorMemo: it memoizes a freshly
-// computed component count as a fraction of the current total, under the
-// key LookupFactor returned for it. That key is empty for an opaque query
-// or a zero total, and an empty key stores nothing.
-func (r *factorRecorder) StoreFactor(key string, count *big.Int) {
-	if key != "" {
-		r.p.factors.add(key, new(big.Rat).SetFrac(count, r.p.total))
-	}
+// computed part's description and count, as a fraction of the current
+// total, under the key the plan-time lookup computed. The plan was built
+// at the session's current version, under the same read lock, so that
+// total is the one the key was computed at, and it is not zero.
+func (r *factorRecorder) StoreFactor(key string, n *plan.Node, count *big.Int) {
+	r.p.factors.add(key, factorEntry{desc: n.Description(), ratio: new(big.Rat).SetFrac(count, r.p.total)})
 }

@@ -48,10 +48,12 @@ func planCacheKey(canonQ string, kind classify.CountingKind) string {
 // methods, or directly on the database between calls — and the session
 // resynchronizes when the database's version moves. A cached plan
 // serves only the database version it was built at, so a write empties
-// the plan cache; factorized counts are re-derived by re-sweeping only
-// the independent components whose facts or domains changed, while the
-// others' counts come from the session's factor memo, which is keyed by
-// that content and bounded (see mutate.go).
+// the plan cache. The next plan of a factorized query replans and
+// recounts only the independent components whose facts or domains
+// changed: each other component's description and count come from the
+// session's factor memo, which is keyed by that content and bounded (see
+// mutate.go). A component whose variables are renamed in the query is
+// other content and misses.
 //
 // A PreparedDB is safe for concurrent use, including concurrent
 // mutations through its own methods; mutating the database directly must
@@ -158,23 +160,25 @@ func (p *PreparedDB) ExplainWith(q cq.Query, kind classify.CountingKind, opts *c
 	p.rlock()
 	defer p.mu.RUnlock()
 	po, suffix := p.s.planKey(p.s.countOptions(context.Background(), opts))
-	return p.planFor(fingerprint.Query(q), q, kind, po, suffix)
+	return p.planFor(fingerprint.Query(q), q, kind, po, &factorRecorder{p: p, suffix: suffix})
 }
 
 // planFor returns the cached plan for (canonical query, kind) under the
-// planning options po, whose key suffix is suffix, building it on first
-// use. Builds run outside the cache lock: plan construction can compile
-// sweep engines over the whole database, and concurrent first uses of
-// distinct queries should not serialize. A racing duplicate build of the
-// same query is harmless — last writer wins, both plans are equivalent.
-// Callers hold the session read lock, so the database version the plan
-// is built and cached at cannot advance underneath the build.
-func (p *PreparedDB) planFor(canonQ string, q cq.Query, kind classify.CountingKind, po plan.Options, suffix string) (*plan.Plan, error) {
-	key := planCacheKey(canonQ, kind) + suffix
+// planning options po, building it on first use with rec as its factor
+// memo; rec carries the key suffix of po. Builds run outside the cache
+// lock: plan construction can compile sweep engines over the whole
+// database, and concurrent first uses of distinct queries should not
+// serialize. A racing duplicate build of the same query is harmless —
+// last writer wins, both plans are equivalent. Callers hold the session
+// read lock, so the database version the plan is built and cached at
+// cannot advance underneath the build, and a count it takes from the
+// memo is a count at that version.
+func (p *PreparedDB) planFor(canonQ string, q cq.Query, kind classify.CountingKind, po plan.Options, rec *factorRecorder) (*plan.Plan, error) {
+	key := planCacheKey(canonQ, kind) + rec.suffix
 	if pl, ok := p.plans.get(key); ok {
 		return pl, nil
 	}
-	pl, err := plan.Build(p.db, q, kind, &po)
+	pl, err := plan.Build(p.db, q, kind, &po, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -209,17 +213,17 @@ func (p *PreparedDB) CountWith(ctx context.Context, q cq.Query, kind classify.Co
 	canonQ := fingerprint.Query(q)
 	fp := fingerprint.OfDigest(p.digest, canonQ, kindFingerprint(kind))
 	compute := func() (*Result, error) {
-		pl, err := p.planFor(canonQ, q, kind, po, suffix)
+		pl, err := p.planFor(canonQ, q, kind, po, rec)
 		if err != nil {
 			return nil, err
 		}
-		return p.executeCount(pl, eff, fp, start, rec)
+		return p.executeCount(pl, eff, fp, start)
 	}
 	return p.cachedCall(fp+suffix, eff, start, compute)
 }
 
 // executeCount runs a compiled plan and wraps the count in a Result.
-func (p *PreparedDB) executeCount(pl *plan.Plan, eff *count.Options, fp string, start time.Time, rec *factorRecorder) (*Result, error) {
+func (p *PreparedDB) executeCount(pl *plan.Plan, eff *count.Options, fp string, start time.Time) (*Result, error) {
 	ph := eff.Phases
 	if ph == nil {
 		ph = &count.PhaseTimes{}
@@ -229,29 +233,18 @@ func (p *PreparedDB) executeCount(pl *plan.Plan, eff *count.Options, fp string, 
 	if err != nil {
 		return nil, err
 	}
-	swept, pruned, multiplier, kernel := statsFromPlan(pl)
-	reused := 0
-	if rec != nil {
-		reused = rec.hits
-	}
+	st := statsFromPlan(pl)
+	p.s.factorsReused.Add(int64(st.FactorsReused))
+	st.Epoch = p.appliedVersion
+	st.Workers = effectiveWorkers(eff.Workers)
+	st.Wall = time.Since(start)
+	st.PhaseStep, st.PhaseMatch, st.PhaseDedup = ph.Step(), ph.Match(), ph.Dedup()
 	return &Result{
 		Count:       n,
 		Method:      count.Method(pl.Method()),
 		Plan:        pl,
 		Fingerprint: fp,
-		Stats: Stats{
-			SweptValuations: swept,
-			PrunedNulls:     pruned,
-			PruneMultiplier: multiplier,
-			FactorsReused:   reused,
-			Epoch:           p.appliedVersion,
-			Workers:         effectiveWorkers(eff.Workers),
-			Kernel:          kernel,
-			Wall:            time.Since(start),
-			PhaseStep:       ph.Step(),
-			PhaseMatch:      ph.Match(),
-			PhaseDedup:      ph.Dedup(),
-		},
+		Stats:       st,
 	}, nil
 }
 
@@ -329,7 +322,7 @@ func (p *PreparedDB) BruteCount(ctx context.Context, q cq.Query, kind classify.C
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.executeCount(pl, eff, fp, start, nil)
+	res, err := p.executeCount(pl, eff, fp, start)
 	if err != nil {
 		return nil, err
 	}

@@ -54,13 +54,14 @@ type Stats struct {
 	// number of leaves the sweeps evaluated, which may be far fewer: a
 	// #Val sweep of a monotone query counts a satisfied leaf's whole
 	// witness block without visiting it, and a #Comp sweep skips every
-	// block whose prefix state it has already swept. Nil when the plan
-	// has no sweep node (closed-form and cylinder routes enumerate no
-	// valuations).
+	// block whose prefix state it has already swept. Nil when no sweep
+	// ran: the plan has no sweep node (closed-form and cylinder routes
+	// enumerate no valuations), or each one is in a factor the plan
+	// reused (see FactorsReused).
 	SweptValuations *big.Int
 
 	// PrunedNulls is how many irrelevant nulls the sweeps factored out of
-	// the enumeration (summed over sweep nodes).
+	// the enumeration (summed over the sweep nodes that ran).
 	PrunedNulls int
 
 	// PruneMultiplier is the factored-out term ∏ |dom(⊥)| over the pruned
@@ -73,10 +74,12 @@ type Stats struct {
 	// Plan, Method and sweep stats describe the FIRST computation's route.
 	CacheHit bool
 
-	// FactorsReused is how many independent components of a factorized
-	// plan were served from the session's factor memo instead of being
-	// re-swept — the incremental-recount dividend: after a write touching
-	// one component, the other components' counts are reused.
+	// FactorsReused is how many independent components of the executed
+	// factorized plan took their count from the session's factor memo
+	// instead of being planned and counted again — the
+	// incremental-recount dividend: after a write touching one component,
+	// the other components' counts are reused. It is a property of the
+	// plan, so a count that runs a plan Explain built reports the same.
 	FactorsReused int
 
 	// Epoch is the database version (core.Database.Version) the session
@@ -88,10 +91,10 @@ type Stats struct {
 	Workers int
 
 	// Kernel is "uint64", the width of every sweep's shard tallies, when
-	// the plan has a sweep node, and empty otherwise. Since the guard
-	// proves one width sufficient it carries no information beyond "the
-	// plan swept"; it remains because the count wire form and the
-	// benchmark harness (bench/exec.go) read it.
+	// a sweep ran (SweptValuations is set), and empty otherwise. Since
+	// the guard proves one width sufficient it carries no information
+	// beyond "a sweep ran"; it remains because the count wire form and
+	// the benchmark harness (bench/exec.go) read it.
 	Kernel string
 
 	// Wall is the wall-clock time of this call (near zero for cache hits).
@@ -142,36 +145,39 @@ func (r *Result) stripped() *Result {
 	return &c
 }
 
-// statsFromPlan derives the sweep-side execution stats from the plan's
-// node payloads: the compiled engines of internal/sweep carry the
-// enumerated-space geometry the execution actually swept. kernel is the
-// Stats.Kernel of the plan.
-func statsFromPlan(p *plan.Plan) (swept *big.Int, pruned int, multiplier *big.Int, kernel string) {
+// statsFromPlan derives the plan-side execution stats from an executed
+// plan: the compiled engines of internal/sweep carry the geometry of the
+// spaces the execution swept, and a part whose count the plan took from
+// the factor memo (plan.Node.Reused) is a reused factor that swept
+// nothing, whatever its plan says.
+func statsFromPlan(p *plan.Plan) Stats {
+	var st Stats
 	var walk func(n *plan.Node)
 	walk = func(n *plan.Node) {
-		if n == nil {
+		if n.Reused != nil {
+			st.FactorsReused++
 			return
 		}
 		if n.Op == plan.OpSweep && n.Engine != nil {
-			if swept == nil {
-				swept = new(big.Int)
+			if st.SweptValuations == nil {
+				st.SweptValuations = new(big.Int)
 			}
-			swept.Add(swept, n.Engine.Size())
-			pruned += n.Engine.Pruned()
+			st.SweptValuations.Add(st.SweptValuations, n.Engine.Size())
+			st.PrunedNulls += n.Engine.Pruned()
 			if n.Engine.Pruned() > 0 {
-				if multiplier == nil {
-					multiplier = big.NewInt(1)
+				if st.PruneMultiplier == nil {
+					st.PruneMultiplier = big.NewInt(1)
 				}
-				multiplier.Mul(multiplier, n.Engine.Multiplier())
+				st.PruneMultiplier.Mul(st.PruneMultiplier, n.Engine.Multiplier())
 			}
-			kernel = "uint64"
+			st.Kernel = "uint64"
 		}
 		for _, c := range n.Children {
 			walk(c)
 		}
 	}
 	walk(p.Root)
-	return swept, pruned, multiplier, kernel
+	return st
 }
 
 // effectiveWorkers mirrors the worker-pool default of internal/count: 0

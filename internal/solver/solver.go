@@ -142,8 +142,9 @@ type Metrics struct {
 	// cache instead of patching its plans. It is kept for readers built
 	// against the older metrics.
 	PlansPatched int64
-	// FactorsReused counts independent components of factorized plans
-	// served from session factor memos instead of being re-swept.
+	// FactorsReused counts independent components of executed factorized
+	// plans that took their count from a session factor memo instead of
+	// being planned and counted again.
 	FactorsReused int64
 }
 

@@ -168,6 +168,27 @@ func Compile(db *core.Database, q cq.Query, mode Mode) (*Engine, error) {
 	return CompileWith(db, q, mode, CompileOptions{})
 }
 
+// valueBound bounds how many distinct values a compile of db interns:
+// the constant arguments of its facts plus its domains' values, a
+// uniform database's shared domain counted once. Sizing the value
+// interner by it keeps the compile from growing and rehashing the table.
+func valueBound(db *core.Database) int {
+	n := 0
+	for _, f := range db.Facts() {
+		for _, a := range f.Args {
+			if !a.IsNull() {
+				n++
+			}
+		}
+	}
+	for _, m := range db.Nulls() {
+		if n += len(db.Domain(m)); db.Uniform() {
+			break
+		}
+	}
+	return n
+}
+
 // CompileWith is Compile with explicit escape hatches.
 func CompileWith(db *core.Database, q cq.Query, mode Mode, opts CompileOptions) (*Engine, error) {
 	if err := db.Validate(); err != nil {
@@ -175,7 +196,7 @@ func CompileWith(db *core.Database, q cq.Query, mode Mode, opts CompileOptions) 
 	}
 	e := &Engine{
 		mode:   mode,
-		values: NewInterner(),
+		values: newInterner(valueBound(db)),
 		rels:   NewInterner(),
 	}
 

@@ -12,8 +12,12 @@ type Interner struct {
 }
 
 // NewInterner returns an empty interner.
-func NewInterner() *Interner {
-	return &Interner{ids: make(map[string]uint32)}
+func NewInterner() *Interner { return newInterner(0) }
+
+// newInterner returns an empty interner that holds hint strings without
+// growing.
+func newInterner(hint int) *Interner {
+	return &Interner{ids: make(map[string]uint32, hint), strs: make([]string, 0, hint)}
 }
 
 // Intern returns the ID of s, assigning the next free ID on first sight.

@@ -121,13 +121,16 @@ var incrementalRecountSizes = []int{4, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9}
 
 // BenchmarkIncrementalRecount is the headline mutable-database number:
 // after a single-fact delta confined to one of 12 independent
-// components, "delta" re-counts through the live session — re-deriving
-// only the touched component and serving the other 11 from the factor
-// memo — while "full" re-prepares the mutated database from scratch and
-// re-counts every component. Each iteration adds a distinct constant-only
-// fact (and removes it again, so state stays bounded); the distinct
-// constants give every recount a fresh fingerprint, so neither path is
-// ever served by the result cache.
+// components, "delta" re-counts through the live session — replanning
+// and re-deriving only the touched component and taking the other 11
+// from the factor memo — while "full" re-prepares the mutated database
+// from scratch and re-counts every component. Each iteration adds a
+// distinct constant-only fact (and removes it again, so state stays
+// bounded); the distinct constants give every recount a fresh
+// fingerprint, so neither path is ever served by the result cache.
+// "replan" is the plan half of a live write on its own: one write per
+// iteration, in live-mutate's order (add the next ground C0 fact, then
+// remove the previous one, so every state is new), then Explain.
 func BenchmarkIncrementalRecount(b *testing.B) {
 	comps := len(incrementalRecountSizes)
 	q := factoredComponentsQuery(comps)
@@ -162,6 +165,44 @@ func BenchmarkIncrementalRecount(b *testing.B) {
 					res.Stats.FactorsReused, comps-1)
 			}
 			pdb.RemoveFact("C0", c, c)
+		}
+	})
+
+	b.Run("replan", func(b *testing.B) {
+		pdb, err := NewSolver().Prepare(factoredComponentsDB(incrementalRecountSizes))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := pdb.Count(ctx, q, Valuations); err != nil {
+			b.Fatal(err)
+		}
+		ground := func(j int) Value { return Const(fmt.Sprintf("g%d", j)) }
+		if err := pdb.AddFact("C0", ground(0), ground(0)); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 1; i <= b.N; i++ {
+			if i%2 == 1 {
+				if err := pdb.AddFact("C0", ground((i+1)/2), ground((i+1)/2)); err != nil {
+					b.Fatal(err)
+				}
+			} else if !pdb.RemoveFact("C0", ground(i/2-1), ground(i/2-1)) {
+				b.Fatal("the previous ground fact was not present")
+			}
+			pl, err := pdb.Explain(q, Valuations)
+			if err != nil {
+				b.Fatal(err)
+			}
+			reused := 0
+			for _, c := range pl.Root.Children {
+				if c.Reused != nil {
+					reused++
+				}
+			}
+			if reused < comps-1 {
+				b.Fatalf("replanned untouched components: %d parts reused, want %d", reused, comps-1)
+			}
 		}
 	})
 
