@@ -147,11 +147,16 @@ func Classify(v Variant, q *cq.BCQ) (Result, error) {
 	if !q.SelfJoinFree() {
 		return Result{}, fmt.Errorf("classify: %v is not self-join-free; the dichotomies of the paper do not apply", q)
 	}
-	hasRxx := cq.HasRepeatedVarAtom(q)
-	hasRxSx := cq.HasSharedVarAtoms(q)
-	hasPath := cq.HasPathPattern(q)
-	hasRxySxy := cq.HasDoublySharedPair(q)
-	hasRxy := cq.HasBinaryPattern(q)
+	return ClassifyPatterns(v, cq.PatternsOf(q)), nil
+}
+
+// ClassifyPatterns is Classify for a well-formed sjfBCQ given by its
+// Table 1 pattern flags (cq.PatternsOf). The dichotomies of Table 1 are
+// stated in terms of these patterns (Definition 3.1), so the flags decide
+// every variant: a caller that already holds them, such as the planner,
+// classifies without another pass over the query.
+func ClassifyPatterns(v Variant, p cq.Patterns) Result {
+	hasRxx, hasRxSx, hasPath, hasRxySxy, hasRxy := p.Rxx, p.RxSx, p.Path, p.RxySxy, p.Rxy
 
 	res := Result{Variant: v}
 	switch {
@@ -238,7 +243,7 @@ func Classify(v Variant, q *cq.BCQ) (Result, error) {
 	}
 
 	res.Approx = approximability(v, res.Complexity)
-	return res, nil
+	return res
 }
 
 // approximability applies the results of Section 5: counting valuations of

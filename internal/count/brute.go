@@ -93,12 +93,15 @@ type Options struct {
 	// these options. See PhaseTimes.
 	Phases *PhaseTimes
 
-	// FactorMemo, when non-nil, receives the count of every part of a
-	// factorized plan (OpFactor/OpFactorUnion children) that the executor
-	// computes and whose node carries a memo key. The planner asked the
-	// same memo about each part (plan.Memo), so a later plan over the
+	// FactorMemo, when non-nil, serves and receives the counts of the
+	// parts of a factorized plan (OpFactor/OpFactorUnion children) whose
+	// nodes carry a memo key: the executor looks each one up before it
+	// runs it and stores the count of each one it runs. The planner asked
+	// the same memo about each part (plan.Memo), so a later plan over the
 	// same content takes the part's count and description from it
-	// instead of planning and running the part again.
+	// instead of planning and running the part again; the lookup serves a
+	// plan built before the memo held the part, such as a cached plan run
+	// again.
 	FactorMemo FactorMemo
 
 	// rejectedPaths records, when set by the plan executor, why each fast
@@ -108,16 +111,20 @@ type Options struct {
 	rejectedPaths []string
 }
 
-// FactorMemo is the storing half of a factor memo; plan.Memo is the
-// half the planner looks parts up in. StoreFactor records the #Val count
-// of factorization part n, just computed over the database being
-// executed, under the key the planner's lookup computed for it
-// (n.MemoKey), so a part that missed is keyed once. n is the part's plan
-// node with its payloads; an implementation keeps only n.Description().
-// count must not be mutated by either side. Validity is the key's job: a
-// key names everything a part's count and description depend on, so a
-// lookup never finds those of other content.
+// FactorMemo is the executor's side of a factor memo; plan.Memo is the
+// side the planner looks parts up in. LookupFactor returns the #Val count
+// stored under key, at the valuation total of the database being
+// executed. An execution may ask about one key twice — to count the
+// sweeps that will run, then to run the part — and both answers must
+// agree. StoreFactor records the count of factorization part n, just
+// computed over that database, under the key the planner's lookup
+// computed for it (n.MemoKey), so a part that missed is keyed once. n is
+// the part's plan node with its payloads; an implementation keeps only
+// n.Description(). A count must not be mutated by either side. Validity
+// is the key's job: a key names everything a part's count and
+// description depend on, so a lookup never finds those of other content.
 type FactorMemo interface {
+	LookupFactor(key string) (*big.Int, bool)
 	StoreFactor(key string, n *plan.Node, count *big.Int)
 }
 

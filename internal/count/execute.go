@@ -24,22 +24,35 @@ func ExecutePlan(db *core.Database, p *plan.Plan, opts *Options) (*big.Int, erro
 	if pdb := p.Database(); pdb != nil && pdb != db {
 		return nil, fmt.Errorf("count: the plan was compiled from a different database; rebuild it with Explain")
 	}
-	// A plan with several sweep nodes (a factorization) reports progress
-	// through a normalizing aggregator, preserving the forward-only
-	// contract of Options.Progress across the sequential sweeps.
-	if s := countSweepNodes(p.Root); s > 1 && opts != nil && opts.Progress != nil {
-		agg := &multiSweepProgress{sweeps: s, fn: opts.Progress}
-		o := *opts
-		o.Progress = agg.report
-		opts = &o
+	// A plan with several sweep nodes that run (a factorization) reports
+	// progress through a normalizing aggregator, preserving the
+	// forward-only contract of Options.Progress across the sequential
+	// sweeps.
+	if opts != nil && opts.Progress != nil {
+		if s := countSweepNodes(p.Root, opts.FactorMemo); s > 1 {
+			agg := &multiSweepProgress{sweeps: s, fn: opts.Progress}
+			o := *opts
+			o.Progress = agg.report
+			opts = &o
+		}
 	}
 	return execNode(db, p.Root, opts)
 }
 
+// memoCount returns the count memo serves for part n of a factorization:
+// nil when memo is nil, n carries no memo key or memo does not hold it.
+func memoCount(memo FactorMemo, n *plan.Node) *big.Int {
+	if memo == nil || n.MemoKey == "" {
+		return nil
+	}
+	v, _ := memo.LookupFactor(n.MemoKey)
+	return v
+}
+
 // countSweepNodes counts the OpSweep nodes of the subtree that run: a
-// part whose count the plan reused runs nothing.
-func countSweepNodes(n *plan.Node) int {
-	if n.Reused != nil {
+// part whose count the plan reused, or memo serves, runs nothing.
+func countSweepNodes(n *plan.Node, memo FactorMemo) int {
+	if n.Reused != nil || memoCount(memo, n) != nil {
 		return 0
 	}
 	s := 0
@@ -47,7 +60,7 @@ func countSweepNodes(n *plan.Node) int {
 		s++
 	}
 	for _, c := range n.Children {
-		s += countSweepNodes(c)
+		s += countSweepNodes(c, memo)
 	}
 	return s
 }
@@ -155,11 +168,12 @@ func missingPayload(n *plan.Node) error {
 // error rather than silently rounded.
 //
 // A part the planner took from a factor memo carries its count
-// (plan.Node.Reused), which is used as it is: this is what makes a
-// recount after a write to one part run only that part. Every other part
-// runs, and when its node carries a memo key and opts a FactorMemo, its
-// raw count is stored under that key; the union transform is applied on
-// top.
+// (plan.Node.Reused), and a part whose memo key opts.FactorMemo holds
+// takes its count from there: either is used as it is, which is what
+// makes a recount after a write to one part run only that part. Every
+// other part runs, and when its node carries a memo key and opts a
+// FactorMemo, its raw count is stored under that key; the union transform
+// is applied on top.
 func execFactor(db *core.Database, n *plan.Node, opts *Options, union bool) (*big.Int, error) {
 	total, err := db.NumValuations()
 	if err != nil {
@@ -169,16 +183,23 @@ func execFactor(db *core.Database, n *plan.Node, opts *Options, union bool) (*bi
 	if total.Sign() == 0 {
 		return big.NewInt(0), nil
 	}
+	var memo FactorMemo
+	if opts != nil {
+		memo = opts.FactorMemo
+	}
 	product := big.NewInt(1)
 	for _, c := range n.Children {
 		v := c.Reused
+		if v == nil {
+			v = memoCount(memo, c)
+		}
 		if v == nil {
 			var err error
 			if v, err = execNode(db, c, opts); err != nil {
 				return nil, err
 			}
-			if c.MemoKey != "" && opts != nil && opts.FactorMemo != nil {
-				opts.FactorMemo.StoreFactor(c.MemoKey, c, v)
+			if c.MemoKey != "" && memo != nil {
+				memo.StoreFactor(c.MemoKey, c, v)
 			}
 		}
 		if union {

@@ -291,7 +291,7 @@ func TestMultiSweepProgressMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := countSweepNodes(p.Root); got != 2 {
+	if got := countSweepNodes(p.Root, nil); got != 2 {
 		t.Fatalf("sweep nodes %d, want 2: %s", got, p.Render())
 	}
 	if _, err := ExecutePlan(db, p, opts); err != nil {

@@ -126,6 +126,76 @@ func TestPredicatesMatchIsPatternOf(t *testing.T) {
 	}
 }
 
+// patternFlags are the hard patterns of Table 1 with the PatternsOf flag
+// that reports each.
+var patternFlags = []struct {
+	pat  *BCQ
+	flag func(Patterns) bool
+}{
+	{PatternRxx, func(p Patterns) bool { return p.Rxx }},
+	{PatternRxSx, func(p Patterns) bool { return p.RxSx }},
+	{PatternPath, func(p Patterns) bool { return p.Path }},
+	{PatternRxySxy, func(p Patterns) bool { return p.RxySxy }},
+	{PatternRxy, func(p Patterns) bool { return p.Rxy }},
+}
+
+// TestPatternsOfMatchesIsPatternOf cross-validates the one-pass flags
+// against the generic decision procedure on every hard pattern, over
+// random queries of up to six atoms and five variables.
+func TestPatternsOfMatchesIsPatternOf(t *testing.T) {
+	pool := []string{"x", "y", "z", "w", "v"}
+	for seed := int64(0); seed < 3000; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var q BCQ
+		for i := 0; i < 1+r.Intn(6); i++ {
+			vars := make([]string, 1+r.Intn(3))
+			for j := range vars {
+				vars[j] = pool[r.Intn(len(pool))]
+			}
+			q.Atoms = append(q.Atoms, Atom{Rel: fmt.Sprintf("R%d", i), Vars: vars})
+		}
+		got := PatternsOf(&q)
+		for _, c := range patternFlags {
+			if c.flag(got) != IsPatternOf(c.pat, &q) {
+				t.Fatalf("%v: PatternsOf says %v for %v, IsPatternOf %v", &q, c.flag(got), c.pat, IsPatternOf(c.pat, &q))
+			}
+		}
+	}
+}
+
+// TestPatternsOfLargeQuery: the hard patterns are connected, so a query
+// made of parts that share no variable has a pattern exactly when one of
+// its parts does. Unions of more than 64 variable occurrences take the
+// allocating path of PatternsOf; each part is checked by IsPatternOf.
+func TestPatternsOfLargeQuery(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var union BCQ
+		var want Patterns
+		for part := 0; len(union.Atoms) < 40; part++ {
+			q := randomSJFQuery(r)
+			for _, c := range patternFlags {
+				if c.flag(PatternsOf(q)) != IsPatternOf(c.pat, q) {
+					t.Fatalf("%v: PatternsOf disagrees with IsPatternOf on %v", q, c.pat)
+				}
+			}
+			p := PatternsOf(q)
+			want.Rxx, want.RxSx, want.Path = want.Rxx || p.Rxx, want.RxSx || p.RxSx, want.Path || p.Path
+			want.RxySxy, want.Rxy = want.RxySxy || p.RxySxy, want.Rxy || p.Rxy
+			for _, a := range q.Atoms {
+				vars := make([]string, len(a.Vars))
+				for i, v := range a.Vars {
+					vars[i] = fmt.Sprintf("%s_%d", v, part)
+				}
+				union.Atoms = append(union.Atoms, Atom{Rel: fmt.Sprintf("%s_%d", a.Rel, part), Vars: vars})
+			}
+		}
+		if got := PatternsOf(&union); got != want {
+			t.Fatalf("seed %d: PatternsOf of the union %+v, the parts %+v", seed, got, want)
+		}
+	}
+}
+
 // TestPatternTransitive checks transitivity of the pattern relation on
 // random triples where the intermediate holds.
 func TestPatternTransitive(t *testing.T) {

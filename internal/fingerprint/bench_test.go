@@ -69,7 +69,10 @@ func benchShapes() []struct{ name, text string } {
 	}
 }
 
-var benchSink string
+var (
+	benchSink  string
+	digestSink Digest
+)
 
 // BenchmarkCanonicalDatabase times fingerprint.Database on each workload
 // shape. Run it with -benchmem. The "ref" entry times the benchmark's
@@ -103,4 +106,21 @@ func BenchmarkCanonicalDatabase(b *testing.B) {
 		}
 		benchSink = fmt.Sprint(len(m))
 	})
+}
+
+// BenchmarkDatabaseDigest times DatabaseDigest, what Prepare and Of
+// compute, on the shapes of BenchmarkCanonicalDatabase.
+func BenchmarkDatabaseDigest(b *testing.B) {
+	for _, s := range benchShapes() {
+		db, err := core.ParseDatabaseString(s.text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("shape="+s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				digestSink = DatabaseDigest(db)
+			}
+		})
+	}
 }

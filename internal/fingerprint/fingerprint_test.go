@@ -342,3 +342,87 @@ func TestRenamedRejectsMerging(t *testing.T) {
 		t.Fatal("merging renaming accepted")
 	}
 }
+
+// TestRenamedComponentsKeepForm: the form sorts the components of a
+// database, so a renaming that permutes whole components keeps it. Ties
+// between the pairs of a Codd table used to break by null ID, which gave
+// R(?1, ?3), R(?2, ?4) and R(?1, ?4), R(?2, ?3) two forms.
+func TestRenamedComponentsKeepForm(t *testing.T) {
+	crosswise := func(pairs [][2]core.NullID) *core.Database {
+		db := core.NewDatabase()
+		for _, p := range pairs {
+			db.MustAddFact("R", core.Null(p[0]), core.Null(p[1]))
+			if err := db.SetDomain(p[0], []string{"a", "b"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.SetDomain(p[1], []string{"c", "d"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db
+	}
+	a, b := crosswise([][2]core.NullID{{1, 3}, {2, 4}}), crosswise([][2]core.NullID{{1, 4}, {2, 3}})
+	if Database(a) != Database(b) || Of(a, digestQuery, KindVal) != Of(b, digestQuery, KindVal) {
+		t.Fatalf("crosswise Codd pairs got two forms:\n%s\n--- and\n%s", Database(a), Database(b))
+	}
+
+	// The Codd table of the serve-cold workload: 32 pairs over two domains.
+	codd := core.NewDatabase()
+	for i := 0; i < 32; i++ {
+		x, y := core.NullID(40+2*i), core.NullID(41+2*i)
+		codd.MustAddFact("R", core.Null(x), core.Null(y))
+		if err := codd.SetDomain(x, []string{"x", "y", "z"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := codd.SetDomain(y, []string{"y", "z", "w"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	form := Database(codd)
+	for seed := int64(0); seed < 20; seed++ {
+		iso := scramble(t, rand.New(rand.NewSource(seed)), codd, false)
+		if got := Database(iso); got != form {
+			t.Fatalf("seed %d: a permuted Codd table changed the form\n%s\n--- became\n%s", seed, form, got)
+		}
+		if DatabaseDigest(iso) != DatabaseDigest(codd) {
+			t.Fatalf("seed %d: a permuted Codd table changed the digest", seed)
+		}
+	}
+}
+
+// digestQuery is the query TestRenamedComponentsKeepForm fingerprints
+// with.
+var digestQuery = cq.MustParseBCQ("R(x, y)")
+
+// TestDigestComposes: an Index built over a database computes the
+// digest DatabaseDigest computes from scratch, and equal digests go with
+// equal forms.
+func TestDigestComposes(t *testing.T) {
+	forms, digests := map[Digest]string{}, map[string]Digest{}
+	for seed := int64(0); seed < 300; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		db := randomDB(r)
+		if seed%3 == 0 {
+			db = fuzzDB(randomBytes(r))
+		}
+		want := DatabaseDigest(db)
+		if got := NewIndex(db).Digest(); got != want {
+			t.Fatalf("seed %d: the index's digest differs from DatabaseDigest\n%s", seed, db)
+		}
+		form := Database(db)
+		if prev, ok := forms[want]; ok && prev != form {
+			t.Fatalf("seed %d: one digest for two forms\n%s\n--- and\n%s", seed, prev, form)
+		}
+		if prev, ok := digests[form]; ok && prev != want {
+			t.Fatalf("seed %d: two digests for one form\n%s", seed, form)
+		}
+		forms[want], digests[form] = form, want
+	}
+}
+
+// randomBytes returns up to 24 random bytes for fuzzDB.
+func randomBytes(r *rand.Rand) []byte {
+	b := make([]byte, r.Intn(25))
+	r.Read(b)
+	return b
+}

@@ -7,9 +7,9 @@ import (
 )
 
 // refiner is the colour-refinement kernel shared by Database and Query.
-// Its elements are the nulls of a database or the variables of a
-// conjunction, numbered 0..k-1 in tie-break order (null ID, variable
-// name). Its tuples are the facts that hold a null, or the atoms and
+// Its elements are the nulls of one database component or the variables
+// of a conjunction, numbered 0..k-1 in tie-break order (null ID, variable
+// name). Its tuples are the component's facts, or the atoms and
 // inequalities of the conjunction. Every buffer is flat and reused: a
 // refinement round allocates nothing.
 type refiner struct {
@@ -25,17 +25,36 @@ type refiner struct {
 	occ      []int32 // argument slots, grouped by the element they hold
 	order    []int32 // elements, sorted by signature in each round
 
+	// The loaded database (load): every fact that holds a null is a
+	// tuple, every null an index into the sorted nulls, and the kernel
+	// fields above are filled from these one component at a time.
+	ids        []int32 // per tuple: its fact
+	ground     []int32 // the ground facts
+	gstart     []int32 // per tuple, plus one sentinel: offset of its arguments in gargs
+	gargs      []int32 // per argument: a null's index, or ^rank of a constant
+	glabel     []int32 // per tuple: rank of its relation
+	cslot      []int32 // the slots in gargs that hold a constant
+	doms       [][]string
+	dom        []int32 // per null: the rank of its sorted domain (doms)
+	parent     []int32 // per null: its union-find parent
+	comp       []int32 // per null: its component
+	tcomp      []int32 // per tuple: its component
+	local      []int32 // per null: its element number in its component
+	elemStart  []int32 // per component, plus one sentinel: offset of its nulls in elems
+	elems      []int32 // nulls, grouped by component
+	tupleStart []int32 // per component, plus one sentinel: offset of its tuples in tuples
+	tuples     []int32 // tuples, grouped by component
+
 	// Scratch of the front ends. strs first holds each argument's
 	// constant or variable name, then a database's sorted copies of its
 	// unsorted domains.
-	perm  []int32    // tuples or elements being ranked
-	ids   []int32    // per tuple: its fact (databases)
-	cslot []int32    // the slots in args that hold a constant (databases)
-	doms  [][]string // per element: its sorted domain (databases)
-	dom   []int32    // per element: the rank of its domain (databases)
-	strs  []string
-	buf   []byte // rendered domains and facts, then the form
-	spans []span // per rendered domain, then per fact: its bytes in buf
+	perm    []int32 // tuples or elements being ranked
+	strs    []string
+	buf     []byte   // rendered domains, facts and forms
+	spans   []span   // per distinct domain: its rendering in buf
+	lines   []span   // per rendered fact: its bytes in buf
+	cspans  []span   // per component: its form in buf
+	digests []Digest // per component: its digest
 }
 
 // span is a half-open range of refiner.buf.

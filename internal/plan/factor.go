@@ -2,9 +2,8 @@ package plan
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
-	"github.com/incompletedb/incompletedb/internal/core"
 	"github.com/incompletedb/incompletedb/internal/cq"
 )
 
@@ -32,13 +31,19 @@ import (
 // sub-queries (each answered by a recursive plan), the combining
 // operator, whether the rewrite applies, and — when it does not — the
 // precondition that failed.
-func (b *builder) factorVal(q cq.Query) (parts []cq.Query, op Op, ok bool, reason string) {
+//
+// pat, when non-nil, holds q's Table 1 pattern flags: without R(x) ∧ S(x)
+// no two atoms share a variable, and only nulls can connect them.
+func (b *builder) factorVal(q cq.Query, pat *cq.Patterns) (parts []cq.Query, op Op, ok bool, reason string) {
 	switch t := q.(type) {
 	case *cq.BCQ:
 		if t.Validate() != nil {
 			return nil, "", false, "factorization needs a well-formed query"
 		}
-		groups := b.atomComponents(t)
+		var groups [][]int
+		if len(t.Atoms) > 1 {
+			groups = b.atomComponents(t, pat == nil || pat.RxSx)
+		}
 		if len(groups) < 2 {
 			return nil, "", false, "the query is a single connected component: its atoms share variables or touch overlapping nulls"
 		}
@@ -79,52 +84,29 @@ func (b *builder) factorVal(q cq.Query) (parts []cq.Query, op Op, ok bool, reaso
 	}
 }
 
-// relationNulls returns the set of nulls occurring in the facts of rel,
-// memoized per builder so a relation mentioned by k atoms is scanned
-// once per plan, not k times.
-func (b *builder) relationNulls(rel string) map[core.NullID]bool {
-	if cached, ok := b.relNulls[rel]; ok {
-		return cached
-	}
-	out := make(map[core.NullID]bool)
-	for _, f := range b.db.FactsOf(rel) {
-		for _, a := range f.Args {
-			if a.IsNull() {
-				out[a.NullID()] = true
-			}
-		}
-	}
-	if b.relNulls == nil {
-		b.relNulls = make(map[string]map[core.NullID]bool)
-	}
-	b.relNulls[rel] = out
-	return out
-}
-
 // atomComponents partitions the atoms of a BCQ into connected components,
 // where two atoms are connected when they share a variable or when the
-// facts of their relations share a null. Components are returned as
-// sorted atom-index groups ordered by their smallest member, so the
+// facts of their relations share a null; sharedVars false says that no
+// two atoms share a variable. Components are returned as sorted
+// atom-index groups ordered by their smallest member, so the
 // decomposition is deterministic.
-func (b *builder) atomComponents(q *cq.BCQ) [][]int {
+func (b *builder) atomComponents(q *cq.BCQ, sharedVars bool) [][]int {
 	uf := newUnionFind(len(q.Atoms))
-	varOwner := make(map[string]int)
-	nullOwner := make(map[core.NullID]int)
+	if sharedVars {
+		varOwner := make(map[string]int)
+		for i, a := range q.Atoms {
+			for _, v := range a.Vars {
+				if j, seen := varOwner[v]; seen {
+					uf.union(i, j)
+				} else {
+					varOwner[v] = i
+				}
+			}
+		}
+	}
+	b.resetOwners()
 	for i, a := range q.Atoms {
-		for _, v := range a.Vars {
-			if j, seen := varOwner[v]; seen {
-				uf.union(i, j)
-			} else {
-				varOwner[v] = i
-			}
-		}
-		for nl := range b.relationNulls(a.Rel) {
-			if j, seen := nullOwner[nl]; seen {
-				uf.union(i, j)
-			} else {
-				nullOwner[nl] = i
-			}
-		}
+		b.joinByNulls(uf, i, a.Rel)
 	}
 	return uf.groups()
 }
@@ -134,19 +116,43 @@ func (b *builder) atomComponents(q *cq.BCQ) [][]int {
 // sets matter.
 func (b *builder) disjunctGroups(u *cq.UCQ) [][]int {
 	uf := newUnionFind(len(u.Disjuncts))
-	nullOwner := make(map[core.NullID]int)
+	b.resetOwners()
 	for i, d := range u.Disjuncts {
-		for _, rel := range d.Relations() {
-			for nl := range b.relationNulls(rel) {
-				if j, seen := nullOwner[nl]; seen {
-					uf.union(i, j)
-				} else {
-					nullOwner[nl] = i
-				}
-			}
+		for _, a := range d.Atoms {
+			b.joinByNulls(uf, i, a.Rel)
 		}
 	}
 	return uf.groups()
+}
+
+// resetOwners readies b.owner for one analysis: no null has an owner.
+func (b *builder) resetOwners() {
+	n := len(b.db.Nulls())
+	b.owner = slices.Grow(b.owner[:0], n)[:n]
+	for e := range b.owner {
+		b.owner[e] = -1
+	}
+}
+
+// joinByNulls joins item i with every earlier item whose relations'
+// facts hold a null that the facts of rel hold. Nulls are indexed densely
+// through the sorted db.Nulls(): each null records the first item that
+// reached it, and a later item joins that one.
+func (b *builder) joinByNulls(uf *unionFind, i int, rel string) {
+	nulls := b.db.Nulls()
+	for _, f := range b.db.FactsOf(rel) {
+		for _, a := range f.Args {
+			if !a.IsNull() {
+				continue
+			}
+			e, _ := slices.BinarySearch(nulls, a.NullID())
+			if j := b.owner[e]; j >= 0 {
+				uf.union(i, int(j))
+			} else {
+				b.owner[e] = int32(i)
+			}
+		}
+	}
 }
 
 // unionFind is a small union-find over [0, n) with deterministic group
@@ -171,26 +177,49 @@ func (u *unionFind) find(x int) int {
 	return x
 }
 
+// union joins the sets of a and b; the smaller root becomes the root, so
+// a root is its set's smallest member.
 func (u *unionFind) union(a, b int) {
 	ra, rb := u.find(a), u.find(b)
-	if ra != rb {
+	switch {
+	case ra < rb:
+		u.parent[rb] = ra
+	case rb < ra:
 		u.parent[ra] = rb
 	}
 }
 
 // groups returns the members of each component sorted, with groups
-// ordered by their smallest member.
+// ordered by their smallest member. The groups share one backing array.
 func (u *unionFind) groups() [][]int {
-	byRoot := make(map[int][]int)
+	// A root is its group's smallest member, so numbering the roots in
+	// order numbers the groups by their smallest members, and a member's
+	// root is numbered before the member. group, not parent, holds the
+	// numbers: find still walks parent.
+	group := make([]int, len(u.parent))
+	n := 0
 	for i := range u.parent {
-		r := u.find(i)
-		byRoot[r] = append(byRoot[r], i)
+		if r := u.find(i); r == i {
+			group[i] = n
+			n++
+		} else {
+			group[i] = group[r]
+		}
 	}
-	out := make([][]int, 0, len(byRoot))
-	for _, g := range byRoot {
-		sort.Ints(g)
-		out = append(out, g)
+	sizes := make([]int, n+1)
+	for _, g := range group {
+		sizes[g+1]++
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	for g := 1; g <= n; g++ {
+		sizes[g] += sizes[g-1]
+	}
+	members := make([]int, len(group))
+	out := make([][]int, n)
+	for g := range out {
+		out[g] = members[sizes[g]:sizes[g]:sizes[g+1]]
+	}
+	for i, g := range group {
+		out[g] = append(out[g], i)
+	}
 	return out
 }

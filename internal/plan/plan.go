@@ -370,7 +370,9 @@ func BruteOnly(db *core.Database, q cq.Query, kind classify.CountingKind, opts *
 	}
 	b := &builder{db: db, opts: opts.Normalized()}
 	n := &Node{Kind: kind, Query: q}
-	n.Class = classification(db, q, kind)
+	if _, pat, ok := sjfPatterns(q); ok {
+		n.Class = classification(db, pat, kind)
+	}
 	n.Decisions = append(n.Decisions, Decision{
 		Algorithm: "forced brute force",
 		Op:        OpSweep,
@@ -387,9 +389,9 @@ type builder struct {
 	db   *core.Database
 	opts Options // normalized
 	memo Memo    // nil: plan every part
-	// relNulls memoizes the per-relation null sets of the factorization
-	// analysis.
-	relNulls map[string]map[core.NullID]bool
+	// owner is the factorization analysis's scratch: per null of
+	// db.Nulls(), the first atom or disjunct whose relation holds it.
+	owner []int32
 }
 
 // accept marks the node's chosen operator and appends the accepting
@@ -408,17 +410,21 @@ func (b *builder) reject(n *Node, op Op, algorithm, reference, reason string) {
 	})
 }
 
-// classification computes the Table 1 verdict for the sub-problem when q
-// is a well-formed sjfBCQ, nil otherwise.
-func classification(db *core.Database, q cq.Query, kind classify.CountingKind) *classify.Result {
-	bq, ok := q.(*cq.BCQ)
-	if !ok || bq.Validate() != nil || !bq.SelfJoinFree() {
-		return nil
+// sjfPatterns returns q as a BCQ together with its Table 1 pattern flags
+// when q is a well-formed sjfBCQ; ok is false otherwise. A node computes
+// the flags once, and its classification and route checks share them.
+func sjfPatterns(q cq.Query) (bq *cq.BCQ, pat cq.Patterns, ok bool) {
+	bq, ok = q.(*cq.BCQ)
+	if !ok || !bq.SelfJoinFree() || bq.Validate() != nil {
+		return nil, pat, false
 	}
-	res, err := classify.Classify(classify.Variant{Kind: kind, Codd: db.IsCodd(), Uniform: db.Uniform()}, bq)
-	if err != nil {
-		return nil
-	}
+	return bq, cq.PatternsOf(bq), true
+}
+
+// classification computes the Table 1 verdict of a well-formed sjfBCQ
+// over db from its pattern flags.
+func classification(db *core.Database, pat cq.Patterns, kind classify.CountingKind) *classify.Result {
+	res := classify.ClassifyPatterns(classify.Variant{Kind: kind, Codd: db.IsCodd(), Uniform: db.Uniform()}, pat)
 	return &res
 }
 
@@ -436,10 +442,12 @@ func (b *builder) buildVal(q cq.Query) *Node {
 	}
 
 	n := &Node{Kind: classify.Valuations, Query: q}
-	n.Class = classification(b.db, q, classify.Valuations)
-
-	if bq, ok := q.(*cq.BCQ); ok && bq.SelfJoinFree() && bq.Validate() == nil {
-		if cq.AllVariablesOccurOnce(bq) {
+	_, pat, sjf := sjfPatterns(q)
+	var known *cq.Patterns
+	if sjf {
+		known = &pat
+		n.Class = classification(b.db, pat, classify.Valuations)
+		if !pat.Rxx && !pat.RxSx {
 			b.accept(n, OpSingleOccurrence, "Theorem 3.6 (single-occurrence)", "Theorem 3.6",
 				"every variable occurs exactly once: per-atom counts multiply")
 			n.Cost.Note = "closed form, polynomial in |D|"
@@ -449,7 +457,7 @@ func (b *builder) buildVal(q cq.Query) *Node {
 			"Theorem 3.6 needs every variable to occur exactly once")
 
 		switch {
-		case b.db.IsCodd() && !cq.HasSharedVarAtoms(bq):
+		case b.db.IsCodd() && !pat.RxSx:
 			b.accept(n, OpCodd, "Theorem 3.7 (Codd tables)", "Theorem 3.7",
 				"Codd table and no two atoms share a variable: independent per-atom inclusion–exclusion")
 			n.Cost.Note = "closed form, polynomial in |D|"
@@ -463,7 +471,7 @@ func (b *builder) buildVal(q cq.Query) *Node {
 		}
 
 		switch {
-		case b.db.Uniform() && !cq.HasRepeatedVarAtom(bq) && !cq.HasPathPattern(bq) && !cq.HasDoublySharedPair(bq):
+		case b.db.Uniform() && !pat.Rxx && !pat.Path && !pat.RxySxy:
 			b.accept(n, OpUniformVal, "Theorem 3.9 (uniform tables)", "Theorem 3.9",
 				"uniform database and no hard pattern: the projection dynamic program applies")
 			n.Cost.Note = "closed form, polynomial in |D|"
@@ -483,7 +491,7 @@ func (b *builder) buildVal(q cq.Query) *Node {
 	// Independent-subquery factorization: split the query into parts that
 	// share no variables and touch disjoint nulls, so the swept spaces of
 	// the parts add instead of multiplying.
-	if parts, op, ok, reason := b.factorVal(q); ok {
+	if parts, op, ok, reason := b.factorVal(q, known); ok {
 		algorithm := "independent-subquery factorization"
 		reference := "independence rewrite (cf. Kenig–Suciu UCQ factorization)"
 		b.accept(n, op, algorithm, reference, reason)
@@ -540,14 +548,17 @@ func (b *builder) component(q cq.Query) *Node {
 // buildComp plans #Comp(q).
 func (b *builder) buildComp(q cq.Query) *Node {
 	n := &Node{Kind: classify.Completions, Query: q}
-	n.Class = classification(b.db, q, classify.Completions)
+	bq, pat, sjf := sjfPatterns(q)
+	if sjf {
+		n.Class = classification(b.db, pat, classify.Completions)
+	}
 
 	if _, ok := q.(*cq.Negation); ok {
 		b.reject(n, OpComplement, "complement identity", "Section 4",
 			"the complement identity needs valuations: distinct completions do not partition between q and ¬q")
 	}
 
-	if bq, ok := q.(*cq.BCQ); ok && bq.SelfJoinFree() && bq.Validate() == nil {
+	if sjf {
 		if b.db.Uniform() && cq.AllAtomsUnary(bq) && allRelationsUnary(b.db) {
 			b.accept(n, OpUniformComp, "Theorem 4.6 (uniform unary schemas)", "Theorem 4.6",
 				"uniform database over a unary schema: the block/profile dynamic program applies")
@@ -680,11 +691,15 @@ func BuildEstimate(db *core.Database, q cq.Query) (*Plan, error) {
 		return nil, err
 	}
 	m := len(set.Cylinders)
+	var class *classify.Result
+	if _, pat, ok := sjfPatterns(q); ok {
+		class = classification(db, pat, classify.Valuations)
+	}
 	n := &Node{
 		Op:    OpKarpLuby,
 		Kind:  classify.Valuations,
 		Query: q,
-		Class: classification(db, q, classify.Valuations),
+		Class: class,
 		Decisions: []Decision{{
 			Algorithm: "Karp–Luby FPRAS", Op: OpKarpLuby, Reference: "Corollary 5.3", Accepted: true,
 			Reason: fmt.Sprintf("%d cylinders: sample valuations proportionally to cylinder weights", m),

@@ -3,11 +3,13 @@ package plan_test
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/incompletedb/incompletedb/internal/classify"
 	"github.com/incompletedb/incompletedb/internal/core"
+	"github.com/incompletedb/incompletedb/internal/count"
 	"github.com/incompletedb/incompletedb/internal/cq"
 	"github.com/incompletedb/incompletedb/internal/plan"
 )
@@ -205,6 +207,70 @@ func TestFactorComponents(t *testing.T) {
 	if p.Root.Op == plan.OpFactorUnion {
 		t.Fatalf("null-coupled union factored: %s", p.Render())
 	}
+
+	// Two components of two atoms each: R and S share x and ⊥1, T and U
+	// share y. Theorem 3.9 rejects R(x, x), so the query factors, and
+	// the parts must be {R, S} and {T, U}: T(a, a) and U(b) agree on no
+	// y, so the count is 0.
+	pairs := core.NewUniformDatabase([]string{"a", "b"})
+	pairs.MustAddFact("R", core.Null(1), core.Null(1))
+	pairs.MustAddFact("S", core.Null(1))
+	pairs.MustAddFact("T", core.Const("a"), core.Const("a"))
+	pairs.MustAddFact("U", core.Const("b"))
+	checkFactorParts(t, pairs, cq.MustParseBCQ("R(x, x) ∧ S(x) ∧ T(y, y) ∧ U(y)"), plan.OpFactor, []string{"R S", "T U"})
+
+	// Four disjuncts coupled pairwise by nulls: P and Q read ⊥1 and ⊥2,
+	// R and S read ⊥3 and ⊥4, so the groups are {P, Q} and {R, S}.
+	quad := core.NewUniformDatabase([]string{"a", "b"})
+	quad.MustAddFact("P", core.Null(1), core.Null(2))
+	quad.MustAddFact("Q", core.Null(1), core.Null(2))
+	quad.MustAddFact("R", core.Null(3), core.Null(4))
+	quad.MustAddFact("S", core.Null(3), core.Null(4))
+	checkFactorParts(t, quad, cq.MustParse("P(x, x) | Q(x, x) | R(x, x) | S(x, x)").(cq.Query), plan.OpFactorUnion, []string{"P Q", "R S"})
+}
+
+// checkFactorParts builds the #Val plan of q over db and checks that
+// its root is op with one part per entry of want (the relations of the
+// part's atoms, in order), and that executing it counts what brute force
+// counts.
+func checkFactorParts(t *testing.T, db *core.Database, q cq.Query, op plan.Op, want []string) {
+	t.Helper()
+	p := mustBuild(t, db, q, classify.Valuations, nil)
+	if p.Root.Op != op {
+		t.Fatalf("%v: root %q, want %q: %s", q, p.Root.Op, op, p.Render())
+	}
+	var got []string
+	for _, c := range p.Root.Children {
+		var rels []string
+		for _, d := range disjunctsOf(c.Query) {
+			for _, a := range d.Atoms {
+				rels = append(rels, a.Rel)
+			}
+		}
+		got = append(got, strings.Join(rels, " "))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%v: parts %q, want %q: %s", q, got, want, p.Render())
+	}
+	n, err := count.ExecutePlan(db, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	brute, err := count.BruteForceValuations(db, q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.Cmp(brute) != 0 {
+		t.Fatalf("%v: the plan counts %v, brute force %v: %s", q, n, brute, p.Render())
+	}
+}
+
+// disjunctsOf returns the conjunctions of a BCQ or a UCQ.
+func disjunctsOf(q cq.Query) []*cq.BCQ {
+	if u, ok := q.(*cq.UCQ); ok {
+		return u.Disjuncts
+	}
+	return []*cq.BCQ{q.(*cq.BCQ)}
 }
 
 // TestCompletionsNeverFactor: #Comp plans must reject the factorization

@@ -1015,11 +1015,28 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if req.Op == "" {
 				req.Op = OpCount
 			}
-			responses[i] = s.Execute(req)
+			responses[i] = s.executeItem(req)
 		}(i, req)
 	}
 	wg.Wait()
 	writeJSON(w, http.StatusOK, BatchResponse{Responses: responses})
+}
+
+// executeBatchItem runs one batch item; tests replace it to make an item
+// panic.
+var executeBatchItem = (*Server).Execute
+
+// executeItem runs one batch item behind a panic boundary. net/http
+// recovers only the handler's own goroutine, so a panic in an item
+// goroutine would end the process: instead it answers that item with an
+// error naming the panic, and the other items complete.
+func (s *Server) executeItem(req Request) (resp *Response) {
+	defer func() {
+		if v := recover(); v != nil {
+			resp = &Response{Op: req.Op, Query: req.Query, Kind: req.Kind, Error: fmt.Sprintf("batch: item panicked: %v", v)}
+		}
+	}()
+	return executeBatchItem(s, req)
 }
 
 // errBatchTooLarge refuses a batch of more than maxBatchItems items.

@@ -366,6 +366,43 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
+// TestBatchItemPanicIsContained: a batch item that panics answers with an
+// error naming the panic, and the other items of the batch complete; the
+// process, and with it the test binary, stays up.
+func TestBatchItemPanicIsContained(t *testing.T) {
+	execute := executeBatchItem
+	t.Cleanup(func() { executeBatchItem = execute })
+	executeBatchItem = func(s *Server, req Request) *Response {
+		if req.Query == "R(x, x)" {
+			panic("item exploded")
+		}
+		return execute(s, req)
+	}
+	_, base := startServer(t, Config{Workers: 2})
+	uniform := "uniform a b c\nS(a, b)\nS(?1, a)\nS(a, ?2)\n"
+	batch := BatchRequest{Requests: []Request{
+		{Op: OpCount, Database: uniform, Query: "S(x, x)", Kind: KindVal},
+		{Op: OpClassify, Query: "R(x, x)"},
+		{Op: OpPossible, Database: uniform, Query: "S(x, x)"},
+	}}
+	var out BatchResponse
+	if code := doJSON(t, http.MethodPost, base+"/v1/batch", batch, &out); code != http.StatusOK {
+		t.Fatalf("batch returned HTTP %d", code)
+	}
+	if len(out.Responses) != 3 {
+		t.Fatalf("%d responses for 3 requests", len(out.Responses))
+	}
+	if got := out.Responses[1].Error; !strings.Contains(got, "panicked") || !strings.Contains(got, "item exploded") {
+		t.Errorf("panicking item answered %+v, want an error naming the panic", out.Responses[1])
+	}
+	if out.Responses[0].Count != "5" {
+		t.Errorf("count item: %+v", out.Responses[0])
+	}
+	if out.Responses[2].Holds == nil || !*out.Responses[2].Holds {
+		t.Errorf("possible item: %+v", out.Responses[2])
+	}
+}
+
 // TestBatchBoundsItemGoroutines: a batch holds at most NumCPU item
 // goroutines at once, however many items it carries: the most a batch
 // may carry, maxBatchItems empty items, must not start a goroutine each

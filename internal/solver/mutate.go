@@ -18,18 +18,27 @@ import (
 // session up to the database's version, and the factor memo that lets a
 // recount after a write confined to one component replan and recount
 // only that component. A cached plan serves only the version it was
-// built at, so every sync that advances the version empties the plan
-// cache. The next plan of a factorized query takes each component the
-// write left untouched — its description and its count — from the factor
-// memo, which is keyed by the content each entry was computed from, so a
-// sync leaves it alone: an entry whose content changed is never found
-// again and ages out of the bounded LRU.
+// built at, so every write empties the plan cache. The next plan of a
+// factorized query takes each component the write left untouched — its
+// description and its count — from the factor memo, which is keyed by
+// the content each entry was computed from, so a write leaves it alone:
+// an entry whose content changed is never found again and ages out of
+// the bounded LRU.
+//
+// A session write also recomputes only what it touched of the database
+// digest (a fingerprint.Index, built on the first write): AddFact a
+// ground line or the component the new fact merges; RemoveFact a ground
+// line or the pieces the removed fact's component splits into;
+// ExtendDomain the component of the null whose domain grew;
+// ExtendUniformDomain only the header. The valuation total is recomputed
+// only when a domain or the set of nulls changed.
 //
 // The locking discipline: every read entry point holds p.mu.RLock for its
 // whole execution, and rlock() first brings the session up to date with
 // the database's version under the write lock. Mutations through the
 // session methods sync eagerly; mutating the database directly is also
-// supported — the next call on the session notices the new version.
+// supported — the next call on the session notices the new version and
+// recomputes the digest and the total from scratch.
 
 // AddFact adds rel(args...) to the prepared database and updates the
 // session: every cached plan is dropped and rebuilt on next use, while
@@ -47,10 +56,14 @@ func (p *PreparedDB) AddFact(rel string, args ...core.Value) error {
 			}
 		}
 	}
+	x := p.indexLocked()
 	if err := p.db.AddFact(rel, args...); err != nil {
 		return err
 	}
-	p.syncLocked()
+	p.wroteLocked(func() bool {
+		facts := p.db.FactsOf(rel)
+		return x.AddFact(facts[len(facts)-1])
+	})
 	return nil
 }
 
@@ -59,8 +72,9 @@ func (p *PreparedDB) AddFact(rel string, args ...core.Value) error {
 func (p *PreparedDB) RemoveFact(rel string, args ...core.Value) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	x := p.indexLocked()
 	removed := p.db.RemoveFact(rel, args...)
-	p.syncLocked()
+	p.wroteLocked(func() bool { return x.RemoveFact(core.Fact{Rel: rel, Args: args}) })
 	return removed
 }
 
@@ -70,10 +84,11 @@ func (p *PreparedDB) RemoveFact(rel string, args ...core.Value) bool {
 func (p *PreparedDB) ExtendDomain(n core.NullID, values ...string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	x := p.indexLocked()
 	if err := p.db.ExtendDomain(n, values...); err != nil {
 		return err
 	}
-	p.syncLocked()
+	p.wroteLocked(func() bool { return x.Touch(n) })
 	return nil
 }
 
@@ -83,10 +98,11 @@ func (p *PreparedDB) ExtendDomain(n core.NullID, values ...string) error {
 func (p *PreparedDB) ExtendUniformDomain(values ...string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.indexLocked()
 	if err := p.db.ExtendUniformDomain(values...); err != nil {
 		return err
 	}
-	p.syncLocked()
+	p.wroteLocked(func() bool { return true })
 	return nil
 }
 
@@ -101,7 +117,7 @@ func (p *PreparedDB) Epoch() uint64 {
 
 // rlock acquires the session read lock with the session synced to the
 // database's current version: callers between rlock and RUnlock see a
-// consistent (canonDB, digest, total, plans, memo) snapshot no mutation can
+// consistent (digest, total, plans, memo) snapshot no mutation can
 // change underneath them.
 func (p *PreparedDB) rlock() {
 	for {
@@ -116,11 +132,13 @@ func (p *PreparedDB) rlock() {
 	}
 }
 
-// syncLocked brings the session up to the database's version: it counts
-// the mutations, empties the plan cache and recomputes the session
-// geometry. The factor memo needs nothing: its keys name the content
-// each entry was computed from (factorKey), so a changed component
-// simply misses. Callers hold the write lock.
+// syncLocked brings the session up to the database's version after
+// writes it was not told about (direct writes to the database): it counts
+// the mutations, empties the plan cache, recomputes the digest and the
+// valuation total from scratch and drops the component index, which the
+// next session write rebuilds. The factor memo needs nothing: its keys
+// name the content each entry was computed from (factorKey), so a
+// changed component simply misses. Callers hold the write lock.
 func (p *PreparedDB) syncLocked() {
 	ver := p.db.Version()
 	if ver == p.appliedVersion {
@@ -128,15 +146,53 @@ func (p *PreparedDB) syncLocked() {
 	}
 	p.s.mutations.Add(int64(ver - p.appliedVersion))
 	p.s.plansInvalidated.Add(int64(p.plans.purge()))
-	p.refreshGeometryLocked()
+	p.canon = nil
+	p.digest = fingerprint.DatabaseDigest(p.db)
+	p.refreshTotalLocked()
+	p.appliedVersion = ver
 }
 
-// refreshGeometryLocked re-derives the session's canonical form, its
-// digest and the valuation-space size from the (already mutated)
-// database and marks its version applied.
-func (p *PreparedDB) refreshGeometryLocked() {
-	p.canonDB = fingerprint.Database(p.db)
-	p.digest = fingerprint.DigestOf(p.canonDB)
+// indexLocked syncs the session and returns its component index,
+// building it on the session's first write. Callers hold the write lock
+// and are about to write.
+func (p *PreparedDB) indexLocked() *fingerprint.Index {
+	p.syncLocked()
+	if p.canon == nil {
+		p.canon = fingerprint.NewIndex(p.db)
+	}
+	return p.canon
+}
+
+// wroteLocked finishes a session write that indexLocked prepared. When
+// the write moved the version by one, update accounts for it in the
+// component index and reports whether it changed a domain or the set of
+// nulls; the session then counts the mutation, empties the plan cache and
+// combines the digest, recomputing the total only if update said so. A
+// write that changed nothing leaves the session as it is, and any other
+// version gap falls back to syncLocked.
+func (p *PreparedDB) wroteLocked(update func() bool) {
+	ver := p.db.Version()
+	switch ver {
+	case p.appliedVersion:
+		return
+	case p.appliedVersion + 1:
+	default:
+		p.syncLocked()
+		return
+	}
+	changed := update()
+	p.s.mutations.Add(1)
+	p.s.plansInvalidated.Add(int64(p.plans.purge()))
+	p.digest = p.canon.Digest()
+	if changed {
+		p.refreshTotalLocked()
+	}
+	p.appliedVersion = ver
+}
+
+// refreshTotalLocked re-derives the valuation-space size from the
+// (already mutated) database.
+func (p *PreparedDB) refreshTotalLocked() {
 	if total, err := p.db.NumValuations(); err == nil {
 		p.total = total
 	} else {
@@ -147,7 +203,6 @@ func (p *PreparedDB) refreshGeometryLocked() {
 		// while it is zero.
 		p.total = big.NewInt(0)
 	}
-	p.appliedVersion = p.db.Version()
 }
 
 // factorMemo caches, per session, the parts of factorized #Val plans:
@@ -184,14 +239,18 @@ func newFactorMemo() *factorMemo { return newLRU[factorEntry](factorMemoSize) }
 // of one call and to count.FactorMemo for its execution. Its keys carry
 // the call's planning-options suffix (see Solver.planKey). The scratch
 // buffers make a key cost one allocation-light pass; a build looks its
-// parts up one after another.
+// parts up one after another. answers holds the count LookupFactor gave
+// for each key the execution asked about, nil for a miss: the one record
+// of the parts the execution took from the memo, which the call's stats
+// count as reused (statsFromPlan).
 type factorRecorder struct {
 	p      *PreparedDB
 	suffix string
 
-	buf   []byte
-	rels  []string
-	nulls []core.NullID
+	buf     []byte
+	rels    []string
+	nulls   []core.NullID
+	answers map[string]*big.Int
 }
 
 // factorKey returns the factor memo key of part q: the SHA-256 of a
@@ -315,10 +374,10 @@ func appendDomain(b []byte, dom []string) []byte {
 }
 
 // Component implements plan.Memo: it keys part q and scales a memoized
-// fraction back to a count at the current total. The division is exact
-// for a valid entry; a remainder would mean the key missed a dependency,
-// so the lookup then misses and the part is planned and computed. With
-// no valuations there is no fraction to keep, and the key is empty.
+// fraction back to a count at the current total (lookup); a fraction
+// that does not scale exactly is a miss, and the part is planned and
+// computed. With no valuations there is no fraction to keep, and the key
+// is empty.
 func (r *factorRecorder) Component(q cq.Query) (string, *plan.Node, *big.Int) {
 	total := r.p.total
 	if total.Sign() == 0 {
@@ -328,16 +387,54 @@ func (r *factorRecorder) Component(q cq.Query) (string, *plan.Node, *big.Int) {
 	if !ok {
 		return "", nil, nil
 	}
+	e, count := r.lookup(key)
+	if count == nil {
+		return key, nil, nil
+	}
+	return key, e.desc, count
+}
+
+// lookup returns the entry under key and its count at the current total,
+// or a nil count when there is no entry, or the fraction does not scale
+// to the total exactly: a remainder would mean the key missed a
+// dependency.
+func (r *factorRecorder) lookup(key string) (factorEntry, *big.Int) {
 	e, ok := r.p.factors.get(key)
 	if !ok {
-		return key, nil, nil
+		return e, nil
 	}
-	num := new(big.Int).Mul(e.ratio.Num(), total)
+	num := new(big.Int).Mul(e.ratio.Num(), r.p.total)
 	quo, rem := num.QuoRem(num, e.ratio.Denom(), new(big.Int))
 	if rem.Sign() != 0 {
-		return key, nil, nil
+		return e, nil
 	}
-	return key, e.desc, quo
+	return e, quo
+}
+
+// LookupFactor implements count.FactorMemo: the executor asks it about
+// each keyed part of the plan it runs, so a plan built before the memo
+// held a part, such as a cached plan run again after its result was
+// evicted or with the result cache off, still reuses the part's count.
+// The first answer for a key is kept and repeated, so the answers of one
+// execution agree even while other calls store parts. The plan was built
+// at the session's current version, under the same read lock, so its
+// total is not zero.
+func (r *factorRecorder) LookupFactor(key string) (*big.Int, bool) {
+	count, asked := r.answers[key]
+	if !asked {
+		_, count = r.lookup(key)
+		if r.answers == nil {
+			r.answers = make(map[string]*big.Int)
+		}
+		r.answers[key] = count
+	}
+	return count, count != nil
+}
+
+// served reports whether the execution took the count of the part keyed
+// key from the memo. r may be nil: a call without a memo.
+func (r *factorRecorder) served(key string) bool {
+	return r != nil && key != "" && r.answers[key] != nil
 }
 
 // StoreFactor implements count.FactorMemo: it memoizes a freshly

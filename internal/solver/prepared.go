@@ -34,10 +34,10 @@ func planCacheKey(canonQ string, kind classify.CountingKind) string {
 }
 
 // PreparedDB is a counting session over one incomplete database: the
-// database's canonical form and its digest (the expensive half of every
-// fingerprint, computed once per database version), its valuation-space
-// geometry, and a per-(canonical query, kind) plan cache — each
-// compiled plan embeds its sweep engine, so the interner and
+// digest of the database's canonical form (the expensive half of every
+// fingerprint, kept up to date one component at a time across writes),
+// its valuation-space geometry, and a per-(canonical query, kind) plan
+// cache — each compiled plan embeds its sweep engine, so the interner and
 // fact-arena compilation of internal/sweep also happen once per distinct
 // query instead of once per call. The plan cache is a bounded LRU
 // (engines are heavy); a session with endless distinct ad-hoc queries
@@ -46,14 +46,20 @@ func planCacheKey(canonQ string, kind classify.CountingKind) string {
 // A PreparedDB is a *live* session: the database may be mutated after
 // Prepare — through the session's AddFact/RemoveFact/ExtendDomain
 // methods, or directly on the database between calls — and the session
-// resynchronizes when the database's version moves. A cached plan
-// serves only the database version it was built at, so a write empties
-// the plan cache. The next plan of a factorized query replans and
-// recounts only the independent components whose facts or domains
-// changed: each other component's description and count come from the
-// session's factor memo, which is keyed by that content and bounded (see
-// mutate.go). A component whose variables are renamed in the query is
-// other content and misses.
+// resynchronizes when the database's version moves. A session write
+// recomputes only what it touched of the digest: the line of a ground
+// fact, the component an added fact merges, the pieces a removed fact's
+// component splits into, or the component of a null whose domain grew,
+// and the valuation total only when a domain or the set of nulls changed.
+// A direct write to the database makes the next call recompute the
+// digest and the total from scratch. A cached plan serves only the
+// database version it was built at, so a write empties the plan cache.
+// The next plan of a factorized query replans and recounts only the
+// independent components whose facts or domains changed: each other
+// component's description and count come from the session's factor
+// memo, which is keyed by that content and bounded (see mutate.go). A
+// component whose variables are renamed in the query is other content
+// and misses.
 //
 // A PreparedDB is safe for concurrent use, including concurrent
 // mutations through its own methods; mutating the database directly must
@@ -69,18 +75,18 @@ type PreparedDB struct {
 	// read lock for its whole execution (after syncing to the database's
 	// version), every mutation and sync holds the write lock.
 	mu             sync.RWMutex
-	canonDB        string
 	digest         fingerprint.Digest
+	canon          *fingerprint.Index // nil until the first session write (see mutate.go)
 	total          *big.Int
 	appliedVersion uint64
 	factors        *factorMemo
 }
 
 // Prepare builds a counting session for db: it validates the database,
-// computes its canonical form (shared by every fingerprint of the
-// session) and its valuation-space size once, and returns a PreparedDB
-// whose plan cache amortizes plan construction and sweep-engine
-// compilation across calls. The database may keep changing afterwards —
+// computes its digest (shared by every fingerprint of the session) and
+// its valuation-space size once, and returns a PreparedDB whose plan
+// cache amortizes plan construction and sweep-engine compilation across
+// calls. The database may keep changing afterwards —
 // see the mutation methods (AddFact, RemoveFact, ExtendDomain) and the
 // incremental-recount notes on PreparedDB.
 func (s *Solver) Prepare(db *core.Database) (*PreparedDB, error) {
@@ -91,12 +97,10 @@ func (s *Solver) Prepare(db *core.Database) (*PreparedDB, error) {
 	if err != nil {
 		return nil, err
 	}
-	canon := fingerprint.Database(db)
 	return &PreparedDB{
 		s:              s,
 		db:             db,
-		canonDB:        canon,
-		digest:         fingerprint.DigestOf(canon),
+		digest:         fingerprint.DatabaseDigest(db),
 		total:          total,
 		plans:          newPlanCache(),
 		appliedVersion: db.Version(),
@@ -111,11 +115,12 @@ func (p *PreparedDB) Database() *core.Database { return p.db }
 func (p *PreparedDB) Solver() *Solver { return p.s }
 
 // CanonicalForm returns the canonical (null-renaming-invariant) form of
-// the prepared database at its current version.
+// the prepared database at its current version, rendered on demand: the
+// session keeps only the digest of the form.
 func (p *PreparedDB) CanonicalForm() string {
 	p.rlock()
 	defer p.mu.RUnlock()
-	return p.canonDB
+	return fingerprint.Database(p.db)
 }
 
 // TotalValuations returns the number of valuations of the database (the
@@ -217,13 +222,14 @@ func (p *PreparedDB) CountWith(ctx context.Context, q cq.Query, kind classify.Co
 		if err != nil {
 			return nil, err
 		}
-		return p.executeCount(pl, eff, fp, start)
+		return p.executeCount(pl, eff, rec, fp, start)
 	}
 	return p.cachedCall(fp+suffix, eff, start, compute)
 }
 
-// executeCount runs a compiled plan and wraps the count in a Result.
-func (p *PreparedDB) executeCount(pl *plan.Plan, eff *count.Options, fp string, start time.Time) (*Result, error) {
+// executeCount runs a compiled plan and wraps the count in a Result; rec
+// is the call's factor memo recorder, nil when it has none.
+func (p *PreparedDB) executeCount(pl *plan.Plan, eff *count.Options, rec *factorRecorder, fp string, start time.Time) (*Result, error) {
 	ph := eff.Phases
 	if ph == nil {
 		ph = &count.PhaseTimes{}
@@ -233,7 +239,7 @@ func (p *PreparedDB) executeCount(pl *plan.Plan, eff *count.Options, fp string, 
 	if err != nil {
 		return nil, err
 	}
-	st := statsFromPlan(pl)
+	st := statsFromPlan(pl, rec)
 	p.s.factorsReused.Add(int64(st.FactorsReused))
 	st.Epoch = p.appliedVersion
 	st.Workers = effectiveWorkers(eff.Workers)
@@ -322,7 +328,7 @@ func (p *PreparedDB) BruteCount(ctx context.Context, q cq.Query, kind classify.C
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.executeCount(pl, eff, fp, start)
+	res, err := p.executeCount(pl, eff, nil, fp, start)
 	if err != nil {
 		return nil, err
 	}

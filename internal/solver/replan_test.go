@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -486,6 +487,60 @@ func FuzzExplainMatchesRebuild(f *testing.F) {
 						seed, i, qi, res.Count, res.Method, res.Stats.FactorsReused, fresh.Count)
 				}
 			}
+		}
+	})
+}
+
+// TestRecountWithoutResultReusesFactors: a count that runs a cached plan
+// again — the result cache is off, or its result was evicted — takes
+// every part the first run stored from the factor memo, although the
+// plan was built before the memo held them.
+func TestRecountWithoutResultReusesFactors(t *testing.T) {
+	ctx := context.Background()
+	q := componentsQuery(3)
+	count := func(t *testing.T, p *PreparedDB, q cq.Query) *Result {
+		t.Helper()
+		res, err := p.Count(ctx, q, classify.Valuations)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.CacheHit {
+			t.Fatal("served from the result cache")
+		}
+		return res
+	}
+	t.Run("cacheless", func(t *testing.T) {
+		p, err := NewSolver(WithCacheSize(-1)).Prepare(componentsDB([]int{4, 4, 4}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reused []int
+		var first *Result
+		for i := 0; i < 3; i++ {
+			res := count(t, p, q)
+			reused = append(reused, res.Stats.FactorsReused)
+			if first == nil {
+				first = res
+			} else if res.Count.Cmp(first.Count) != 0 {
+				t.Fatalf("count %d: %v, the first count %v", i, res.Count, first.Count)
+			}
+			if i > 0 && res.Stats.SweptValuations != nil {
+				t.Fatalf("count %d swept %v valuations of reused parts", i, res.Stats.SweptValuations)
+			}
+		}
+		if !slices.Equal(reused, []int{0, 3, 3}) {
+			t.Fatalf("factors reused by three counts: %v, want [0 3 3]", reused)
+		}
+	})
+	t.Run("evicted", func(t *testing.T) {
+		p, err := NewSolver(WithCacheSize(1)).Prepare(componentsDB([]int{4, 4, 4}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		count(t, p, q)
+		count(t, p, cq.MustParse("C0(x, y)")) // evicts the first result
+		if res := count(t, p, q); res.Stats.FactorsReused != 3 {
+			t.Fatalf("the count after an eviction reused %d factors, want 3", res.Stats.FactorsReused)
 		}
 	})
 }

@@ -76,10 +76,11 @@ type Stats struct {
 
 	// FactorsReused is how many independent components of the executed
 	// factorized plan took their count from the session's factor memo
-	// instead of being planned and counted again — the
-	// incremental-recount dividend: after a write touching one component,
-	// the other components' counts are reused. It is a property of the
-	// plan, so a count that runs a plan Explain built reports the same.
+	// instead of being counted again — the incremental-recount dividend:
+	// after a write touching one component, the other components' counts
+	// are reused. A component counts whether the plan took it from the
+	// memo when it was built or the execution found it there, so a count
+	// that runs a cached plan again reuses what the first run stored.
 	FactorsReused int
 
 	// Epoch is the database version (core.Database.Version) the session
@@ -148,13 +149,14 @@ func (r *Result) stripped() *Result {
 // statsFromPlan derives the plan-side execution stats from an executed
 // plan: the compiled engines of internal/sweep carry the geometry of the
 // spaces the execution swept, and a part whose count the plan took from
-// the factor memo (plan.Node.Reused) is a reused factor that swept
-// nothing, whatever its plan says.
-func statsFromPlan(p *plan.Plan) Stats {
+// the factor memo (plan.Node.Reused), or the execution took from it
+// through rec (nil for a call without a memo), is a reused factor that
+// swept nothing, whatever its plan says.
+func statsFromPlan(p *plan.Plan, rec *factorRecorder) Stats {
 	var st Stats
 	var walk func(n *plan.Node)
 	walk = func(n *plan.Node) {
-		if n.Reused != nil {
+		if n.Reused != nil || rec.served(n.MemoKey) {
 			st.FactorsReused++
 			return
 		}

@@ -130,7 +130,9 @@ var incrementalRecountSizes = []int{4, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9}
 // fingerprint, so neither path is ever served by the result cache.
 // "replan" is the plan half of a live write on its own: one write per
 // iteration, in live-mutate's order (add the next ground C0 fact, then
-// remove the previous one, so every state is new), then Explain.
+// remove the previous one, so every state is new), then Explain. "write"
+// is the same writes with no read: what the session recomputes of its
+// canonical digest, and the plan cache it empties.
 func BenchmarkIncrementalRecount(b *testing.B) {
 	comps := len(incrementalRecountSizes)
 	q := factoredComponentsQuery(comps)
@@ -202,6 +204,31 @@ func BenchmarkIncrementalRecount(b *testing.B) {
 			}
 			if reused < comps-1 {
 				b.Fatalf("replanned untouched components: %d parts reused, want %d", reused, comps-1)
+			}
+		}
+	})
+
+	b.Run("write", func(b *testing.B) {
+		pdb, err := NewSolver().Prepare(factoredComponentsDB(incrementalRecountSizes))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := pdb.Count(ctx, q, Valuations); err != nil {
+			b.Fatal(err)
+		}
+		ground := func(j int) Value { return Const(fmt.Sprintf("g%d", j)) }
+		if err := pdb.AddFact("C0", ground(0), ground(0)); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 1; i <= b.N; i++ {
+			if i%2 == 1 {
+				if err := pdb.AddFact("C0", ground((i+1)/2), ground((i+1)/2)); err != nil {
+					b.Fatal(err)
+				}
+			} else if !pdb.RemoveFact("C0", ground(i/2-1), ground(i/2-1)) {
+				b.Fatal("the previous ground fact was not present")
 			}
 		}
 	})
