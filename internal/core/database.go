@@ -23,8 +23,8 @@ import (
 // The zero value is not usable; use NewDatabase or NewUniformDatabase.
 type Database struct {
 	facts    []Fact
-	keys     map[string]int    // fact key -> index into facts
-	byRel    map[string][]Fact // per-relation view of facts, insertion order
+	keys     map[string]struct{} // fact keys, for set semantics
+	byRel    map[string][]Fact   // per-relation view of facts, insertion order
 	arity    map[string]int
 	nullRefs map[NullID]int // occurrences per null (argument positions)
 	// shared counts the nulls with more than one occurrence: the table is
@@ -45,7 +45,7 @@ type Database struct {
 // is evaluated.
 func NewDatabase() *Database {
 	return &Database{
-		keys:     make(map[string]int),
+		keys:     make(map[string]struct{}),
 		byRel:    make(map[string][]Fact),
 		arity:    make(map[string]int),
 		nullRefs: make(map[NullID]int),
@@ -57,7 +57,7 @@ func NewDatabase() *Database {
 // nulls all range over dom. Duplicates in dom are removed; order is kept.
 func NewUniformDatabase(dom []string) *Database {
 	d := &Database{
-		keys:     make(map[string]int),
+		keys:     make(map[string]struct{}),
 		byRel:    make(map[string][]Fact),
 		arity:    make(map[string]int),
 		nullRefs: make(map[NullID]int),
@@ -108,7 +108,7 @@ func (d *Database) AddFact(rel string, args ...Value) error {
 		return nil
 	}
 	d.arity[rel] = len(args)
-	d.keys[k] = len(d.facts)
+	d.keys[k] = struct{}{}
 	d.facts = append(d.facts, f)
 	d.byRel[rel] = append(d.byRel[rel], f)
 	for _, v := range f.Args {

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // The mutations of a Database after construction: removing a fact and
 // extending a domain (AddFact and SetDomain live in database.go). Every
@@ -22,30 +25,20 @@ func (d *Database) Version() uint64 { return d.version }
 // whether it was present. Facts() order of the remaining facts, the
 // per-relation index and the relation's arity registration are all
 // preserved (an empty relation keeps its arity, so re-adding with a
-// different arity still fails).
+// different arity still fails). The fact is found by comparing
+// arguments, first among the relation's facts, so a remove renders one
+// key and moves no other fact's bookkeeping.
 func (d *Database) RemoveFact(rel string, args ...Value) bool {
-	f := Fact{Rel: rel, Args: args}
-	k := f.Key()
-	i, ok := d.keys[k]
-	if !ok {
+	rf := d.byRel[rel]
+	j := slices.IndexFunc(rf, func(f Fact) bool { return slices.Equal(f.Args, args) })
+	if j < 0 {
 		return false
 	}
-	removed := d.facts[i]
+	d.byRel[rel] = append(rf[:j], rf[j+1:]...)
+	i := slices.IndexFunc(d.facts, func(f Fact) bool { return f.Rel == rel && slices.Equal(f.Args, args) })
 	d.facts = append(d.facts[:i], d.facts[i+1:]...)
-	delete(d.keys, k)
-	for k2, idx := range d.keys {
-		if idx > i {
-			d.keys[k2] = idx - 1
-		}
-	}
-	rf := d.byRel[rel]
-	for j := range rf {
-		if rf[j].Key() == k {
-			d.byRel[rel] = append(rf[:j], rf[j+1:]...)
-			break
-		}
-	}
-	for _, a := range removed.Args {
+	delete(d.keys, Fact{Rel: rel, Args: args}.Key())
+	for _, a := range args {
 		if a.IsNull() {
 			n := a.NullID()
 			if d.nullRefs[n] == 2 {

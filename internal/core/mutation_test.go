@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"reflect"
@@ -60,6 +61,85 @@ func TestRemoveFactKeepsOrderAndIndexes(t *testing.T) {
 	if err := d.AddFact("S", Const("a"), Const("b")); err == nil {
 		t.Fatalf("arity registration was lost after emptying the relation")
 	}
+}
+
+// TestRemoveFactFromManyFacts removes a shuffled third of two
+// interleaved relations of many facts, among them a constant spelled
+// like a null, and checks Facts() and FactsOf() against the kept facts
+// in insertion order, set semantics on re-adds, and the null counts.
+func TestRemoveFactFromManyFacts(t *testing.T) {
+	const n = 600
+	r := rand.New(rand.NewSource(7))
+	d := NewUniformDatabase([]string{"a", "b"})
+	var all []Fact
+	for i := 0; i < n; i++ {
+		f := Fact{Rel: "R", Args: []Value{Const(fmt.Sprintf("c%d", i)), Null(NullID(1 + i%40))}}
+		switch {
+		case i%2 == 1:
+			f = Fact{Rel: "S", Args: []Value{Null(NullID(1 + i%40)), Const(fmt.Sprintf("c%d", i))}}
+		case i == 10:
+			f.Args[1] = Const("?1")
+		}
+		d.MustAddFact(f.Rel, f.Args...)
+		all = append(all, f)
+	}
+	removed := make(map[int]bool)
+	for _, i := range r.Perm(n)[:n/3] {
+		if !d.RemoveFact(all[i].Rel, all[i].Args...) {
+			t.Fatalf("RemoveFact(%v) of a present fact returned false", all[i])
+		}
+		removed[i] = true
+		if d.RemoveFact(all[i].Rel, all[i].Args...) {
+			t.Fatalf("RemoveFact(%v) twice returned true", all[i])
+		}
+	}
+	check := func(stage string, want []Fact) {
+		t.Helper()
+		if got := d.Facts(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Facts() holds %d facts, want the %d kept ones in insertion order", stage, len(got), len(want))
+		}
+		for _, rel := range []string{"R", "S"} {
+			var wantRel []Fact
+			for _, f := range want {
+				if f.Rel == rel {
+					wantRel = append(wantRel, f)
+				}
+			}
+			if got := d.FactsOf(rel); !reflect.DeepEqual(got, wantRel) {
+				t.Fatalf("%s: FactsOf(%s) holds %d facts, want %d in insertion order", stage, rel, len(got), len(wantRel))
+			}
+		}
+		refs := make(map[NullID]bool)
+		for _, f := range want {
+			for _, a := range f.Args {
+				if a.IsNull() {
+					refs[a.NullID()] = true
+				}
+			}
+		}
+		if got := len(d.Nulls()); got != len(refs) {
+			t.Fatalf("%s: %d nulls, want %d", stage, got, len(refs))
+		}
+		if got, want := d.IsCodd(), scanIsCodd(d); got != want {
+			t.Fatalf("%s: IsCodd() = %v, scan says %v", stage, got, want)
+		}
+	}
+	var kept []Fact
+	for i, f := range all {
+		if !removed[i] {
+			kept = append(kept, f)
+		}
+	}
+	check("after the removals", kept)
+
+	// A kept fact is a duplicate; a removed one is new and goes last.
+	for i, f := range all {
+		d.MustAddFact(f.Rel, f.Args...)
+		if removed[i] {
+			kept = append(kept, f)
+		}
+	}
+	check("after re-adding every fact", kept)
 }
 
 func TestRemoveFactNullBookkeeping(t *testing.T) {

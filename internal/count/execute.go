@@ -19,8 +19,11 @@ import (
 // and the prebuilt payloads (cylinder sets, sweep engines) come from the
 // plan. db must be the database the plan was compiled from: the payloads
 // embed its facts, so executing against another database would silently
-// mix the two.
-func ExecutePlan(db *core.Database, p *plan.Plan, opts *Options) (*big.Int, error) {
+// mix the two. total is db's valuation total when the caller keeps it (a
+// session does), and nil otherwise: complement and factorization nodes
+// then compute it from db, once per execution, and fail on an invalid
+// database as db.NumValuations does.
+func ExecutePlan(db *core.Database, p *plan.Plan, opts *Options, total *big.Int) (*big.Int, error) {
 	if pdb := p.Database(); pdb != nil && pdb != db {
 		return nil, fmt.Errorf("count: the plan was compiled from a different database; rebuild it with Explain")
 	}
@@ -36,7 +39,29 @@ func ExecutePlan(db *core.Database, p *plan.Plan, opts *Options) (*big.Int, erro
 			opts = &o
 		}
 	}
-	return execNode(db, p.Root, opts)
+	e := &executor{db: db, opts: opts, total: total}
+	return e.node(p.Root)
+}
+
+// executor runs the nodes of one plan over db. total is db's valuation
+// total, nil until a node first needs it; it is shared and never
+// mutated.
+type executor struct {
+	db    *core.Database
+	opts  *Options
+	total *big.Int
+}
+
+// valuations returns db's valuation total.
+func (e *executor) valuations() (*big.Int, error) {
+	if e.total == nil {
+		total, err := e.db.NumValuations()
+		if err != nil {
+			return nil, err
+		}
+		e.total = total
+	}
+	return e.total, nil
 }
 
 // memoCount returns the count memo serves for part n of a factorization:
@@ -91,24 +116,26 @@ func (m *multiSweepProgress) report(done, total int) {
 	}
 }
 
-func execNode(db *core.Database, n *plan.Node, opts *Options) (*big.Int, error) {
+// node computes the count of plan node n.
+func (e *executor) node(n *plan.Node) (*big.Int, error) {
+	db, opts := e.db, e.opts
 	switch n.Op {
 	case plan.OpComplement:
-		inner, err := execNode(db, n.Children[0], opts)
+		inner, err := e.node(n.Children[0])
 		if err != nil {
 			return nil, err
 		}
-		total, err := db.NumValuations()
+		total, err := e.valuations()
 		if err != nil {
 			return nil, err
 		}
-		return total.Sub(total, inner), nil
+		return new(big.Int).Sub(total, inner), nil
 
 	case plan.OpFactor:
-		return execFactor(db, n, opts, false)
+		return e.factor(n, false)
 
 	case plan.OpFactorUnion:
-		return execFactor(db, n, opts, true)
+		return e.factor(n, true)
 
 	case plan.OpSingleOccurrence:
 		return ValuationsSingleOccurrence(db, n.Query.(*cq.BCQ))
@@ -156,16 +183,19 @@ func missingPayload(n *plan.Node) error {
 	return fmt.Errorf("count: plan node %q has no execution payload (%s); rebuild the plan", n.Op, n.Cost.Note)
 }
 
-// execFactor combines the counts of independent sub-plans. Writing
+// factor combines the counts of independent sub-plans. Writing
 // total = ∏ |dom(⊥)| over every null of db, independence over disjoint
 // null sets gives exactly
 //
 //	product (q_1 ∧ … ∧ q_k):  #Val(q) = ∏ #Val(q_i)  /  total^(k−1)
 //	union   (Q_1 ∨ … ∨ Q_k):  #Val(q) = total − ∏ (total − #Val(Q_g)) / total^(k−1)
 //
-// Both divisions are exact; a failed exactness check would mean the
-// planner factored a dependent query and is reported as an internal
-// error rather than silently rounded.
+// The products are folded in one part at a time, dividing by total at
+// each step: after part i the running value counts the valuations that
+// satisfy the first i parts (or none of the first i groups), so every
+// division is exact and the numbers stay the size of total. A failed
+// exactness check would mean the planner factored a dependent query and
+// is reported as an internal error rather than silently rounded.
 //
 // A part the planner took from a factor memo carries its count
 // (plan.Node.Reused), and a part whose memo key opts.FactorMemo holds
@@ -174,8 +204,8 @@ func missingPayload(n *plan.Node) error {
 // other part runs, and when its node carries a memo key and opts a
 // FactorMemo, its raw count is stored under that key; the union transform
 // is applied on top.
-func execFactor(db *core.Database, n *plan.Node, opts *Options, union bool) (*big.Int, error) {
-	total, err := db.NumValuations()
+func (e *executor) factor(n *plan.Node, union bool) (*big.Int, error) {
+	total, err := e.valuations()
 	if err != nil {
 		return nil, err
 	}
@@ -184,18 +214,19 @@ func execFactor(db *core.Database, n *plan.Node, opts *Options, union bool) (*bi
 		return big.NewInt(0), nil
 	}
 	var memo FactorMemo
-	if opts != nil {
-		memo = opts.FactorMemo
+	if e.opts != nil {
+		memo = e.opts.FactorMemo
 	}
-	product := big.NewInt(1)
-	for _, c := range n.Children {
+	acc := new(big.Int)
+	var part, prod, rem big.Int
+	for i, c := range n.Children {
 		v := c.Reused
 		if v == nil {
 			v = memoCount(memo, c)
 		}
 		if v == nil {
 			var err error
-			if v, err = execNode(db, c, opts); err != nil {
+			if v, err = e.node(c); err != nil {
 				return nil, err
 			}
 			if c.MemoKey != "" && memo != nil {
@@ -203,18 +234,20 @@ func execFactor(db *core.Database, n *plan.Node, opts *Options, union bool) (*bi
 			}
 		}
 		if union {
-			v = new(big.Int).Sub(total, v)
+			v = part.Sub(total, v)
 		}
-		product.Mul(product, v)
-	}
-	den := new(big.Int).Exp(total, big.NewInt(int64(len(n.Children)-1)), nil)
-	quo, rem := new(big.Int).QuoRem(product, den, new(big.Int))
-	if rem.Sign() != 0 {
-		return nil, fmt.Errorf("count: internal error: factorized counts of %v do not divide total^%d — the components were not independent",
-			n.Query, len(n.Children)-1)
+		if i == 0 {
+			acc.Set(v)
+			continue
+		}
+		prod.Mul(acc, v)
+		if acc.QuoRem(&prod, total, &rem); rem.Sign() != 0 {
+			return nil, fmt.Errorf("count: internal error: factorized counts of %v do not divide total^%d — the components were not independent",
+				n.Query, i)
+		}
 	}
 	if union {
-		return new(big.Int).Sub(total, quo), nil
+		return acc.Sub(total, acc), nil
 	}
-	return quo, nil
+	return acc, nil
 }

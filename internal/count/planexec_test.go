@@ -211,7 +211,7 @@ func TestFactorizationUnionExact(t *testing.T) {
 		if p.Root.Op != plan.OpFactorUnion {
 			t.Fatalf("seed %d: union did not factor: %s", seed, p.Render())
 		}
-		got, err := ExecutePlan(db, p, nil)
+		got, err := ExecutePlan(db, p, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,10 +235,10 @@ func TestExecutePlanRejectsForeignDatabase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExecutePlan(db2, p, nil); err == nil {
+	if _, err := ExecutePlan(db2, p, nil, nil); err == nil {
 		t.Fatal("foreign database accepted")
 	}
-	if n, err := ExecutePlan(db1, p, nil); err != nil || n.Cmp(big.NewInt(2)) != 0 {
+	if n, err := ExecutePlan(db1, p, nil, nil); err != nil || n.Cmp(big.NewInt(2)) != 0 {
 		t.Fatalf("own database: %v, err %v", n, err)
 	}
 }
@@ -262,7 +262,7 @@ func TestStrippedPlanDoesNotExecute(t *testing.T) {
 		if p.Root.Op != c.op {
 			t.Fatalf("%s: op %q, want %q", c.q, p.Root.Op, c.op)
 		}
-		_, err = ExecutePlan(db, p.StripPayloads(), nil)
+		_, err = ExecutePlan(db, p.StripPayloads(), nil, nil)
 		if err == nil || !strings.Contains(err.Error(), p.Root.Cost.Note) {
 			t.Errorf("%s: stripped plan executed (err %v), want an error carrying %q", c.q, err, p.Root.Cost.Note)
 		}
@@ -294,7 +294,7 @@ func TestMultiSweepProgressMonotone(t *testing.T) {
 	if got := countSweepNodes(p.Root, nil); got != 2 {
 		t.Fatalf("sweep nodes %d, want 2: %s", got, p.Render())
 	}
-	if _, err := ExecutePlan(db, p, opts); err != nil {
+	if _, err := ExecutePlan(db, p, opts, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(ticks) == 0 {

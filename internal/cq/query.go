@@ -7,6 +7,7 @@ package cq
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -116,13 +117,18 @@ func (q *BCQ) Relations() []string {
 }
 
 // SelfJoinFree reports whether no two atoms use the same relation symbol.
+// It sorts the relation names, in a stack buffer up to 16 atoms.
 func (q *BCQ) SelfJoinFree() bool {
-	seen := make(map[string]bool)
+	var buf [16]string
+	rels := buf[:0]
 	for _, a := range q.Atoms {
-		if seen[a.Rel] {
+		rels = append(rels, a.Rel)
+	}
+	slices.Sort(rels)
+	for i := 1; i < len(rels); i++ {
+		if rels[i] == rels[i-1] {
 			return false
 		}
-		seen[a.Rel] = true
 	}
 	return true
 }
@@ -133,6 +139,15 @@ func (q *BCQ) SelfJoinFree() bool {
 func (q *BCQ) Validate() error {
 	if len(q.Atoms) == 0 {
 		return fmt.Errorf("cq: query has no atoms")
+	}
+	if q.SelfJoinFree() {
+		// Each relation is used once, so only an arity can be wrong.
+		for _, a := range q.Atoms {
+			if len(a.Vars) == 0 {
+				return fmt.Errorf("cq: atom over %s has arity zero", a.Rel)
+			}
+		}
+		return nil
 	}
 	arity := make(map[string]int)
 	for _, a := range q.Atoms {

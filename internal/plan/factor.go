@@ -32,12 +32,13 @@ import (
 // operator, whether the rewrite applies, and — when it does not — the
 // precondition that failed.
 //
-// pat, when non-nil, holds q's Table 1 pattern flags: without R(x) ∧ S(x)
-// no two atoms share a variable, and only nulls can connect them.
+// pat, when non-nil, holds the Table 1 pattern flags of q, a valid
+// sjfBCQ (sjfPatterns): without R(x) ∧ S(x) no two atoms share a
+// variable, and only nulls can connect them.
 func (b *builder) factorVal(q cq.Query, pat *cq.Patterns) (parts []cq.Query, op Op, ok bool, reason string) {
 	switch t := q.(type) {
 	case *cq.BCQ:
-		if t.Validate() != nil {
+		if pat == nil && t.Validate() != nil {
 			return nil, "", false, "factorization needs a well-formed query"
 		}
 		var groups [][]int
@@ -137,7 +138,10 @@ func (b *builder) resetOwners() {
 // joinByNulls joins item i with every earlier item whose relations'
 // facts hold a null that the facts of rel hold. Nulls are indexed densely
 // through the sorted db.Nulls(): each null records the first item that
-// reached it, and a later item joins that one.
+// reached it, and a later item joins that one. A null's index is its
+// distance from the least null when no ID between them is missing, as
+// in a table whose nulls are numbered consecutively, and found by
+// binary search otherwise.
 func (b *builder) joinByNulls(uf *unionFind, i int, rel string) {
 	nulls := b.db.Nulls()
 	for _, f := range b.db.FactsOf(rel) {
@@ -145,7 +149,10 @@ func (b *builder) joinByNulls(uf *unionFind, i int, rel string) {
 			if !a.IsNull() {
 				continue
 			}
-			e, _ := slices.BinarySearch(nulls, a.NullID())
+			e := int(a.NullID() - nulls[0])
+			if e >= len(nulls) || nulls[e] != a.NullID() {
+				e, _ = slices.BinarySearch(nulls, a.NullID())
+			}
 			if j := b.owner[e]; j >= 0 {
 				uf.union(i, int(j))
 			} else {

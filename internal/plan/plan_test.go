@@ -252,7 +252,7 @@ func checkFactorParts(t *testing.T, db *core.Database, q cq.Query, op plan.Op, w
 	if !slices.Equal(got, want) {
 		t.Fatalf("%v: parts %q, want %q: %s", q, got, want, p.Render())
 	}
-	n, err := count.ExecutePlan(db, p, nil)
+	n, err := count.ExecutePlan(db, p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

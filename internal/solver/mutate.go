@@ -61,6 +61,7 @@ func (p *PreparedDB) AddFact(rel string, args ...core.Value) error {
 		return err
 	}
 	p.wroteLocked(func() bool {
+		delete(p.relDigests, rel)
 		facts := p.db.FactsOf(rel)
 		return x.AddFact(facts[len(facts)-1])
 	})
@@ -74,7 +75,10 @@ func (p *PreparedDB) RemoveFact(rel string, args ...core.Value) bool {
 	defer p.mu.Unlock()
 	x := p.indexLocked()
 	removed := p.db.RemoveFact(rel, args...)
-	p.wroteLocked(func() bool { return x.RemoveFact(core.Fact{Rel: rel, Args: args}) })
+	p.wroteLocked(func() bool {
+		delete(p.relDigests, rel)
+		return x.RemoveFact(core.Fact{Rel: rel, Args: args})
+	})
 	return removed
 }
 
@@ -88,13 +92,22 @@ func (p *PreparedDB) ExtendDomain(n core.NullID, values ...string) error {
 	if err := p.db.ExtendDomain(n, values...); err != nil {
 		return err
 	}
-	p.wroteLocked(func() bool { return x.Touch(n) })
+	p.wroteLocked(func() bool {
+		null := core.Null(n)
+		for _, f := range p.db.Facts() {
+			if slices.Contains(f.Args, null) {
+				delete(p.relDigests, f.Rel)
+			}
+		}
+		return x.Touch(n)
+	})
 	return nil
 }
 
 // ExtendUniformDomain appends values to the shared domain of a uniform
 // prepared database and updates the session; the extension reaches every
-// null, so no factor memo entry matches afterwards.
+// null, so no factor memo entry matches afterwards. The relation digests
+// stay: a uniform database's hold no domain.
 func (p *PreparedDB) ExtendUniformDomain(values ...string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -136,9 +149,10 @@ func (p *PreparedDB) rlock() {
 // writes it was not told about (direct writes to the database): it counts
 // the mutations, empties the plan cache, recomputes the digest and the
 // valuation total from scratch and drops the component index, which the
-// next session write rebuilds. The factor memo needs nothing: its keys
-// name the content each entry was computed from (factorKey), so a
-// changed component simply misses. Callers hold the write lock.
+// next session write rebuilds, and every relation digest. The factor
+// memo needs nothing: its keys name the content each entry was computed
+// from (factorKey), so a changed component simply misses. Callers hold
+// the write lock.
 func (p *PreparedDB) syncLocked() {
 	ver := p.db.Version()
 	if ver == p.appliedVersion {
@@ -147,6 +161,7 @@ func (p *PreparedDB) syncLocked() {
 	p.s.mutations.Add(int64(ver - p.appliedVersion))
 	p.s.plansInvalidated.Add(int64(p.plans.purge()))
 	p.canon = nil
+	clear(p.relDigests)
 	p.digest = fingerprint.DatabaseDigest(p.db)
 	p.refreshTotalLocked()
 	p.appliedVersion = ver
@@ -199,32 +214,35 @@ func (p *PreparedDB) refreshTotalLocked() {
 		// The database was mutated into an invalid state (e.g. a null
 		// without a domain added directly, bypassing the session methods).
 		// Counting calls will surface the validation error; the memo
-		// cannot scale ratios against an undefined total and is skipped
-		// while it is zero.
+		// cannot scale counts against an undefined total and is skipped
+		// while it is zero, and the executor computes the total itself.
 		p.total = big.NewInt(0)
 	}
 }
 
 // factorMemo caches, per session, the parts of factorized #Val plans:
-// for each part, its count as a fraction count/total of the
-// valuation-space total and, unless the part sweeps, its payload-free
-// description (plan.Node.Description). A part's plan and fraction depend
-// only on the part as written, the facts of its relations, the domains
-// of their nulls, whether the table is Codd and the planning options, so
-// an entry keyed by exactly that content (factorKey) is valid whenever
-// its key is found: a write elsewhere, or one that is later undone,
-// leaves it usable, and a write that changes the content makes a new
-// key. The planner looks each part up (plan.Memo) and the executor
-// stores the parts it computed (count.FactorMemo); the count at the
-// current total is ratio × total, exactly.
+// for each part, its count at the valuation total it was computed at
+// and, unless the part sweeps, its payload-free description
+// (plan.Node.Description). A part's plan and relative count
+// count/total depend only on the part as written, the facts of its
+// relations, the domains of their nulls, whether the table is Codd and
+// the planning options, so an entry keyed by exactly that content
+// (factorKey) is valid whenever its key is found: a write elsewhere, or
+// one that is later undone, leaves it usable, and a write that changes
+// the content makes a new key. The planner looks each part up
+// (plan.Memo) and the executor stores the parts it computed
+// (count.FactorMemo). An entry stored at the current total serves its
+// count as it is (a ground write leaves the total alone); any other is
+// scaled to count × total / its total, exactly.
 type factorMemo = lru[factorEntry]
 
 // factorEntry is one factor memo entry. It holds no engine, cylinder set
 // or database: desc is stripped of payloads, and nil for a part that
-// sweeps, which is planned afresh.
+// sweeps, which is planned afresh. count and total are shared and never
+// mutated; total is the session's total the entry was stored at.
 type factorEntry struct {
-	desc  *plan.Node
-	ratio *big.Rat
+	desc         *plan.Node
+	count, total *big.Int
 }
 
 // factorMemoSize bounds a session's factor memo; the least recently used
@@ -237,19 +255,13 @@ func newFactorMemo() *factorMemo { return newLRU[factorEntry](factorMemoSize) }
 
 // factorRecorder adapts the session memo to plan.Memo for the plan build
 // of one call and to count.FactorMemo for its execution. Its keys carry
-// the call's planning-options suffix (see Solver.planKey). The scratch
-// buffers make a key cost one allocation-light pass; a build looks its
-// parts up one after another. answers holds the count LookupFactor gave
-// for each key the execution asked about, nil for a miss: the one record
-// of the parts the execution took from the memo, which the call's stats
-// count as reused (statsFromPlan).
+// the call's planning-options suffix (see Solver.planKey). answers holds
+// the count LookupFactor gave for each key the execution asked about,
+// nil for a miss: the one record of the parts the execution took from
+// the memo, which the call's stats count as reused (statsFromPlan).
 type factorRecorder struct {
-	p      *PreparedDB
-	suffix string
-
-	buf     []byte
-	rels    []string
-	nulls   []core.NullID
+	p       *PreparedDB
+	suffix  string
 	answers map[string]*big.Int
 }
 
@@ -262,15 +274,20 @@ type factorRecorder struct {
 //   - the call's planning suffix;
 //   - whether the table is a Codd table: the flag routes a part
 //     (Theorem 3.7) and enters its Table 1 class;
-//   - the facts of each relation q mentions, in sorted relation order and
-//     FactsOf order (a reordered table is only a miss);
-//   - the shared domain of a uniform database, or else the domain of
-//     every null those facts hold.
+//   - the name and the digest (relationDigestLocked) of each relation q
+//     mentions, in sorted order: its facts in FactsOf order (a
+//     reordered table is only a miss), their arity and, in a
+//     non-uniform database, the domain of every null they hold;
+//   - the shared domain of a uniform database.
 //
-// ok is false for a query outside BCQs, UCQs and BCQs with
-// inequalities: it is never memoized.
+// A key costs a pass over q and a digest lookup per relation, however
+// many facts the relations hold. ok is false for a query appendQuery
+// cannot encode: it is never memoized.
 func (r *factorRecorder) factorKey(q cq.Query) (key string, ok bool) {
-	b, rels, ok := appendQuery(r.buf[:0], r.rels[:0], q)
+	// The encoding is built on the stack; a longer one grows onto the heap.
+	var buf [256]byte
+	var relBuf [8]string
+	b, rels, ok := appendQuery(buf[:0], relBuf[:0], q)
 	if !ok {
 		return "", false
 	}
@@ -283,40 +300,70 @@ func (r *factorRecorder) factorKey(q cq.Query) (key string, ok bool) {
 	} else {
 		b = append(b, 0)
 	}
-	nulls := r.nulls[:0]
+	r.p.relMu.Lock()
 	for _, rel := range rels {
-		facts := db.FactsOf(rel)
-		b = appendField(b, rel)
+		d := r.p.relationDigestLocked(rel)
+		b = append(appendField(b, rel), d[:]...)
+	}
+	r.p.relMu.Unlock()
+	if db.Uniform() {
+		b = appendDomain(append(b, 'u'), db.UniformDomain())
+	} else {
+		b = append(b, 'n')
+	}
+	sum := sha256.Sum256(b)
+	return string(sum[:]), true
+}
+
+// relationDigestLocked returns the session's digest of relation rel:
+// the SHA-256 of appendRelation, computed at the session's version on
+// first use and kept until a write changes the relation (see
+// PreparedDB.relDigests). Callers hold p.relMu under the session's read
+// lock.
+func (p *PreparedDB) relationDigestLocked(rel string) [sha256.Size]byte {
+	d, ok := p.relDigests[rel]
+	if !ok {
+		var buf [256]byte
+		var nulls [32]core.NullID
+		d = sha256.Sum256(appendRelation(buf[:0], nulls[:0], p.db, rel))
+		if p.relDigests == nil {
+			p.relDigests = make(map[string][sha256.Size]byte)
+		}
+		p.relDigests[rel] = d
+	}
+	return d
+}
+
+// appendRelation appends the content of relation rel of db that its
+// parts' plans and counts read: the number of facts, their arity, the
+// facts in FactsOf order and, when db is not uniform, the domain of
+// every null they hold, in null order. The arity of a relation without
+// facts is not content: a relation emptied by RemoveFact keeps its
+// arity registered, one never written has none, and no #Val plan or
+// count tells them apart. nulls is scratch.
+func appendRelation(b []byte, nulls []core.NullID, db *core.Database, rel string) []byte {
+	facts := db.FactsOf(rel)
+	b = binary.AppendUvarint(b, uint64(len(facts)))
+	if len(facts) > 0 {
 		b = binary.AppendUvarint(b, uint64(db.Arity(rel)))
-		b = binary.AppendUvarint(b, uint64(len(facts)))
-		for _, f := range facts {
-			for _, a := range f.Args {
-				if a.IsNull() {
-					b = append(b, 1)
-					b = binary.AppendUvarint(b, uint64(a.NullID()))
-					nulls = append(nulls, a.NullID())
-				} else {
-					b = append(b, 0)
-					b = appendField(b, a.Constant())
-				}
+	}
+	for _, f := range facts {
+		for _, a := range f.Args {
+			if a.IsNull() {
+				b = binary.AppendUvarint(append(b, 1), uint64(a.NullID()))
+				nulls = append(nulls, a.NullID())
+			} else {
+				b = appendField(append(b, 0), a.Constant())
 			}
 		}
 	}
-	if db.Uniform() {
-		b = append(b, 'u')
-		b = appendDomain(b, db.UniformDomain())
-	} else {
-		b = append(b, 'n')
+	if !db.Uniform() {
 		slices.Sort(nulls)
-		nulls = slices.Compact(nulls)
-		for _, n := range nulls {
-			b = binary.AppendUvarint(b, uint64(n))
-			b = appendDomain(b, db.Domain(n))
+		for _, n := range slices.Compact(nulls) {
+			b = appendDomain(binary.AppendUvarint(b, uint64(n)), db.Domain(n))
 		}
 	}
-	sum := sha256.Sum256(b)
-	r.buf, r.rels, r.nulls = b, rels, nulls
-	return string(sum[:]), true
+	return b
 }
 
 // appendQuery appends an injective encoding of q as written — a tag,
@@ -373,11 +420,10 @@ func appendDomain(b []byte, dom []string) []byte {
 	return b
 }
 
-// Component implements plan.Memo: it keys part q and scales a memoized
-// fraction back to a count at the current total (lookup); a fraction
-// that does not scale exactly is a miss, and the part is planned and
-// computed. With no valuations there is no fraction to keep, and the key
-// is empty.
+// Component implements plan.Memo: it keys part q and takes a memoized
+// count at the current total (lookup); a count that does not scale
+// exactly is a miss, and the part is planned and computed. With no
+// valuations there is no total to scale a count by, and the key is empty.
 func (r *factorRecorder) Component(q cq.Query) (string, *plan.Node, *big.Int) {
 	total := r.p.total
 	if total.Sign() == 0 {
@@ -395,16 +441,19 @@ func (r *factorRecorder) Component(q cq.Query) (string, *plan.Node, *big.Int) {
 }
 
 // lookup returns the entry under key and its count at the current total,
-// or a nil count when there is no entry, or the fraction does not scale
-// to the total exactly: a remainder would mean the key missed a
-// dependency.
+// or a nil count when there is no entry, or the count does not scale to
+// the total exactly: a remainder would mean the key missed a dependency.
 func (r *factorRecorder) lookup(key string) (factorEntry, *big.Int) {
 	e, ok := r.p.factors.get(key)
 	if !ok {
 		return e, nil
 	}
-	num := new(big.Int).Mul(e.ratio.Num(), r.p.total)
-	quo, rem := num.QuoRem(num, e.ratio.Denom(), new(big.Int))
+	total := r.p.total
+	if e.total.Cmp(total) == 0 {
+		return e, e.count
+	}
+	num := new(big.Int).Mul(e.count, total)
+	quo, rem := num.QuoRem(num, e.total, new(big.Int))
 	if rem.Sign() != 0 {
 		return e, nil
 	}
@@ -438,10 +487,10 @@ func (r *factorRecorder) served(key string) bool {
 }
 
 // StoreFactor implements count.FactorMemo: it memoizes a freshly
-// computed part's description and count, as a fraction of the current
-// total, under the key the plan-time lookup computed. The plan was built
-// at the session's current version, under the same read lock, so that
-// total is the one the key was computed at, and it is not zero.
+// computed part's description and count, with the current total, under
+// the key the plan-time lookup computed. The plan was built at the
+// session's current version, under the same read lock, so that total is
+// the one the key was computed at, and it is not zero.
 func (r *factorRecorder) StoreFactor(key string, n *plan.Node, count *big.Int) {
-	r.p.factors.add(key, factorEntry{desc: n.Description(), ratio: new(big.Rat).SetFrac(count, r.p.total)})
+	r.p.factors.add(key, factorEntry{desc: n.Description(), count: count, total: r.p.total})
 }

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"iter"
 	"math/big"
@@ -59,7 +60,12 @@ func planCacheKey(canonQ string, kind classify.CountingKind) string {
 // component's description and count come from the session's factor
 // memo, which is keyed by that content and bounded (see mutate.go). A
 // component whose variables are renamed in the query is other content
-// and misses.
+// and misses. A memo key names each relation the component mentions by a
+// digest the session keeps per relation, so it costs the same however
+// many facts the relations hold: AddFact and RemoveFact drop the digest
+// of the relation they wrote, ExtendDomain those of the relations
+// holding the null, and a direct write all of them; the next key that
+// needs one recomputes it.
 //
 // A PreparedDB is safe for concurrent use, including concurrent
 // mutations through its own methods; mutating the database directly must
@@ -80,6 +86,13 @@ type PreparedDB struct {
 	total          *big.Int
 	appliedVersion uint64
 	factors        *factorMemo
+
+	// relDigests holds the digest of each relation a factor memo key
+	// named since the last write to it (relationDigestLocked). Calls
+	// under the read lock fill it under relMu; writes, which hold mu,
+	// drop entries.
+	relMu      sync.Mutex
+	relDigests map[string][sha256.Size]byte
 }
 
 // Prepare builds a counting session for db: it validates the database,
@@ -137,7 +150,7 @@ func (p *PreparedDB) TotalValuations() *big.Int {
 func (p *PreparedDB) Fingerprint(q cq.Query, kind fingerprint.Kind) string {
 	p.rlock()
 	defer p.mu.RUnlock()
-	return fingerprint.OfDigest(p.digest, fingerprint.Query(q), kind)
+	return fingerprint.OfDigest(p.digest, p.s.canonicalQuery(q), kind)
 }
 
 // kindFingerprint maps a counting kind onto its fingerprint kind.
@@ -165,7 +178,7 @@ func (p *PreparedDB) ExplainWith(q cq.Query, kind classify.CountingKind, opts *c
 	p.rlock()
 	defer p.mu.RUnlock()
 	po, suffix := p.s.planKey(p.s.countOptions(context.Background(), opts))
-	return p.planFor(fingerprint.Query(q), q, kind, po, &factorRecorder{p: p, suffix: suffix})
+	return p.planFor(p.s.canonicalQuery(q), q, kind, po, &factorRecorder{p: p, suffix: suffix})
 }
 
 // planFor returns the cached plan for (canonical query, kind) under the
@@ -215,7 +228,7 @@ func (p *PreparedDB) CountWith(ctx context.Context, q cq.Query, kind classify.Co
 	po, suffix := p.s.planKey(eff)
 	rec := &factorRecorder{p: p, suffix: suffix}
 	eff.FactorMemo = rec
-	canonQ := fingerprint.Query(q)
+	canonQ := p.s.canonicalQuery(q)
 	fp := fingerprint.OfDigest(p.digest, canonQ, kindFingerprint(kind))
 	compute := func() (*Result, error) {
 		pl, err := p.planFor(canonQ, q, kind, po, rec)
@@ -235,7 +248,13 @@ func (p *PreparedDB) executeCount(pl *plan.Plan, eff *count.Options, rec *factor
 		ph = &count.PhaseTimes{}
 		eff.Phases = ph
 	}
-	n, err := count.ExecutePlan(p.db, pl, eff)
+	total := p.total
+	if total.Sign() == 0 {
+		// An invalid database, or one without valuations: the executor
+		// computes the total, and fails on the former.
+		total = nil
+	}
+	n, err := count.ExecutePlan(p.db, pl, eff, total)
 	if err != nil {
 		return nil, err
 	}
@@ -304,7 +323,7 @@ func (p *PreparedDB) annotateHit(res *Result, eff *count.Options, start time.Tim
 func (p *PreparedDB) Cached(q cq.Query, kind fingerprint.Kind) (*Result, bool) {
 	p.rlock()
 	defer p.mu.RUnlock()
-	res, ok := p.s.peek(p.digest, fingerprint.Query(q), kind)
+	res, ok := p.s.peek(p.digest, p.s.canonicalQuery(q), kind)
 	if ok {
 		res.Stats.Epoch = p.appliedVersion
 	}
@@ -323,7 +342,7 @@ func (p *PreparedDB) BruteCount(ctx context.Context, q cq.Query, kind classify.C
 	defer p.mu.RUnlock()
 	eff := p.s.countOptions(ctx, opts)
 	po, suffix := p.s.planKey(eff)
-	fp := fingerprint.OfDigest(p.digest, fingerprint.Query(q), kindFingerprint(kind))
+	fp := fingerprint.OfDigest(p.digest, p.s.canonicalQuery(q), kindFingerprint(kind))
 	pl, err := plan.BruteOnly(p.db, q, kind, &po)
 	if err != nil {
 		return nil, err
@@ -367,7 +386,7 @@ func (p *PreparedDB) decide(ctx context.Context, q cq.Query, opts *count.Options
 	defer p.mu.RUnlock()
 	eff := p.s.countOptions(ctx, opts)
 	_, suffix := p.s.planKey(eff)
-	fp := fingerprint.OfDigest(p.digest, fingerprint.Query(q), kind)
+	fp := fingerprint.OfDigest(p.digest, p.s.canonicalQuery(q), kind)
 	compute := func() (*Result, error) {
 		ph := eff.Phases
 		if ph == nil {

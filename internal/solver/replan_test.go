@@ -544,3 +544,84 @@ func TestRecountWithoutResultReusesFactors(t *testing.T) {
 		}
 	})
 }
+
+// keyQueries are the queries whose parts FuzzFactorKeysMatchFresh keys:
+// explainQueries, whose parts cover R, S, T and W, and one over Side, the
+// fourth relation mutateSession writes.
+var keyQueries = append(slices.Clip(explainQueries), cq.MustParse("Side(x) ∧ S(y)"))
+
+// keyedParts returns the parts of q a count over db keys in the factor
+// memo: the parts of its factorization, when q factorizes, and q itself
+// either way, so every relation q mentions is keyed at every step.
+func keyedParts(t *testing.T, db *core.Database, q cq.Query) []cq.Query {
+	t.Helper()
+	pl, err := plan.Build(db, q, classify.Valuations, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := []cq.Query{q}
+	if op := pl.Root.Op; op == plan.OpFactor || op == plan.OpFactorUnion {
+		for _, c := range pl.Root.Children {
+			parts = append(parts, c.Query)
+		}
+	}
+	return parts
+}
+
+// factorKeys returns p's factor memo key of each part, computed as a call
+// computes it: synced to the database's version, under the read lock.
+func factorKeys(p *PreparedDB, parts []cq.Query) []string {
+	p.rlock()
+	defer p.mu.RUnlock()
+	r := &factorRecorder{p: p}
+	keys := make([]string, len(parts))
+	for i, q := range parts {
+		keys[i], _ = r.factorKey(q)
+	}
+	return keys
+}
+
+// FuzzFactorKeysMatchFresh applies random writes (mutateSession: session
+// writes, direct writes and domain extensions) to the three seedDB shapes
+// plus explainChain and, after each, keys every part of keyQueries on the
+// session and on a session prepared afresh on a clone of the database.
+// The keys must be equal: a key names content, so the relation digests a
+// session keeps across writes must be those a fresh session computes.
+// Keying after every write fills the digests the next write must drop.
+func FuzzFactorKeysMatchFresh(f *testing.F) {
+	f.Add([]byte{0x01, 0x42, 0x17, 0x90, 0x05, 0x33}, int64(0))
+	f.Add([]byte{0xff, 0x00, 0x33, 0x21, 0x64, 0x12}, int64(1))
+	f.Add([]byte{0x10, 0x81, 0x07, 0x3c, 0x55, 0x02}, int64(2))
+	f.Add([]byte{0x04, 0x09, 0x0b, 0x2a, 0x61, 0x7e, 0x13, 0x88}, int64(3))
+	f.Add([]byte{0x03, 0x1f, 0x44, 0x58, 0x92, 0xa0, 0x0c, 0x71}, int64(4))
+	f.Add([]byte{0x22, 0x35, 0x48, 0x5b, 0x6e, 0x81, 0x94, 0xa7}, int64(5))
+	f.Fuzz(func(t *testing.T, ops []byte, seed int64) {
+		if len(ops) > 24 {
+			ops = ops[:24]
+		}
+		db := seedDB(int(uint64(seed) % 3))
+		explainChain(db)
+		p, err := NewSolver(WithWorkers(1)).Prepare(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, op := range ops {
+			mutateSession(t, rand.New(rand.NewSource(seed*1009+int64(op))), p)
+			clone := p.Database().Clone()
+			fresh, err := NewSolver(WithWorkers(1)).Prepare(clone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for qi, q := range keyQueries {
+				parts := keyedParts(t, clone, q)
+				got, want := factorKeys(p, parts), factorKeys(fresh, parts)
+				for j := range parts {
+					if got[j] != want[j] {
+						t.Fatalf("seed %d op %d q%d: the session keys part %v as %x, a fresh session as %x, over\n%s",
+							seed, i, qi, parts[j], got[j], want[j], clone)
+					}
+				}
+			}
+		}
+	})
+}

@@ -82,6 +82,9 @@ type Solver struct {
 	// texts is the text memo: the SHA-256 of a database text → the digest
 	// of its canonical form (text.go).
 	texts *lru[fingerprint.Digest]
+	// forms is the query-form memo: a query's as-written encoding → its
+	// canonical form (text.go).
+	forms *lru[string]
 
 	hits, misses, computations, shared atomic.Int64
 
@@ -111,6 +114,7 @@ func NewSolverConfig(cfg Config) *Solver {
 		cache:    newResultCache(size),
 		flight:   newFlightGroup(),
 		texts:    newLRU[fingerprint.Digest](size),
+		forms:    newLRU[string](queryFormMemoSize),
 	}
 }
 

@@ -344,7 +344,7 @@ func TestCachedPlansAreStrippedButEquivalent(t *testing.T) {
 	if got, want := cached.Plan.Render(), fresh.Plan.Render(); got != want {
 		t.Errorf("stripped plan renders differently:\n--- cached ---\n%s--- fresh ---\n%s", got, want)
 	}
-	if n, err := count.ExecutePlan(db, cached.Plan, nil); err == nil || !strings.Contains(err.Error(), "no execution payload") {
+	if n, err := count.ExecutePlan(db, cached.Plan, nil, nil); err == nil || !strings.Contains(err.Error(), "no execution payload") {
 		t.Errorf("stripped plan executed to %v (err %v), want a missing-payload error", n, err)
 	}
 }
