@@ -201,18 +201,24 @@ func (d *Database) Facts() []Fact { return d.facts }
 // of a scan over all facts. The returned slice must not be modified.
 func (d *Database) FactsOf(rel string) []Fact { return d.byRel[rel] }
 
-// Relations returns the relation names used in the table, sorted.
+// Relations returns the names of the relations that hold facts, sorted.
+// A relation emptied by RemoveFact is not listed, as in a database that
+// never held it, so what is derived from the list (a schema, a route)
+// does not depend on the table's history.
 func (d *Database) Relations() []string {
-	out := make([]string, 0, len(d.arity))
-	for r := range d.arity {
-		out = append(out, r)
+	out := make([]string, 0, len(d.byRel))
+	for r, facts := range d.byRel {
+		if len(facts) > 0 {
+			out = append(out, r)
+		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Arity returns the arity of relation rel, or 0 if the relation does not
-// occur in the table.
+// Arity returns the arity of relation rel, or 0 if the relation was never
+// used in the table. An emptied relation keeps its arity, so AddFact
+// still refuses another one.
 func (d *Database) Arity(rel string) int { return d.arity[rel] }
 
 // IsCodd reports whether the table is a Codd table, i.e. every null occurs

@@ -296,3 +296,22 @@ func TestVersion(t *testing.T) {
 		t.Fatalf("version %d after four effective mutations from %d, want %d", got, v, want)
 	}
 }
+
+// TestRelationsAfterEmptying: a relation whose last fact was removed is
+// not listed, as in a clone that never held it, while its arity still
+// refuses an add of another one.
+func TestRelationsAfterEmptying(t *testing.T) {
+	d := NewUniformDatabase([]string{"a", "b"})
+	d.MustAddFact("R", Null(1))
+	d.MustAddFact("S", Null(2))
+	d.MustAddFact("T", Null(1), Null(2))
+	if !d.RemoveFact("T", Null(1), Null(2)) {
+		t.Fatal("RemoveFact of a present fact returned false")
+	}
+	if got, want := d.Relations(), d.Clone().Relations(); !reflect.DeepEqual(got, want) || len(got) != 2 {
+		t.Fatalf("Relations after emptying T = %v, a clone's %v; want [R S] for both", got, want)
+	}
+	if err := d.AddFact("T", Null(1)); err == nil {
+		t.Fatal("the emptied relation took another arity")
+	}
+}

@@ -95,13 +95,10 @@ type Options struct {
 
 	// FactorMemo, when non-nil, serves and receives the counts of the
 	// parts of a factorized plan (OpFactor/OpFactorUnion children) whose
-	// nodes carry a memo key: the executor looks each one up before it
-	// runs it and stores the count of each one it runs. The planner asked
-	// the same memo about each part (plan.Memo), so a later plan over the
-	// same content takes the part's count and description from it
-	// instead of planning and running the part again; the lookup serves a
-	// plan built before the memo held the part, such as a cached plan run
-	// again.
+	// nodes carry a memo key: the executor asks about each one once per
+	// execution, takes a count the memo holds instead of running the
+	// part, and stores the count of each part it runs. The planner takes
+	// only descriptions from the same memo (plan.Memo).
 	FactorMemo FactorMemo
 
 	// rejectedPaths records, when set by the plan executor, why each fast
@@ -112,17 +109,16 @@ type Options struct {
 }
 
 // FactorMemo is the executor's side of a factor memo; plan.Memo is the
-// side the planner looks parts up in. LookupFactor returns the #Val count
-// stored under key, at the valuation total of the database being
-// executed. An execution may ask about one key twice — to count the
-// sweeps that will run, then to run the part — and both answers must
-// agree. StoreFactor records the count of factorization part n, just
-// computed over that database, under the key the planner's lookup
-// computed for it (n.MemoKey), so a part that missed is keyed once. n is
-// the part's plan node with its payloads; an implementation keeps only
-// n.Description(). A count must not be mutated by either side. Validity
-// is the key's job: a key names everything a part's count and
-// description depend on, so a lookup never finds those of other content.
+// side the planner takes descriptions from. LookupFactor returns the #Val
+// count stored under key, at the valuation total of the database being
+// executed. StoreFactor records the count of factorization part n, just
+// computed over that database, under the key the planner computed for it
+// (n.MemoKey), so a part that missed is keyed once. n is the part's plan
+// node, with its payloads unless it is a description taken from the
+// memo; an implementation keeps only n.Description(). A count must not be
+// mutated by either side. Validity is the key's job: a key names
+// everything a part's count and description depend on, so a lookup never
+// finds those of other content.
 type FactorMemo interface {
 	LookupFactor(key string) (*big.Int, bool)
 	StoreFactor(key string, n *plan.Node, count *big.Int)

@@ -46,7 +46,7 @@ func CountValuations(db *core.Database, q cq.Query, opts *Options) (*big.Int, Me
 	if err != nil {
 		return nil, "", err
 	}
-	n, err := ExecutePlan(db, p, opts, nil)
+	n, _, err := ExecutePlan(db, p, opts, nil)
 	return n, Method(p.Method()), err
 }
 
@@ -59,6 +59,6 @@ func CountCompletions(db *core.Database, q cq.Query, opts *Options) (*big.Int, M
 	if err != nil {
 		return nil, "", err
 	}
-	n, err := ExecutePlan(db, p, opts, nil)
+	n, _, err := ExecutePlan(db, p, opts, nil)
 	return n, Method(p.Method()), err
 }

@@ -3,10 +3,13 @@ package count
 import (
 	"fmt"
 	"math/big"
+	"slices"
 
+	"github.com/incompletedb/incompletedb/internal/classify"
 	"github.com/incompletedb/incompletedb/internal/core"
 	"github.com/incompletedb/incompletedb/internal/cq"
 	"github.com/incompletedb/incompletedb/internal/plan"
+	"github.com/incompletedb/incompletedb/internal/sweep"
 )
 
 // The plan executor: internal/plan decides, this file computes. Each node
@@ -14,42 +17,84 @@ import (
 // big-integer combination of its children's results), so a plan rendered
 // by EXPLAIN is exactly what runs.
 
-// ExecutePlan computes the count a plan describes. Runtime options
-// (workers, context, progress) come from opts; the algorithm selection
-// and the prebuilt payloads (cylinder sets, sweep engines) come from the
-// plan. db must be the database the plan was compiled from: the payloads
-// embed its facts, so executing against another database would silently
-// mix the two. total is db's valuation total when the caller keeps it (a
-// session does), and nil otherwise: complement and factorization nodes
-// then compute it from db, once per execution, and fail on an invalid
-// database as db.NumValuations does.
-func ExecutePlan(db *core.Database, p *plan.Plan, opts *Options, total *big.Int) (*big.Int, error) {
+// ExecutePlan computes the count a plan describes and reports what it
+// ran. Runtime options (workers, context, progress, the factor memo) come
+// from opts; the algorithm selection and the prebuilt payloads (cylinder
+// sets, sweep engines) come from the plan. db must be the database the
+// plan was compiled from: the payloads embed its facts, so executing
+// against another database would silently mix the two. total is db's
+// valuation total when the caller keeps it (a session does), and nil
+// otherwise: complement and factorization nodes then compute it from db,
+// once per execution, and fail on an invalid database as
+// db.NumValuations does.
+func ExecutePlan(db *core.Database, p *plan.Plan, opts *Options, total *big.Int) (*big.Int, Record, error) {
 	if pdb := p.Database(); pdb != nil && pdb != db {
-		return nil, fmt.Errorf("count: the plan was compiled from a different database; rebuild it with Explain")
+		return nil, Record{}, fmt.Errorf("count: the plan was compiled from a different database; rebuild it with Explain")
+	}
+	e := &executor{db: db, opts: opts, total: total}
+	if opts != nil {
+		e.memo = opts.FactorMemo
 	}
 	// A plan with several sweep nodes that run (a factorization) reports
 	// progress through a normalizing aggregator, preserving the
 	// forward-only contract of Options.Progress across the sequential
 	// sweeps.
 	if opts != nil && opts.Progress != nil {
-		if s := countSweepNodes(p.Root, opts.FactorMemo); s > 1 {
+		e.asked = make(map[*plan.Node]*big.Int)
+		if s := e.sweepsToRun(p.Root); s > 1 {
 			agg := &multiSweepProgress{sweeps: s, fn: opts.Progress}
 			o := *opts
 			o.Progress = agg.report
-			opts = &o
+			e.opts = &o
 		}
 	}
-	e := &executor{db: db, opts: opts, total: total}
-	return e.node(p.Root)
+	n, err := e.node(p.Root)
+	if err != nil {
+		return nil, Record{}, err
+	}
+	return n, e.rec, nil
+}
+
+// Record reports what one plan execution ran: how many factorization
+// parts took their count from Options.FactorMemo instead of running, and,
+// over the sweep nodes that ran, the summed size of their enumerated
+// spaces (nil when none ran), the irrelevant nulls they factored out and
+// the product of the factored-out terms ∏ |dom(⊥)| (nil when none was).
+type Record struct {
+	FactorsReused   int
+	SweptValuations *big.Int
+	PrunedNulls     int
+	PruneMultiplier *big.Int
+}
+
+// swept adds a sweep that ran on eng to the record.
+func (r *Record) swept(eng *sweep.Engine) {
+	if r.SweptValuations == nil {
+		r.SweptValuations = new(big.Int)
+	}
+	r.SweptValuations.Add(r.SweptValuations, eng.Size())
+	r.PrunedNulls += eng.Pruned()
+	if eng.Pruned() > 0 {
+		if r.PruneMultiplier == nil {
+			r.PruneMultiplier = big.NewInt(1)
+		}
+		r.PruneMultiplier.Mul(r.PruneMultiplier, eng.Multiplier())
+	}
 }
 
 // executor runs the nodes of one plan over db. total is db's valuation
 // total, nil until a node first needs it; it is shared and never
-// mutated.
+// mutated. memo is the factor memo of opts, nil without one.
 type executor struct {
 	db    *core.Database
 	opts  *Options
+	memo  FactorMemo
 	total *big.Int
+	// asked keeps the memo's answer for each keyed part the progress
+	// pre-pass asked about (nil without progress), so that the execution
+	// asks the memo once per part.
+	asked map[*plan.Node]*big.Int
+	rec   Record
 }
 
 // valuations returns db's valuation total.
@@ -64,20 +109,26 @@ func (e *executor) valuations() (*big.Int, error) {
 	return e.total, nil
 }
 
-// memoCount returns the count memo serves for part n of a factorization:
-// nil when memo is nil, n carries no memo key or memo does not hold it.
-func memoCount(memo FactorMemo, n *plan.Node) *big.Int {
-	if memo == nil || n.MemoKey == "" {
+// lookup returns the count the memo holds for part n: nil when there is
+// no memo, n carries no memo key or the memo misses.
+func (e *executor) lookup(n *plan.Node) *big.Int {
+	if e.memo == nil || n.MemoKey == "" {
 		return nil
 	}
-	v, _ := memo.LookupFactor(n.MemoKey)
+	v, ok := e.asked[n]
+	if !ok {
+		v, _ = e.memo.LookupFactor(n.MemoKey)
+		if e.asked != nil {
+			e.asked[n] = v
+		}
+	}
 	return v
 }
 
-// countSweepNodes counts the OpSweep nodes of the subtree that run: a
-// part whose count the plan reused, or memo serves, runs nothing.
-func countSweepNodes(n *plan.Node, memo FactorMemo) int {
-	if n.Reused != nil || memoCount(memo, n) != nil {
+// sweepsToRun counts the sweep nodes of n's subtree that will run: none
+// in a part the memo serves.
+func (e *executor) sweepsToRun(n *plan.Node) int {
+	if e.lookup(n) != nil {
 		return 0
 	}
 	s := 0
@@ -85,7 +136,7 @@ func countSweepNodes(n *plan.Node, memo FactorMemo) int {
 		s++
 	}
 	for _, c := range n.Children {
-		s += countSweepNodes(c, memo)
+		s += e.sweepsToRun(c)
 	}
 	return s
 }
@@ -168,7 +219,11 @@ func (e *executor) node(n *plan.Node) (*big.Int, error) {
 			return nil, err
 		}
 		res, _, err := sweepEngine(n.Engine, o, false)
-		return res, err
+		if err != nil {
+			return nil, err
+		}
+		e.rec.swept(n.Engine)
+		return res, nil
 
 	default:
 		return nil, fmt.Errorf("count: plan node %q is not executable here", n.Op)
@@ -197,13 +252,8 @@ func missingPayload(n *plan.Node) error {
 // exactness check would mean the planner factored a dependent query and
 // is reported as an internal error rather than silently rounded.
 //
-// A part the planner took from a factor memo carries its count
-// (plan.Node.Reused), and a part whose memo key opts.FactorMemo holds
-// takes its count from there: either is used as it is, which is what
-// makes a recount after a write to one part run only that part. Every
-// other part runs, and when its node carries a memo key and opts a
-// FactorMemo, its raw count is stored under that key; the union transform
-// is applied on top.
+// part counts each child, from the factor memo when it can; the union
+// transform is applied on top.
 func (e *executor) factor(n *plan.Node, union bool) (*big.Int, error) {
 	total, err := e.valuations()
 	if err != nil {
@@ -213,28 +263,15 @@ func (e *executor) factor(n *plan.Node, union bool) (*big.Int, error) {
 	if total.Sign() == 0 {
 		return big.NewInt(0), nil
 	}
-	var memo FactorMemo
-	if e.opts != nil {
-		memo = e.opts.FactorMemo
-	}
 	acc := new(big.Int)
-	var part, prod, rem big.Int
+	var miss, prod, rem big.Int
 	for i, c := range n.Children {
-		v := c.Reused
-		if v == nil {
-			v = memoCount(memo, c)
-		}
-		if v == nil {
-			var err error
-			if v, err = e.node(c); err != nil {
-				return nil, err
-			}
-			if c.MemoKey != "" && memo != nil {
-				memo.StoreFactor(c.MemoKey, c, v)
-			}
+		v, err := e.part(c)
+		if err != nil {
+			return nil, err
 		}
 		if union {
-			v = part.Sub(total, v)
+			v = miss.Sub(total, v)
 		}
 		if i == 0 {
 			acc.Set(v)
@@ -250,4 +287,43 @@ func (e *executor) factor(n *plan.Node, union bool) (*big.Int, error) {
 		return acc.Sub(total, acc), nil
 	}
 	return acc, nil
+}
+
+// part computes the #Val count of factorization part c. A part whose
+// memo key the memo holds takes its count from there and runs nothing:
+// that is what makes a recount after a write to one part run only that
+// part. Any other keyed part runs, and its count is stored under its key.
+// A part the planner took from the memo is a bare description; if its
+// count has left the memo since (a cached plan run after an eviction),
+// the part is planned afresh and run.
+func (e *executor) part(c *plan.Node) (*big.Int, error) {
+	if v := e.lookup(c); v != nil {
+		e.rec.FactorsReused++
+		return v, nil
+	}
+	if e.memo == nil || c.MemoKey == "" {
+		return e.node(c)
+	}
+	run := c
+	if lacksPayload(c) {
+		po := PlanOptions(e.opts)
+		p, err := plan.Build(e.db, c.Query, classify.Valuations, &po, nil)
+		if err != nil {
+			return nil, err
+		}
+		run = p.Root
+	}
+	v, err := e.node(run)
+	if err != nil {
+		return nil, err
+	}
+	e.memo.StoreFactor(c.MemoKey, c, v)
+	return v, nil
+}
+
+// lacksPayload reports whether a cylinder or sweep node of n's subtree
+// has no payload to execute on.
+func lacksPayload(n *plan.Node) bool {
+	return n.Op == plan.OpCylinderIE && n.Cylinders == nil || n.Op == plan.OpSweep && n.Engine == nil ||
+		slices.ContainsFunc(n.Children, lacksPayload)
 }

@@ -211,7 +211,7 @@ func TestFactorizationUnionExact(t *testing.T) {
 		if p.Root.Op != plan.OpFactorUnion {
 			t.Fatalf("seed %d: union did not factor: %s", seed, p.Render())
 		}
-		got, err := ExecutePlan(db, p, nil, nil)
+		got, _, err := ExecutePlan(db, p, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,10 +235,10 @@ func TestExecutePlanRejectsForeignDatabase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExecutePlan(db2, p, nil, nil); err == nil {
+	if _, _, err := ExecutePlan(db2, p, nil, nil); err == nil {
 		t.Fatal("foreign database accepted")
 	}
-	if n, err := ExecutePlan(db1, p, nil, nil); err != nil || n.Cmp(big.NewInt(2)) != 0 {
+	if n, _, err := ExecutePlan(db1, p, nil, nil); err != nil || n.Cmp(big.NewInt(2)) != 0 {
 		t.Fatalf("own database: %v, err %v", n, err)
 	}
 }
@@ -262,7 +262,7 @@ func TestStrippedPlanDoesNotExecute(t *testing.T) {
 		if p.Root.Op != c.op {
 			t.Fatalf("%s: op %q, want %q", c.q, p.Root.Op, c.op)
 		}
-		_, err = ExecutePlan(db, p.StripPayloads(), nil, nil)
+		_, _, err = ExecutePlan(db, p.StripPayloads(), nil, nil)
 		if err == nil || !strings.Contains(err.Error(), p.Root.Cost.Note) {
 			t.Errorf("%s: stripped plan executed (err %v), want an error carrying %q", c.q, err, p.Root.Cost.Note)
 		}
@@ -291,11 +291,19 @@ func TestMultiSweepProgressMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := countSweepNodes(p.Root, nil); got != 2 {
+	if got := (&executor{}).sweepsToRun(p.Root); got != 2 {
 		t.Fatalf("sweep nodes %d, want 2: %s", got, p.Render())
 	}
-	if _, err := ExecutePlan(db, p, opts, nil); err != nil {
+	_, rec, err := ExecutePlan(db, p, opts, nil)
+	if err != nil {
 		t.Fatal(err)
+	}
+	// Each sweep enumerates its own cycle and factors the other's 19
+	// nulls out.
+	half := new(big.Int).Lsh(big.NewInt(1), 19)
+	if want := new(big.Int).Lsh(half, 1); rec.SweptValuations == nil || rec.SweptValuations.Cmp(want) != 0 ||
+		rec.PrunedNulls != 38 || rec.PruneMultiplier == nil || rec.PruneMultiplier.Cmp(new(big.Int).Mul(half, half)) != 0 {
+		t.Fatalf("record %+v: want %v swept, 38 nulls pruned, multiplier 2^38", rec, want)
 	}
 	if len(ticks) == 0 {
 		t.Fatal("no progress reported")

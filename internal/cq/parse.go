@@ -166,14 +166,8 @@ func (p *parser) eatNeq() bool {
 	return false
 }
 
-func (p *parser) parseAtom() (Atom, error) {
-	rel, err := p.parseIdent()
-	if err != nil {
-		return Atom{}, err
-	}
-	return p.parseAtomTail(rel)
-}
-
+// parseAtomTail parses the argument list of an atom over rel, whose name
+// was just read.
 func (p *parser) parseAtomTail(rel string) (Atom, error) {
 	if !p.eat('(') {
 		return Atom{}, p.errf("expected '(' after relation %s", rel)

@@ -307,8 +307,3 @@ func AllAtomsUnary(q *BCQ) bool {
 	}
 	return true
 }
-
-// NoTwoAtomsShareAVariable reports whether no two atoms of q share a
-// variable, i.e. q lacks the R(x) ∧ S(x) pattern (Theorem 3.7's tractable
-// side for Codd tables).
-func NoTwoAtomsShareAVariable(q *BCQ) bool { return !HasSharedVarAtoms(q) }

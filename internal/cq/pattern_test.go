@@ -243,11 +243,11 @@ func TestHelperCharacterizations(t *testing.T) {
 	}
 }
 
-func TestNoTwoAtomsShareAVariable(t *testing.T) {
-	if !NoTwoAtomsShareAVariable(MustParseBCQ("R(x, x) ∧ S(y)")) {
+func TestHasSharedVarAtoms(t *testing.T) {
+	if HasSharedVarAtoms(MustParseBCQ("R(x, x) ∧ S(y)")) {
 		t.Error("R(x,x) ∧ S(y) has no shared variable across atoms")
 	}
-	if NoTwoAtomsShareAVariable(MustParseBCQ("R(x) ∧ S(x)")) {
+	if !HasSharedVarAtoms(MustParseBCQ("R(x) ∧ S(x)")) {
 		t.Error("R(x) ∧ S(x) shares x")
 	}
 }

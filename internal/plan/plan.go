@@ -20,13 +20,13 @@
 // Plans are pure descriptions plus prebuilt read-only payloads (the
 // cylinder set of an inclusion–exclusion node, the engine of a sweep);
 // once Build returns, nothing writes to a plan, so any number of
-// goroutines may execute and render it. A plan built with a Memo may
-// also carry, on a part of a factorization, that part's count taken from
-// the memo (Node.Reused): it is fixed when Build returns like everything
-// else, and the plan renders exactly as one built without the memo.
-// Execution lives in internal/count, which walks the DAG. The same
-// rendered plan backs `incdb explain`, POST /v1/explain and the root
-// Explain API.
+// goroutines may execute and render it. A plan carries no counts: built
+// with a Memo, it shares the stored description of each factorization
+// part the memo holds and keys every part (Node.MemoKey), and renders
+// exactly as one built without the memo. Execution lives in
+// internal/count, which walks the DAG and alone reads the memo's counts.
+// The same rendered plan backs `incdb explain`, POST /v1/explain and the
+// root Explain API.
 package plan
 
 import (
@@ -188,16 +188,11 @@ type Node struct {
 	Engine *sweep.Engine
 
 	// MemoKey is set on each part of a factorization planned with a
-	// Memo: the key the memo looked the part up under. The executor
-	// stores the count of a part it computes under this key.
+	// Memo, "" elsewhere: the key that names the part's content in the
+	// memo. The executor takes the part's count from the memo under this
+	// key, or stores the count it computes there. A description the memo
+	// keeps carries its own key. Render, JSON and Method never read it.
 	MemoKey string
-
-	// Reused is the count of a factorization part that the Memo served
-	// at planning, at the valuation total of the plan's database: the
-	// executor returns it instead of running the node, which then holds
-	// no payloads. Nil elsewhere. Render, JSON and Method never read it
-	// (nor MemoKey), and StripPayloads drops both.
-	Reused *big.Int
 }
 
 // Plan is a compiled counting problem: the root node answers the original
@@ -237,10 +232,10 @@ func (p *Plan) StripPayloads() *Plan {
 	return &Plan{Kind: p.Kind, Query: p.Query, Root: p.Root.stripped()}
 }
 
-// stripped returns n's subtree without payloads, memo keys or reused
-// counts. Nodes are immutable, so a subtree that holds none of them is
-// shared rather than copied: the stripped plans of many factorizations
-// share the descriptions their parts took from a memo.
+// stripped returns n's subtree without payloads. Nodes are immutable, so
+// a subtree that holds none is shared rather than copied: the stripped
+// plans of many factorizations share the descriptions their parts took
+// from a memo.
 func (n *Node) stripped() *Node {
 	if n == nil {
 		return nil
@@ -255,11 +250,11 @@ func (n *Node) stripped() *Node {
 			kids[i] = s
 		}
 	}
-	if kids == nil && n.Engine == nil && n.Cylinders == nil && n.MemoKey == "" && n.Reused == nil {
+	if kids == nil && n.Engine == nil && n.Cylinders == nil {
 		return n
 	}
 	c := *n
-	c.Engine, c.Cylinders, c.MemoKey, c.Reused = nil, nil, "", nil
+	c.Engine, c.Cylinders = nil, nil
 	if kids != nil {
 		c.Children = kids
 	}
@@ -267,11 +262,12 @@ func (n *Node) stripped() *Node {
 }
 
 // Description returns what a Memo may keep of factorization part n for a
-// later plan over the same content: n's subtree without payloads, or nil
-// when it holds a sweep node. A sweep's cost block and membership choice
-// read the whole database (its total space, the nulls it prunes, its
-// constants), not only the part's facts and domains, so a swept part is
-// planned afresh and only its count is reused.
+// later plan over the same content: n's subtree without payloads, with
+// its memo key, or nil when it holds a sweep node. A sweep's cost block
+// and membership choice read the whole database (its total space, the
+// nulls it prunes, its constants), not only the part's facts and
+// domains, so a swept part is planned afresh and only its count is
+// reused.
 func (n *Node) Description() *Node {
 	if n.sweeps() {
 		return nil
@@ -324,8 +320,9 @@ func (n *Node) RejectedNotes() []string {
 	return notes
 }
 
-// Memo serves the parts of #Val factorizations from earlier plans over
-// the same content. Its keys must name everything a part's plan and
+// Memo serves the descriptions of the parts of #Val factorizations from
+// earlier plans over the same content; the executor reads the counts
+// (count.FactorMemo). Its keys must name everything a part's plan and
 // count depend on: the part as written, the planning options, whether
 // the table is Codd, the facts of the part's relations and the domains
 // of their nulls. Then a part a write left untouched costs one key and
@@ -333,21 +330,18 @@ func (n *Node) RejectedNotes() []string {
 // factorization analysis.
 type Memo interface {
 	// Component looks up part q of a factorization of the database being
-	// planned. key names q's content, "" when q cannot be memoized; the
-	// executor stores q's count under it. count, when non-nil, is q's
-	// #Val at the database's current valuation total. desc, when
-	// non-nil, is the stored Description of q's plan, and count is then
-	// non-nil too.
-	Component(q cq.Query) (key string, desc *Node, count *big.Int)
+	// planned. key names q's content, "" when q cannot be memoized. desc,
+	// when non-nil, is the stored Description of q's plan, whose MemoKey
+	// is key.
+	Component(q cq.Query) (key string, desc *Node)
 }
 
 // Build compiles (db, q, kind) into a plan under opts. It fails only on
 // an invalid database; an inexecutable problem (e.g. a sweep beyond the
 // guard) still plans, with the failure recorded in the node's cost.
 // memo, when non-nil, serves the parts of a #Val factorization: a part
-// it holds a description and count for is that description with the
-// count as Node.Reused; a part it holds only a count for is planned and
-// takes the count; any other part is planned and carries its MemoKey.
+// it holds a description of is that description, shared as it is; any
+// other part is planned and carries its MemoKey.
 func Build(db *core.Database, q cq.Query, kind classify.CountingKind, opts *Options, memo Memo) (*Plan, error) {
 	if err := db.Validate(); err != nil {
 		return nil, err
@@ -517,31 +511,18 @@ func (b *builder) buildVal(q cq.Query) *Node {
 	return n
 }
 
-// component plans part q of a factorization, from the memo when it
-// holds q's content.
+// component plans part q of a factorization: the memo's description
+// of q's content, or a fresh plan keyed by it.
 func (b *builder) component(q cq.Query) *Node {
 	if b.memo == nil {
 		return b.buildVal(q)
 	}
-	key, desc, count := b.memo.Component(q)
+	key, desc := b.memo.Component(q)
 	if desc != nil {
-		n := *desc
-		n.Reused = count
-		return &n
+		return desc
 	}
-	if count == nil {
-		n := b.buildVal(q)
-		n.MemoKey = key
-		return n
-	}
-	// A count without a description is a part that sweeps: plan it
-	// afresh, without the memo (its count covers every part below it),
-	// and drop the payloads the count makes unnecessary.
-	memo := b.memo
-	b.memo = nil
-	n := b.buildVal(q).stripped()
-	b.memo = memo
-	n.Reused = count
+	n := b.buildVal(q)
+	n.MemoKey = key
 	return n
 }
 

@@ -13,10 +13,12 @@ import (
 	"github.com/incompletedb/incompletedb/internal/solver"
 )
 
-// FuzzServerRequest sends arbitrary /v1/count bodies through the
-// service's handler. No body may panic the handler or get a 5xx answer.
-// A body answered 200 is sent again and must come back from the cache
-// with the same count, method and fingerprint; and the count of an
+// FuzzServerRequest sends arbitrary bodies through the service's
+// handler, to /v1/count and to /v1/explain. No body may panic the
+// handler or get a 5xx answer from either. A body /v1/count answers 200
+// is sent again and must come back from the cache with the same count,
+// method and fingerprint; when /v1/explain answers it 200 too, the plan
+// must have the count's method and fingerprint; and the count of an
 // inline database must equal that of a cacheless solver on the same
 // text, under the server's limits.
 func FuzzServerRequest(f *testing.F) {
@@ -45,26 +47,30 @@ func FuzzServerRequest(f *testing.F) {
 		if len(body) > 4096 {
 			return
 		}
-		post := func() (int, *Response) {
+		post := func(path string) (int, *Response) {
 			rec := httptest.NewRecorder()
-			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/count", bytes.NewReader(body)))
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 			if rec.Code >= 500 {
-				t.Fatalf("HTTP %d for %q: %s", rec.Code, body, rec.Body.Bytes())
+				t.Fatalf("%s: HTTP %d for %q: %s", path, rec.Code, body, rec.Body.Bytes())
 			}
 			if rec.Code != http.StatusOK {
 				return rec.Code, nil
 			}
 			var resp Response
 			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-				t.Fatalf("undecodable 200 for %q: %v: %s", body, err, rec.Body.Bytes())
+				t.Fatalf("%s: undecodable 200 for %q: %v: %s", path, body, err, rec.Body.Bytes())
 			}
 			return rec.Code, &resp
 		}
-		code, first := post()
+		_, explained := post("/v1/explain")
+		code, first := post("/v1/count")
 		if code != http.StatusOK {
 			return
 		}
-		code, second := post()
+		if explained != nil && (explained.Method != first.Method || explained.Fingerprint != first.Fingerprint) {
+			t.Fatalf("%q: explained %s (%s), counted %s (%s)", body, explained.Method, explained.Fingerprint, first.Method, first.Fingerprint)
+		}
+		code, second := post("/v1/count")
 		if code != http.StatusOK || !second.Cached || second.Count != first.Count || second.Method != first.Method || second.Fingerprint != first.Fingerprint {
 			t.Fatalf("resent %q: HTTP %d %+v, want a cached copy of %+v", body, code, second, first)
 		}

@@ -19,11 +19,11 @@ import (
 // recount after a write confined to one component replan and recount
 // only that component. A cached plan serves only the version it was
 // built at, so every write empties the plan cache. The next plan of a
-// factorized query takes each component the write left untouched — its
-// description and its count — from the factor memo, which is keyed by
-// the content each entry was computed from, so a write leaves it alone:
-// an entry whose content changed is never found again and ages out of
-// the bounded LRU.
+// factorized query takes the description of each component the write
+// left untouched from the factor memo, and its execution takes the
+// component's count from there. The memo is keyed by the content each
+// entry was computed from, so a write leaves it alone: an entry whose
+// content changed is never found again and ages out of the bounded LRU.
 //
 // A session write also recomputes only what it touched of the database
 // digest (a fingerprint.Index, built on the first write): AddFact a
@@ -229,15 +229,17 @@ func (p *PreparedDB) refreshTotalLocked() {
 // the planning options, so an entry keyed by exactly that content
 // (factorKey) is valid whenever its key is found: a write elsewhere, or
 // one that is later undone, leaves it usable, and a write that changes
-// the content makes a new key. The planner looks each part up
-// (plan.Memo) and the executor stores the parts it computed
-// (count.FactorMemo). An entry stored at the current total serves its
-// count as it is (a ground write leaves the total alone); any other is
-// scaled to count × total / its total, exactly.
+// the content makes a new key. The planner takes each part's
+// description from it (plan.Memo); the executor takes each part's count
+// and stores the parts it computed (count.FactorMemo). An entry stored
+// at the current total serves its count as it is (a ground write leaves
+// the total alone); any other is scaled to count × total / its total,
+// exactly.
 type factorMemo = lru[factorEntry]
 
 // factorEntry is one factor memo entry. It holds no engine, cylinder set
-// or database: desc is stripped of payloads, and nil for a part that
+// or database: desc is stripped of payloads and carries the entry's key
+// as its MemoKey, so plans share it as it is; it is nil for a part that
 // sweeps, which is planned afresh. count and total are shared and never
 // mutated; total is the session's total the entry was stored at.
 type factorEntry struct {
@@ -254,15 +256,12 @@ const factorMemoSize = 1024
 func newFactorMemo() *factorMemo { return newLRU[factorEntry](factorMemoSize) }
 
 // factorRecorder adapts the session memo to plan.Memo for the plan build
-// of one call and to count.FactorMemo for its execution. Its keys carry
-// the call's planning-options suffix (see Solver.planKey). answers holds
-// the count LookupFactor gave for each key the execution asked about,
-// nil for a miss: the one record of the parts the execution took from
-// the memo, which the call's stats count as reused (statsFromPlan).
+// of one call, which takes descriptions from it, and to count.FactorMemo
+// for its execution, which takes and stores counts. Its keys carry the
+// call's planning-options suffix (see Solver.planKey).
 type factorRecorder struct {
-	p       *PreparedDB
-	suffix  string
-	answers map[string]*big.Int
+	p      *PreparedDB
+	suffix string
 }
 
 // factorKey returns the factor memo key of part q: the SHA-256 of a
@@ -420,77 +419,48 @@ func appendDomain(b []byte, dom []string) []byte {
 	return b
 }
 
-// Component implements plan.Memo: it keys part q and takes a memoized
-// count at the current total (lookup); a count that does not scale
-// exactly is a miss, and the part is planned and computed. With no
-// valuations there is no total to scale a count by, and the key is empty.
-func (r *factorRecorder) Component(q cq.Query) (string, *plan.Node, *big.Int) {
-	total := r.p.total
-	if total.Sign() == 0 {
-		return "", nil, nil
+// Component implements plan.Memo: it keys part q and returns the
+// description stored under the key, if any. With no valuations there is
+// no total to scale a count by, and the key is empty.
+func (r *factorRecorder) Component(q cq.Query) (string, *plan.Node) {
+	if r.p.total.Sign() == 0 {
+		return "", nil
 	}
 	key, ok := r.factorKey(q)
 	if !ok {
-		return "", nil, nil
+		return "", nil
 	}
-	e, count := r.lookup(key)
-	if count == nil {
-		return key, nil, nil
-	}
-	return key, e.desc, count
+	e, _ := r.p.factors.get(key)
+	return key, e.desc
 }
 
-// lookup returns the entry under key and its count at the current total,
-// or a nil count when there is no entry, or the count does not scale to
-// the total exactly: a remainder would mean the key missed a dependency.
-func (r *factorRecorder) lookup(key string) (factorEntry, *big.Int) {
+// LookupFactor implements count.FactorMemo: it returns the count stored
+// under key at the current total, or a miss when there is no entry or the
+// count does not scale to the total exactly: a remainder would mean the
+// key missed a dependency. The plan was built at the session's current
+// version, under the same read lock, so its total is not zero.
+func (r *factorRecorder) LookupFactor(key string) (*big.Int, bool) {
 	e, ok := r.p.factors.get(key)
 	if !ok {
-		return e, nil
+		return nil, false
 	}
 	total := r.p.total
 	if e.total.Cmp(total) == 0 {
-		return e, e.count
+		return e.count, true
 	}
 	num := new(big.Int).Mul(e.count, total)
 	quo, rem := num.QuoRem(num, e.total, new(big.Int))
 	if rem.Sign() != 0 {
-		return e, nil
+		return nil, false
 	}
-	return e, quo
-}
-
-// LookupFactor implements count.FactorMemo: the executor asks it about
-// each keyed part of the plan it runs, so a plan built before the memo
-// held a part, such as a cached plan run again after its result was
-// evicted or with the result cache off, still reuses the part's count.
-// The first answer for a key is kept and repeated, so the answers of one
-// execution agree even while other calls store parts. The plan was built
-// at the session's current version, under the same read lock, so its
-// total is not zero.
-func (r *factorRecorder) LookupFactor(key string) (*big.Int, bool) {
-	count, asked := r.answers[key]
-	if !asked {
-		_, count = r.lookup(key)
-		if r.answers == nil {
-			r.answers = make(map[string]*big.Int)
-		}
-		r.answers[key] = count
-	}
-	return count, count != nil
-}
-
-// served reports whether the execution took the count of the part keyed
-// key from the memo. r may be nil: a call without a memo.
-func (r *factorRecorder) served(key string) bool {
-	return r != nil && key != "" && r.answers[key] != nil
+	return quo, true
 }
 
 // StoreFactor implements count.FactorMemo: it memoizes a freshly
 // computed part's description and count, with the current total, under
-// the key the plan-time lookup computed. The plan was built at the
-// session's current version, under the same read lock, so that total is
-// the one the key was computed at, and it is not zero.
+// the key the planner computed. The plan was built at the session's
+// current version, under the same read lock, so that total is the one
+// the key was computed at, and it is not zero.
 func (r *factorRecorder) StoreFactor(key string, n *plan.Node, count *big.Int) {
 	r.p.factors.add(key, factorEntry{desc: n.Description(), count: count, total: r.p.total})
 }

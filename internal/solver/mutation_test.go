@@ -9,6 +9,7 @@ import (
 
 	"github.com/incompletedb/incompletedb/internal/classify"
 	"github.com/incompletedb/incompletedb/internal/core"
+	"github.com/incompletedb/incompletedb/internal/count"
 	"github.com/incompletedb/incompletedb/internal/cq"
 	"github.com/incompletedb/incompletedb/internal/plan"
 )
@@ -466,5 +467,47 @@ func TestPlansAreValues(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestEmptiedRelationPlansAsAClone: removing the only fact of the one
+// binary relation of a uniform database leaves a unary schema, so a
+// session plans #Comp(R(x) ∧ S(x)) by Theorem 4.6 like a session on a
+// clone of the database, under the same fingerprint, and both count the
+// same. Before, the emptied relation kept the session's schema binary and
+// the result cache kept whichever method arrived first.
+func TestEmptiedRelationPlansAsAClone(t *testing.T) {
+	ctx := context.Background()
+	db := core.NewUniformDatabase([]string{"a", "b"})
+	db.MustAddFact("R", core.Null(1))
+	db.MustAddFact("S", core.Null(2))
+	db.MustAddFact("T", core.Null(1), core.Null(2))
+	s := NewSolver(WithCacheSize(-1))
+	p, err := s.Prepare(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.RemoveFact("T", core.Null(1), core.Null(2)) {
+		t.Fatal("RemoveFact of a present fact returned false")
+	}
+	ref, err := s.Prepare(p.Database().Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := cq.MustParse("R(x) ∧ S(x)")
+	got, err := p.Count(ctx, q, classify.Completions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Count(ctx, q, classify.Completions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Fingerprint != want.Fingerprint {
+		t.Fatalf("fingerprints differ: %s, %s", got.Fingerprint, want.Fingerprint)
+	}
+	if got.Method != count.MethodUniformComp || got.Method != want.Method || got.Count.Cmp(want.Count) != 0 {
+		t.Fatalf("session: %v by %s; clone: %v by %s; want both by %s",
+			got.Count, got.Method, want.Count, want.Method, count.MethodUniformComp)
 	}
 }

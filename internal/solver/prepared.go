@@ -56,16 +56,17 @@ func planCacheKey(canonQ string, kind classify.CountingKind) string {
 // digest and the total from scratch. A cached plan serves only the
 // database version it was built at, so a write empties the plan cache.
 // The next plan of a factorized query replans and recounts only the
-// independent components whose facts or domains changed: each other
-// component's description and count come from the session's factor
-// memo, which is keyed by that content and bounded (see mutate.go). A
-// component whose variables are renamed in the query is other content
-// and misses. A memo key names each relation the component mentions by a
-// digest the session keeps per relation, so it costs the same however
-// many facts the relations hold: AddFact and RemoveFact drop the digest
-// of the relation they wrote, ExtendDomain those of the relations
-// holding the null, and a direct write all of them; the next key that
-// needs one recomputes it.
+// independent components whose facts or domains changed: the planner
+// takes each other component's description from the session's factor
+// memo, and the executor its count, which Result.Stats reports. The memo
+// is keyed by that content and bounded (see mutate.go). A component
+// whose variables are renamed in the query is other content and misses.
+// A memo key names each relation the component mentions by a digest the
+// session keeps per relation, so it costs the same however many facts
+// the relations hold: AddFact and RemoveFact drop the digest of the
+// relation they wrote, ExtendDomain those of the relations holding the
+// null, and a direct write all of them; the next key that needs one
+// recomputes it.
 //
 // A PreparedDB is safe for concurrent use, including concurrent
 // mutations through its own methods; mutating the database directly must
@@ -235,14 +236,14 @@ func (p *PreparedDB) CountWith(ctx context.Context, q cq.Query, kind classify.Co
 		if err != nil {
 			return nil, err
 		}
-		return p.executeCount(pl, eff, rec, fp, start)
+		return p.executeCount(pl, eff, fp, start)
 	}
 	return p.cachedCall(fp+suffix, eff, start, compute)
 }
 
-// executeCount runs a compiled plan and wraps the count in a Result; rec
-// is the call's factor memo recorder, nil when it has none.
-func (p *PreparedDB) executeCount(pl *plan.Plan, eff *count.Options, rec *factorRecorder, fp string, start time.Time) (*Result, error) {
+// executeCount runs a compiled plan and wraps the count in a Result,
+// whose stats are the execution's record.
+func (p *PreparedDB) executeCount(pl *plan.Plan, eff *count.Options, fp string, start time.Time) (*Result, error) {
 	ph := eff.Phases
 	if ph == nil {
 		ph = &count.PhaseTimes{}
@@ -254,16 +255,26 @@ func (p *PreparedDB) executeCount(pl *plan.Plan, eff *count.Options, rec *factor
 		// computes the total, and fails on the former.
 		total = nil
 	}
-	n, err := count.ExecutePlan(p.db, pl, eff, total)
+	n, rec, err := count.ExecutePlan(p.db, pl, eff, total)
 	if err != nil {
 		return nil, err
 	}
-	st := statsFromPlan(pl, rec)
-	p.s.factorsReused.Add(int64(st.FactorsReused))
-	st.Epoch = p.appliedVersion
-	st.Workers = effectiveWorkers(eff.Workers)
-	st.Wall = time.Since(start)
-	st.PhaseStep, st.PhaseMatch, st.PhaseDedup = ph.Step(), ph.Match(), ph.Dedup()
+	p.s.factorsReused.Add(int64(rec.FactorsReused))
+	st := Stats{
+		SweptValuations: rec.SweptValuations,
+		PrunedNulls:     rec.PrunedNulls,
+		PruneMultiplier: rec.PruneMultiplier,
+		FactorsReused:   rec.FactorsReused,
+		Epoch:           p.appliedVersion,
+		Workers:         effectiveWorkers(eff.Workers),
+		Wall:            time.Since(start),
+		PhaseStep:       ph.Step(),
+		PhaseMatch:      ph.Match(),
+		PhaseDedup:      ph.Dedup(),
+	}
+	if rec.SweptValuations != nil {
+		st.Kernel = "uint64"
+	}
 	return &Result{
 		Count:       n,
 		Method:      count.Method(pl.Method()),
@@ -347,7 +358,7 @@ func (p *PreparedDB) BruteCount(ctx context.Context, q cq.Query, kind classify.C
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.executeCount(pl, eff, nil, fp, start)
+	res, err := p.executeCount(pl, eff, fp, start)
 	if err != nil {
 		return nil, err
 	}

@@ -16,10 +16,10 @@ import (
 	"github.com/incompletedb/incompletedb/internal/plan"
 )
 
-// Tests of replanning after a write: the planner takes each part of a
-// factorization that the write left untouched — its description and its
-// count — from the session's factor memo, and the plan it returns is
-// byte-identical to one built from scratch.
+// Tests of replanning after a write: the planner takes the description
+// of each part of a factorization that the write left untouched from the
+// session's factor memo, and the executor takes its count, and the plan
+// is byte-identical to one built from scratch.
 
 // componentsDB is the database of BenchmarkIncrementalRecount: one
 // relation Ci per component, over its own cycle of sizes[i] nulls with
@@ -78,10 +78,18 @@ func holdsPayload(n *plan.Node) bool {
 	return false
 }
 
+// memoDescription returns the description p's factor memo stores under
+// key, nil when it holds none.
+func memoDescription(p *PreparedDB, key string) *plan.Node {
+	e, _ := p.factors.get(key)
+	return e.desc
+}
+
 // TestReplanPlansOnlyTheWrittenComponent pins the saved work: after a
 // write to one of 12 components, the next Explain holds a payload for
-// that component only, takes the other 11 from the memo, and renders
-// exactly as a plan built from scratch.
+// that component only, takes the other 11 from the memo as the stored
+// descriptions themselves, in the plan and in its StripPayloads copy, and
+// renders exactly as a plan built from scratch.
 func TestReplanPlansOnlyTheWrittenComponent(t *testing.T) {
 	ctx := context.Background()
 	sizes := []int{4, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9}
@@ -105,13 +113,18 @@ func TestReplanPlansOnlyTheWrittenComponent(t *testing.T) {
 		if pl.Root.Op != plan.OpFactor || len(pl.Root.Children) != len(sizes) {
 			t.Fatalf("write %d: plan %s, want a factorization into %d parts", i, pl.Method(), len(sizes))
 		}
+		stripped := pl.StripPayloads()
 		for c, ch := range pl.Root.Children {
 			written := c == 0
 			if got := holdsPayload(ch); got != written {
 				t.Errorf("write %d: part %v holds a payload: %v, want %v", i, ch.Query, got, written)
 			}
-			if got := ch.Reused != nil; got == written {
-				t.Errorf("write %d: part %v reused: %v, want %v", i, ch.Query, got, !written)
+			desc := memoDescription(p, ch.MemoKey)
+			if got := desc != nil && ch == desc; got == written {
+				t.Errorf("write %d: part %v is the memo's description: %v, want %v", i, ch.Query, got, !written)
+			}
+			if got := stripped.Root.Children[c] == desc; got == written {
+				t.Errorf("write %d: stripped part %v is the memo's description: %v, want %v", i, ch.Query, got, !written)
 			}
 		}
 		want, err := plan.Build(p.Database().Clone(), q, classify.Valuations, nil, nil)
@@ -130,13 +143,75 @@ func TestReplanPlansOnlyTheWrittenComponent(t *testing.T) {
 				i, res.Plan == pl, res.Stats.FactorsReused, len(sizes)-1)
 		}
 	}
-	// A memo entry is a fraction and a bare description: no payload, no
-	// key, no count, no database.
+	// A memo entry is a fraction and a bare description under its own
+	// key: no payload, no count, no database.
 	for el := p.factors.ll.Front(); el != nil; el = el.Next() {
-		d := el.Value.(*lruEntry[factorEntry]).val.desc
-		if d == nil || holdsPayload(d) || d.MemoKey != "" || d.Reused != nil {
-			t.Fatalf("memo entry description %+v: want a bare description", d)
+		e := el.Value.(*lruEntry[factorEntry])
+		if d := e.val.desc; d == nil || holdsPayload(d) || d.MemoKey != e.key {
+			t.Fatalf("memo entry description %+v: want a bare description keyed %x", d, e.key)
 		}
+	}
+}
+
+// TestPurgedMemoBetweenExplainAndCount: a count that runs a plan whose
+// parts came from the memo as bare descriptions, after their counts have
+// left the memo, plans those parts afresh and runs them: the count is
+// right and reuses nothing.
+func TestPurgedMemoBetweenExplainAndCount(t *testing.T) {
+	ctx := context.Background()
+	sizes := []int{4, 5, 5, 5}
+	q := componentsQuery(len(sizes))
+	p, err := NewSolver(WithCacheSize(-1)).Prepare(componentsDB(sizes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Count(ctx, q, classify.Valuations); err != nil {
+		t.Fatal(err)
+	}
+	g := core.Const("g")
+	if err := p.AddFact("C0", g, g); err != nil {
+		t.Fatal(err)
+	}
+	pl, err := p.Explain(q, classify.Valuations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ch := range pl.Root.Children[1:] {
+		if holdsPayload(ch) || ch != memoDescription(p, ch.MemoKey) {
+			t.Fatalf("part %v did not come from the memo: %s", ch.Query, pl.Render())
+		}
+	}
+	p.factors.purge()
+	res, err := p.Count(ctx, q, classify.Valuations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Plan != pl {
+		t.Fatal("the count did not run the explained plan")
+	}
+	ref, err := NewSolver(WithCacheSize(-1)).Prepare(p.Database().Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Count(ctx, q, classify.Valuations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Count.Cmp(want.Count) != 0 || res.Stats.FactorsReused != 0 {
+		t.Fatalf("count %v reusing %d factors, want %v reusing none", res.Count, res.Stats.FactorsReused, want.Count)
+	}
+	// The parts it ran are in the memo again, under the descriptions the
+	// plan holds.
+	for _, ch := range pl.Root.Children[1:] {
+		if ch != memoDescription(p, ch.MemoKey) {
+			t.Fatalf("part %v was not stored again", ch.Query)
+		}
+	}
+	if res, err = p.Count(ctx, q, classify.Valuations); err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.FactorsReused != len(sizes) {
+		t.Fatalf("the next count reused %d factors, want %d", res.Stats.FactorsReused, len(sizes))
 	}
 }
 

@@ -56,8 +56,8 @@ type Stats struct {
 	// witness block without visiting it, and a #Comp sweep skips every
 	// block whose prefix state it has already swept. Nil when no sweep
 	// ran: the plan has no sweep node (closed-form and cylinder routes
-	// enumerate no valuations), or each one is in a factor the plan
-	// reused (see FactorsReused).
+	// enumerate no valuations), or each one is in a factor whose count
+	// came from the factor memo (see FactorsReused).
 	SweptValuations *big.Int
 
 	// PrunedNulls is how many irrelevant nulls the sweeps factored out of
@@ -78,9 +78,9 @@ type Stats struct {
 	// factorized plan took their count from the session's factor memo
 	// instead of being counted again — the incremental-recount dividend:
 	// after a write touching one component, the other components' counts
-	// are reused. A component counts whether the plan took it from the
-	// memo when it was built or the execution found it there, so a count
-	// that runs a cached plan again reuses what the first run stored.
+	// are reused. The execution takes each count from the memo, so a
+	// count that runs a cached plan again reuses what the first run
+	// stored.
 	FactorsReused int
 
 	// Epoch is the database version (core.Database.Version) the session
@@ -144,42 +144,6 @@ func (r *Result) stripped() *Result {
 	c := *r
 	c.Plan = r.Plan.StripPayloads()
 	return &c
-}
-
-// statsFromPlan derives the plan-side execution stats from an executed
-// plan: the compiled engines of internal/sweep carry the geometry of the
-// spaces the execution swept, and a part whose count the plan took from
-// the factor memo (plan.Node.Reused), or the execution took from it
-// through rec (nil for a call without a memo), is a reused factor that
-// swept nothing, whatever its plan says.
-func statsFromPlan(p *plan.Plan, rec *factorRecorder) Stats {
-	var st Stats
-	var walk func(n *plan.Node)
-	walk = func(n *plan.Node) {
-		if n.Reused != nil || rec.served(n.MemoKey) {
-			st.FactorsReused++
-			return
-		}
-		if n.Op == plan.OpSweep && n.Engine != nil {
-			if st.SweptValuations == nil {
-				st.SweptValuations = new(big.Int)
-			}
-			st.SweptValuations.Add(st.SweptValuations, n.Engine.Size())
-			st.PrunedNulls += n.Engine.Pruned()
-			if n.Engine.Pruned() > 0 {
-				if st.PruneMultiplier == nil {
-					st.PruneMultiplier = big.NewInt(1)
-				}
-				st.PruneMultiplier.Mul(st.PruneMultiplier, n.Engine.Multiplier())
-			}
-			st.Kernel = "uint64"
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(p.Root)
-	return st
 }
 
 // effectiveWorkers mirrors the worker-pool default of internal/count: 0

@@ -182,6 +182,13 @@ func BenchmarkIncrementalRecount(b *testing.B) {
 		if err := pdb.AddFact("C0", ground(0), ground(0)); err != nil {
 			b.Fatal(err)
 		}
+		// The plans below run nothing, so the memo keeps the descriptions
+		// the warming count stored: an untouched part is the same node in
+		// every plan.
+		prev, err := pdb.Explain(q, Valuations)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 1; i <= b.N; i++ {
@@ -197,14 +204,15 @@ func BenchmarkIncrementalRecount(b *testing.B) {
 				b.Fatal(err)
 			}
 			reused := 0
-			for _, c := range pl.Root.Children {
-				if c.Reused != nil {
+			for j, c := range pl.Root.Children {
+				if c == prev.Root.Children[j] {
 					reused++
 				}
 			}
 			if reused < comps-1 {
 				b.Fatalf("replanned untouched components: %d parts reused, want %d", reused, comps-1)
 			}
+			prev = pl
 		}
 	})
 
