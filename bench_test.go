@@ -405,7 +405,7 @@ func BenchmarkCylinderUnion(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := set.UnionCount(); err != nil {
+		if _, err := set.UnionCountParallel(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -689,8 +689,10 @@ func BenchmarkValuationEnumeration(b *testing.B) {
 	}
 }
 
-// --- E-MU: Libkin's µ_k through the exact dispatcher -------------------------
+// --- E-MU: Libkin's µ_k through the planner ----------------------------------
 
+// BenchmarkMuK times Solver.Mu with the result cache off, so every
+// iteration prepares the uniform database over {1, …, k} and counts.
 func BenchmarkMuK(b *testing.B) {
 	db := core.NewDatabase()
 	for i := 1; i <= 10; i++ {
@@ -698,11 +700,13 @@ func BenchmarkMuK(b *testing.B) {
 		db.MustAddFact("S", core.Null(core.NullID(10+i)))
 	}
 	q := cq.MustParseBCQ("R(x) ∧ S(x)")
+	s := NewSolver(WithCacheSize(-1))
+	ctx := context.Background()
 	for _, k := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := count.MuK(db, q, k, nil); err != nil {
+				if _, err := s.Mu(ctx, db, q, k, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

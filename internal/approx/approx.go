@@ -4,6 +4,10 @@
 // constructively), and heuristic under-approximations for counting
 // completions — which provably cannot have an FPRAS unless NP = RP
 // (Theorems 5.5/5.7), a failure mode the experiments demonstrate.
+//
+// Each estimator is one function that takes a context. Its sampling loop
+// polls the context between draws without touching the RNG, so a seeded
+// estimate is the same under any context that is not cancelled.
 package approx
 
 import (
@@ -35,17 +39,10 @@ type MonteCarloResult struct {
 // Sampling runs on the compiled sweep engine: each draw repositions a
 // cursor (same distribution and RNG stream as core.ValuationSpace.Sample)
 // and re-checks the compiled query in place, with no per-sample completion
-// materialization.
-func MonteCarloValuations(db *core.Database, q cq.Query, samples int, r *rand.Rand) (*MonteCarloResult, error) {
-	return MonteCarloValuationsContext(context.Background(), db, q, samples, r)
-}
-
-// MonteCarloValuationsContext is MonteCarloValuations with cancellation:
-// the sampling loop polls ctx every klCancelCheckInterval samples and
-// returns the context's error once it is done. Cancellation polling never
-// touches the RNG, so for a given seed the draws are identical to the
-// uncancellable variant's.
-func MonteCarloValuationsContext(ctx context.Context, db *core.Database, q cq.Query, samples int, r *rand.Rand) (*MonteCarloResult, error) {
+// materialization. The sampling loop polls ctx every klCancelCheckInterval
+// samples and returns the context's error once it is done; polling never
+// touches the RNG, so for a given seed the draws do not depend on ctx.
+func MonteCarloValuations(ctx context.Context, db *core.Database, q cq.Query, samples int, r *rand.Rand) (*MonteCarloResult, error) {
 	if samples <= 0 {
 		return nil, fmt.Errorf("approx: need a positive sample count, got %d", samples)
 	}
@@ -85,6 +82,10 @@ type KarpLubyResult struct {
 	TotalWeight *big.Int
 }
 
+// klCancelCheckInterval is the number of samples the sampling loops draw
+// between polls of the cancellation context.
+const klCancelCheckInterval = 1024
+
 // KarpLubyValuations estimates #Val(q)(db) for a (union of) BCQ(s) with the
 // Karp–Luby union-of-sets estimator over the query's match cylinders:
 // sample a cylinder proportionally to its weight, sample a uniform
@@ -93,19 +94,10 @@ type KarpLubyResult struct {
 // n ≥ ⌈3·m·ln(2/δ)/ε²⌉ samples (m = number of cylinders) it is an
 // (ε,δ)-approximation — a genuine FPRAS since m is polynomial in the data
 // for a fixed query. Corollary 5.3 of the paper guarantees such a scheme
-// exists; this is the classical construction.
-func KarpLubyValuations(db *core.Database, q cq.Query, eps, delta float64, r *rand.Rand) (*KarpLubyResult, error) {
-	return KarpLubyValuationsContext(context.Background(), db, q, eps, delta, r)
-}
-
-// klCancelCheckInterval is the number of samples the Karp–Luby loop draws
-// between polls of the cancellation context.
-const klCancelCheckInterval = 1024
-
-// KarpLubyValuationsContext is KarpLubyValuations with cancellation: the
-// sampling loop polls ctx every klCancelCheckInterval samples and returns
-// the context's error once it is done.
-func KarpLubyValuationsContext(ctx context.Context, db *core.Database, q cq.Query, eps, delta float64, r *rand.Rand) (*KarpLubyResult, error) {
+// exists; this is the classical construction. The sampling loop polls ctx
+// every klCancelCheckInterval samples and returns the context's error once
+// it is done.
+func KarpLubyValuations(ctx context.Context, db *core.Database, q cq.Query, eps, delta float64, r *rand.Rand) (*KarpLubyResult, error) {
 	set, err := cylinder.Build(db, q)
 	if err != nil {
 		return nil, err
@@ -113,7 +105,7 @@ func KarpLubyValuationsContext(ctx context.Context, db *core.Database, q cq.Quer
 	return KarpLubyCylinders(ctx, set, eps, delta, r)
 }
 
-// KarpLubyCylinders is KarpLubyValuationsContext over cylinders already
+// KarpLubyCylinders is KarpLubyValuations over cylinders already
 // built, such as the payload of an estimate plan. For a given seed the
 // estimate is deterministic: every draw runs in the Set's slot order.
 func KarpLubyCylinders(ctx context.Context, set *cylinder.Set, eps, delta float64, r *rand.Rand) (*KarpLubyResult, error) {
@@ -182,27 +174,17 @@ type LowerBoundResult struct {
 }
 
 // CompletionsLowerBound samples valuations and counts the distinct
-// completions seen: a (probabilistic) LOWER bound on #Comp(q)(db). The
-// paper shows no FPRAS for counting completions exists unless NP = RP
-// (Theorems 5.5 and 5.7); this heuristic under-approximation is the kind of
-// fallback Section 8 suggests, and carries no guarantee of closeness.
+// completions seen: a (probabilistic) LOWER bound on #Comp(q)(db),
+// reported with its sampling diagnostics. The paper shows no FPRAS for
+// counting completions exists unless NP = RP (Theorems 5.5 and 5.7); this
+// heuristic under-approximation is the kind of fallback Section 8
+// suggests, and carries no guarantee of closeness.
 //
 // Deduplication uses the sweep engine's incremental 128-bit completion
 // hash; hash buckets compare exact canonical encodings, so a collision
-// cannot inflate the bound.
-func CompletionsLowerBound(db *core.Database, q cq.Query, samples int, r *rand.Rand) (*big.Int, error) {
-	res, err := CompletionsLowerBoundContext(context.Background(), db, q, samples, r)
-	if err != nil {
-		return nil, err
-	}
-	return res.Bound, nil
-}
-
-// CompletionsLowerBoundContext is CompletionsLowerBound with cancellation
-// and full sampling diagnostics. Cancellation polling never touches the
-// RNG, so for a given seed the bound is identical to the uncancellable
-// variant's.
-func CompletionsLowerBoundContext(ctx context.Context, db *core.Database, q cq.Query, samples int, r *rand.Rand) (*LowerBoundResult, error) {
+// cannot inflate the bound. The sampling loop polls ctx like
+// MonteCarloValuations, without touching the RNG.
+func CompletionsLowerBound(ctx context.Context, db *core.Database, q cq.Query, samples int, r *rand.Rand) (*LowerBoundResult, error) {
 	if samples <= 0 {
 		return nil, fmt.Errorf("approx: need a positive sample count, got %d", samples)
 	}

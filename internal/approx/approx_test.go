@@ -1,6 +1,7 @@
 package approx
 
 import (
+	"context"
 	"fmt"
 	"maps"
 	"math/big"
@@ -27,7 +28,7 @@ func TestMonteCarloExample(t *testing.T) {
 	db := exampleDB()
 	q := cq.MustParseBCQ("S(x, x)")
 	r := rand.New(rand.NewSource(1))
-	res, err := MonteCarloValuations(db, q, 20000, r)
+	res, err := MonteCarloValuations(context.Background(), db, q, 20000, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,12 +44,12 @@ func TestMonteCarloExample(t *testing.T) {
 func TestMonteCarloErrors(t *testing.T) {
 	db := exampleDB()
 	q := cq.MustParseBCQ("S(x, x)")
-	if _, err := MonteCarloValuations(db, q, 0, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := MonteCarloValuations(context.Background(), db, q, 0, rand.New(rand.NewSource(1))); err == nil {
 		t.Fatal("zero samples accepted")
 	}
 	missing := core.NewDatabase()
 	missing.MustAddFact("R", core.Null(1))
-	if _, err := MonteCarloValuations(missing, cq.MustParseBCQ("R(x)"), 10, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := MonteCarloValuations(context.Background(), missing, cq.MustParseBCQ("R(x)"), 10, rand.New(rand.NewSource(1))); err == nil {
 		t.Fatal("missing domain accepted")
 	}
 }
@@ -56,7 +57,7 @@ func TestMonteCarloErrors(t *testing.T) {
 func TestMonteCarloEmptyDomain(t *testing.T) {
 	db := core.NewUniformDatabase(nil)
 	db.MustAddFact("R", core.Null(1))
-	res, err := MonteCarloValuations(db, cq.MustParseBCQ("R(x)"), 10, rand.New(rand.NewSource(1)))
+	res, err := MonteCarloValuations(context.Background(), db, cq.MustParseBCQ("R(x)"), 10, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestKarpLubyExactOnExample(t *testing.T) {
 	db := exampleDB()
 	q := cq.MustParseBCQ("S(x, x)")
 	r := rand.New(rand.NewSource(7))
-	res, err := KarpLubyValuations(db, q, 0.05, 0.01, r)
+	res, err := KarpLubyValuations(context.Background(), db, q, 0.05, 0.01, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestKarpLubyAccuracy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := KarpLubyValuations(db, q, 0.1, 0.05, r)
+			res, err := KarpLubyValuations(context.Background(), db, q, 0.1, 0.05, r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +144,7 @@ func TestKarpLubyZeroCount(t *testing.T) {
 	// Empty relation S: no cylinder, estimate must be exactly 0.
 	db := core.NewUniformDatabase([]string{"a"})
 	db.MustAddFact("R", core.Null(1))
-	res, err := KarpLubyValuations(db, cq.MustParseBCQ("R(x) ∧ S(x)"), 0.5, 0.5, rand.New(rand.NewSource(1)))
+	res, err := KarpLubyValuations(context.Background(), db, cq.MustParseBCQ("R(x) ∧ S(x)"), 0.5, 0.5, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +158,11 @@ func TestKarpLubyParamValidation(t *testing.T) {
 	q := cq.MustParseBCQ("S(x, x)")
 	r := rand.New(rand.NewSource(1))
 	for _, bad := range [][2]float64{{0, 0.5}, {1, 0.5}, {0.5, 0}, {0.5, 1}, {-0.1, 0.5}} {
-		if _, err := KarpLubyValuations(db, q, bad[0], bad[1], r); err == nil {
+		if _, err := KarpLubyValuations(context.Background(), db, q, bad[0], bad[1], r); err == nil {
 			t.Fatalf("parameters %v accepted", bad)
 		}
 	}
-	if _, err := KarpLubyValuations(db, cq.Tautology{}, 0.5, 0.5, r); err == nil {
+	if _, err := KarpLubyValuations(context.Background(), db, cq.Tautology{}, 0.5, 0.5, r); err == nil {
 		t.Fatal("non-UCQ query accepted")
 	}
 }
@@ -177,7 +178,7 @@ func TestKarpLubySampleBoundOverflow(t *testing.T) {
 	}
 	q := cq.MustParseBCQ("R(x, x)")
 	for _, eps := range []float64{1e-9, 1e-200} {
-		res, err := KarpLubyValuations(db, q, eps, 0.05, rand.New(rand.NewSource(1)))
+		res, err := KarpLubyValuations(context.Background(), db, q, eps, 0.05, rand.New(rand.NewSource(1)))
 		if err == nil {
 			t.Fatalf("ε = %g accepted: %d samples, estimate %v", eps, res.Samples, res.Estimate)
 		}
@@ -195,7 +196,7 @@ func TestKarpLubyDeterministicForSeed(t *testing.T) {
 	q := cq.MustParseBCQ("R(x, x)")
 	var first *big.Int
 	for call := 0; call < 20; call++ {
-		res, err := KarpLubyValuations(db, q, 0.3, 0.3, rand.New(rand.NewSource(42)))
+		res, err := KarpLubyValuations(context.Background(), db, q, 0.3, 0.3, rand.New(rand.NewSource(42)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +230,7 @@ func TestKarpLubyScalesBeyondBruteForce(t *testing.T) {
 	// 42 nulls in total; satisfying valuations pick ν(?1) = ν(?2) (d ways)
 	// and anything for the 40 free nulls: d^41 of the d^42 valuations.
 	want := new(big.Int).Exp(big.NewInt(int64(d)), big.NewInt(41), nil)
-	res, err := KarpLubyValuations(db, q, 0.05, 0.05, rand.New(rand.NewSource(3)))
+	res, err := KarpLubyValuations(context.Background(), db, q, 0.05, 0.05, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,16 +246,16 @@ func TestCompletionsLowerBound(t *testing.T) {
 	db := exampleDB()
 	q := cq.MustParseBCQ("S(x, x)")
 	r := rand.New(rand.NewSource(2))
-	lb, err := CompletionsLowerBound(db, q, 500, r)
+	lb, err := CompletionsLowerBound(context.Background(), db, q, 500, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Exact answer is 3; with 500 samples over 6 valuations the bound is
 	// certain to reach it, and must never exceed it.
-	if lb.Cmp(big.NewInt(3)) != 0 {
-		t.Fatalf("lower bound %v, want 3", lb)
+	if lb.Bound.Cmp(big.NewInt(3)) != 0 || lb.Samples != 500 || lb.Distinct == 0 {
+		t.Fatalf("lower bound %+v, want 3 after 500 samples", lb)
 	}
-	if _, err := CompletionsLowerBound(db, q, 0, r); err == nil {
+	if _, err := CompletionsLowerBound(context.Background(), db, q, 0, r); err == nil {
 		t.Fatal("zero samples accepted")
 	}
 }
@@ -274,12 +275,12 @@ func TestCompletionsLowerBoundIsLowerBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lb, err := CompletionsLowerBound(db, q, 50, r)
+		lb, err := CompletionsLowerBound(context.Background(), db, q, 50, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lb.Cmp(exact) > 0 {
-			t.Fatalf("seed %d: lower bound %v exceeds exact %v", seed, lb, exact)
+		if lb.Bound.Cmp(exact) > 0 {
+			t.Fatalf("seed %d: lower bound %v exceeds exact %v", seed, lb.Bound, exact)
 		}
 	}
 }

@@ -37,7 +37,9 @@ import (
 // DefaultMaxValuations is the default guard for brute-force enumeration.
 const DefaultMaxValuations = plan.DefaultMaxValuations
 
-// Options configures the counting functions.
+// Options configures the counting functions. Every field is a caller's
+// knob; what a session keeps between calls (its factor memo, its
+// valuation total) is an argument of ExecutePlan instead.
 type Options struct {
 	// MaxValuations bounds the number of valuations brute-force
 	// enumeration will visit; 0 means DefaultMaxValuations. The guard
@@ -55,7 +57,9 @@ type Options struct {
 	Workers int
 
 	// Context, when non-nil, cancels long brute-force sweeps: the
-	// counters return its error shortly after it is done.
+	// counters return its error shortly after it is done. A session
+	// method's ctx argument wins over it: a session reads Context only
+	// when that ctx is nil.
 	Context context.Context
 
 	// Progress, when non-nil, receives shard-completion updates from the
@@ -92,33 +96,23 @@ type Options struct {
 	// estimates (step/match/dedup) from the brute-force sweeps run under
 	// these options. See PhaseTimes.
 	Phases *PhaseTimes
-
-	// FactorMemo, when non-nil, serves and receives the counts of the
-	// parts of a factorized plan (OpFactor/OpFactorUnion children) whose
-	// nodes carry a memo key: the executor asks about each one once per
-	// execution, takes a count the memo holds instead of running the
-	// part, and stores the count of each part it runs. The planner takes
-	// only descriptions from the same memo (plan.Memo).
-	FactorMemo FactorMemo
-
-	// rejectedPaths records, when set by the plan executor, why each fast
-	// path did not apply (the plan node's rejected decision records), so
-	// the brute-force guard can explain what was already tried instead of
-	// suggesting it.
-	rejectedPaths []string
 }
 
-// FactorMemo is the executor's side of a factor memo; plan.Memo is the
-// side the planner takes descriptions from. LookupFactor returns the #Val
-// count stored under key, at the valuation total of the database being
-// executed. StoreFactor records the count of factorization part n, just
-// computed over that database, under the key the planner computed for it
-// (n.MemoKey), so a part that missed is keyed once. n is the part's plan
-// node, with its payloads unless it is a description taken from the
-// memo; an implementation keeps only n.Description(). A count must not be
-// mutated by either side. Validity is the key's job: a key names
-// everything a part's count and description depend on, so a lookup never
-// finds those of other content.
+// FactorMemo is the executor's side of a factor memo, the argument a
+// session passes to ExecutePlan; plan.Memo is the side the planner takes
+// descriptions from. The executor asks it about each factorization part
+// that carries a memo key once per execution, takes a count it holds
+// instead of running the part, and stores the count of each part it
+// runs. LookupFactor returns the #Val count stored under key, at the
+// valuation total of the database being executed. StoreFactor records
+// the count of factorization part n, just computed over that database,
+// under the key the planner computed for it (n.MemoKey), so a part that
+// missed is keyed once. n is the part's plan node, with its payloads
+// unless it is a description taken from the memo; an implementation
+// keeps only n.Description(). A count must not be mutated by either
+// side. Validity is the key's job: a key names everything a part's count
+// and description depend on, so a lookup never finds those of other
+// content.
 type FactorMemo interface {
 	LookupFactor(key string) (*big.Int, bool)
 	StoreFactor(key string, n *plan.Node, count *big.Int)
@@ -190,17 +184,6 @@ func (o *Options) checkpointer() *Checkpointer {
 	return o.Checkpoint
 }
 
-// withRejected returns a copy of o carrying the dispatcher's notes on why
-// the fast paths were not applicable.
-func (o *Options) withRejected(notes []string) *Options {
-	c := &Options{}
-	if o != nil {
-		*c = *o
-	}
-	c.rejectedPaths = notes
-	return c
-}
-
 // compileGuarded compiles the sweep engine for db and q and applies the
 // brute-force guard to the size of the space the engine will actually
 // enumerate (after relevant-null pruning, in ModeValuations).
@@ -209,22 +192,28 @@ func compileGuarded(db *core.Database, q cq.Query, mode sweep.Mode, opts *Option
 	if err != nil {
 		return nil, err
 	}
-	if err := guardEngine(eng, opts); err != nil {
+	if err := guardEngine(eng, opts, nil); err != nil {
 		return nil, err
 	}
 	return eng, nil
 }
 
-func guardEngine(eng *sweep.Engine, opts *Options) error {
+// guardEngine refuses a sweep of eng larger than the guard in opts.
+// planned, when non-nil, is the plan node the sweep runs for: a refusal
+// then names its rejected decisions, what was already tried, instead of
+// suggesting them.
+func guardEngine(eng *sweep.Engine, opts *Options, planned *plan.Node) error {
 	max := opts.maxValuations()
 	size := eng.Size()
 	if size.Cmp(max) <= 0 {
 		return nil
 	}
 	hint := "use an exact algorithm or an estimator"
-	if opts != nil && len(opts.rejectedPaths) > 0 {
-		hint = "no fast path applies — " + strings.Join(opts.rejectedPaths, "; ") +
-			" — raise MaxValuations, shrink the instance, or use an estimator"
+	if planned != nil {
+		if rejected := planned.RejectedNotes(); len(rejected) > 0 {
+			hint = "no fast path applies — " + strings.Join(rejected, "; ") +
+				" — raise MaxValuations, shrink the instance, or use an estimator"
+		}
 	}
 	if eng.Pruned() > 0 {
 		return fmt.Errorf("count: %v relevant valuations (of %v total; %d nulls outside the query's relations were factored out) exceed the brute-force guard %v; %s",

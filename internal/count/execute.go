@@ -18,33 +18,30 @@ import (
 // by EXPLAIN is exactly what runs.
 
 // ExecutePlan computes the count a plan describes and reports what it
-// ran. Runtime options (workers, context, progress, the factor memo) come
-// from opts; the algorithm selection and the prebuilt payloads (cylinder
-// sets, sweep engines) come from the plan. db must be the database the
-// plan was compiled from: the payloads embed its facts, so executing
-// against another database would silently mix the two. total is db's
-// valuation total when the caller keeps it (a session does), and nil
-// otherwise: complement and factorization nodes then compute it from db,
-// once per execution, and fail on an invalid database as
-// db.NumValuations does.
-func ExecutePlan(db *core.Database, p *plan.Plan, opts *Options, total *big.Int) (*big.Int, Record, error) {
+// ran. Runtime options (workers, context, progress) come from opts; the
+// algorithm selection and the prebuilt payloads (cylinder sets, sweep
+// engines) come from the plan. db must be the database the plan was
+// compiled from: the payloads embed its facts, so executing against
+// another database would silently mix the two. memo, when non-nil, is
+// the session's factor memo: it serves and receives the counts of the
+// factorization parts that carry a memo key, which only a plan built
+// with a plan.Memo has. total is db's valuation total when the caller
+// keeps it (a session does), and nil otherwise: complement and
+// factorization nodes then compute it from db, once per execution, and
+// fail on an invalid database as db.NumValuations does.
+func ExecutePlan(db *core.Database, p *plan.Plan, opts *Options, memo FactorMemo, total *big.Int) (*big.Int, Record, error) {
 	if pdb := p.Database(); pdb != nil && pdb != db {
 		return nil, Record{}, fmt.Errorf("count: the plan was compiled from a different database; rebuild it with Explain")
 	}
-	e := &executor{db: db, opts: opts, total: total}
-	if opts != nil {
-		e.memo = opts.FactorMemo
-	}
-	// A plan with several sweep nodes that run (a factorization) reports
-	// progress through a normalizing aggregator, preserving the
-	// forward-only contract of Options.Progress across the sequential
-	// sweeps.
+	e := &executor{db: db, opts: opts, memo: memo, total: total}
+	// A plan with several sweep nodes (a factorization) reports progress
+	// through a normalizing aggregator, preserving the forward-only
+	// contract of Options.Progress across the sequential sweeps.
 	if opts != nil && opts.Progress != nil {
-		e.asked = make(map[*plan.Node]*big.Int)
-		if s := e.sweepsToRun(p.Root); s > 1 {
-			agg := &multiSweepProgress{sweeps: s, fn: opts.Progress}
+		if s := sweepNodes(p.Root); s > 1 {
+			e.progress = &multiSweepProgress{sweeps: s, fn: opts.Progress}
 			o := *opts
-			o.Progress = agg.report
+			o.Progress = e.progress.report
 			e.opts = &o
 		}
 	}
@@ -56,7 +53,7 @@ func ExecutePlan(db *core.Database, p *plan.Plan, opts *Options, total *big.Int)
 }
 
 // Record reports what one plan execution ran: how many factorization
-// parts took their count from Options.FactorMemo instead of running, and,
+// parts took their count from the factor memo instead of running, and,
 // over the sweep nodes that ran, the summed size of their enumerated
 // spaces (nil when none ran), the irrelevant nulls they factored out and
 // the product of the factored-out terms ∏ |dom(⊥)| (nil when none was).
@@ -84,17 +81,16 @@ func (r *Record) swept(eng *sweep.Engine) {
 
 // executor runs the nodes of one plan over db. total is db's valuation
 // total, nil until a node first needs it; it is shared and never
-// mutated. memo is the factor memo of opts, nil without one.
+// mutated. memo is the session's factor memo, nil without one.
+// progress is the multi-sweep aggregator, nil unless opts has a progress
+// hook and the plan several sweep nodes.
 type executor struct {
-	db    *core.Database
-	opts  *Options
-	memo  FactorMemo
-	total *big.Int
-	// asked keeps the memo's answer for each keyed part the progress
-	// pre-pass asked about (nil without progress), so that the execution
-	// asks the memo once per part.
-	asked map[*plan.Node]*big.Int
-	rec   Record
+	db       *core.Database
+	opts     *Options
+	memo     FactorMemo
+	total    *big.Int
+	progress *multiSweepProgress
+	rec      Record
 }
 
 // valuations returns db's valuation total.
@@ -109,34 +105,14 @@ func (e *executor) valuations() (*big.Int, error) {
 	return e.total, nil
 }
 
-// lookup returns the count the memo holds for part n: nil when there is
-// no memo, n carries no memo key or the memo misses.
-func (e *executor) lookup(n *plan.Node) *big.Int {
-	if e.memo == nil || n.MemoKey == "" {
-		return nil
-	}
-	v, ok := e.asked[n]
-	if !ok {
-		v, _ = e.memo.LookupFactor(n.MemoKey)
-		if e.asked != nil {
-			e.asked[n] = v
-		}
-	}
-	return v
-}
-
-// sweepsToRun counts the sweep nodes of n's subtree that will run: none
-// in a part the memo serves.
-func (e *executor) sweepsToRun(n *plan.Node) int {
-	if e.lookup(n) != nil {
-		return 0
-	}
+// sweepNodes counts the sweep nodes of n's subtree.
+func sweepNodes(n *plan.Node) int {
 	s := 0
 	if n.Op == plan.OpSweep {
 		s++
 	}
 	for _, c := range n.Children {
-		s += e.sweepsToRun(c)
+		s += sweepNodes(c)
 	}
 	return s
 }
@@ -148,8 +124,9 @@ const progressUnits = 1000
 
 // multiSweepProgress folds the per-sweep shard notifications of a
 // multi-sweep plan into one monotone (done, total) stream: sweep i of s
-// occupies the fraction window [i/s, (i+1)/s). Sweeps run sequentially,
-// so no lock is needed beyond the executor's own ordering.
+// occupies the fraction window [i/s, (i+1)/s), and the windows of a part
+// the memo serves close at once (skip). Sweeps run sequentially, so no
+// lock is needed beyond the executor's own ordering.
 type multiSweepProgress struct {
 	sweeps   int
 	finished int
@@ -160,11 +137,26 @@ func (m *multiSweepProgress) report(done, total int) {
 	if total <= 0 || m.finished >= m.sweeps {
 		return
 	}
-	frac := (float64(m.finished) + float64(done)/float64(total)) / float64(m.sweeps)
-	m.fn(int(frac*progressUnits), progressUnits)
+	m.emit(float64(m.finished) + float64(done)/float64(total))
 	if done >= total {
 		m.finished++
 	}
+}
+
+// skip closes the windows of n sweeps that will not run and reports the
+// fraction reached.
+func (m *multiSweepProgress) skip(n int) {
+	if n == 0 || m.finished >= m.sweeps {
+		return
+	}
+	m.finished = min(m.finished+n, m.sweeps)
+	m.emit(float64(m.finished))
+}
+
+// emit reports windows, the closed windows plus the fraction of the
+// open one, on the normalized scale.
+func (m *multiSweepProgress) emit(windows float64) {
+	m.fn(int(windows/float64(m.sweeps)*progressUnits), progressUnits)
 }
 
 // node computes the count of plan node n.
@@ -214,11 +206,10 @@ func (e *executor) node(n *plan.Node) (*big.Int, error) {
 		// planned sweep compiles the database exactly once. The guard is
 		// applied here (compileGuarded is bypassed), with the node's
 		// rejected decisions explaining what was already tried.
-		o := opts.withRejected(n.RejectedNotes())
-		if err := guardEngine(n.Engine, o); err != nil {
+		if err := guardEngine(n.Engine, opts, n); err != nil {
 			return nil, err
 		}
-		res, _, err := sweepEngine(n.Engine, o, false)
+		res, _, err := sweepEngine(n.Engine, opts, false)
 		if err != nil {
 			return nil, err
 		}
@@ -297,12 +288,15 @@ func (e *executor) factor(n *plan.Node, union bool) (*big.Int, error) {
 // count has left the memo since (a cached plan run after an eviction),
 // the part is planned afresh and run.
 func (e *executor) part(c *plan.Node) (*big.Int, error) {
-	if v := e.lookup(c); v != nil {
-		e.rec.FactorsReused++
-		return v, nil
-	}
 	if e.memo == nil || c.MemoKey == "" {
 		return e.node(c)
+	}
+	if v, ok := e.memo.LookupFactor(c.MemoKey); ok {
+		e.rec.FactorsReused++
+		if e.progress != nil {
+			e.progress.skip(sweepNodes(c))
+		}
+		return v, nil
 	}
 	run := c
 	if lacksPayload(c) {

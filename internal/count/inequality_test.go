@@ -59,21 +59,3 @@ func TestCountWithInequalities(t *testing.T) {
 		t.Fatal("q should not be certain")
 	}
 }
-
-// TestInequalityMuK: µ_k(R(x,y) ∧ x≠y) over T = {R(⊥1,⊥2)} equals
-// 1 − 1/k → 1 — the complement of the 0-1-law example.
-func TestInequalityMuK(t *testing.T) {
-	db := core.NewDatabase()
-	db.MustAddFact("R", core.Null(1), core.Null(2))
-	q := cq.MustParse("R(x, y) ∧ x ≠ y")
-	for _, k := range []int{2, 5, 10} {
-		mu, err := MuK(db, q, k, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := big.NewRat(int64(k-1), int64(k))
-		if mu.Cmp(want) != 0 {
-			t.Fatalf("µ_%d = %v, want %v", k, mu, want)
-		}
-	}
-}

@@ -1,9 +1,11 @@
 package count
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,7 +47,7 @@ func legacyCountValuations(db *core.Database, q cq.Query, opts *Options) (*big.I
 	switch q.(type) {
 	case *cq.BCQ, *cq.UCQ:
 		if set, err := cylinder.Build(db, q); err == nil && len(set.Cylinders) <= 18 {
-			if n, err := set.UnionCount(); err == nil {
+			if n, err := set.UnionCountParallel(context.Background(), 1); err == nil {
 				return n, nil
 			}
 		}
@@ -153,7 +155,7 @@ func TestFactorizationBeatsGuard(t *testing.T) {
 	// (2^20 for the even cycles below) does not.
 	opts := &Options{MaxValuations: 1 << 20}
 
-	if _, err := BruteForceValuations(db, q, opts.withRejected(nil)); err == nil {
+	if _, err := BruteForceValuations(db, q, opts); err == nil {
 		t.Fatal("joint sweep unexpectedly fit the guard; the test instance is too small")
 	}
 
@@ -211,7 +213,7 @@ func TestFactorizationUnionExact(t *testing.T) {
 		if p.Root.Op != plan.OpFactorUnion {
 			t.Fatalf("seed %d: union did not factor: %s", seed, p.Render())
 		}
-		got, _, err := ExecutePlan(db, p, nil, nil)
+		got, _, err := ExecutePlan(db, p, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,10 +237,10 @@ func TestExecutePlanRejectsForeignDatabase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ExecutePlan(db2, p, nil, nil); err == nil {
+	if _, _, err := ExecutePlan(db2, p, nil, nil, nil); err == nil {
 		t.Fatal("foreign database accepted")
 	}
-	if n, _, err := ExecutePlan(db1, p, nil, nil); err != nil || n.Cmp(big.NewInt(2)) != 0 {
+	if n, _, err := ExecutePlan(db1, p, nil, nil, nil); err != nil || n.Cmp(big.NewInt(2)) != 0 {
 		t.Fatalf("own database: %v, err %v", n, err)
 	}
 }
@@ -262,7 +264,7 @@ func TestStrippedPlanDoesNotExecute(t *testing.T) {
 		if p.Root.Op != c.op {
 			t.Fatalf("%s: op %q, want %q", c.q, p.Root.Op, c.op)
 		}
-		_, _, err = ExecutePlan(db, p.StripPayloads(), nil, nil)
+		_, _, err = ExecutePlan(db, p.StripPayloads(), nil, nil, nil)
 		if err == nil || !strings.Contains(err.Error(), p.Root.Cost.Note) {
 			t.Errorf("%s: stripped plan executed (err %v), want an error carrying %q", c.q, err, p.Root.Cost.Note)
 		}
@@ -291,10 +293,10 @@ func TestMultiSweepProgressMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := (&executor{}).sweepsToRun(p.Root); got != 2 {
+	if got := sweepNodes(p.Root); got != 2 {
 		t.Fatalf("sweep nodes %d, want 2: %s", got, p.Render())
 	}
-	_, rec, err := ExecutePlan(db, p, opts, nil)
+	_, rec, err := ExecutePlan(db, p, opts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,6 +322,100 @@ func TestMultiSweepProgressMonotone(t *testing.T) {
 	}
 	if last != progressUnits {
 		t.Fatalf("final progress %d/%d, want complete\n%v", last, progressUnits, ticks)
+	}
+}
+
+// mapMemo is a map-backed factor memo on both sides: the planner's
+// (plan.Memo), which keys a part by its text, and the executor's
+// (FactorMemo), whose calls it counts.
+type mapMemo struct {
+	counts          map[string]*big.Int
+	descs           map[string]*plan.Node
+	lookups, stores int
+}
+
+func (m *mapMemo) Component(q cq.Query) (string, *plan.Node) {
+	key := q.String()
+	return key, m.descs[key]
+}
+
+func (m *mapMemo) LookupFactor(key string) (*big.Int, bool) {
+	m.lookups++
+	v, ok := m.counts[key]
+	return v, ok
+}
+
+func (m *mapMemo) StoreFactor(key string, n *plan.Node, count *big.Int) {
+	m.stores++
+	m.counts[key] = count
+	m.descs[key] = n.Description()
+}
+
+// TestExecutorAsksTheMemoOncePerPart: executing a factorized plan with
+// two swept parts and an exact one twice against one memo asks the memo
+// once per keyed part each time. The first execution runs and stores
+// every part; the second takes every part from the memo, and its
+// progress closes the windows of the sweeps it skips. Each execution's
+// progress is monotone in the normalized units and reaches its total
+// exactly once, at the end.
+func TestExecutorAsksTheMemoOncePerPart(t *testing.T) {
+	db := core.NewUniformDatabase([]string{"0", "1"})
+	for i := 0; i < 19; i++ {
+		db.MustAddFact("R", core.Null(core.NullID(1+i)), core.Null(core.NullID(1+(i+1)%19)))
+		db.MustAddFact("S", core.Null(core.NullID(21+i)), core.Null(core.NullID(21+(i+1)%19)))
+	}
+	db.MustAddFact("T", core.Null(41))
+	q := cq.MustParseBCQ("R(x, x) ∧ S(y, y) ∧ T(z)")
+	memo := &mapMemo{counts: map[string]*big.Int{}, descs: map[string]*plan.Node{}}
+	po := PlanOptions(nil)
+	p, err := plan.Build(db, q, classify.Valuations, &po, memo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Root.Op != plan.OpFactor || len(p.Root.Children) != 3 || sweepNodes(p.Root) != 2 {
+		t.Fatalf("want a 3-part factorization with 2 sweeps:\n%s", p.Render())
+	}
+	for _, c := range p.Root.Children {
+		if c.MemoKey == "" {
+			t.Fatalf("part %v carries no memo key", c.Query)
+		}
+	}
+	want, _, err := CountValuations(db, q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run, reused := range []int{0, 3} {
+		var ticks [][2]int
+		opts := &Options{Workers: 2, Progress: func(done, total int) { ticks = append(ticks, [2]int{done, total}) }}
+		lookups, stores := memo.lookups, memo.stores
+		n, rec, err := ExecutePlan(db, p, opts, memo, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.Cmp(want) != 0 {
+			t.Fatalf("run %d: count %v, want %v", run, n, want)
+		}
+		if got := memo.lookups - lookups; got != 3 {
+			t.Fatalf("run %d: %d lookups, want one per part", run, got)
+		}
+		if got, want := memo.stores-stores, 3-reused; got != want {
+			t.Fatalf("run %d: %d stores, want %d", run, got, want)
+		}
+		if rec.FactorsReused != reused {
+			t.Fatalf("run %d: record %+v, want %d parts reused", run, rec, reused)
+		}
+		if len(ticks) == 0 || ticks[len(ticks)-1] != [2]int{progressUnits, progressUnits} {
+			t.Fatalf("run %d: progress %v does not end complete", run, ticks)
+		}
+		for i, tk := range ticks {
+			if tk[1] != progressUnits || i > 0 && tk[0] < ticks[i-1][0] || tk[0] == progressUnits && i != len(ticks)-1 {
+				t.Fatalf("run %d: tick %d of %v: not monotone in %d units, or complete before the end", run, i, ticks, progressUnits)
+			}
+		}
+		// Each served swept part closes its own window.
+		if want := [][2]int{{progressUnits / 2, progressUnits}, {progressUnits, progressUnits}}; reused > 0 && !slices.Equal(ticks, want) {
+			t.Fatalf("run %d: progress %v, want %v", run, ticks, want)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package count
 
 import (
 	"fmt"
-	"math/big"
 	"strconv"
 
 	"github.com/incompletedb/incompletedb/internal/core"
@@ -12,8 +11,9 @@ import (
 
 // This file implements the certainty-refinement semantics the counting
 // problems support: the classical certain/possible decision problems, and
-// the relative-frequency measure µ_k(q, D) of Libkin's 0–1-law framework
-// discussed in Section 7 of the paper.
+// the database of the relative-frequency measure µ_k(q, D) of Libkin's
+// 0–1-law framework discussed in Section 7 of the paper, which the
+// solver's Mu counts over.
 
 // IsCertain reports whether q holds in EVERY completion of db (the problem
 // Certainty(q) for Boolean queries). It enumerates valuations on the
@@ -61,10 +61,11 @@ func sweepUntil(db *core.Database, q cq.Query, opts *Options, want bool) (sat, s
 	return p.ranges[0].t.n, eng.Size().Uint64(), nil
 }
 
-// MuDatabase builds the µ_k construction shared by MuK and the solver's
-// session Mu: the uniform database over {1, …, k} carrying db's naïve
-// table. db's own domains are ignored (its nulls need not have any — the
-// Section 7 setting).
+// MuDatabase builds the µ_k construction of Libkin's relative frequency
+// (Section 7 of the paper), which the solver's Mu counts over: the
+// uniform database over {1, …, k} carrying db's naïve table. db's own
+// domains are ignored (its nulls need not have any — the Section 7
+// setting).
 func MuDatabase(db *core.Database, k int) (*core.Database, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("count: µ_k needs k ≥ 1, got %d", k)
@@ -80,32 +81,4 @@ func MuDatabase(db *core.Database, k int) (*core.Database, error) {
 		}
 	}
 	return u, nil
-}
-
-// MuK computes Libkin's relative frequency µ_k(q, T) (Section 7 of the
-// paper): the fraction of valuations over the uniform domain {1, …, k}
-// whose completion satisfies q. The domains attached to db are ignored —
-// only its naïve table T is used. For generic monotone queries, µ_k tends
-// to 0 or 1 as k → ∞ (Libkin's 0–1 law); the experiment suite demonstrates
-// both limits.
-//
-// MuK uses the exact counting dispatcher, so tractable queries avoid
-// enumeration entirely.
-func MuK(db *core.Database, q cq.Query, k int, opts *Options) (*big.Rat, error) {
-	u, err := MuDatabase(db, k)
-	if err != nil {
-		return nil, err
-	}
-	sat, _, err := CountValuations(u, q, opts)
-	if err != nil {
-		return nil, err
-	}
-	total, err := u.NumValuations()
-	if err != nil {
-		return nil, err
-	}
-	if total.Sign() == 0 {
-		return nil, fmt.Errorf("count: µ_k undefined for a database without valuations")
-	}
-	return new(big.Rat).SetFrac(sat, total), nil
 }

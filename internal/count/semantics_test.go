@@ -1,7 +1,6 @@
 package count
 
 import (
-	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -77,88 +76,5 @@ func TestIsCertainGuard(t *testing.T) {
 	}
 	if _, err := IsPossible(db, cq.MustParseBCQ("R(x)"), nil); err == nil {
 		t.Fatal("guard not enforced")
-	}
-}
-
-func TestMuKConvergesToZero(t *testing.T) {
-	// T = {S(⊥1, ⊥2)}, q = S(x,x): µ_k = 1/k -> 0.
-	db := core.NewDatabase()
-	db.MustAddFact("S", core.Null(1), core.Null(2))
-	q := cq.MustParseBCQ("S(x, x)")
-	for _, k := range []int{1, 2, 5, 50} {
-		mu, err := MuK(db, q, k, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := big.NewRat(1, int64(k))
-		if mu.Cmp(want) != 0 {
-			t.Fatalf("µ_%d = %v, want %v", k, mu, want)
-		}
-	}
-}
-
-func TestMuKConvergesToOne(t *testing.T) {
-	// Same table, q = ¬S(x,x): µ_k = 1 − 1/k -> 1.
-	db := core.NewDatabase()
-	db.MustAddFact("S", core.Null(1), core.Null(2))
-	q := cq.MustParse("!S(x, x)")
-	for _, k := range []int{2, 10, 30} {
-		mu, err := MuK(db, q, k, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := new(big.Rat).Sub(big.NewRat(1, 1), big.NewRat(1, int64(k)))
-		if mu.Cmp(want) != 0 {
-			t.Fatalf("µ_%d = %v, want %v", k, mu, want)
-		}
-	}
-}
-
-func TestMuKUsesExactAlgorithms(t *testing.T) {
-	// A table far beyond brute force: 60 nulls in two unary relations with
-	// q = R(x) ∧ S(x); MuK must succeed via Theorem 3.9's algorithm.
-	db := core.NewDatabase()
-	for i := 1; i <= 30; i++ {
-		db.MustAddFact("R", core.Null(core.NullID(i)))
-		db.MustAddFact("S", core.Null(core.NullID(30+i)))
-	}
-	q := cq.MustParseBCQ("R(x) ∧ S(x)")
-	mu, err := MuK(db, q, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mu.Sign() <= 0 || mu.Cmp(big.NewRat(1, 1)) >= 0 {
-		t.Fatalf("µ_8 = %v out of (0,1)", mu)
-	}
-}
-
-func TestMuKErrors(t *testing.T) {
-	db := core.NewDatabase()
-	db.MustAddFact("S", core.Null(1))
-	if _, err := MuK(db, cq.MustParseBCQ("S(x)"), 0, nil); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-}
-
-// TestMuKIgnoresAttachedDomains: the attached (non-uniform) domains play no
-// role; only the table matters.
-func TestMuKIgnoresAttachedDomains(t *testing.T) {
-	a := core.NewDatabase()
-	a.MustAddFact("S", core.Null(1), core.Null(2))
-	a.SetDomain(1, []string{"zzz"})
-	a.SetDomain(2, []string{"yyy"})
-	b := core.NewUniformDatabase([]string{"q", "w"})
-	b.MustAddFact("S", core.Null(1), core.Null(2))
-	q := cq.MustParseBCQ("S(x, x)")
-	ma, err := MuK(a, q, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mb, err := MuK(b, q, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ma.Cmp(mb) != 0 {
-		t.Fatalf("µ differs: %v vs %v", ma, mb)
 	}
 }

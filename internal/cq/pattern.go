@@ -284,10 +284,6 @@ func HasPathPattern(q *BCQ) bool { return PatternsOf(q).Path }
 // two distinct atoms share two distinct variables.
 func HasDoublySharedPair(q *BCQ) bool { return PatternsOf(q).RxySxy }
 
-// HasBinaryPattern reports whether q has R(x,y) as a pattern: some atom
-// contains two distinct variables.
-func HasBinaryPattern(q *BCQ) bool { return PatternsOf(q).Rxy }
-
 // AllVariablesOccurOnce reports whether every variable of q has exactly one
 // occurrence, which by Theorem 3.6 characterizes (for sjfBCQs) the absence of
 // both R(x,x) and R(x) ∧ S(x) as patterns.

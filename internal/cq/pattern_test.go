@@ -107,7 +107,7 @@ func TestPredicatesMatchIsPatternOf(t *testing.T) {
 		{"R(x)∧S(x)", PatternRxSx, HasSharedVarAtoms},
 		{"path", PatternPath, HasPathPattern},
 		{"R(x,y)∧S(x,y)", PatternRxySxy, HasDoublySharedPair},
-		{"R(x,y)", PatternRxy, HasBinaryPattern},
+		{"R(x,y)", PatternRxy, func(q *BCQ) bool { return PatternsOf(q).Rxy }},
 	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

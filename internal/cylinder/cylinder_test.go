@@ -159,7 +159,7 @@ func TestUnionCountAgainstBrute(t *testing.T) {
 				if len(set.Cylinders) > 20 {
 					continue
 				}
-				got, err := set.UnionCount()
+				got, err := set.UnionCountParallel(context.Background(), 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -251,7 +251,7 @@ func TestUnionCountGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := set.UnionCount(); err == nil {
+	if _, err := set.UnionCountParallel(context.Background(), 1); err == nil {
 		t.Fatal("inclusion–exclusion guard not enforced")
 	}
 }
@@ -270,7 +270,7 @@ func TestUnionCountCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if _, err := set.UnionCountContext(ctx); err != context.Canceled {
+	if _, err := set.UnionCountParallel(ctx, 1); err != context.Canceled {
 		t.Fatalf("cancelled UnionCount err = %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -288,7 +288,7 @@ func TestEmptyRelationNoCylinders(t *testing.T) {
 	if len(s.Cylinders) != 0 {
 		t.Fatal("cylinders for an empty relation")
 	}
-	u, err := s.UnionCount()
+	u, err := s.UnionCountParallel(context.Background(), 1)
 	if err != nil || u.Sign() != 0 {
 		t.Fatalf("union %v, err %v", u, err)
 	}
@@ -310,7 +310,7 @@ func TestUnionCountParallelMatchesSerial(t *testing.T) {
 	if len(set.Cylinders) != 12 {
 		t.Fatalf("built %d cylinders, want 12", len(set.Cylinders))
 	}
-	serial, err := set.UnionCount()
+	serial, err := set.UnionCountParallel(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,27 +29,19 @@ const cancelCheckMasks = 1024
 // worker, so that subtrees of uneven size still spread evenly.
 const tasksPerWorker = 8
 
-// UnionCount computes |∪_j C_j| — the exact number of satisfying
-// valuations — by inclusion–exclusion over the cylinders: the SpanL
-// "distinct witnesses" semantics of Proposition 5.2 made executable. It is
-// the planner's exact route for a #Val with few cylinders, exponential in
-// their number and guarded accordingly.
-func (s *Set) UnionCount() (*big.Int, error) {
-	return s.UnionCountContext(context.Background())
-}
-
-// UnionCountContext is UnionCount with cancellation, on one worker.
-func (s *Set) UnionCountContext(ctx context.Context) (*big.Int, error) {
-	return s.UnionCountParallel(ctx, 1)
-}
-
-// UnionCountParallel computes UnionCount on workers goroutines. The walk
-// visits the non-empty subsets of cylinders depth-first, in index order,
-// carrying the union–find state of each subset's intersection, so a term
-// costs one state copy plus the new cylinder's classes. A subset whose
-// intersection is empty prunes its subtree: every superset is empty too.
-// Each term's product and the signed sum stay in machine words until
-// they would overflow, then continue in big.Int.
+// UnionCountParallel computes |∪_j C_j| — the exact number of
+// satisfying valuations — by inclusion–exclusion over the cylinders, on
+// workers goroutines: the SpanL "distinct witnesses" semantics of
+// Proposition 5.2 made executable. It is the planner's exact route for a
+// #Val with few cylinders, exponential in their number and guarded
+// accordingly.
+//
+// The walk visits the non-empty subsets of cylinders depth-first, in
+// index order, carrying the union–find state of each subset's
+// intersection, so a term costs one state copy plus the new cylinder's
+// classes. A subset whose intersection is empty prunes its subtree: every
+// superset is empty too. Each term's product and the signed sum stay in
+// machine words until they would overflow, then continue in big.Int.
 //
 // The walk runs on a kernel compiled for the call: bitmasks over only the
 // constants an intersection can keep. A worker holds one state per depth,

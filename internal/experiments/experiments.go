@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/big"
@@ -22,6 +23,7 @@ import (
 	"github.com/incompletedb/incompletedb/internal/cylinder"
 	"github.com/incompletedb/incompletedb/internal/graphs"
 	"github.com/incompletedb/incompletedb/internal/reductions"
+	"github.com/incompletedb/incompletedb/internal/solver"
 )
 
 // Report is the outcome of one experiment.
@@ -201,16 +203,18 @@ func ZeroOneLawExperiment(cfg Config) Report {
 	if cfg.Quick {
 		ks = []int{2, 8, 32}
 	}
+	sol := solver.NewSolver()
 	var rows []string
 	for _, k := range ks {
-		mp, err := count.MuK(db, qPos, k, nil)
+		rp, err := sol.Mu(context.Background(), db, qPos, k, nil)
 		if err != nil {
 			return failf("E-MU", "0-1 law", err)
 		}
-		mn, err := count.MuK(db, &qNeg, k, nil)
+		rn, err := sol.Mu(context.Background(), db, &qNeg, k, nil)
 		if err != nil {
 			return failf("E-MU", "0-1 law", err)
 		}
+		mp, mn := rp.Ratio, rn.Ratio
 		if mp.Cmp(big.NewRat(1, int64(k))) != 0 {
 			return Report{ID: "E-MU", Title: "0-1 law", Pass: false,
 				Measured: fmt.Sprintf("µ_%d(S(x,x)) = %v, want 1/%d", k, mp, k)}
@@ -687,7 +691,7 @@ func CylinderWitnessExperiment(cfg Config) Report {
 		if err != nil {
 			return failf("E-P5.2", "cylinder union", err)
 		}
-		union, err := set.UnionCount()
+		union, err := set.UnionCountParallel(context.Background(), 1)
 		if err != nil {
 			return failf("E-P5.2", "cylinder union", err)
 		}
@@ -731,7 +735,7 @@ func FPRASExperiment(cfg Config) Report {
 	q := cq.MustParseBCQ("R(x, x)")
 	want := new(big.Int).Exp(big.NewInt(int64(d)), big.NewInt(int64(free+1)), nil)
 	start := time.Now()
-	res, err := approx.KarpLubyValuations(db, q, 0.05, 0.05, r)
+	res, err := approx.KarpLubyValuations(context.Background(), db, q, 0.05, 0.05, r)
 	if err != nil {
 		return failf("E-C5.3", "Karp–Luby FPRAS", err)
 	}
@@ -902,13 +906,15 @@ func NoFPRASGadgetExperiment(cfg Config) Report {
 	if cfg.Quick {
 		samples = 60
 	}
-	lbC, err1 := approx.CompletionsLowerBound(colorable.DB, colorable.Query, samples, r)
-	lbH, err2 := approx.CompletionsLowerBound(hard.DB, hard.Query, samples, r)
+	ctx := context.Background()
+	resC, err1 := approx.CompletionsLowerBound(ctx, colorable.DB, colorable.Query, samples, r)
+	resH, err2 := approx.CompletionsLowerBound(ctx, hard.DB, hard.Query, samples, r)
 	exactC, err3 := count.BruteForceCompletions(colorable.DB, colorable.Query, nil)
 	exactH, err4 := count.BruteForceCompletions(hard.DB, hard.Query, nil)
 	if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
 		return failf("E-FIG-NOFPRAS", "no-FPRAS gadget", fmt.Errorf("%v %v %v %v", err1, err2, err3, err4))
 	}
+	lbC, lbH := resC.Bound, resH.Bound
 	pass := lbC.Cmp(exactC) <= 0 && lbH.Cmp(exactH) <= 0 &&
 		exactC.Cmp(big.NewInt(8)) == 0 && exactH.Cmp(big.NewInt(7)) == 0
 	return Report{

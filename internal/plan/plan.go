@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"math/big"
 	"slices"
-	"strings"
 
 	"github.com/incompletedb/incompletedb/internal/classify"
 	"github.com/incompletedb/incompletedb/internal/core"
@@ -204,7 +203,8 @@ type Plan struct {
 	Query cq.Query
 	Root  *Node
 
-	db *core.Database
+	db     *core.Database
+	method string // Root.Method(), rendered once when the plan is built
 }
 
 // Database returns the database the plan was compiled from (nil on a
@@ -213,11 +213,12 @@ type Plan struct {
 // the executor rejects it.
 func (p *Plan) Database() *core.Database { return p.db }
 
-// Method renders the plan's operator tree as a compact method signature,
+// Method returns the plan's operator tree as a compact method signature,
 // e.g. "complement(exact/cylinder-inclusion-exclusion)" or
 // "factor(brute-force × exact/theorem-3.9)". Leaf signatures equal the
-// pre-planner dispatcher's method strings.
-func (p *Plan) Method() string { return p.Root.Method() }
+// pre-planner dispatcher's method strings. The signature is rendered
+// when the plan is built, so asking for it allocates nothing.
+func (p *Plan) Method() string { return p.method }
 
 // StripPayloads returns a copy of the plan without its execution
 // payloads — the compiled sweep engines and prebuilt cylinder sets,
@@ -229,7 +230,7 @@ func (p *Plan) Method() string { return p.Root.Method() }
 // is what a long-lived cache should retain: the explanation, not the
 // compiled state or the data.
 func (p *Plan) StripPayloads() *Plan {
-	return &Plan{Kind: p.Kind, Query: p.Query, Root: p.Root.stripped()}
+	return &Plan{Kind: p.Kind, Query: p.Query, Root: p.Root.stripped(), method: p.method}
 }
 
 // stripped returns n's subtree without payloads. Nodes are immutable, so
@@ -291,20 +292,36 @@ func (n *Node) sweeps() bool {
 // Method renders the node's operator subtree as a compact signature.
 func (n *Node) Method() string {
 	switch n.Op {
-	case OpComplement:
-		return "complement(" + n.Children[0].Method() + ")"
-	case OpFactor, OpFactorUnion:
-		parts := make([]string, len(n.Children))
-		for i, c := range n.Children {
-			parts[i] = c.Method()
-		}
-		if n.Op == OpFactor {
-			return "factor(" + strings.Join(parts, " × ") + ")"
-		}
-		return "factor-union(" + strings.Join(parts, " ∪ ") + ")"
+	case OpComplement, OpFactor, OpFactorUnion:
+		// The signature is built on the stack; a longer one grows onto
+		// the heap.
+		var buf [512]byte
+		return string(n.appendMethod(buf[:0]))
 	default:
 		return string(n.Op)
 	}
+}
+
+// appendMethod appends the signature of n's subtree to b.
+func (n *Node) appendMethod(b []byte) []byte {
+	sep := ""
+	switch n.Op {
+	case OpComplement:
+		b = append(b, "complement("...)
+	case OpFactor:
+		b, sep = append(b, "factor("...), " × "
+	case OpFactorUnion:
+		b, sep = append(b, "factor-union("...), " ∪ "
+	default:
+		return append(b, n.Op...)
+	}
+	for i, c := range n.Children {
+		if i > 0 {
+			b = append(b, sep...)
+		}
+		b = c.appendMethod(b)
+	}
+	return append(b, ')')
 }
 
 // RejectedNotes returns the reasons of the node's rejected decisions, in
@@ -353,7 +370,7 @@ func Build(db *core.Database, q cq.Query, kind classify.CountingKind, opts *Opti
 	} else {
 		root = b.buildComp(q)
 	}
-	return &Plan{Kind: kind, Query: q, Root: root, db: db}, nil
+	return &Plan{Kind: kind, Query: q, Root: root, db: db, method: root.Method()}, nil
 }
 
 // BruteOnly compiles a plan that bypasses every fast path and sweeps: the
@@ -375,7 +392,7 @@ func BruteOnly(db *core.Database, q cq.Query, kind classify.CountingKind, opts *
 		Reason:    "every fast path was bypassed on request (force_brute)",
 	})
 	b.finishSweep(n, q)
-	return &Plan{Kind: kind, Query: q, Root: n, db: db}, nil
+	return &Plan{Kind: kind, Query: q, Root: n, db: db, method: n.Method()}, nil
 }
 
 // builder carries the shared planning state.
@@ -691,7 +708,7 @@ func BuildEstimate(db *core.Database, q cq.Query) (*Plan, error) {
 		},
 		Cylinders: set,
 	}
-	return &Plan{Kind: classify.Valuations, Query: q, Root: n, db: db}, nil
+	return &Plan{Kind: classify.Valuations, Query: q, Root: n, db: db, method: n.Method()}, nil
 }
 
 func allRelationsUnary(db *core.Database) bool {

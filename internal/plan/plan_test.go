@@ -252,7 +252,7 @@ func checkFactorParts(t *testing.T, db *core.Database, q cq.Query, op plan.Op, w
 	if !slices.Equal(got, want) {
 		t.Fatalf("%v: parts %q, want %q: %s", q, got, want, p.Render())
 	}
-	n, _, err := count.ExecutePlan(db, p, nil, nil)
+	n, _, err := count.ExecutePlan(db, p, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,6 +420,31 @@ func TestBruteOnlyAndEstimatePlans(t *testing.T) {
 	}
 	if e.Root.Cost.Space == nil || e.Root.Cost.Space.Int64() != 2 {
 		t.Errorf("estimate cylinder count %v, want 2 (facts with nulls)", e.Root.Cost.Space)
+	}
+}
+
+// TestPlanMethodIsRenderedOnce: a plan renders its method signature when
+// it is built, so asking a 12-part factorization, or its stripped copy,
+// for it allocates nothing.
+func TestPlanMethodIsRenderedOnce(t *testing.T) {
+	db := core.NewUniformDatabase([]string{"a", "b"})
+	var atoms, parts []string
+	for c := 0; c < 12; c++ {
+		for k := 0; k < 3; k++ {
+			db.MustAddFact(fmt.Sprintf("C%d", c), core.Null(core.NullID(3*c+k+1)), core.Null(core.NullID(3*c+(k+1)%3+1)))
+		}
+		atoms = append(atoms, fmt.Sprintf("C%d(x%d, x%d)", c, c, c))
+		parts = append(parts, string(plan.OpCylinderIE))
+	}
+	p := mustBuild(t, db, cq.MustParseBCQ(strings.Join(atoms, " ∧ ")), classify.Valuations, nil)
+	want := "factor(" + strings.Join(parts, " × ") + ")"
+	for _, pl := range []*plan.Plan{p, p.StripPayloads()} {
+		if got := pl.Method(); got != want || pl.Root.Method() != want {
+			t.Fatalf("method %q (root %q), want %q", got, pl.Root.Method(), want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _ = pl.Method() }); allocs != 0 {
+			t.Fatalf("Method allocated %v times per call", allocs)
+		}
 	}
 }
 

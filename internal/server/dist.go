@@ -42,12 +42,21 @@ func (s *Server) runDistributed(ctx context.Context, j *jobs.Job, req Request, p
 			return nil, false, nil
 		}
 	}
+	fpKind, _, err := fingerprintKind(Request{Op: OpCount, Kind: kind})
+	if err != nil {
+		return nil, true, err
+	}
+	// A live-session job distributes the current version's text (the
+	// same snapshot a local sweep would compile once and hold). liveMu
+	// serializes rendering against the write endpoints, and the
+	// fingerprint taken with it names the version that is counted.
+	s.liveMu.Lock()
 	database := req.Database
 	if database == "" {
-		// Live-session job: distribute the current snapshot's text (the
-		// same snapshot a local sweep would compile once and hold).
 		database = pdb.Database().String()
 	}
+	fp := pdb.Fingerprint(q, fpKind)
+	s.liveMu.Unlock()
 	h, err := s.coord.StartJob(dist.JobSpec{
 		Database: database,
 		Query:    q.String(),
@@ -59,10 +68,7 @@ func (s *Server) runDistributed(ctx context.Context, j *jobs.Job, req Request, p
 		return nil, false, nil
 	}
 	size := h.Size()
-	budget := s.cfg.maxValuations()
-	if req.MaxValuations > 0 && req.MaxValuations < budget {
-		budget = req.MaxValuations
-	}
+	budget, _ := s.requestBudget(req)
 	if size.Cmp(big.NewInt(s.cfg.distThreshold())) < 0 || size.Cmp(big.NewInt(budget)) > 0 {
 		// Too small to be worth the fan-out, or over budget (the local
 		// path re-derives the guard error the client should see).
@@ -107,17 +113,13 @@ func (s *Server) runDistributed(ctx context.Context, j *jobs.Job, req Request, p
 		return nil, true, err
 	}
 	st := h.Stats()
-	fpKind, _, err := fingerprintKind(Request{Op: OpCount, Kind: kind})
-	if err != nil {
-		return nil, true, err
-	}
 	resp := &Response{
 		Op:          OpCount,
 		Query:       q.String(),
 		Kind:        kind,
 		Count:       total.String(),
 		Method:      fmt.Sprintf("distributed/brute-force(leases=%d, workers=%d, reissued=%d)", st.Leases, st.Workers, st.Reissued),
-		Fingerprint: pdb.Fingerprint(q, fpKind),
+		Fingerprint: fp,
 	}
 	blob, err = json.Marshal(resp)
 	return blob, true, err

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -12,7 +13,9 @@ import (
 	"github.com/incompletedb/incompletedb/internal/count"
 	"github.com/incompletedb/incompletedb/internal/cq"
 	"github.com/incompletedb/incompletedb/internal/dist"
+	"github.com/incompletedb/incompletedb/internal/fingerprint"
 	"github.com/incompletedb/incompletedb/internal/jobs"
+	"github.com/incompletedb/incompletedb/internal/solver"
 )
 
 // End-to-end tests of the distributed job path: serve -coordinator
@@ -84,6 +87,106 @@ func valReference(t *testing.T, dbText, query string, budget int64) string {
 		t.Fatal(err)
 	}
 	return want.String()
+}
+
+// TestLiveDistributedJobDuringWrites: serial live-session jobs above
+// the distribution threshold render the live database for the cluster
+// while a client adds and removes the ground fact R(a, a) through
+// /v1/facts. Rendering must not race the writes, and each result's
+// fingerprint must name the version its count was taken over: R(a, a)
+// satisfies R(x, x) in every valuation, so the count tells the two
+// versions apart. The space stays 2^7 × 3 valuations throughout.
+func TestLiveDistributedJobDuringWrites(t *testing.T) {
+	srv, base := startServer(t, Config{
+		Workers:         1,
+		MaxValuations:   1 << 20,
+		Coordinator:     true,
+		DistThreshold:   1 << 6,
+		LeaseValuations: 1 << 6,
+		LeaseTTL:        2 * time.Second,
+	})
+	// Runs once the worker has stopped and before the server shuts down:
+	// a connection the shared transport dialed but never used would hold
+	// the shutdown up for seconds.
+	t.Cleanup(http.DefaultTransport.(*http.Transport).CloseIdleConnections)
+	startTestWorker(t, base, 1)
+	waitWorkers(t, srv, 1)
+
+	db := core.NewDatabase()
+	for i := 1; i < 8; i++ {
+		db.SetDomain(core.NullID(i), []string{"a", "b"})
+		db.MustAddFact("R", core.Null(core.NullID(i)), core.Null(8))
+	}
+	db.SetDomain(8, []string{"a", "b", "c"})
+	q := cq.MustParseBCQ("R(x, x)")
+	written := db.Clone()
+	written.MustAddFact("R", core.Const("a"), core.Const("a"))
+	counts := map[string]string{}
+	for _, d := range []*core.Database{db, written} {
+		pdb, err := solver.NewSolver().Prepare(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := count.BruteForceValuations(d, q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts[pdb.Fingerprint(q, fingerprint.KindVal)] = n.String()
+	}
+	if err := srv.LoadDatabase(db); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			for _, method := range []string{http.MethodPost, http.MethodDelete} {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				req, err := http.NewRequest(method, base+"/v1/facts", strings.NewReader(`{"facts": ["R(a, a)"]}`))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("%s /v1/facts: HTTP %d", method, resp.StatusCode)
+					return
+				}
+			}
+		}
+	}()
+	defer func() { close(stop); wg.Wait() }()
+
+	for i := 0; i < 6; i++ {
+		var created Job
+		req := Request{Query: "R(x, x)", Kind: KindVal, ForceBrute: true}
+		if code := doJSON(t, http.MethodPost, base+"/v1/jobs", req, &created); code != http.StatusAccepted {
+			t.Fatalf("job create returned HTTP %d", code)
+		}
+		final := pollJobDone(t, base, created.ID, 30*time.Second)
+		if final.Status != JobDone || final.Result == nil {
+			t.Fatalf("job %d ended as %s (error %q)", i, final.Status, final.Error)
+		}
+		if !strings.HasPrefix(final.Result.Method, "distributed/brute-force(") {
+			t.Fatalf("job %d: method %q, want a distributed sweep", i, final.Result.Method)
+		}
+		if want, ok := counts[final.Result.Fingerprint]; !ok || final.Result.Count != want {
+			t.Fatalf("job %d: count %s under fingerprint %q, which names a version counting %q", i, final.Result.Count, final.Result.Fingerprint, want)
+		}
+	}
 }
 
 // TestDistributedJobEndToEnd: a forced brute-force job over the

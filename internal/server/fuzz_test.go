@@ -8,19 +8,24 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"github.com/incompletedb/incompletedb/internal/classify"
 	"github.com/incompletedb/incompletedb/internal/core"
 	"github.com/incompletedb/incompletedb/internal/cq"
 	"github.com/incompletedb/incompletedb/internal/solver"
 )
 
 // FuzzServerRequest sends arbitrary bodies through the service's
-// handler, to /v1/count and to /v1/explain. No body may panic the
-// handler or get a 5xx answer from either. A body /v1/count answers 200
-// is sent again and must come back from the cache with the same count,
-// method and fingerprint; when /v1/explain answers it 200 too, the plan
-// must have the count's method and fingerprint; and the count of an
-// inline database must equal that of a cacheless solver on the same
-// text, under the server's limits.
+// handler, to /v1/count, /v1/explain, /v1/certain and /v1/possible. No
+// body may panic the handler or get a 5xx answer from any of them. A
+// body /v1/count answers 200 is sent again and must come back from the
+// cache with the same count, method and fingerprint; when /v1/explain
+// answers it 200 too, the plan must have the count's method and
+// fingerprint; and the count of an inline database must equal that of a
+// cacheless solver on the same text, under the server's limits. A
+// decision on an inline database must agree with that solver's #Val
+// count whenever the solver can count it: possible holds iff the count
+// is positive, and certain iff it is the valuation total (a database
+// without valuations is vacuously certain).
 func FuzzServerRequest(f *testing.F) {
 	for _, body := range []string{
 		`{"database": "uniform a b\nR(?1, ?2)\nR(?2, ?3)\nR(?3, ?4)\nR(?4, ?1)\n", "query": "R(x, x)"}`,
@@ -29,6 +34,8 @@ func FuzzServerRequest(f *testing.F) {
 		`{"database": "uniform a b\nR(?1, ?2)\nR(?3, ?4)\n", "query": "R(x, y) ∧ x ≠ y", "max_valuations": 4}`,
 		`{"database": "uniform a b c\nS(a, b)\nS(?1, a)\nS(a, ?2)\n", "query": "S(x, x) | S(x, a)"}`,
 		`{"database": "uniform a b\nR(?1)\nS(?1, ?2)\n", "query": "!(R(x) ∧ S(x, y))", "kind": "comp"}`,
+		`{"database": "uniform a\nR(a, a)\nR(?1, ?2)\n", "query": "R(x, x)"}`,
+		`{"database": "dom ?1 a\ndom ?2\nR(?1)\nS(?2)\n", "query": "R(x)"}`,
 		`{"database": "dom ?1 a\nR(?1, ?2)\n", "query": "R(x, y)"}`,
 		`{"database": "uniform a\nR(?1,\n", "query": "R(x)"}`,
 		`{"database": "uniform a\nR(?1)\n", "query": "R(x)", "kind": "all"}`,
@@ -63,16 +70,20 @@ func FuzzServerRequest(f *testing.F) {
 			return rec.Code, &resp
 		}
 		_, explained := post("/v1/explain")
-		code, first := post("/v1/count")
-		if code != http.StatusOK {
+		_, certain := post("/v1/certain")
+		_, possible := post("/v1/possible")
+		_, first := post("/v1/count")
+		if first != nil {
+			if explained != nil && (explained.Method != first.Method || explained.Fingerprint != first.Fingerprint) {
+				t.Fatalf("%q: explained %s (%s), counted %s (%s)", body, explained.Method, explained.Fingerprint, first.Method, first.Fingerprint)
+			}
+			code, second := post("/v1/count")
+			if code != http.StatusOK || !second.Cached || second.Count != first.Count || second.Method != first.Method || second.Fingerprint != first.Fingerprint {
+				t.Fatalf("resent %q: HTTP %d %+v, want a cached copy of %+v", body, code, second, first)
+			}
+		}
+		if first == nil && certain == nil && possible == nil {
 			return
-		}
-		if explained != nil && (explained.Method != first.Method || explained.Fingerprint != first.Fingerprint) {
-			t.Fatalf("%q: explained %s (%s), counted %s (%s)", body, explained.Method, explained.Fingerprint, first.Method, first.Fingerprint)
-		}
-		code, second := post("/v1/count")
-		if code != http.StatusOK || !second.Cached || second.Count != first.Count || second.Method != first.Method || second.Fingerprint != first.Fingerprint {
-			t.Fatalf("resent %q: HTTP %d %+v, want a cached copy of %+v", body, code, second, first)
 		}
 
 		// The server decoded the body, so it decodes here the same way.
@@ -97,12 +108,27 @@ func FuzzServerRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("database answered 200 does not prepare: %v", err)
 		}
-		res, err := pdb.Count(context.Background(), q, countingKind(req.Kind))
-		if err != nil {
-			t.Fatalf("reference count of %q: %v", body, err)
+		if first != nil {
+			res, err := pdb.Count(context.Background(), q, countingKind(req.Kind))
+			if err != nil {
+				t.Fatalf("reference count of %q: %v", body, err)
+			}
+			if res.Count.String() != first.Count {
+				t.Fatalf("%q: served count %s, reference %s (%s)", body, first.Count, res.Count, res.Method)
+			}
 		}
-		if res.Count.String() != first.Count {
-			t.Fatalf("%q: served count %s, reference %s (%s)", body, first.Count, res.Count, res.Method)
+		if certain == nil && possible == nil {
+			return
+		}
+		val, err := pdb.Count(context.Background(), q, classify.Valuations)
+		if err != nil {
+			return
+		}
+		if possible != nil && (possible.Holds == nil || *possible.Holds != (val.Count.Sign() > 0)) {
+			t.Fatalf("%q: possible %v, reference #Val %s", body, possible.Holds, val.Count)
+		}
+		if total := pdb.TotalValuations(); certain != nil && (certain.Holds == nil || *certain.Holds != (val.Count.Cmp(total) == 0)) {
+			t.Fatalf("%q: certain %v, reference #Val %s of %s", body, certain.Holds, val.Count, total)
 		}
 	})
 }

@@ -586,17 +586,26 @@ func (s *Server) session(text string) (*solver.PreparedDB, error) {
 	return pdb, err
 }
 
+// requestBudget returns the valuation budget a request runs under, and
+// whether its max_valuations tightened the server's. A request may lower
+// the budget but never raise it above the server's (the sweep runs on
+// the server's root context and would outlive a disconnecting client).
+func (s *Server) requestBudget(req Request) (budget int64, tightened bool) {
+	budget = s.cfg.maxValuations()
+	if req.MaxValuations > 0 && req.MaxValuations < budget {
+		return req.MaxValuations, true
+	}
+	return budget, false
+}
+
 // requestOptions builds the per-call option overrides for one request:
 // the valuation budget is set only when the request tightens it —
 // otherwise it inherits the solver's (= the server's) configuration,
-// which keeps default-budget requests on the solver's cached path. A
-// request may lower the budget but never raise it above the server's
-// (the sweep runs on the server's root context and would outlive a
-// disconnecting client).
+// which keeps default-budget requests on the solver's cached path.
 func (s *Server) requestOptions(req Request, progress func(done, total int)) *count.Options {
 	o := &count.Options{Progress: progress}
-	if budget := s.cfg.maxValuations(); req.MaxValuations > 0 && req.MaxValuations < budget {
-		o.MaxValuations = req.MaxValuations
+	if budget, tightened := s.requestBudget(req); tightened {
+		o.MaxValuations = budget
 	}
 	return o
 }

@@ -228,7 +228,6 @@ func (p *PreparedDB) CountWith(ctx context.Context, q cq.Query, kind classify.Co
 	eff := p.s.countOptions(ctx, opts)
 	po, suffix := p.s.planKey(eff)
 	rec := &factorRecorder{p: p, suffix: suffix}
-	eff.FactorMemo = rec
 	canonQ := p.s.canonicalQuery(q)
 	fp := fingerprint.OfDigest(p.digest, canonQ, kindFingerprint(kind))
 	compute := func() (*Result, error) {
@@ -236,14 +235,15 @@ func (p *PreparedDB) CountWith(ctx context.Context, q cq.Query, kind classify.Co
 		if err != nil {
 			return nil, err
 		}
-		return p.executeCount(pl, eff, fp, start)
+		return p.executeCount(pl, eff, rec, fp, start)
 	}
 	return p.cachedCall(fp+suffix, eff, start, compute)
 }
 
-// executeCount runs a compiled plan and wraps the count in a Result,
-// whose stats are the execution's record.
-func (p *PreparedDB) executeCount(pl *plan.Plan, eff *count.Options, fp string, start time.Time) (*Result, error) {
+// executeCount runs a compiled plan with memo as its factor memo (nil
+// for none) and wraps the count in a Result, whose stats are the
+// execution's record.
+func (p *PreparedDB) executeCount(pl *plan.Plan, eff *count.Options, memo count.FactorMemo, fp string, start time.Time) (*Result, error) {
 	ph := eff.Phases
 	if ph == nil {
 		ph = &count.PhaseTimes{}
@@ -255,7 +255,7 @@ func (p *PreparedDB) executeCount(pl *plan.Plan, eff *count.Options, fp string, 
 		// computes the total, and fails on the former.
 		total = nil
 	}
-	n, rec, err := count.ExecutePlan(p.db, pl, eff, total)
+	n, rec, err := count.ExecutePlan(p.db, pl, eff, memo, total)
 	if err != nil {
 		return nil, err
 	}
@@ -358,7 +358,7 @@ func (p *PreparedDB) BruteCount(ctx context.Context, q cq.Query, kind classify.C
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.executeCount(pl, eff, fp, start)
+	res, err := p.executeCount(pl, eff, nil, fp, start)
 	if err != nil {
 		return nil, err
 	}
@@ -518,7 +518,7 @@ func (p *PreparedDB) Estimate(ctx context.Context, q cq.Query, eps, delta float6
 func (p *PreparedDB) MonteCarlo(ctx context.Context, q cq.Query, samples int, r *rand.Rand) (*MonteCarloResult, error) {
 	p.rlock()
 	defer p.mu.RUnlock()
-	return approx.MonteCarloValuationsContext(ctx, p.db, q, samples, r)
+	return approx.MonteCarloValuations(ctx, p.db, q, samples, r)
 }
 
 // CompletionsLowerBound samples valuations and reports the distinct
@@ -528,7 +528,7 @@ func (p *PreparedDB) MonteCarlo(ctx context.Context, q cq.Query, samples int, r 
 func (p *PreparedDB) CompletionsLowerBound(ctx context.Context, q cq.Query, samples int, r *rand.Rand) (*LowerBoundResult, error) {
 	p.rlock()
 	defer p.mu.RUnlock()
-	return approx.CompletionsLowerBoundContext(ctx, p.db, q, samples, r)
+	return approx.CompletionsLowerBound(ctx, p.db, q, samples, r)
 }
 
 // Completions returns a streaming iterator over the distinct completions

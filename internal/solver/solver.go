@@ -167,30 +167,22 @@ func (s *Solver) Metrics() Metrics {
 	}
 }
 
-// countOptions builds the runtime counting options for one call: the
-// solver's configuration, overlaid with the per-call overrides of opts
-// (zero fields inherit the solver's values), under ctx.
+// countOptions builds the runtime counting options for one call: a copy
+// of opts whose zero guard and worker width take the solver's, under
+// ctx, or under opts.Context when ctx is nil.
 func (s *Solver) countOptions(ctx context.Context, opts *count.Options) *count.Options {
-	eff := &count.Options{
-		MaxValuations: s.cfg.MaxValuations,
-		Workers:       s.cfg.Workers,
-		Context:       ctx,
-	}
+	eff := &count.Options{}
 	if opts != nil {
-		if opts.MaxValuations != 0 {
-			eff.MaxValuations = opts.MaxValuations
-		}
-		if opts.Workers != 0 {
-			eff.Workers = opts.Workers
-		}
-		eff.Progress = opts.Progress
-		eff.Checkpoint = opts.Checkpoint
-		eff.DisableBitsets = opts.DisableBitsets
-		eff.SyntacticOrder = opts.SyntacticOrder
-		eff.Phases = opts.Phases
-		if eff.Context == nil {
-			eff.Context = opts.Context
-		}
+		*eff = *opts
+	}
+	if eff.MaxValuations == 0 {
+		eff.MaxValuations = s.cfg.MaxValuations
+	}
+	if eff.Workers == 0 {
+		eff.Workers = s.cfg.Workers
+	}
+	if ctx != nil {
+		eff.Context = ctx
 	}
 	if eff.Context == nil {
 		eff.Context = context.Background()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -129,6 +130,43 @@ func TestPlanCacheSharesAcrossIsomorphicQueries(t *testing.T) {
 	}
 	if p1 != p2 {
 		t.Error("isomorphic queries did not share one cached plan")
+	}
+}
+
+// TestCountOptionsKeepsCallerKnobs: a call's effective options are the
+// caller's, field for field, with the solver's guard and worker width
+// where the caller left them zero, and the call's ctx over the caller's
+// Context.
+func TestCountOptionsKeepsCallerKnobs(t *testing.T) {
+	type ctxKey struct{}
+	s := NewSolver(WithWorkers(3), WithMaxValuations(1000))
+	callerCtx := context.WithValue(context.Background(), ctxKey{}, "caller")
+	opts := &count.Options{
+		MaxValuations:  7,
+		Workers:        2,
+		Context:        callerCtx,
+		Progress:       func(int, int) {},
+		Checkpoint:     count.NewCheckpointer(1, nil),
+		DisableBitsets: true,
+		SyntacticOrder: true,
+		Phases:         &count.PhaseTimes{},
+	}
+	eff, want := reflect.ValueOf(*s.countOptions(nil, opts)), reflect.ValueOf(*opts)
+	for i := range want.NumField() {
+		got, w := eff.Field(i), want.Field(i)
+		if w.IsZero() {
+			t.Fatalf("set every field of count.Options in this test: %s is zero", want.Type().Field(i).Name)
+		}
+		if w.Kind() == reflect.Func && got.Pointer() != w.Pointer() || w.Kind() != reflect.Func && !reflect.DeepEqual(got.Interface(), w.Interface()) {
+			t.Errorf("%s: got %v, want the caller's %v", want.Type().Field(i).Name, got, w)
+		}
+	}
+	callCtx := context.WithValue(context.Background(), ctxKey{}, "call")
+	if eff := s.countOptions(callCtx, opts); eff.Context != callCtx {
+		t.Errorf("the call's ctx must win over the caller's Context")
+	}
+	if eff := s.countOptions(nil, nil); eff.MaxValuations != 1000 || eff.Workers != 3 || eff.Context != context.Background() {
+		t.Errorf("defaults: %+v, want the solver's guard and workers under the background context", eff)
 	}
 }
 
@@ -344,7 +382,7 @@ func TestCachedPlansAreStrippedButEquivalent(t *testing.T) {
 	if got, want := cached.Plan.Render(), fresh.Plan.Render(); got != want {
 		t.Errorf("stripped plan renders differently:\n--- cached ---\n%s--- fresh ---\n%s", got, want)
 	}
-	if n, _, err := count.ExecutePlan(db, cached.Plan, nil, nil); err == nil || !strings.Contains(err.Error(), "no execution payload") {
+	if n, _, err := count.ExecutePlan(db, cached.Plan, nil, nil, nil); err == nil || !strings.Contains(err.Error(), "no execution payload") {
 		t.Errorf("stripped plan executed to %v (err %v), want a missing-payload error", n, err)
 	}
 }

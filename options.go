@@ -25,8 +25,10 @@ func WithCacheSize(n int) Option { return solver.WithCacheSize(n) }
 // CountOptions configures a single counting call through the *With
 // methods of PreparedDB (and Solver.Mu): the brute-force guard
 // (MaxValuations), the worker-pool width (Workers; 0 means one worker
-// per CPU), an optional cancellation Context, and an optional Progress
-// hook. Zero fields inherit the solver's configuration. A call whose
-// guard or engine variant differs from the solver's reads and writes
-// the session caches under keys of its own.
+// per CPU), an optional Progress hook, and the rest of the caller's
+// knobs. The method's ctx argument cancels the call; Context is read
+// only when that ctx is nil. A zero guard or worker width inherits the
+// solver's configuration. A call whose guard or engine variant differs
+// from the solver's reads and writes the session caches under keys of
+// its own.
 type CountOptions = count.Options

@@ -143,7 +143,7 @@ func TestSessionParityAllCompletionsAndMu(t *testing.T) {
 
 		q := MustParseQuery("S(x, x)")
 		for _, k := range []int{1, 2, 4} {
-			refMu, err := count.MuK(db, q, k, nil)
+			refMu, err := referenceMu(db, q, k)
 			if err != nil {
 				t.Fatalf("%s µ_%d: %v", dbName, k, err)
 			}
@@ -161,6 +161,24 @@ func TestSessionParityAllCompletionsAndMu(t *testing.T) {
 	}
 }
 
+// referenceMu computes µ_k(q, T) for db's table with the counting
+// dispatcher: #Val(q) over count.MuDatabase, divided by its total.
+func referenceMu(db *Database, q Query, k int) (*big.Rat, error) {
+	u, err := count.MuDatabase(db, k)
+	if err != nil {
+		return nil, err
+	}
+	sat, _, err := count.CountValuations(u, q, nil)
+	if err != nil {
+		return nil, err
+	}
+	total, err := u.NumValuations()
+	if err != nil {
+		return nil, err
+	}
+	return new(big.Rat).SetFrac(sat, total), nil
+}
+
 // TestSessionParityEstimators: same seed ⇒ identical draws ⇒ identical
 // estimates, between the raw approx implementations and the session
 // methods.
@@ -173,7 +191,7 @@ func TestSessionParityEstimators(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref, err := approx.KarpLubyValuations(db, q, 0.2, 0.2, rand.New(rand.NewSource(11)))
+	ref, err := approx.KarpLubyValuations(ctx, db, q, 0.2, 0.2, rand.New(rand.NewSource(11)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +206,7 @@ func TestSessionParityEstimators(t *testing.T) {
 		t.Errorf("Karp–Luby diagnostics diverge: ref %+v, session %+v", ref, ses)
 	}
 
-	refMC, err := approx.MonteCarloValuations(db, q, 500, rand.New(rand.NewSource(12)))
+	refMC, err := approx.MonteCarloValuations(ctx, db, q, 500, rand.New(rand.NewSource(12)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +221,7 @@ func TestSessionParityEstimators(t *testing.T) {
 		t.Errorf("Monte Carlo tallies diverge: ref %+v, session %+v", refMC, sesMC)
 	}
 
-	refLB, err := approx.CompletionsLowerBound(db, q, 300, rand.New(rand.NewSource(13)))
+	refLB, err := approx.CompletionsLowerBound(ctx, db, q, 300, rand.New(rand.NewSource(13)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +229,8 @@ func TestSessionParityEstimators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if refLB.Cmp(sesLB.Bound) != 0 {
-		t.Errorf("lower bound: ref %v, session %v", refLB, sesLB.Bound)
+	if refLB.Bound.Cmp(sesLB.Bound) != 0 || refLB.Distinct != sesLB.Distinct {
+		t.Errorf("lower bound: ref %+v, session %+v", refLB, sesLB)
 	}
 	if sesLB.Distinct == 0 || sesLB.Samples != 300 {
 		t.Errorf("lower-bound tallies missing: %+v", sesLB)
